@@ -27,8 +27,7 @@ from .identities import (
     OMEGA_TO_XQ,
     OMEGA_TO_XZQ,
     OMEGA_TO_ZQ,
-    PochFamily,
-    ProductFactor,
+    PochFactor,
     SumFamily,
     TheoremSpec,
     UnknownTheorem,
@@ -48,6 +47,7 @@ from .partitions import (
     PartitionClass,
     PartitionStats,
     basis_members_of_length,
+    class_weight_series,
     conjugate,
     enumerate_basis_by_shape,
     enumerate_partitions,
@@ -59,15 +59,14 @@ from .qseries import (
     A_INFINITY,
     DomainError,
     NonConvergent,
-    QBinomial,
     check_q_gauss,
     check_qbinomial_recurrences,
     check_qbinomial_theorem,
     gauss_binomial,
     pochhammer_finite,
     pochhammer_infinite,
+    pochhammer_inverse,
     q_monomial,
-    qbinomial,
 )
 from .reporting import CheckReport
 from .series import (
@@ -125,10 +124,8 @@ __all__ = [
     "Partition",
     "PartitionClass",
     "PartitionStats",
-    "PochFamily",
+    "PochFactor",
     "PrecisionLoss",
-    "ProductFactor",
-    "QBinomial",
     "RingMismatch",
     "SINGLE_Q",
     "Series",
@@ -149,6 +146,7 @@ __all__ = [
     "check_qbinomial_recurrences",
     "check_qbinomial_theorem",
     "check_sip_gf_four_parameter",
+    "class_weight_series",
     "combinatorial_side",
     "compose",
     "conjugate",
@@ -161,9 +159,9 @@ __all__ = [
     "omega_exponents",
     "pochhammer_finite",
     "pochhammer_infinite",
+    "pochhammer_inverse",
     "product_side",
     "q_monomial",
-    "qbinomial",
     "registry",
     "series_side",
     "sip_gf_four_parameter",

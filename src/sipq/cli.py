@@ -56,12 +56,17 @@ _TABLE_METHODS = {
 
 
 def _default_trunc() -> int:
+    """The truncation in ``SIPQ_TRUNC``, or 16 when it is unset or empty.
+
+    Raises ValueError when the variable is not a nonnegative integer.
+    """
     raw = os.environ.get("SIPQ_TRUNC", "")
-    try:
-        value = int(raw)
-    except ValueError:
+    if not raw:
         return _DEFAULT_TRUNC
-    return value if value >= 0 else _DEFAULT_TRUNC
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"negative truncation {value}")
+    return value
 
 
 def _emit_json(command: str, params: dict[str, object], results: object) -> None:
@@ -160,8 +165,8 @@ def _full_battery(trunc: int) -> list[CheckReport]:
         reports.append(cross_check_tables(basis, 12, 12))
     small = min(trunc, 16)
     for cls in _DECOMPOSABLE.values():
-        reports.append(sip.verify_sip_property(cls, cls.basis, 2, small))
-        reports.append(sip.sip_gf_single_variable(cls, cls.basis, 2, trunc))
+        reports.append(sip.verify_sip_property(cls, small))
+        reports.append(sip.sip_gf_single_variable(cls, trunc))
         reports.append(sip.check_sip_gf_four_parameter(cls, small))
     reports.append(qseries.check_qbinomial_recurrences(10))
     reports.append(qseries.check_qbinomial_theorem(6, (1, 2, 1, 1)))
@@ -269,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check identities (and --all for the full battery)")
     p_ver.add_argument("ids", nargs="*", help="identity keys, e.g. g1-four")
     p_ver.add_argument("--all", action="store_true")
-    p_ver.add_argument("--trunc", type=int, default=_default_trunc())
+    p_ver.add_argument("--trunc", type=int, help="default: $SIPQ_TRUNC, else 16")
     p_ver.set_defaults(handler=_cmd_verify)
 
     p_ser = sub.add_parser("series", help="expand one side of one identity")
@@ -279,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["combinatorial", "series", "product", "product-alt"],
     )
-    p_ser.add_argument("--trunc", type=int, default=_default_trunc())
+    p_ser.add_argument("--trunc", type=int, help="default: $SIPQ_TRUNC, else 16")
     p_ser.set_defaults(handler=_cmd_series)
 
     p_tab = sub.add_parser("table", help="export a basis table as CSV")
@@ -311,6 +316,12 @@ def _cmd_tables_check(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "trunc", 0) is None:
+        try:
+            args.trunc = _default_trunc()
+        except ValueError:
+            _diag(f"SIPQ_TRUNC must be a nonnegative integer, got {os.environ['SIPQ_TRUNC']!r}")
+            return 2
     if getattr(args, "trunc", 0) < 0:
         _diag("trunc must be nonnegative")
         return 2

@@ -4,31 +4,35 @@ Each :class:`TheoremSpec` packages up to four independently computed sides:
 
 * ``combinatorial`` — a sum of partition weights over a class, optionally
   pushed through a variable substitution;
-* ``series`` — one or two summed families of Pochhammer-quotient terms;
+* ``series`` — one or more summed families of Pochhammer-quotient terms;
 * ``product`` — an infinite product, truncated;
 * ``product-alt`` — an equivalent rewriting of the product when the catalog
   records one (different bases, same value).
 
+The catalog is plain data: every Pochhammer factor, finite or infinite, in a
+numerator or a denominator, is one :class:`PochFactor`, and every series
+prefactor is a table of integer coefficients.
+
 :func:`verify` expands every available side to the requested truncation and
 demands exact agreement pairwise.  Series summation stops at the first index
 whose term provably exceeds the truncation in minimum degree; the bound uses
-the numerator's most negative achievable degree, so early terms with inverse
+the numerators' most negative achievable degree, so early terms with inverse
 variables are never dropped.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 from .partitions import (
     PartitionClass,
+    class_weight_series,
     conjugate,
     enumerate_partitions,
     omega_exponents,
     stats,
 )
-from .qseries import pochhammer_finite, pochhammer_infinite
+from .qseries import pochhammer_finite, pochhammer_infinite, pochhammer_inverse
 from .reporting import CheckReport
 from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
 
@@ -58,33 +62,40 @@ _MAPS = {"xzq": OMEGA_TO_XZQ, "xq": OMEGA_TO_XQ, "zq": OMEGA_TO_ZQ, "bg": OMEGA_
 
 
 @dataclasses.dataclass(frozen=True)
-class PochFamily:
-    """``prod_{i=0}^{m-1} (1 - sign * arg * base^i)`` with ``m`` linear in n."""
+class PochFactor:
+    """``prod_i (1 - sign * arg * base^i)``, or its inverse when ``inverted``.
+
+    In a series family ``count = (alpha, beta)`` gives the ``alpha*n + beta``
+    factors of the ``n``-th term; in a product ``count`` is None and the
+    product is infinite.
+    """
 
     sign: int
     arg_exps: tuple[int, ...]
     base_exps: tuple[int, ...]
-    count: tuple[int, int]
+    count: tuple[int, int] | None = None
+    inverted: bool = False
 
     def factors(self, n: int) -> int:
-        return self.count[0] * n + self.count[1]
+        alpha, beta = self.count  # type: ignore[misc]
+        return alpha * n + beta
 
 
 @dataclasses.dataclass(frozen=True)
 class SumFamily:
-    """One summed family: monomial prefactor times a Pochhammer quotient."""
+    """``sum_n x^prefactor(n) * prod(factors)``: a monomial times a Pochhammer quotient.
 
-    prefactor: Callable[[int], tuple[int, ...]]
-    numerator: PochFamily | None
-    denominators: tuple[PochFamily, ...]
+    ``prefactor`` holds one triple per variable, the coefficients of
+    ``C(n,2)``, ``n`` and ``1`` in that variable's exponent; the inverted
+    ``factors`` are the denominators.
+    """
 
+    prefactor: tuple[tuple[int, int, int], ...]
+    factors: tuple[PochFactor, ...]
 
-@dataclasses.dataclass(frozen=True)
-class ProductFactor:
-    sign: int
-    arg_exps: tuple[int, ...]
-    base_exps: tuple[int, ...]
-    inverted: bool = False
+    def exponents(self, n: int) -> tuple[int, ...]:
+        pairs = n * (n - 1) // 2
+        return tuple(c2 * pairs + c1 * n + c0 for c2, c1, c0 in self.prefactor)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,40 +106,38 @@ class TheoremSpec:
     partition_class: PartitionClass | None
     weight_map: SubstitutionMap | None
     series: tuple[SumFamily, ...]
-    product: tuple[ProductFactor, ...]
-    product_alt: tuple[ProductFactor, ...] | None = None
+    product: tuple[PochFactor, ...]
+    product_alt: tuple[PochFactor, ...] | None = None
 
-
-def _map_exps(smap: SubstitutionMap, exps: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * smap.target.nvars
-    for e, img in zip(exps, smap.images):
-        for i, v in enumerate(img):
-            out[i] += e * v
-    return tuple(out)
+    def __post_init__(self) -> None:
+        # Series summation stops at the first term past the truncation, so no
+        # prefactor degree may decrease in n.  From n to n+1 it moves by
+        # A*n + B, with A and B the graded sums of the C(n,2) and n columns.
+        for fam in self.series:
+            a = sum(w * c2 for w, (c2, _, _) in zip(self.ring.weights, fam.prefactor))
+            b = sum(w * c1 for w, (_, c1, _) in zip(self.ring.weights, fam.prefactor))
+            if a < 0 or b < 0:
+                raise ValueError(
+                    f"{self.key}: prefactor degree step {a}n + {b} decreases in n"
+                )
 
 
 def combinatorial_side(spec: TheoremSpec, trunc: int) -> Series:
     """Sum of (possibly substituted) weights over the statement's class."""
     if spec.partition_class is None:
         raise ValueError(f"{spec.key} has no combinatorial side")
-    items = []
-    for w in range(trunc + 1):
-        for lam in enumerate_partitions(spec.partition_class, w):
-            v = omega_exponents(lam).vector()
-            items.append((v if spec.weight_map is None else _map_exps(spec.weight_map, v), 1))
-    return Series.from_terms(spec.ring, items, trunc, complete=False)
+    weights = class_weight_series(spec.partition_class, trunc)
+    return weights if spec.weight_map is None else weights.substitute(spec.weight_map, trunc)
 
 
-def _tail_floor(ring: SeriesRing, num: PochFamily | None) -> int:
-    """A lower bound on the degree any numerator term can subtract.
+def _tail_floor(ring: SeriesRing, num: PochFactor) -> int:
+    """A lower bound on the degree a numerator's terms can subtract.
 
     The numerator's terms pick subsets of factors; choosing the ``k`` lowest
     indices gives degree ``k * deg(arg) + deg(base) * k(k-1)/2``, which is
     minimized over ``k`` here.  Nonnegative-degree arguments contribute
     nothing below zero.
     """
-    if num is None:
-        return 0
     arg_deg = ring.degree(num.arg_exps)
     if arg_deg >= 0:
         return 0
@@ -151,36 +160,33 @@ def _sum_family(
 ) -> Series:
     """Sum the family's terms until they provably exceed the truncation.
 
-    Prefactor degrees must be nondecreasing in ``n`` (true for every
-    registered family); with ``n_limit`` the sum is cut off there instead,
-    giving a partial sum.
+    Prefactor degrees are nondecreasing in ``n`` (:class:`TheoremSpec`
+    enforces it); with ``n_limit`` the sum is cut off there instead, giving a
+    partial sum.  Each denominator grows by one geometric factor at a time.
     """
+    numerators = [f for f in fam.factors if not f.inverted]
+    denominators = [f for f in fam.factors if f.inverted]
     total = Series.zero(ring, trunc)
-    inverses = [Series.one(ring, trunc) for _ in fam.denominators]
-    built = [0] * len(fam.denominators)
-    floor = _tail_floor(ring, fam.numerator)
+    inverses = [Series.one(ring, trunc) for _ in denominators]
+    built = [0] * len(denominators)
+    floor = sum(_tail_floor(ring, num) for num in numerators)
     n = 0
     while True:
         if n_limit is not None and n > n_limit:
             break
-        pref = fam.prefactor(n)
+        pref = fam.exponents(n)
         if n_limit is None and ring.degree(pref) + floor > trunc:
             break
         term = Series.monomial(ring, 1, pref)
-        if fam.numerator is not None:
-            arg = Series.monomial(ring, fam.numerator.sign, fam.numerator.arg_exps)
-            base = Series.monomial(ring, 1, fam.numerator.base_exps)
-            term = term * pochhammer_finite(arg, base, fam.numerator.factors(n), None)
+        for num in numerators:
+            arg = Series.monomial(ring, num.sign, num.arg_exps)
+            base = Series.monomial(ring, 1, num.base_exps)
+            term = term * pochhammer_finite(arg, base, num.factors(n), None)
         term = term.truncate(trunc)
-        for j, den in enumerate(fam.denominators):
-            want = den.factors(n)
-            while built[j] < want:
-                factor = Series.one(ring) - Series.monomial(
-                    ring,
-                    den.sign,
-                    tuple(a + built[j] * b for a, b in zip(den.arg_exps, den.base_exps)),
-                )
-                inverses[j] = inverses[j] * factor.invert_unit(trunc)
+        for j, den in enumerate(denominators):
+            while built[j] < den.factors(n):
+                exps = tuple(a + built[j] * b for a, b in zip(den.arg_exps, den.base_exps))
+                inverses[j] = inverses[j] * Series.geometric(ring, den.sign, exps, trunc)
                 built[j] += 1
             term = term * inverses[j]
         if nonneg_failures is not None and any(
@@ -218,8 +224,10 @@ def product_side(spec: TheoremSpec, trunc: int, alt: bool = False) -> Series:
     for f in factors:
         arg = Series.monomial(spec.ring, f.sign, f.arg_exps)
         base = Series.monomial(spec.ring, 1, f.base_exps)
-        p = pochhammer_infinite(arg, base, trunc)
-        out = out * (p.invert_unit(trunc) if f.inverted else p)
+        if f.inverted:
+            out = out * pochhammer_inverse(arg, base, None, trunc)
+        else:
+            out = out * pochhammer_infinite(arg, base, trunc)
     return out
 
 
@@ -261,22 +269,15 @@ def verify_spec(spec: TheoremSpec, trunc: int) -> CheckReport:
 
 _Q4 = (1, 1, 1, 1)
 _AB = (1, 1, 0, 0)
-_DEN_AB = PochFamily(1, _AB, _Q4, (1, 0))
-_DEN_AB1 = PochFamily(1, _AB, _Q4, (1, 1))
-_DEN_Q = PochFamily(1, _Q4, _Q4, (1, 0))
+_DEN_AB = PochFactor(1, _AB, _Q4, (1, 0), inverted=True)
+_DEN_AB1 = PochFactor(1, _AB, _Q4, (1, 1), inverted=True)
+_DEN_Q = PochFactor(1, _Q4, _Q4, (1, 0), inverted=True)
 # Three-variable denominators: z²q² and q⁴ in base q⁴, q² in base q².
-_DEN_ZZQQ = PochFamily(1, (0, 2, 2), (0, 0, 4), (1, 0))
-_DEN_Q4 = PochFamily(1, (0, 0, 4), (0, 0, 4), (1, 0))
-_DEN_QQ_2N = PochFamily(1, (0, 0, 2), (0, 0, 2), (2, 0))
-_DEN_QQ_2N1 = PochFamily(1, (0, 0, 2), (0, 0, 2), (2, 1))
-
-
-def _tri(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-def _tri1(n: int) -> int:
-    return n * (n + 1) // 2
+_DEN_ZZQQ = PochFactor(1, (0, 2, 2), (0, 0, 4), (1, 0), inverted=True)
+_DEN_ZZQQ1 = PochFactor(1, (0, 2, 2), (0, 0, 4), (1, 1), inverted=True)
+_DEN_Q4 = PochFactor(1, (0, 0, 4), (0, 0, 4), (1, 0), inverted=True)
+_DEN_QQ_2N = PochFactor(1, (0, 0, 2), (0, 0, 2), (2, 0), inverted=True)
+_DEN_QQ_2N1 = PochFactor(1, (0, 0, 2), (0, 0, 2), (2, 1), inverted=True)
 
 
 def _build_registry() -> tuple[TheoremSpec, ...]:
@@ -292,14 +293,13 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=None,
             series=(
                 SumFamily(
-                    lambda n: (n + _tri(n), _tri(n), _tri(n), _tri(n)),
-                    PochFamily(-1, (0, 1, 0, 0), _Q4, (1, 0)),
-                    (_DEN_AB, _DEN_Q),
+                    ((1, 1, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)),
+                    (PochFactor(-1, (0, 1, 0, 0), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 0, 0, 0), _Q4),
-                ProductFactor(1, _AB, _Q4, inverted=True),
+                PochFactor(-1, (1, 0, 0, 0), _Q4),
+                PochFactor(1, _AB, _Q4, inverted=True),
             ),
         ),
         TheoremSpec(
@@ -313,14 +313,13 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=None,
             series=(
                 SumFamily(
-                    lambda n: (_tri1(n), _tri1(n), _tri1(n), _tri1(n) - n),
-                    PochFamily(-1, (0, 0, -1, 0), _Q4, (1, 0)),
-                    (_DEN_AB, _DEN_Q),
+                    ((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 0, 0)),
+                    (PochFactor(-1, (0, 0, -1, 0), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 1, 1, 0), _Q4),
-                ProductFactor(1, _AB, _Q4, inverted=True),
+                PochFactor(-1, (1, 1, 1, 0), _Q4),
+                PochFactor(1, _AB, _Q4, inverted=True),
             ),
         ),
         TheoremSpec(
@@ -334,20 +333,18 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=None,
             series=(
                 SumFamily(
-                    lambda n: (n, n, n, n),
-                    PochFamily(-1, (0, -1, -1, -1), _Q4, (1, 0)),
-                    (_DEN_AB, _DEN_Q),
+                    ((0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
+                    (PochFactor(-1, (0, -1, -1, -1), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
                 ),
                 SumFamily(
-                    lambda n: (n + 1, n + 1, n, n),
-                    PochFamily(-1, (1, 0, 0, 0), _Q4, (1, 0)),
-                    (_DEN_AB1, _DEN_Q),
+                    ((0, 1, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0)),
+                    (PochFactor(-1, (1, 0, 0, 0), _Q4, (1, 0)), _DEN_AB1, _DEN_Q),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 0, 0, 0), _Q4),
-                ProductFactor(1, _AB, _Q4, inverted=True),
-                ProductFactor(1, _Q4, _Q4, inverted=True),
+                PochFactor(-1, (1, 0, 0, 0), _Q4),
+                PochFactor(1, _AB, _Q4, inverted=True),
+                PochFactor(1, _Q4, _Q4, inverted=True),
             ),
         ),
         TheoremSpec(
@@ -361,20 +358,18 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=None,
             series=(
                 SumFamily(
-                    lambda n: (n, n, n, n),
-                    PochFamily(-1, (0, 0, 0, -1), _Q4, (1, 0)),
-                    (_DEN_AB, _DEN_Q),
+                    ((0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
+                    (PochFactor(-1, (0, 0, 0, -1), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
                 ),
                 SumFamily(
-                    lambda n: (n + 1, n + 1, n, n),
-                    PochFamily(-1, (1, 1, 1, 0), _Q4, (1, 0)),
-                    (_DEN_AB1, _DEN_Q),
+                    ((0, 1, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0)),
+                    (PochFactor(-1, (1, 1, 1, 0), _Q4, (1, 0)), _DEN_AB1, _DEN_Q),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 1, 1, 0), _Q4),
-                ProductFactor(1, _AB, _Q4, inverted=True),
-                ProductFactor(1, _Q4, _Q4, inverted=True),
+                PochFactor(-1, (1, 1, 1, 0), _Q4),
+                PochFactor(1, _AB, _Q4, inverted=True),
+                PochFactor(1, _Q4, _Q4, inverted=True),
             ),
         ),
         TheoremSpec(
@@ -385,11 +380,11 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=None,
             series=(),
             product=(
-                ProductFactor(-1, (1, 0, 0, 0), _Q4),
-                ProductFactor(-1, (1, 1, 1, 0), _Q4),
-                ProductFactor(1, (1, 1, 0, 0), _Q4, inverted=True),
-                ProductFactor(1, (1, 0, 1, 0), _Q4, inverted=True),
-                ProductFactor(1, _Q4, _Q4, inverted=True),
+                PochFactor(-1, (1, 0, 0, 0), _Q4),
+                PochFactor(-1, (1, 1, 1, 0), _Q4),
+                PochFactor(1, (1, 1, 0, 0), _Q4, inverted=True),
+                PochFactor(1, (1, 0, 1, 0), _Q4, inverted=True),
+                PochFactor(1, _Q4, _Q4, inverted=True),
             ),
         ),
         TheoremSpec(
@@ -403,10 +398,10 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_XZQ,
             series=(),
             product=(
-                ProductFactor(-1, (1, 1, 1), (0, 0, 2)),
-                ProductFactor(1, (2, 0, 2), (0, 0, 4), inverted=True),
-                ProductFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-                ProductFactor(1, (0, 0, 4), (0, 0, 4), inverted=True),
+                PochFactor(-1, (1, 1, 1), (0, 0, 2)),
+                PochFactor(1, (2, 0, 2), (0, 0, 4), inverted=True),
+                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
+                PochFactor(1, (0, 0, 4), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -419,14 +414,13 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_XQ,
             series=(
                 SumFamily(
-                    lambda n: (n, 0, 2 * n * n - n),
-                    PochFamily(-1, (-1, 0, 1), (0, 0, 4), (1, 0)),
-                    (_DEN_QQ_2N,),
+                    ((0, 1, 0), (0, 0, 0), (4, 1, 0)),
+                    (PochFactor(-1, (-1, 0, 1), (0, 0, 4), (1, 0)), _DEN_QQ_2N),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 0, 1), (0, 0, 4)),
-                ProductFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
+                PochFactor(-1, (1, 0, 1), (0, 0, 4)),
+                PochFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -439,14 +433,13 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_XQ,
             series=(
                 SumFamily(
-                    lambda n: (n, 0, 2 * n * n + n),
-                    PochFamily(-1, (-1, 0, -1), (0, 0, 4), (1, 0)),
-                    (_DEN_QQ_2N,),
+                    ((0, 1, 0), (0, 0, 0), (4, 3, 0)),
+                    (PochFactor(-1, (-1, 0, -1), (0, 0, 4), (1, 0)), _DEN_QQ_2N),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 0, 3), (0, 0, 4)),
-                ProductFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
+                PochFactor(-1, (1, 0, 3), (0, 0, 4)),
+                PochFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -460,18 +453,17 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_ZQ,
             series=(
                 SumFamily(
-                    lambda n: (0, n, 2 * n * n - n),
-                    PochFamily(-1, (0, 1, 1), (0, 0, 4), (1, 0)),
-                    (_DEN_Q4, _DEN_ZZQQ),
+                    ((0, 0, 0), (0, 1, 0), (4, 1, 0)),
+                    (PochFactor(-1, (0, 1, 1), (0, 0, 4), (1, 0)), _DEN_Q4, _DEN_ZZQQ),
                 ),
             ),
             product=(
-                ProductFactor(-1, (0, 1, 1), (0, 0, 4)),
-                ProductFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
+                PochFactor(-1, (0, 1, 1), (0, 0, 4)),
+                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
             ),
             product_alt=(
-                ProductFactor(1, (0, 1, 1), (0, 0, 4), inverted=True),
-                ProductFactor(1, (0, 2, 6), (0, 0, 8), inverted=True),
+                PochFactor(1, (0, 1, 1), (0, 0, 4), inverted=True),
+                PochFactor(1, (0, 2, 6), (0, 0, 8), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -485,18 +477,17 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_ZQ,
             series=(
                 SumFamily(
-                    lambda n: (0, n, 2 * n * n + n),
-                    PochFamily(-1, (0, 1, -1), (0, 0, 4), (1, 0)),
-                    (_DEN_Q4, _DEN_ZZQQ),
+                    ((0, 0, 0), (0, 1, 0), (4, 3, 0)),
+                    (PochFactor(-1, (0, 1, -1), (0, 0, 4), (1, 0)), _DEN_Q4, _DEN_ZZQQ),
                 ),
             ),
             product=(
-                ProductFactor(-1, (0, 1, 3), (0, 0, 4)),
-                ProductFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
+                PochFactor(-1, (0, 1, 3), (0, 0, 4)),
+                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
             ),
             product_alt=(
-                ProductFactor(1, (0, 1, 3), (0, 0, 4), inverted=True),
-                ProductFactor(1, (0, 2, 2), (0, 0, 8), inverted=True),
+                PochFactor(1, (0, 1, 3), (0, 0, 4), inverted=True),
+                PochFactor(1, (0, 2, 2), (0, 0, 8), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -510,14 +501,13 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_XZQ,
             series=(
                 SumFamily(
-                    lambda n: (n, n, 2 * n * n - n),
-                    PochFamily(-1, (-1, 1, 1), (0, 0, 4), (1, 0)),
-                    (_DEN_ZZQQ, _DEN_Q4),
+                    ((0, 1, 0), (0, 1, 0), (4, 1, 0)),
+                    (PochFactor(-1, (-1, 1, 1), (0, 0, 4), (1, 0)), _DEN_ZZQQ, _DEN_Q4),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 1, 1), (0, 0, 4)),
-                ProductFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
+                PochFactor(-1, (1, 1, 1), (0, 0, 4)),
+                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -531,14 +521,13 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_XZQ,
             series=(
                 SumFamily(
-                    lambda n: (n, n, 2 * n * n + n),
-                    PochFamily(-1, (-1, 1, -1), (0, 0, 4), (1, 0)),
-                    (_DEN_ZZQQ, _DEN_Q4),
+                    ((0, 1, 0), (0, 1, 0), (4, 3, 0)),
+                    (PochFactor(-1, (-1, 1, -1), (0, 0, 4), (1, 0)), _DEN_ZZQQ, _DEN_Q4),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 1, 3), (0, 0, 4)),
-                ProductFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
+                PochFactor(-1, (1, 1, 3), (0, 0, 4)),
+                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -552,20 +541,18 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_XZQ,
             series=(
                 SumFamily(
-                    lambda n: (0, 0, 4 * n),
-                    PochFamily(-1, (1, 1, -3), (0, 0, 4), (1, 0)),
-                    (_DEN_ZZQQ, _DEN_Q4),
+                    ((0, 0, 0), (0, 0, 0), (0, 4, 0)),
+                    (PochFactor(-1, (1, 1, -3), (0, 0, 4), (1, 0)), _DEN_ZZQQ, _DEN_Q4),
                 ),
                 SumFamily(
-                    lambda n: (0, 2, 4 * n + 2),
-                    PochFamily(-1, (1, 1, 1), (0, 0, 4), (1, 0)),
-                    (PochFamily(1, (0, 2, 2), (0, 0, 4), (1, 1)), _DEN_Q4),
+                    ((0, 0, 0), (0, 0, 2), (0, 4, 2)),
+                    (PochFactor(-1, (1, 1, 1), (0, 0, 4), (1, 0)), _DEN_ZZQQ1, _DEN_Q4),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 1, 1), (0, 0, 4)),
-                ProductFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-                ProductFactor(1, (0, 0, 4), (0, 0, 4), inverted=True),
+                PochFactor(-1, (1, 1, 1), (0, 0, 4)),
+                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
+                PochFactor(1, (0, 0, 4), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -579,20 +566,18 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_XZQ,
             series=(
                 SumFamily(
-                    lambda n: (0, 0, 4 * n),
-                    PochFamily(-1, (1, 1, -1), (0, 0, 4), (1, 0)),
-                    (_DEN_ZZQQ, _DEN_Q4),
+                    ((0, 0, 0), (0, 0, 0), (0, 4, 0)),
+                    (PochFactor(-1, (1, 1, -1), (0, 0, 4), (1, 0)), _DEN_ZZQQ, _DEN_Q4),
                 ),
                 SumFamily(
-                    lambda n: (0, 2, 4 * n + 2),
-                    PochFamily(-1, (1, 1, 3), (0, 0, 4), (1, 0)),
-                    (PochFamily(1, (0, 2, 2), (0, 0, 4), (1, 1)), _DEN_Q4),
+                    ((0, 0, 0), (0, 0, 2), (0, 4, 2)),
+                    (PochFactor(-1, (1, 1, 3), (0, 0, 4), (1, 0)), _DEN_ZZQQ1, _DEN_Q4),
                 ),
             ),
             product=(
-                ProductFactor(-1, (1, 1, 3), (0, 0, 4)),
-                ProductFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-                ProductFactor(1, (0, 0, 4), (0, 0, 4), inverted=True),
+                PochFactor(-1, (1, 1, 3), (0, 0, 4)),
+                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
+                PochFactor(1, (0, 0, 4), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -606,14 +591,13 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_BG,
             series=(
                 SumFamily(
-                    lambda n: (0, n, 2 * n * n - n),
-                    PochFamily(-1, (0, -1, 1), (0, 0, 4), (1, 0)),
-                    (_DEN_QQ_2N,),
+                    ((0, 0, 0), (0, 1, 0), (4, 1, 0)),
+                    (PochFactor(-1, (0, -1, 1), (0, 0, 4), (1, 0)), _DEN_QQ_2N),
                 ),
             ),
             product=(
-                ProductFactor(-1, (0, 1, 1), (0, 0, 4)),
-                ProductFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
+                PochFactor(-1, (0, 1, 1), (0, 0, 4)),
+                PochFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -627,14 +611,13 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_BG,
             series=(
                 SumFamily(
-                    lambda n: (0, -n, 2 * n * n + n),
-                    PochFamily(-1, (0, 1, -1), (0, 0, 4), (1, 0)),
-                    (_DEN_QQ_2N,),
+                    ((0, 0, 0), (0, -1, 0), (4, 3, 0)),
+                    (PochFactor(-1, (0, 1, -1), (0, 0, 4), (1, 0)), _DEN_QQ_2N),
                 ),
             ),
             product=(
-                ProductFactor(-1, (0, -1, 3), (0, 0, 4)),
-                ProductFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
+                PochFactor(-1, (0, -1, 3), (0, 0, 4)),
+                PochFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -648,19 +631,17 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_BG,
             series=(
                 SumFamily(
-                    lambda n: (0, 0, 4 * n),
-                    PochFamily(-1, (0, 1, -3), (0, 0, 4), (1, 0)),
-                    (_DEN_QQ_2N,),
+                    ((0, 0, 0), (0, 0, 0), (0, 4, 0)),
+                    (PochFactor(-1, (0, 1, -3), (0, 0, 4), (1, 0)), _DEN_QQ_2N),
                 ),
                 SumFamily(
-                    lambda n: (0, 0, 4 * n + 2),
-                    PochFamily(-1, (0, 1, 1), (0, 0, 4), (1, 0)),
-                    (_DEN_QQ_2N1,),
+                    ((0, 0, 0), (0, 0, 0), (0, 4, 2)),
+                    (PochFactor(-1, (0, 1, 1), (0, 0, 4), (1, 0)), _DEN_QQ_2N1),
                 ),
             ),
             product=(
-                ProductFactor(-1, (0, 1, 1), (0, 0, 4)),
-                ProductFactor(1, (0, 0, 2), (0, 0, 2), inverted=True),
+                PochFactor(-1, (0, 1, 1), (0, 0, 4)),
+                PochFactor(1, (0, 0, 2), (0, 0, 2), inverted=True),
             ),
         ),
         TheoremSpec(
@@ -674,19 +655,17 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             weight_map=OMEGA_TO_BG,
             series=(
                 SumFamily(
-                    lambda n: (0, 0, 4 * n),
-                    PochFamily(-1, (0, -1, -1), (0, 0, 4), (1, 0)),
-                    (_DEN_QQ_2N,),
+                    ((0, 0, 0), (0, 0, 0), (0, 4, 0)),
+                    (PochFactor(-1, (0, -1, -1), (0, 0, 4), (1, 0)), _DEN_QQ_2N),
                 ),
                 SumFamily(
-                    lambda n: (0, 0, 4 * n + 2),
-                    PochFamily(-1, (0, -1, 3), (0, 0, 4), (1, 0)),
-                    (_DEN_QQ_2N1,),
+                    ((0, 0, 0), (0, 0, 0), (0, 4, 2)),
+                    (PochFactor(-1, (0, -1, 3), (0, 0, 4), (1, 0)), _DEN_QQ_2N1),
                 ),
             ),
             product=(
-                ProductFactor(-1, (0, -1, 3), (0, 0, 4)),
-                ProductFactor(1, (0, 0, 2), (0, 0, 2), inverted=True),
+                PochFactor(-1, (0, -1, 3), (0, 0, 4)),
+                PochFactor(1, (0, 0, 2), (0, 0, 2), inverted=True),
             ),
         ),
     ]
@@ -716,22 +695,14 @@ def verify(key: str, trunc: int) -> CheckReport:
 # -- telescoping partial sums ---------------------------------------------------
 
 
-def _poch_poly(sign: int, arg: tuple[int, ...], count: int) -> Series:
-    return pochhammer_finite(
-        Series.monomial(FOUR_PARAM, sign, arg),
-        Series.monomial(FOUR_PARAM, 1, _Q4),
-        count,
-        None,
-    )
-
-
 def _closed_partial(family: PartitionClass, upto: int, trunc: int) -> Series:
     """Closed form for the partial sum: a finite Pochhammer quotient."""
     arg = (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0)
-    num = _poch_poly(-1, arg, upto).truncate(trunc)
-    den1 = _poch_poly(1, _AB, upto + 1).invert_unit(trunc)
-    den2 = _poch_poly(1, _Q4, upto).invert_unit(trunc)
-    return num * den1 * den2
+    q = Series.monomial(FOUR_PARAM, 1, _Q4)
+    num = pochhammer_finite(Series.monomial(FOUR_PARAM, -1, arg), q, upto, None)
+    den1 = pochhammer_inverse(Series.monomial(FOUR_PARAM, 1, _AB), q, upto + 1, trunc)
+    den2 = pochhammer_inverse(q, q, upto, trunc)
+    return num.truncate(trunc) * den1 * den2
 
 
 def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> CheckReport:
@@ -798,7 +769,7 @@ def verify_substitution_consistency(map_id: str, weight_max: int) -> CheckReport
     for w in range(weight_max + 1):
         for lam in enumerate_partitions(PartitionClass.ALL, w):
             st = stats(lam)
-            image = _map_exps(smap, omega_exponents(lam).vector())
+            image = smap.map_exps(omega_exponents(lam).vector())
             if map_id == "xzq":
                 expected = (st.odd_parts, st.alt_sum, st.weight)
             else:

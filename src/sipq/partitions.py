@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from .series import FOUR_PARAM, Series
+
 
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
@@ -224,6 +226,25 @@ def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
     if cls is PartitionClass.ALL:
         return list(_all_partitions(weight))
     return list(_filtered(cls, weight))
+
+
+def class_weight_series(cls: PartitionClass, trunc: int) -> Series:
+    """The four-parameter weight summed over every member of weight <= ``trunc``.
+
+    A member's weight monomial has total degree equal to its weight, so the
+    sum is exact to order ``trunc``; it is the brute-force side of every
+    generating-function check.
+    """
+    return Series.from_terms(
+        FOUR_PARAM,
+        (
+            (omega_exponents(lam).vector(), 1)
+            for w in range(trunc + 1)
+            for lam in enumerate_partitions(cls, w)
+        ),
+        trunc,
+        complete=False,
+    )
 
 
 @lru_cache(maxsize=None)

@@ -4,11 +4,12 @@ Everything here lives in the four-variable ring with base ``Q = abcd`` (or in
 whatever ring the caller's argument series use, for the finite products).
 ``pochhammer_finite(x, Q, n, t)`` is the product ``(1-x)(1-xQ)...(1-xQ^{n-1})``,
 so the classical ``(x; Q)_n`` with a sign goes in through the argument.
+Inverted products, finite or infinite, are built one :meth:`Series.geometric`
+factor at a time; ``pochhammer_inverse`` does this for a whole product.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 
 from .reporting import CheckReport
@@ -70,6 +71,28 @@ def pochhammer_infinite(arg: Series, base: Series, trunc: int) -> Series:
     return Series(ring, prod.terms, trunc, complete=False)
 
 
+def pochhammer_inverse(arg: Series, base: Series, n: int | None, trunc: int) -> Series:
+    """``1 / ((1 - arg)(1 - arg*base) ...)`` over ``n`` factors (all of them
+    when ``n`` is None) to order ``trunc``.
+
+    ``arg`` and ``base`` are monomials and ``base`` has unit coefficient; each
+    factor is inverted by one :meth:`Series.geometric` expansion, and factors
+    of degree above ``trunc`` contribute nothing below it.
+    """
+    ((exps, coeff),) = arg.terms.items()
+    ((step, _),) = base.terms.items()
+    if base.min_deg < 1:
+        raise ValueError("base must have positive degree")
+    ring = arg.ring
+    out = Series.one(ring, trunc)
+    i = 0
+    while (n is None or i < n) and ring.degree(exps) <= trunc:
+        out = out * Series.geometric(ring, coeff, exps, trunc)
+        exps = tuple(e + s for e, s in zip(exps, step))
+        i += 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def _gauss_coeffs(n: int, m: int) -> tuple[int, ...]:
     """Coefficients (in the base) of the degree-``m(n-m)`` binomial polynomial."""
@@ -94,22 +117,6 @@ def gauss_binomial(n: int, m: int, trunc: int | None = None) -> Series:
         {(i, i, i, i): c for i, c in enumerate(_gauss_coeffs(n, m)) if c},
         trunc,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class QBinomial:
-    """A base-``Q`` binomial coefficient together with its indices."""
-
-    n: int
-    m: int
-    value: Series
-
-
-def qbinomial(n: int, m: int, trunc: int | None = None) -> QBinomial:
-    """Wrap :func:`gauss_binomial` with its indices for table consumers."""
-    if n < 0 or m < 0:
-        raise DomainError("indices must be nonnegative")
-    return QBinomial(n, m, gauss_binomial(n, m, trunc))
 
 
 def check_qbinomial_recurrences(n_max: int) -> CheckReport:
@@ -141,7 +148,7 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
             # Quotient form: a product of m factors over the m-factor base product.
             t = 4 * m * (n - m)
             num = pochhammer_finite(q_monomial(n - m + 1), q_monomial(1), m, None)
-            den_inv = pochhammer_finite(q_monomial(1), q_monomial(1), m, None).invert_unit(t)
+            den_inv = pochhammer_inverse(q_monomial(1), q_monomial(1), m, t)
             expect(f"[{n},{m}] quotient-form", num.truncate(t) * den_inv, val.truncate(t))
     return CheckReport("qbinomial-recurrences", not failures, checks, tuple(failures))
 
@@ -204,11 +211,6 @@ def _require_positive_degree(s: Series, what: str) -> None:
         raise DomainError(f"{what} must have positive degree, got {s.min_deg}")
 
 
-def _factor_inverse(mono: Series, trunc: int) -> Series:
-    """``1 / (1 - mono)`` to order ``trunc`` (``mono`` a positive-degree monomial)."""
-    return (Series.one(FOUR_PARAM) - mono).invert_unit(trunc)
-
-
 def _param_name(p: object) -> str:
     return p.to_string() if isinstance(p, Series) else repr(p)
 
@@ -259,6 +261,8 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
                 * (ratio ** n)
             )
 
+    # The denominators (Q;Q)_n (c;Q)_n gain one geometric factor each per step.
+    c_coeff, c_exps = _monomial_parts(c_param, "c")
     lhs = Series.zero(FOUR_PARAM, trunc)
     inv_qq = Series.one(FOUR_PARAM, trunc)
     inv_cc = Series.one(FOUR_PARAM, trunc)
@@ -268,15 +272,15 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
         if poly.min_deg > trunc:
             break
         lhs = lhs + poly.truncate(trunc) * inv_qq * inv_cc
+        inv_qq = inv_qq * Series.geometric(FOUR_PARAM, 1, (n + 1,) * 4, trunc)
+        inv_cc = inv_cc * Series.geometric(FOUR_PARAM, c_coeff, tuple(e + n for e in c_exps), trunc)
         n += 1
-        inv_qq = inv_qq * _factor_inverse(q_monomial(n), trunc)
-        inv_cc = inv_cc * _factor_inverse(c_param * q_monomial(n - 1), trunc)
 
     rhs = Series.one(FOUR_PARAM, trunc)
     for arg in rhs_num:
         rhs = rhs * pochhammer_infinite(arg, base, trunc)
     for arg in rhs_den:
-        rhs = rhs * pochhammer_infinite(arg, base, trunc).invert_unit(trunc)
+        rhs = rhs * pochhammer_inverse(arg, base, None, trunc)
 
     name = f"q-gauss[a={_param_name(a_param)}; b={_param_name(b_param)}; c={_param_name(c_param)}]"
     cmp = lhs.equal_to(rhs)

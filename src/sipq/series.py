@@ -12,6 +12,9 @@ even above ``trunc``.  Arithmetic tracks it conservatively: operations only
 keep ``complete=True`` when no information can have been discarded.  Every
 operation that would silently produce wrong coefficients raises
 :class:`PrecisionLoss` instead of degrading the result.
+
+:meth:`Series.geometric` expands ``1 / (1 - monomial)`` directly, and
+:meth:`SubstitutionMap.map_exps` is the one place exponents are substituted.
 """
 
 from __future__ import annotations
@@ -294,6 +297,21 @@ class Series:
         # The true inverse continues above `target`, so it is never complete.
         return Series(self.ring, acc.terms, target, complete=False)
 
+    @staticmethod
+    def geometric(ring: SeriesRing, coeff: int, exps: tuple[int, ...], trunc: int) -> "Series":
+        """``1 / (1 - coeff * x^exps)`` expanded directly as ``sum_k (coeff * x^exps)^k``.
+
+        The monomial must have positive degree; the result is exact to order
+        ``trunc`` and, like every inverse with a tail, never complete.
+        """
+        deg = ring.degree(exps)
+        if deg <= 0:
+            raise NonPositiveTail(f"monomial {exps} must have positive degree")
+        if trunc is None:
+            raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
+        terms = {tuple(k * e for e in exps): coeff**k for k in range(trunc // deg + 1)}
+        return Series(ring, terms, trunc, complete=False)
+
     # -- truncation and substitution -------------------------------------------
 
     def truncate(self, trunc: int | None) -> "Series":
@@ -329,11 +347,7 @@ class Series:
                 raise PrecisionLoss(f"target truncation {trunc} exceeds guaranteed order {guaranteed}")
         out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
-            img = [0] * target.nvars
-            for e, image in zip(exps, smap.images):
-                for k in range(target.nvars):
-                    img[k] += e * image[k]
-            key = tuple(img)
+            key = smap.map_exps(exps)
             if target.degree(key) < 0:
                 raise NegativeQDegree(f"term {exps} maps to negative degree {key}")
             out[key] = out.get(key, 0) + coeff
@@ -444,5 +458,10 @@ class SubstitutionMap:
                 return None
         return alpha
 
-    def apply(self, series: Series, trunc: int | None) -> Series:
-        return series.substitute(self, trunc)
+    def map_exps(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        """The target exponents of the source monomial with exponents ``exps``."""
+        out = [0] * self.target.nvars
+        for e, image in zip(exps, self.images):
+            for k, v in enumerate(image):
+                out[k] += e * v
+        return tuple(out)

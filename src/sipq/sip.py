@@ -7,23 +7,26 @@ row is 1 or 2, matching the parity of the last part, and each higher row
 exceeds the one below by the single admissible gap that matches the parity of
 the corresponding part.  This module implements the split, its inverse, an
 exhaustive verifier, and the two generating-function assemblies the structure
-yields (single-variable counts and the four-parameter weight).
+yields (single-variable counts and the four-parameter weight).  Every check
+takes the class alone: its basis is ``cls.basis`` and padding parts are even.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
 from .partitions import (
     Partition,
     PartitionClass,
     basis_members_of_length,
+    class_weight_series,
     enumerate_partitions,
     is_member,
     omega_exponents,
 )
 from .reporting import CheckReport
-from .series import FOUR_PARAM, SINGLE_Q, Series, SeriesRing
+from .series import FOUR_PARAM, SINGLE_Q, Series
 
 
 class SipError(Exception):
@@ -39,7 +42,7 @@ class LengthViolation(SipError):
 
 
 class NonEvenMu(SipError):
-    """The padding contains a part the modulus does not divide."""
+    """The padding contains an odd part."""
 
 
 class InternalError(SipError):
@@ -65,7 +68,8 @@ class SipDecomposition:
 
     beta: Partition
     mu: Partition
-    modulus: int = 2
+    #: Every basis pads with even parts; a constant, not a constructor field.
+    modulus: ClassVar[int] = 2
 
 
 def decompose(cls: PartitionClass, lam: Partition) -> SipDecomposition:
@@ -134,22 +138,13 @@ def _split_count(cls: PartitionClass, lam: Partition) -> int:
     return count
 
 
-def verify_sip_property(
-    cls: PartitionClass,
-    basis: PartitionClass,
-    modulus: int,
-    weight_max: int,
-) -> CheckReport:
+def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     """Round-trip and uniqueness of the split for every member up to a weight.
 
     Uniqueness is checked independently of :func:`decompose` by re-composing
     every basis member of matching length and counting the valid splits.
     """
     _require_decomposable(cls)
-    if basis is not cls.basis:
-        raise ValueError(f"{basis} is not the basis of {cls.value!r}")
-    if modulus != 2:
-        raise ValueError("the shipped bases use modulus 2")
     failures: list[str] = []
     checks = 0
     for w in range(weight_max + 1):
@@ -167,36 +162,21 @@ def verify_sip_property(
     return CheckReport(f"sip-property[{cls.value}]", not failures, checks, tuple(failures))
 
 
-def _geometric_inverse(ring: SeriesRing, exps: tuple[int, ...], trunc: int) -> Series:
-    """``1 / (1 - monomial)`` to the given order."""
-    return (Series.one(ring) - Series.monomial(ring, 1, exps)).invert_unit(trunc)
-
-
-def sip_gf_single_variable(
-    cls: PartitionClass,
-    basis: PartitionClass,
-    modulus: int,
-    weight_max: int,
-) -> CheckReport:
+def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     """Compare class counts with the basis-driven series, weight by weight.
 
-    The series side is ``sum_n B_n(q) / prod_{i=1..n}(1 - q^{modulus*i})``
-    where ``B_n`` collects ``q^|beta|`` over basis members of length ``n``;
-    every basis member of length ``n`` has weight at least ``n``, so lengths
-    beyond ``weight_max`` cannot contribute.
+    The series side is ``sum_n B_n(q) / prod_{i=1..n}(1 - q^{2i})`` where
+    ``B_n`` collects ``q^|beta|`` over basis members of length ``n``; every
+    basis member of length ``n`` has weight at least ``n``, so lengths beyond
+    ``weight_max`` cannot contribute.
     """
     _require_decomposable(cls)
-    if basis is not cls.basis:
-        raise ValueError(f"{basis} is not the basis of {cls.value!r}")
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    n_max = weight_max
     series_side = Series.zero(SINGLE_Q, weight_max)
     inv = Series.one(SINGLE_Q, weight_max)
-    for n in range(n_max + 1):
-        if n > 0 and modulus * n <= weight_max:
-            inv = inv * _geometric_inverse(SINGLE_Q, (modulus * n,), weight_max)
-        weights = [beta.weight for beta in basis_members_of_length(basis, n)]
+    for n in range(weight_max + 1):
+        if n > 0 and 2 * n <= weight_max:
+            inv = inv * Series.geometric(SINGLE_Q, 1, (2 * n,), weight_max)
+        weights = [beta.weight for beta in basis_members_of_length(cls.basis, n)]
         if not weights:
             continue
         poly = Series.from_terms(SINGLE_Q, (((w,), 1) for w in weights), weight_max)
@@ -246,7 +226,7 @@ def sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> Series:
                 k = m // 2
                 exps = (k, k, k, k)
             if sum(exps) <= trunc:
-                inv = inv * _geometric_inverse(FOUR_PARAM, exps, trunc)
+                inv = inv * Series.geometric(FOUR_PARAM, 1, exps, trunc)
         poly = basis_weight_poly(cls.basis, m).truncate(trunc)
         if poly.is_zero():
             continue
@@ -257,16 +237,7 @@ def sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> Series:
 def check_sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> CheckReport:
     """Slice-by-slice comparison of the assembly against direct enumeration."""
     assembled = sip_gf_four_parameter(cls, trunc)
-    enumerated = Series.from_terms(
-        FOUR_PARAM,
-        (
-            (omega_exponents(lam).vector(), 1)
-            for w in range(trunc + 1)
-            for lam in enumerate_partitions(cls, w)
-        ),
-        trunc,
-        complete=False,
-    )
+    enumerated = class_weight_series(cls, trunc)
     failures: list[str] = []
     for d in range(trunc + 1):
         left = assembled.degree_slice(d)

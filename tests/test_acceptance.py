@@ -92,13 +92,13 @@ def test_c04_basis_tables_three_ways_on_the_20_by_20_grid():
 
 def test_c05_unique_decomposition_up_to_weight_18():
     for cls in CLASSES:
-        report = verify_sip_property(cls, cls.basis, 2, 18)
+        report = verify_sip_property(cls, 18)
         assert report.passed, (cls.value, report.failures)
 
 
 def test_c06_assembled_series_match_enumeration():
     for cls in CLASSES:
-        counts = sip_gf_single_variable(cls, cls.basis, 2, 20)
+        counts = sip_gf_single_variable(cls, 20)
         assert counts.passed, (cls.value, counts.failures)
         weights = check_sip_gf_four_parameter(cls, 18)
         assert weights.passed, (cls.value, weights.failures)

@@ -120,6 +120,24 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "g1-four", "--trunc", "-2")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ("abc", "-3", "2.5"))
+    def test_bad_env_truncation_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SIPQ_TRUNC", value)
+        for argv in (
+            ("verify", "g1-four"),
+            ("series", "--spec", "boulet-p", "--side", "product"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "SIPQ_TRUNC" in err
+        # An explicit --trunc never reads the variable; other commands ignore it.
+        assert run(capsys, "verify", "g1-four", "--trunc", "4")[0] == 0
+        assert run(capsys, "enumerate", "--class", "g1", "--weight", "3")[0] == 0
+        assert run(capsys, "decompose", "--class", "g1", "--partition", "5,4")[0] == 0
+        assert run(capsys, "tables-check", "--basis", "g1", "--n-max", "2", "--h-max", "2")[0] == 0
+        table = ("table", "--basis", "g1", "--method", "recurrence", "--n-max", "1", "--h-max", "1")
+        assert run(capsys, *table)[0] == 0
+
 
 class TestSeries:
     def test_product_terms(self, capsys):

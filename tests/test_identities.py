@@ -124,11 +124,67 @@ class TestDetectsInjectedErrors:
         spec = spec_by_key("g2-four")
         fam = spec.series[0]
         shifted = dataclasses.replace(
-            fam, prefactor=lambda n, old=fam.prefactor: tuple(e + 1 for e in old(n))
+            fam, prefactor=tuple((c2, c1, c0 + 1) for c2, c1, c0 in fam.prefactor)
         )
         corrupted = dataclasses.replace(spec, series=(shifted,) + spec.series[1:])
         report = verify_spec(corrupted, 8)
         assert not report.passed
+
+
+def _replace_at(items, i, item):
+    return items[:i] + (item,) + items[i + 1 :]
+
+
+def _single_datum_mutants(spec):
+    """Every catalog entry with one datum perturbed: each product factor's
+    sign flipped, each finite factor's count constant raised by one, each
+    family's last prefactor constant raised by one."""
+    for field in ("product", "product_alt"):
+        factors = getattr(spec, field) or ()
+        for i, f in enumerate(factors):
+            flipped = dataclasses.replace(f, sign=-f.sign)
+            yield f"{field}[{i}].sign", dataclasses.replace(
+                spec, **{field: _replace_at(factors, i, flipped)}
+            )
+    for k, fam in enumerate(spec.series):
+        for i, f in enumerate(fam.factors):
+            alpha, beta = f.count
+            longer = dataclasses.replace(f, count=(alpha, beta + 1))
+            family = dataclasses.replace(fam, factors=_replace_at(fam.factors, i, longer))
+            yield f"series[{k}].factors[{i}].count", dataclasses.replace(
+                spec, series=_replace_at(spec.series, k, family)
+            )
+        c2, c1, c0 = fam.prefactor[-1]
+        family = dataclasses.replace(fam, prefactor=fam.prefactor[:-1] + ((c2, c1, c0 + 1),))
+        yield f"series[{k}].prefactor[-1]", dataclasses.replace(
+            spec, series=_replace_at(spec.series, k, family)
+        )
+
+
+def test_every_single_datum_mutant_fails():
+    """Each datum of the catalog is load-bearing: no perturbation passes."""
+    mutants = [
+        (spec.key, label, mutant)
+        for spec in registry()
+        for label, mutant in _single_datum_mutants(spec)
+    ]
+    assert len(mutants) == 129
+    survivors = [(key, label) for key, label, m in mutants if verify_spec(m, 8).passed]
+    assert survivors == []
+
+
+@pytest.mark.parametrize(
+    "d_exponent",
+    ((0, -4, 0), (-1, 0, 0)),
+    ids=("linear-step", "quadratic-step"),
+)
+def test_decreasing_prefactor_rejected(d_exponent):
+    """Summation stops at the first term past the truncation, so a family
+    whose prefactor degree can decrease in n is refused when built."""
+    spec = spec_by_key("p1-four")
+    fam = dataclasses.replace(spec.series[0], prefactor=((0, 1, 0),) * 3 + (d_exponent,))
+    with pytest.raises(ValueError, match="decreases"):
+        dataclasses.replace(spec, series=(fam,))
 
 
 class TestMissingSides:

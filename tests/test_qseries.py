@@ -10,7 +10,6 @@ from sipq.qseries import (
     A_INFINITY,
     DomainError,
     NonConvergent,
-    QBinomial,
     check_q_gauss,
     check_qbinomial_recurrences,
     check_qbinomial_theorem,
@@ -18,7 +17,6 @@ from sipq.qseries import (
     pochhammer_finite,
     pochhammer_infinite,
     q_monomial,
-    qbinomial,
 )
 from sipq.series import FOUR_PARAM, SINGLE_Q, Series
 
@@ -131,16 +129,6 @@ class TestGaussBinomial:
         assert all(c > 0 for c in f.terms.values())
         if 0 <= m <= n:
             assert f.degree_slice(4 * m * (n - m)) != {}
-
-    def test_wrapper(self):
-        qb = qbinomial(4, 2)
-        assert isinstance(qb, QBinomial)
-        assert (qb.n, qb.m) == (4, 2)
-        assert qb.value == gauss_binomial(4, 2)
-
-    def test_wrapper_rejects_negative_row(self):
-        with pytest.raises(DomainError):
-            qbinomial(-1, 0)
 
 
 class TestRecurrenceBattery:

@@ -218,6 +218,49 @@ class TestInvertUnit:
             f.invert_unit(None)
 
 
+def positive_degree_monomials() -> st.SearchStrategy[tuple[SeriesRing, tuple[int, ...]]]:
+    """A ring and an exponent tuple of positive degree in it.  In ``XZQ`` the
+    weight-0 exponents of x and z range over negative values too."""
+    four = st.tuples(*[st.integers(min_value=-2, max_value=3)] * 4).filter(
+        lambda e: sum(e) > 0
+    )
+    xzq = st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=1, max_value=4),
+    )
+    return st.one_of(
+        st.tuples(st.just(FOUR_PARAM), four), st.tuples(st.just(XZQ), xzq)
+    )
+
+
+class TestGeometric:
+    @settings(max_examples=60)
+    @given(
+        positive_degree_monomials(),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_matches_unit_inverse(self, ring_exps, sign, trunc):
+        ring, exps = ring_exps
+        direct = Series.geometric(ring, sign, exps, trunc)
+        reference = (Series.one(ring) - Series.monomial(ring, sign, exps)).invert_unit(trunc)
+        assert direct.terms == reference.terms
+        assert (direct.trunc, direct.complete) == (reference.trunc, reference.complete)
+
+    @pytest.mark.parametrize(
+        "ring, exps",
+        ((FOUR_PARAM, (0, 0, 0, 0)), (FOUR_PARAM, (1, -2, 0, 0)), (XZQ, (1, -1, 0))),
+    )
+    def test_non_positive_degree_rejected(self, ring, exps):
+        with pytest.raises(NonPositiveTail):
+            Series.geometric(ring, 1, exps, 6)
+
+    def test_truncation_required(self):
+        with pytest.raises(PrecisionLoss):
+            Series.geometric(SINGLE_Q, 1, (1,), None)
+
+
 class TestSubstitution:
     smap = SubstitutionMap(
         FOUR_PARAM, XZQ, ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1))

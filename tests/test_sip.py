@@ -92,7 +92,7 @@ class TestCompose:
 class TestSipProperty:
     @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
     def test_unique_split(self, cls):
-        report = verify_sip_property(cls, cls.basis, 2, 12)
+        report = verify_sip_property(cls, 12)
         assert report.passed, report.failures
         assert report.name == f"sip-property[{cls.value}]"
         assert report.checks == sum(
@@ -100,23 +100,20 @@ class TestSipProperty:
         )
 
     def test_wrong_basis_rejected(self):
+        # The basis comes from the class; a basis tag has no split of its own.
         with pytest.raises(ValueError):
-            verify_sip_property(G1, PartitionClass.BASIS_G2, 2, 6)
-
-    def test_wrong_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            verify_sip_property(G1, PartitionClass.BASIS_G1, 3, 6)
+            verify_sip_property(PartitionClass.BASIS_G2, 6)
 
 
 class TestSingleVariableSeries:
     @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
     def test_counts_match(self, cls):
-        report = sip_gf_single_variable(cls, cls.basis, 2, 16)
+        report = sip_gf_single_variable(cls, 16)
         assert report.passed, report.failures
 
     def test_wrong_basis_rejected(self):
         with pytest.raises(ValueError):
-            sip_gf_single_variable(P1, PartitionClass.BASIS_P2, 2, 8)
+            sip_gf_single_variable(PartitionClass.BASIS_P2, 8)
 
 
 class TestBasisWeightPoly:
