@@ -4,16 +4,17 @@ A partition is a weakly decreasing tuple of positive integers.  Filling its
 rows with two alternating letters, ``a b a b ...`` on odd-indexed rows and
 ``c d c d ...`` on even-indexed rows, assigns each partition a monomial
 ``a^A b^B c^C d^D`` (the four-parameter weight).  Everything in this module
-is exhaustive and exact; the enumerators here are the ground-truth oracle
-for all generating-function computations in the rest of the package.
+is exhaustive and exact.  The generators build only what their callers can
+use: class members part by part under the class's row rules, skeletons
+bottom-up under a weight bound, and the class weight series by a recursion
+over rows that never builds a partition.  The test suite checks each of them
+against a filter of every partition through :func:`is_member`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
 
 from .series import FOUR_PARAM, Series
 
@@ -121,10 +122,17 @@ _BASIS_TO_CLASS = {
 }
 _CLASS_TO_BASIS = {v: k for k, v in _BASIS_TO_CLASS.items()}
 
-# Classes whose even-indexed parts must be even (1-based indexing).
-_EVEN_INDEX_EVEN = {PartitionClass.G1, PartitionClass.P1}
-# Classes whose odd-indexed parts must be even.
-_ODD_INDEX_EVEN = {PartitionClass.G2, PartitionClass.P2}
+# Row rules of the non-basis classes: (strict, parity of the 1-based row
+# index whose parts must be even; None when no row has a parity rule).  A
+# basis tag obeys the rules of its base class.
+_RULES = {
+    PartitionClass.ALL: (False, None),
+    PartitionClass.STRICT: (True, None),
+    PartitionClass.G1: (True, 0),
+    PartitionClass.G2: (True, 1),
+    PartitionClass.P1: (False, 0),
+    PartitionClass.P2: (False, 1),
+}
 
 
 def stats(lam: Partition) -> PartitionStats:
@@ -165,133 +173,179 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(tuple(sum(1 for p in lam if p > i) for i in range(lam[0])))
 
 
-def _parity_ok(cls: PartitionClass, index: int, part: int) -> bool:
-    """Parity constraint for the part at 1-based ``index`` in class ``cls``."""
-    base = cls.base_class
-    if base in _EVEN_INDEX_EVEN and index % 2 == 0:
-        return part % 2 == 0
-    if base in _ODD_INDEX_EVEN and index % 2 == 1:
-        return part % 2 == 0
-    return True
-
-
 def is_member(cls: PartitionClass, lam: Partition) -> bool:
     """Exhaustive membership test for every class tag."""
-    if cls is PartitionClass.ALL:
-        return True
-    strict = all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
-    if cls is PartitionClass.STRICT:
-        return strict
-    if cls in (PartitionClass.G1, PartitionClass.G2):
-        if not strict:
-            return False
-    if not cls.is_basis:
-        return all(_parity_ok(cls, i + 1, p) for i, p in enumerate(lam))
-    # Basis tags: class membership plus gap and smallest-part conditions.
-    if not is_member(cls.base_class, lam):
+    strict, even_row = _RULES[cls.base_class]
+    if strict and any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
         return False
+    if any(p % 2 for i, p in enumerate(lam, 1) if i % 2 == even_row):
+        return False
+    if not cls.is_basis:
+        return True
+    # Basis tags: class membership plus gap and smallest-part conditions.
     if lam and lam[-1] not in (1, 2):
         return False
     gaps = cls.gaps
     return all(lam[i] - lam[i + 1] in gaps for i in range(len(lam) - 1))
 
 
-def _partition_gen(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partition_gen(n - first, first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def _all_partitions(weight: int) -> tuple[Partition, ...]:
-    return tuple(Partition(p) for p in _partition_gen(weight, weight))
-
-
-@lru_cache(maxsize=None)
-def _filtered(cls: PartitionClass, weight: int) -> tuple[Partition, ...]:
-    return tuple(p for p in _all_partitions(weight) if is_member(cls, p))
-
-
 def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
     """All members of ``cls`` of the given weight, lexicographically decreasing.
 
-    This is a filter over the full partition list of that weight, so any
-    specialized generator elsewhere must agree with it.
+    Parts are chosen largest first under the class's row rules: in a strict
+    class each part is capped one below the part above it, and a row whose
+    parts must be even steps through even sizes only, so no partition outside
+    the class is built.  A basis tag generates its base class and keeps the
+    members that pass :func:`is_member`.
     """
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    if cls is PartitionClass.ALL:
-        return list(_all_partitions(weight))
-    return list(_filtered(cls, weight))
+    strict, even_row = _RULES[cls.base_class]
+    out: list[Partition] = []
+    parts: list[int] = []
+
+    def grow(rem: int, cap: int, index: int) -> None:
+        if rem == 0:
+            out.append(Partition(parts))
+            return
+        if strict and rem > cap * (cap + 1) // 2:
+            return
+        top, step = min(rem, cap), 1
+        if index % 2 == even_row:
+            top, step = top - top % 2, 2
+        for part in range(top, 0, -step):
+            parts.append(part)
+            grow(rem - part, part - 1 if strict else part, index + 1)
+            parts.pop()
+
+    grow(weight, weight, 1)
+    if cls.is_basis:
+        return [lam for lam in out if is_member(cls, lam)]
+    return out
 
 
 def class_weight_series(cls: PartitionClass, trunc: int) -> Series:
     """The four-parameter weight summed over every member of weight <= ``trunc``.
 
-    A member's weight monomial has total degree equal to its weight, so the
-    sum is exact to order ``trunc``; it is the brute-force side of every
-    generating-function check.
+    The sum runs row by row without building a partition: the memo holds, for
+    each (row-index parity, cap, remaining weight), the exponent vectors and
+    counts of every way to fill the rows from one of that parity down with
+    parts at most the cap and weight exactly the remainder.  A cell is the cell
+    one cap lower plus, when the cap itself is an allowed part, that part's
+    monomial times the cell for the next row.  This is still a direct sum over
+    class members under the class's row rules; it uses no skeleton, series or
+    product, so it stays independent of the sides it is compared with.  A
+    member's monomial has total degree equal to its weight, so the sum is exact
+    to order ``trunc``.  Basis tags are rejected: the recursion encodes the
+    base-class rules only.
     """
+    if cls.is_basis:
+        raise ValueError(f"{cls} is a basis tag; its rules are not row rules")
+    if trunc < 0:
+        raise ValueError("trunc must be nonnegative")
+    strict, even_row = _RULES[cls]
+    # cells[parity, rem][cap] for cap <= rem; a larger cap acts as cap = rem.
+    cells: dict[tuple[int, int], list[dict[tuple[int, int, int, int], int]]] = {}
+    for rem in range(trunc + 1):
+        for parity in (0, 1):
+            row = [{(0, 0, 0, 0): 1} if rem == 0 else {}]
+            for cap in range(1, rem + 1):
+                acc = dict(row[-1])
+                if not (parity == even_row and cap % 2):
+                    tail_rem = rem - cap
+                    tail_cap = cap - 1 if strict else cap
+                    tail = cells[1 - parity, tail_rem][min(tail_cap, tail_rem)]
+                    hi, lo = (cap + 1) // 2, cap // 2
+                    for (a, b, c, d), count in tail.items():
+                        key = (a + hi, b + lo, c, d) if parity else (a, b, c + hi, d + lo)
+                        acc[key] = acc.get(key, 0) + count
+                row.append(acc)
+            cells[parity, rem] = row
     return Series.from_terms(
         FOUR_PARAM,
-        (
-            (omega_exponents(lam).vector(), 1)
-            for w in range(trunc + 1)
-            for lam in enumerate_partitions(cls, w)
-        ),
+        (item for w in range(trunc + 1) for item in cells[1, w][w].items()),
         trunc,
         complete=False,
     )
 
 
-@lru_cache(maxsize=None)
-def _basis_by_shape(cls: PartitionClass, length: int, largest: int) -> tuple[Partition, ...]:
+def _least_above(part: int, rows: int, min_gap: int) -> int:
+    """The least weight ``rows`` basis rows stacked on a row ``part`` can add."""
+    return rows * part + min_gap * rows * (rows + 1) // 2
+
+
+def _skeletons(cls: PartitionClass, length: int, weight_max: int) -> tuple[Partition, ...]:
+    """The one skeleton generator: basis members of one length and bounded weight.
+
+    Members are built bottom-up, the way :func:`sipq.sip.decompose` forces a
+    skeleton: the last part is 1 or 2, and each higher row adds one admissible
+    gap and must obey its row's parity rule.  A branch is cut as soon as its
+    weight plus the least its remaining rows can add exceeds ``weight_max``,
+    so the work follows the output.  Returned lexicographically decreasing.
+    """
     if length == 0:
-        return (Partition(),) if largest == 0 else ()
-    if largest <= 0 or largest > 2 * length:
-        return ()
-    if not _parity_ok(cls, 1, largest):
-        return ()
+        return (Partition(),) if weight_max >= 0 else ()
+    _, even_row = _RULES[cls.base_class]
     gaps = cls.gaps
-    found: list[tuple[int, ...]] = []
+    min_gap = min(gaps)
+    found: list[Partition] = []
+    rows: list[int] = []  # bottom row first
 
-    def extend(prefix: list[int], index: int) -> None:
-        if index == length:
-            if prefix[-1] in (1, 2):
-                found.append(tuple(prefix))
+    def grow(index: int, weight: int) -> None:
+        # ``index`` is the 1-based index of the highest row placed so far.
+        if index == 1:
+            found.append(Partition(rows[::-1]))
             return
-        for g in gaps:
-            nxt = prefix[-1] - g
-            if nxt >= 1 and _parity_ok(cls, index + 1, nxt):
-                extend(prefix + [nxt], index + 1)
+        for gap in gaps:
+            part = rows[-1] + gap
+            if (index - 1) % 2 == even_row and part % 2:
+                continue
+            if weight + part + _least_above(part, index - 2, min_gap) > weight_max:
+                continue
+            rows.append(part)
+            grow(index - 1, weight + part)
+            rows.pop()
 
-    extend([largest], 1)
-    return tuple(Partition(p) for p in sorted(found, reverse=True))
+    for last in (1, 2):
+        if length % 2 == even_row and last % 2:
+            continue
+        if last + _least_above(last, length - 1, min_gap) > weight_max:
+            continue
+        rows.append(last)
+        grow(length, last)
+        rows.pop()
+    return tuple(sorted(found, reverse=True))
+
+
+def basis_members_of_length(
+    cls: PartitionClass, length: int, weight_max: int
+) -> tuple[Partition, ...]:
+    """All basis members of one length and weight at most ``weight_max``,
+    lexicographically decreasing.
+
+    Callers pass the weight they can use (a truncation), so only skeletons
+    that can contribute are built.
+    """
+    if not cls.is_basis:
+        raise ValueError(f"{cls} is not a basis tag")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    return _skeletons(cls, length, weight_max)
 
 
 def enumerate_basis_by_shape(cls: PartitionClass, length: int, largest: int) -> list[Partition]:
     """Basis members with the given length and largest part, lexicographically decreasing.
 
-    The largest part of any basis member never exceeds twice its length.
+    Such a member weighs at most ``length * largest``, so the skeleton
+    generator with that bound finds every one of them.  The largest part of
+    any basis member never exceeds twice its length.
     """
     if not cls.is_basis:
         raise ValueError(f"{cls} is not a basis tag")
     if length < 0 or largest < 0:
         raise ValueError("length and largest must be nonnegative")
-    return list(_basis_by_shape(cls, length, largest))
-
-
-@lru_cache(maxsize=None)
-def basis_members_of_length(cls: PartitionClass, length: int) -> tuple[Partition, ...]:
-    """All basis members of a fixed length (any largest part)."""
-    if not cls.is_basis:
-        raise ValueError(f"{cls} is not a basis tag")
-    if length == 0:
-        return (Partition(),)
-    out: list[Partition] = []
-    for largest in range(1, 2 * length + 1):
-        out.extend(_basis_by_shape(cls, length, largest))
-    return tuple(out)
+    return [
+        lam
+        for lam in _skeletons(cls, length, length * largest)
+        if (lam[0] if lam else 0) == largest
+    ]

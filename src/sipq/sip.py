@@ -128,7 +128,7 @@ def compose(cls: PartitionClass, beta: Partition, mu: Partition) -> Partition:
 def _split_count(cls: PartitionClass, lam: Partition) -> int:
     """Number of valid (skeleton, padding) splits of ``lam`` — must be 1."""
     count = 0
-    for beta in basis_members_of_length(cls.basis, len(lam)):
+    for beta in basis_members_of_length(cls.basis, len(lam), lam.weight):
         diffs = [a - b for a, b in zip(lam, beta)]
         if any(d < 0 or d % 2 for d in diffs):
             continue
@@ -143,6 +143,9 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
 
     Uniqueness is checked independently of :func:`decompose` by re-composing
     every basis member of matching length and counting the valid splits.
+    Only skeletons of weight at most ``|lam|`` are generated for that count,
+    which is still exhaustive: a valid skeleton sits under ``lam`` row by row,
+    so its weight cannot exceed ``|lam|``.
     """
     _require_decomposable(cls)
     failures: list[str] = []
@@ -166,8 +169,9 @@ def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     """Compare class counts with the basis-driven series, weight by weight.
 
     The series side is ``sum_n B_n(q) / prod_{i=1..n}(1 - q^{2i})`` where
-    ``B_n`` collects ``q^|beta|`` over basis members of length ``n``; every
-    basis member of length ``n`` has weight at least ``n``, so lengths beyond
+    ``B_n`` collects ``q^|beta|`` over basis members of length ``n``; only
+    members of weight at most ``weight_max`` are generated, and since every
+    basis member of length ``n`` has weight at least ``n``, lengths beyond
     ``weight_max`` cannot contribute.
     """
     _require_decomposable(cls)
@@ -176,7 +180,8 @@ def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     for n in range(weight_max + 1):
         if n > 0 and 2 * n <= weight_max:
             inv = inv * Series.geometric(SINGLE_Q, 1, (2 * n,), weight_max)
-        weights = [beta.weight for beta in basis_members_of_length(cls.basis, n)]
+        members = basis_members_of_length(cls.basis, n, weight_max)
+        weights = [beta.weight for beta in members]
         if not weights:
             continue
         poly = Series.from_terms(SINGLE_Q, (((w,), 1) for w in weights), weight_max)
@@ -192,14 +197,14 @@ def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     )
 
 
-def basis_weight_poly(cls: PartitionClass, length: int) -> Series:
-    """Four-parameter weight polynomial of all basis members of one length."""
+def basis_weight_poly(cls: PartitionClass, length: int, weight_max: int) -> Series:
+    """Four-parameter weight polynomial of the basis members of one length
+    and weight at most ``weight_max``."""
     if not cls.is_basis:
         raise ValueError(f"{cls} is not a basis tag")
+    members = basis_members_of_length(cls, length, weight_max)
     return Series.from_terms(
-        FOUR_PARAM,
-        ((omega_exponents(beta).vector(), 1) for beta in basis_members_of_length(cls, length)),
-        None,
+        FOUR_PARAM, ((omega_exponents(beta).vector(), 1) for beta in members), None
     )
 
 
@@ -208,9 +213,10 @@ def sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> Series:
 
     Lengths are summed with their forced denominators: a length-``2n`` block
     contributes ``B_{2n} / ((ab;Q)_n (Q;Q)_n)`` and a length-``2n+1`` block
-    ``B_{2n+1} / ((ab;Q)_{n+1} (Q;Q)_n)``, with ``Q = abcd``.  Since a basis
-    member of length ``m`` has total degree at least ``m``, lengths beyond
-    ``trunc`` cannot contribute.
+    ``B_{2n+1} / ((ab;Q)_{n+1} (Q;Q)_n)``, with ``Q = abcd``.  A basis
+    member's total degree is its weight, so ``B_m`` needs only the members of
+    weight at most ``trunc``; since that weight is at least ``m``, lengths
+    beyond ``trunc`` cannot contribute.
     """
     _require_decomposable(cls)
     if trunc < 0:
@@ -227,7 +233,7 @@ def sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> Series:
                 exps = (k, k, k, k)
             if sum(exps) <= trunc:
                 inv = inv * Series.geometric(FOUR_PARAM, 1, exps, trunc)
-        poly = basis_weight_poly(cls.basis, m).truncate(trunc)
+        poly = basis_weight_poly(cls.basis, m, trunc).truncate(trunc)
         if poly.is_zero():
             continue
         total = total + poly * inv

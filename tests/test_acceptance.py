@@ -8,11 +8,13 @@ anywhere.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import time
 
 from sipq.basis_gf import cross_check_tables
+from sipq.cli import main
 from sipq.identities import (
     combinatorial_side,
     product_side,
@@ -156,3 +158,14 @@ def test_c10_full_battery_is_byte_identical_across_runs():
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty reports
+
+
+def test_c11_full_battery_passes_at_trunc_32(capsys):
+    started = time.perf_counter()
+    code = main(["verify", "--all", "--trunc", "32"])
+    elapsed = time.perf_counter() - started
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert len(results) == 44
+    assert [r["name"] for r in results if not r["passed"]] == []
+    assert elapsed < 60

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sipq
 from sipq import identities
 from sipq.cli import main
 from sipq.reporting import CheckReport
@@ -211,3 +216,21 @@ def test_unknown_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("module", ["sipq", "sipq.cli"])
+def test_module_entry_point_runs_the_command(module):
+    env = dict(os.environ)
+    src = str(Path(sipq.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "verify", "g1-four", "--trunc", "4"],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    payload = json.loads(done.stdout)
+    assert payload["command"] == "verify"
+    assert [r["name"] for r in payload["results"]] == ["identity[g1-four]"]
+    assert payload["results"][0]["passed"] is True

@@ -204,7 +204,7 @@ def test_basis_by_shape_matches_filter():
         PartitionClass.BASIS_P2,
     ):
         for n in range(0, 5):
-            by_length = list(basis_members_of_length(tag, n))
+            by_length = list(basis_members_of_length(tag, n, 2 * n * n))
             brute = [
                 lam
                 for w in range(0, 2 * n * n + 1)
@@ -224,7 +224,7 @@ def test_basis_largest_part_bound():
         for n in range(6):
             assert all(
                 (not lam) or lam[0] <= 2 * len(lam)
-                for lam in basis_members_of_length(tag, n)
+                for lam in basis_members_of_length(tag, n, 2 * n * n)
             )
 
 

@@ -118,19 +118,19 @@ class TestSingleVariableSeries:
 
 class TestBasisWeightPoly:
     def test_g1_lengths(self):
-        assert basis_weight_poly(PartitionClass.BASIS_G1, 0).terms == {(0, 0, 0, 0): 1}
+        assert basis_weight_poly(PartitionClass.BASIS_G1, 0, 0).terms == {(0, 0, 0, 0): 1}
         # length 1: (1) -> a and (2) -> ab
-        assert basis_weight_poly(PartitionClass.BASIS_G1, 1).terms == {
+        assert basis_weight_poly(PartitionClass.BASIS_G1, 1, 2).terms == {
             (1, 0, 0, 0): 1,
             (1, 1, 0, 0): 1,
         }
-        poly = basis_weight_poly(PartitionClass.BASIS_G1, 2)
+        poly = basis_weight_poly(PartitionClass.BASIS_G1, 2, 8)
         assert all(c >= 0 for c in poly.terms.values())
         assert min(sum(e) for e in poly.terms) >= 2
 
     def test_non_basis_tag_rejected(self):
         with pytest.raises(ValueError):
-            basis_weight_poly(G1, 2)
+            basis_weight_poly(G1, 2, 8)
 
 
 class TestFourParameterSeries:
