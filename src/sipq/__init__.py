@@ -65,8 +65,8 @@ from .qseries import (
     gauss_binomial,
     pochhammer_finite,
     pochhammer_infinite,
-    pochhammer_inverse,
     q_monomial,
+    running_product,
 )
 from .reporting import CheckReport
 from .series import (
@@ -159,10 +159,10 @@ __all__ = [
     "omega_exponents",
     "pochhammer_finite",
     "pochhammer_infinite",
-    "pochhammer_inverse",
     "product_side",
     "q_monomial",
     "registry",
+    "running_product",
     "series_side",
     "sip_gf_four_parameter",
     "sip_gf_single_variable",

@@ -23,6 +23,8 @@ variables are never dropped.
 from __future__ import annotations
 
 import dataclasses
+from itertools import islice
+from typing import Iterator
 
 from .partitions import (
     PartitionClass,
@@ -32,7 +34,7 @@ from .partitions import (
     omega_exponents,
     stats,
 )
-from .qseries import pochhammer_finite, pochhammer_infinite, pochhammer_inverse
+from .qseries import nth_product, running_product
 from .reporting import CheckReport
 from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
 
@@ -76,9 +78,12 @@ class PochFactor:
     count: tuple[int, int] | None = None
     inverted: bool = False
 
-    def factors(self, n: int) -> int:
+    def per_term(self, ring: SeriesRing, trunc: int | None) -> Iterator[Series]:
+        """The products for the terms ``n = 0, 1, 2, ...`` of a series family:
+        the ``(alpha*n + beta)``-th products of this factor's running product."""
         alpha, beta = self.count  # type: ignore[misc]
-        return alpha * n + beta
+        run = running_product(ring, self.sign, self.arg_exps, self.base_exps, trunc, self.inverted)
+        return islice(run, beta, None, alpha)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,14 +167,14 @@ def _sum_family(
 
     Prefactor degrees are nondecreasing in ``n`` (:class:`TheoremSpec`
     enforces it); with ``n_limit`` the sum is cut off there instead, giving a
-    partial sum.  Each denominator grows by one geometric factor at a time.
+    partial sum.  Each factor's running product advances with ``n``.
     """
     numerators = [f for f in fam.factors if not f.inverted]
-    denominators = [f for f in fam.factors if f.inverted]
-    total = Series.zero(ring, trunc)
-    inverses = [Series.one(ring, trunc) for _ in denominators]
-    built = [0] * len(denominators)
     floor = sum(_tail_floor(ring, num) for num in numerators)
+    # Numerators stay exact, since their arguments can have negative degree.
+    num_runs = [num.per_term(ring, None) for num in numerators]
+    den_runs = [den.per_term(ring, trunc) for den in fam.factors if den.inverted]
+    total = Series.zero(ring, trunc)
     n = 0
     while True:
         if n_limit is not None and n > n_limit:
@@ -178,17 +183,11 @@ def _sum_family(
         if n_limit is None and ring.degree(pref) + floor > trunc:
             break
         term = Series.monomial(ring, 1, pref)
-        for num in numerators:
-            arg = Series.monomial(ring, num.sign, num.arg_exps)
-            base = Series.monomial(ring, 1, num.base_exps)
-            term = term * pochhammer_finite(arg, base, num.factors(n), None)
+        for run in num_runs:
+            term = term * next(run)
         term = term.truncate(trunc)
-        for j, den in enumerate(denominators):
-            while built[j] < den.factors(n):
-                exps = tuple(a + built[j] * b for a, b in zip(den.arg_exps, den.base_exps))
-                inverses[j] = inverses[j] * Series.geometric(ring, den.sign, exps, trunc)
-                built[j] += 1
-            term = term * inverses[j]
+        for run in den_runs:
+            term = term * next(run)
         if nonneg_failures is not None and any(
             e < 0 for exps in term.terms for e in exps
         ):
@@ -222,12 +221,8 @@ def product_side(spec: TheoremSpec, trunc: int, alt: bool = False) -> Series:
         raise ValueError(f"{spec.key} has no alternate product")
     out = Series.one(spec.ring, trunc)
     for f in factors:
-        arg = Series.monomial(spec.ring, f.sign, f.arg_exps)
-        base = Series.monomial(spec.ring, 1, f.base_exps)
-        if f.inverted:
-            out = out * pochhammer_inverse(arg, base, None, trunc)
-        else:
-            out = out * pochhammer_infinite(arg, base, trunc)
+        run = running_product(spec.ring, f.sign, f.arg_exps, f.base_exps, trunc, f.inverted)
+        out = out * nth_product(run, trunc)
     return out
 
 
@@ -698,10 +693,9 @@ def verify(key: str, trunc: int) -> CheckReport:
 def _closed_partial(family: PartitionClass, upto: int, trunc: int) -> Series:
     """Closed form for the partial sum: a finite Pochhammer quotient."""
     arg = (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0)
-    q = Series.monomial(FOUR_PARAM, 1, _Q4)
-    num = pochhammer_finite(Series.monomial(FOUR_PARAM, -1, arg), q, upto, None)
-    den1 = pochhammer_inverse(Series.monomial(FOUR_PARAM, 1, _AB), q, upto + 1, trunc)
-    den2 = pochhammer_inverse(q, q, upto, trunc)
+    num = nth_product(running_product(FOUR_PARAM, -1, arg, _Q4, None), upto)
+    den1 = nth_product(running_product(FOUR_PARAM, 1, _AB, _Q4, trunc, True), upto + 1)
+    den2 = nth_product(running_product(FOUR_PARAM, 1, _Q4, _Q4, trunc, True), upto)
     return num.truncate(trunc) * den1 * den2
 
 

@@ -2,18 +2,22 @@
 
 Everything here lives in the four-variable ring with base ``Q = abcd`` (or in
 whatever ring the caller's argument series use, for the finite products).
-``pochhammer_finite(x, Q, n, t)`` is the product ``(1-x)(1-xQ)...(1-xQ^{n-1})``,
+``pochhammer_finite(x, Q, n)`` is the product ``(1-x)(1-xQ)...(1-xQ^{n-1})``,
 so the classical ``(x; Q)_n`` with a sign goes in through the argument.
-Inverted products, finite or infinite, are built one :meth:`Series.geometric`
-factor at a time; ``pochhammer_inverse`` does this for a whole product.
+Every Pochhammer product, finite or infinite, inverted or not, is grown one
+factor at a time by :func:`running_product`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count, islice, repeat
+from typing import Iterator
 
 from .reporting import CheckReport
-from .series import FOUR_PARAM, Series, SeriesError
+from .series import FOUR_PARAM, PrecisionLoss, Series, SeriesError, SeriesRing
+
+_Q = (1, 1, 1, 1)
 
 
 class NonConvergent(SeriesError):
@@ -35,24 +39,67 @@ class _AInfinity:
 A_INFINITY = _AInfinity()
 
 
-def q_monomial(power: int, trunc: int | None = None) -> Series:
+def q_monomial(power: int) -> Series:
     """``Q^power`` where ``Q = abcd``."""
-    return Series.monomial(FOUR_PARAM, 1, (power,) * 4, trunc)
+    return Series.monomial(FOUR_PARAM, 1, (power,) * 4)
 
 
-def pochhammer_finite(arg: Series, base: Series, n: int, trunc: int | None) -> Series:
-    """``(1 - arg)(1 - arg*base) ... (1 - arg*base^(n-1))``."""
+def running_product(
+    ring: SeriesRing,
+    sign: int,
+    arg_exps: tuple[int, ...],
+    base_exps: tuple[int, ...],
+    trunc: int | None,
+    inverted: bool = False,
+) -> Iterator[Series]:
+    """Yield ``prod_{i<k} (1 - sign * x^arg_exps * (x^base_exps)^i)``, or its
+    inverse, for ``k = 0, 1, 2, ...``, multiplying in one binomial or one
+    :meth:`Series.geometric` expansion per step.
+
+    Exact runs (``trunc`` None) allow an argument of negative degree; inverted
+    runs must be truncated.  A truncated run needs an argument of positive
+    degree, so factor ``i`` has degree above ``i``, and from the ``trunc``-th
+    product on it repeats the whole infinite product, marked incomplete.  The
+    arguments are checked when the first product is drawn.
+    """
+    if ring.degree(base_exps) < 1:
+        raise ValueError("base must have positive degree")
+    if inverted and trunc is None:
+        raise PrecisionLoss("an inverted product is an infinite series")
+    if trunc is not None and ring.degree(arg_exps) < 1:
+        raise NonConvergent("a truncated product needs an argument of positive degree")
+    unit = (0,) * ring.nvars
+    exps = tuple(arg_exps)
+    prod = Series.one(ring, trunc)
+    while trunc is None or ring.degree(exps) <= trunc:
+        yield prod
+        if inverted:
+            prod = prod * Series.geometric(ring, sign, exps, trunc)
+        else:
+            prod = prod * Series.from_terms(ring, ((unit, 1), (exps, -sign)), trunc)
+        exps = tuple(e + b for e, b in zip(exps, base_exps))
+    # This factor and every later one only touch degrees above trunc.
+    yield from repeat(Series(ring, prod.terms, trunc, complete=False))
+
+
+def nth_product(run: Iterator[Series], n: int) -> Series:
+    """The product of a run's first ``n`` factors."""
+    return next(islice(run, n, None))
+
+
+def _poch_data(arg: Series, base: Series) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``(sign, arg_exps, base_exps)`` of a monomial argument and a unit monomial base."""
+    if len(arg.terms) != 1 or list(base.terms.values()) != [1]:
+        raise ValueError("argument and base must be monomials, the base with coefficient 1")
+    ((arg_exps, sign),) = arg.terms.items()
+    return sign, arg_exps, next(iter(base.terms))
+
+
+def pochhammer_finite(arg: Series, base: Series, n: int) -> Series:
+    """``(1 - arg)(1 - arg*base) ... (1 - arg*base^(n-1))``, exactly."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if base.is_zero() or base.min_deg < 1:
-        raise ValueError("base must have positive degree")
-    ring = arg.ring
-    prod = Series.one(ring, trunc)
-    arg_i = arg
-    for _ in range(n):
-        prod = prod * (Series.one(ring, trunc) - arg_i)
-        arg_i = arg_i * base
-    return prod
+    return nth_product(running_product(arg.ring, *_poch_data(arg, base), None), n)
 
 
 def pochhammer_infinite(arg: Series, base: Series, trunc: int) -> Series:
@@ -61,36 +108,7 @@ def pochhammer_infinite(arg: Series, base: Series, trunc: int) -> Series:
         raise ValueError("an infinite product requires a finite truncation")
     if arg.is_zero() or arg.min_deg < 1 or base.is_zero() or base.min_deg < 1:
         raise NonConvergent("argument and base must have positive degree")
-    ring = arg.ring
-    prod = Series.one(ring, trunc)
-    arg_i = arg
-    while arg_i.min_deg <= trunc:
-        prod = prod * (Series.one(ring, trunc) - arg_i)
-        arg_i = arg_i * base
-    # Factors beyond the loop only touch degrees above trunc, but they do exist.
-    return Series(ring, prod.terms, trunc, complete=False)
-
-
-def pochhammer_inverse(arg: Series, base: Series, n: int | None, trunc: int) -> Series:
-    """``1 / ((1 - arg)(1 - arg*base) ...)`` over ``n`` factors (all of them
-    when ``n`` is None) to order ``trunc``.
-
-    ``arg`` and ``base`` are monomials and ``base`` has unit coefficient; each
-    factor is inverted by one :meth:`Series.geometric` expansion, and factors
-    of degree above ``trunc`` contribute nothing below it.
-    """
-    ((exps, coeff),) = arg.terms.items()
-    ((step, _),) = base.terms.items()
-    if base.min_deg < 1:
-        raise ValueError("base must have positive degree")
-    ring = arg.ring
-    out = Series.one(ring, trunc)
-    i = 0
-    while (n is None or i < n) and ring.degree(exps) <= trunc:
-        out = out * Series.geometric(ring, coeff, exps, trunc)
-        exps = tuple(e + s for e, s in zip(exps, step))
-        i += 1
-    return out
+    return nth_product(running_product(arg.ring, *_poch_data(arg, base), trunc), trunc)
 
 
 @lru_cache(maxsize=None)
@@ -110,12 +128,12 @@ def _gauss_coeffs(n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gauss_binomial(n: int, m: int, trunc: int | None = None) -> Series:
+def gauss_binomial(n: int, m: int) -> Series:
     """The base-``Q`` binomial coefficient as a polynomial in ``Q = abcd``."""
     return Series(
         FOUR_PARAM,
         {(i, i, i, i): c for i, c in enumerate(_gauss_coeffs(n, m)) if c},
-        trunc,
+        None,
     )
 
 
@@ -147,8 +165,8 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
             expect(f"[{n},{m}] symmetry", val, gauss_binomial(n, n - m))
             # Quotient form: a product of m factors over the m-factor base product.
             t = 4 * m * (n - m)
-            num = pochhammer_finite(q_monomial(n - m + 1), q_monomial(1), m, None)
-            den_inv = pochhammer_inverse(q_monomial(1), q_monomial(1), m, t)
+            num = nth_product(running_product(FOUR_PARAM, 1, (n - m + 1,) * 4, _Q, None), m)
+            den_inv = nth_product(running_product(FOUR_PARAM, 1, _Q, _Q, t, inverted=True), m)
             expect(f"[{n},{m}] quotient-form", num.truncate(t) * den_inv, val.truncate(t))
     return CheckReport("qbinomial-recurrences", not failures, checks, tuple(failures))
 
@@ -164,24 +182,19 @@ def _as_monomial(p: object, what: str) -> Series:
     return p
 
 
-def check_qbinomial_theorem(
-    n_max: int, z: Series | tuple[int, int, int, int], trunc: int | None = None
-) -> CheckReport:
+def check_qbinomial_theorem(n_max: int, z: Series | tuple[int, int, int, int]) -> CheckReport:
     """Finite binomial expansion: the n-factor product of ``1 + z*Q^i`` equals
     the sum over k of ``z^k * Q^(k(k-1)/2)`` times the base-Q binomial."""
     z = _as_monomial(z, "z")
-    if z.min_deg < 1:
-        raise DomainError("z must have positive degree")
+    _require_positive_degree(z, "z")
     failures: list[str] = []
     checks = 0
+    products = running_product(FOUR_PARAM, *_monomial_parts(-z, "z"), _Q, None)
     for n in range(n_max + 1):
-        lhs = pochhammer_finite(-z, q_monomial(1), n, None)
+        lhs = next(products)
         rhs = Series.zero(FOUR_PARAM)
         for k in range(n + 1):
             rhs = rhs + (z ** k) * q_monomial(k * (k - 1) // 2) * gauss_binomial(n, k)
-        if trunc is not None:
-            lhs = lhs.truncate(trunc)
-            rhs = rhs.truncate(trunc)
         checks += 1
         cmp = lhs.equal_to(rhs)
         if not cmp.equal:
@@ -229,7 +242,6 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     """
     if trunc is None or trunc < 0:
         raise DomainError("a finite nonnegative truncation is required")
-    base = q_monomial(1)
     b_param = _as_monomial(b_param, "b")
     c_param = _as_monomial(c_param, "c")
     _require_positive_degree(c_param, "c")
@@ -237,13 +249,9 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     if a_param is A_INFINITY:
         ratio_cb = _monomial_div(c_param, b_param, "c/b")
         _require_positive_degree(ratio_cb, "c/b")
+        sum_args, step, pairs = [b_param], -ratio_cb, 1
         rhs_num = [ratio_cb]
         rhs_den = [c_param]
-
-        def numerator(n: int) -> Series:
-            pref = q_monomial(n * (n - 1) // 2).scale(-1 if n % 2 else 1)
-            return pochhammer_finite(b_param, base, n, None) * pref * (ratio_cb ** n)
-
     else:
         a_param = _as_monomial(a_param, "a")
         ratio = _monomial_div(c_param, a_param * b_param, "c/(ab)")
@@ -251,36 +259,36 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
         ratio_cb = _monomial_div(c_param, b_param, "c/b")
         for s, what in ((ratio, "c/(ab)"), (ratio_ca, "c/a"), (ratio_cb, "c/b")):
             _require_positive_degree(s, what)
+        sum_args, step, pairs = [a_param, b_param], ratio, 0
         rhs_num = [ratio_ca, ratio_cb]
         rhs_den = [c_param, ratio]
 
-        def numerator(n: int) -> Series:
-            return (
-                pochhammer_finite(a_param, base, n, None)
-                * pochhammer_finite(b_param, base, n, None)
-                * (ratio ** n)
-            )
-
-    # The denominators (Q;Q)_n (c;Q)_n gain one geometric factor each per step.
-    c_coeff, c_exps = _monomial_parts(c_param, "c")
+    # Summand n: step^n Q^(pairs*n(n-1)/2) times the n-th numerator products,
+    # over the denominators (Q;Q)_n (c;Q)_n.
+    numerators = [
+        running_product(FOUR_PARAM, *_monomial_parts(p, "a, b"), _Q, None) for p in sum_args
+    ]
+    denominators = [
+        running_product(FOUR_PARAM, 1, _Q, _Q, trunc, True),
+        running_product(FOUR_PARAM, *_monomial_parts(c_param, "c"), _Q, trunc, True),
+    ]
     lhs = Series.zero(FOUR_PARAM, trunc)
-    inv_qq = Series.one(FOUR_PARAM, trunc)
-    inv_cc = Series.one(FOUR_PARAM, trunc)
-    n = 0
-    while True:
-        poly = numerator(n)
+    for n in count():
+        poly = step**n * q_monomial(pairs * n * (n - 1) // 2)
+        for run in numerators:
+            poly = poly * next(run)
         if poly.min_deg > trunc:
             break
-        lhs = lhs + poly.truncate(trunc) * inv_qq * inv_cc
-        inv_qq = inv_qq * Series.geometric(FOUR_PARAM, 1, (n + 1,) * 4, trunc)
-        inv_cc = inv_cc * Series.geometric(FOUR_PARAM, c_coeff, tuple(e + n for e in c_exps), trunc)
-        n += 1
+        term = poly.truncate(trunc)
+        for run in denominators:
+            term = term * next(run)
+        lhs = lhs + term
 
     rhs = Series.one(FOUR_PARAM, trunc)
-    for arg in rhs_num:
-        rhs = rhs * pochhammer_infinite(arg, base, trunc)
-    for arg in rhs_den:
-        rhs = rhs * pochhammer_inverse(arg, base, None, trunc)
+    for args, inverted in ((rhs_num, False), (rhs_den, True)):
+        for arg in args:
+            run = running_product(FOUR_PARAM, *_monomial_parts(arg, "ratio"), _Q, trunc, inverted)
+            rhs = rhs * nth_product(run, trunc)
 
     name = f"q-gauss[a={_param_name(a_param)}; b={_param_name(b_param)}; c={_param_name(c_param)}]"
     cmp = lhs.equal_to(rhs)

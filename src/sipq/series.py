@@ -259,10 +259,6 @@ class Series:
                 base = base * base
         return result
 
-    def shift(self, exps: tuple[int, ...]) -> "Series":
-        """Multiply by the monomial with the given exponents."""
-        return self * Series.monomial(self.ring, 1, exps, self.trunc)
-
     # -- inversion ------------------------------------------------------------
 
     def invert_unit(self, trunc: int | None = None) -> "Series":

@@ -25,6 +25,7 @@ from .partitions import (
     is_member,
     omega_exponents,
 )
+from .qseries import running_product
 from .reporting import CheckReport
 from .series import FOUR_PARAM, SINGLE_Q, Series
 
@@ -49,7 +50,8 @@ class InternalError(SipError):
     """A derived skeleton/padding pair failed its own invariants."""
 
 
-_DECOMPOSABLE = (
+#: The classes with a basis, in the order the reports list them.
+DECOMPOSABLE = (
     PartitionClass.G1,
     PartitionClass.G2,
     PartitionClass.P1,
@@ -58,7 +60,7 @@ _DECOMPOSABLE = (
 
 
 def _require_decomposable(cls: PartitionClass) -> None:
-    if cls not in _DECOMPOSABLE:
+    if cls not in DECOMPOSABLE:
         raise ValueError(f"no basis structure for class {cls.value!r}")
 
 
@@ -176,10 +178,8 @@ def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     """
     _require_decomposable(cls)
     series_side = Series.zero(SINGLE_Q, weight_max)
-    inv = Series.one(SINGLE_Q, weight_max)
-    for n in range(weight_max + 1):
-        if n > 0 and 2 * n <= weight_max:
-            inv = inv * Series.geometric(SINGLE_Q, 1, (2 * n,), weight_max)
+    inverses = running_product(SINGLE_Q, 1, (2,), (2,), weight_max, inverted=True)
+    for n, inv in zip(range(weight_max + 1), inverses):
         members = basis_members_of_length(cls.basis, n, weight_max)
         weights = [beta.weight for beta in members]
         if not weights:
@@ -222,21 +222,19 @@ def sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> Series:
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     total = Series.zero(FOUR_PARAM, trunc)
-    inv = Series.one(FOUR_PARAM, trunc)
+    q = (1, 1, 1, 1)
+    ab_inverses = running_product(FOUR_PARAM, 1, (1, 1, 0, 0), q, trunc, inverted=True)
+    q_inverses = running_product(FOUR_PARAM, 1, q, q, trunc, inverted=True)
+    inv_ab, inv_q = next(ab_inverses), next(q_inverses)
     for m in range(trunc + 1):
-        if m > 0:
-            if m % 2:
-                k = (m - 1) // 2
-                exps = (1 + k, 1 + k, k, k)
-            else:
-                k = m // 2
-                exps = (k, k, k, k)
-            if sum(exps) <= trunc:
-                inv = inv * Series.geometric(FOUR_PARAM, 1, exps, trunc)
+        if m % 2:
+            inv_ab = next(ab_inverses)
+        elif m:
+            inv_q = next(q_inverses)
         poly = basis_weight_poly(cls.basis, m, trunc).truncate(trunc)
         if poly.is_zero():
             continue
-        total = total + poly * inv
+        total = total + poly * inv_ab * inv_q
     return total
 
 

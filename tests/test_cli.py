@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,34 @@ class TestVerify:
         results = json.loads(out1)["results"]
         assert all(r["passed"] for r in results)
         assert len(results) >= 30
+
+    @pytest.mark.parametrize(
+        "trunc, digest",
+        (
+            ("16", "94e71ccfa84ae93a687afaade5082ef721b51f8ccee528b75c200c637e652d0f"),
+            ("24", "f62c98022279b6cf9e1ad5430911259c2ece9b16f35c8e26b1faf767719e92a0"),
+        ),
+    )
+    def test_full_battery_stdout_is_pinned(self, capsys, trunc, digest):
+        """A refactor keeps every report's name, check count and result: the
+        battery's stdout stays byte-identical to these recorded digests."""
+        code, out, _ = run(capsys, "verify", "--all", "--trunc", trunc)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_capped_reports_are_named_on_stderr(self, capsys):
+        code, _, err = run(capsys, "verify", "--all", "--trunc", "20")
+        assert code == 0
+        capped = [line for line in err.splitlines() if "ran at trunc" in line]
+        assert capped == [
+            "verify: sip-property[g1], sip-gf-four[g1], sip-property[g2],"
+            " sip-gf-four[g2], sip-property[p1], sip-gf-four[p1],"
+            " sip-property[p2], sip-gf-four[p2], substitution[xzq],"
+            " substitution[bg] ran at trunc 16, not 20"
+        ]
+        code, _, err = run(capsys, "verify", "--all", "--trunc", "16")
+        assert code == 0
+        assert "ran at trunc" not in err
 
     def test_env_default_truncation(self, capsys, monkeypatch):
         monkeypatch.setenv("SIPQ_TRUNC", "5")

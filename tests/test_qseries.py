@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from sipq import identities, qseries, sip
+from sipq.partitions import PartitionClass
 from sipq.qseries import (
     A_INFINITY,
     DomainError,
@@ -14,38 +18,39 @@ from sipq.qseries import (
     check_qbinomial_recurrences,
     check_qbinomial_theorem,
     gauss_binomial,
+    nth_product,
     pochhammer_finite,
     pochhammer_infinite,
     q_monomial,
+    running_product,
 )
-from sipq.series import FOUR_PARAM, SINGLE_Q, Series
+from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, PrecisionLoss, Series
 
 Q = (1, 1, 1, 1)
 
 
 def test_q_monomial():
     assert q_monomial(3).terms == {(3, 3, 3, 3): 1}
-    assert q_monomial(0, trunc=5).trunc == 5
 
 
 class TestPochhammerFinite:
     def test_empty_product_is_one(self):
         arg = Series.monomial(FOUR_PARAM, -1, (1, 1, 0, 0))
         base = Series.monomial(FOUR_PARAM, 1, Q)
-        assert pochhammer_finite(arg, base, 0, None).terms == {(0, 0, 0, 0): 1}
+        assert pochhammer_finite(arg, base, 0).terms == {(0, 0, 0, 0): 1}
 
     def test_single_factor(self):
         # (-b; Q)_1 = 1 + b
         arg = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
         base = Series.monomial(FOUR_PARAM, 1, Q)
-        p = pochhammer_finite(arg, base, 1, None)
+        p = pochhammer_finite(arg, base, 1)
         assert p.terms == {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1}
 
     def test_two_factors_with_laurent_argument(self):
         # (-1/c; Q)_2 = (1 + 1/c)(1 + Q/c)
         arg = Series.monomial(FOUR_PARAM, -1, (0, 0, -1, 0))
         base = Series.monomial(FOUR_PARAM, 1, Q)
-        p = pochhammer_finite(arg, base, 2, None)
+        p = pochhammer_finite(arg, base, 2)
         assert p.terms == {
             (0, 0, 0, 0): 1,
             (0, 0, -1, 0): 1,
@@ -57,13 +62,13 @@ class TestPochhammerFinite:
         arg = Series.monomial(FOUR_PARAM, 1, (1, 0, 0, 0))
         base = Series.monomial(FOUR_PARAM, 1, Q)
         with pytest.raises(ValueError):
-            pochhammer_finite(arg, base, -1, None)
+            pochhammer_finite(arg, base, -1)
 
     @given(st.integers(min_value=0, max_value=6))
     def test_single_q_descending(self, n):
         """(q; q)_n has constant term 1 and top coefficient (-1)^n."""
         arg = Series.monomial(SINGLE_Q, 1, (1,))
-        p = pochhammer_finite(arg, arg, n, None)
+        p = pochhammer_finite(arg, arg, n)
         assert p.coefficient((0,)) == 1
         top = n * (n + 1) // 2
         assert p.coefficient((top,)) == (-1) ** n
@@ -79,7 +84,7 @@ class TestPochhammerInfinite:
         arg = Series.monomial(FOUR_PARAM, -1, (1, 0, 0, 0))
         base = Series.monomial(FOUR_PARAM, 1, Q)
         inf = pochhammer_infinite(arg, base, 4)
-        fin = pochhammer_finite(arg, base, 5, 4)
+        fin = pochhammer_finite(arg, base, 5).truncate(4)
         assert inf.terms == fin.terms
 
     def test_euler_pentagonal_prefix(self):
@@ -96,6 +101,92 @@ class TestPochhammerInfinite:
         base = Series.monomial(FOUR_PARAM, 1, Q)
         with pytest.raises(NonConvergent):
             pochhammer_infinite(arg, base, 4)
+
+
+def run_data():
+    """A ring with an argument and a base exponent tuple, both of positive
+    degree.  In ``XZQ`` the weight-0 exponents of x and z range over negative
+    values too; in ``FOUR_PARAM`` single exponents may be negative."""
+    four = st.tuples(*[st.integers(min_value=-2, max_value=3)] * 4).filter(
+        lambda e: sum(e) > 0
+    )
+    xzq = st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=1, max_value=3),
+    )
+    return st.one_of(
+        st.tuples(st.just(FOUR_PARAM), four, four),
+        st.tuples(st.just(XZQ), xzq, xzq),
+    )
+
+
+class TestRunningProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        run_data(),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=10),
+    )
+    def test_matches_explicit_binomials(self, data, sign, k, trunc):
+        ring, arg, base = data
+        explicit = Series.one(ring)
+        exps = arg
+        for _ in range(k):
+            explicit = explicit * (Series.one(ring) - Series.monomial(ring, sign, exps))
+            exps = tuple(e + b for e, b in zip(exps, base))
+        exact = nth_product(running_product(ring, sign, arg, base, None), k)
+        assert exact.terms == explicit.terms
+        truncated = nth_product(running_product(ring, sign, arg, base, trunc), k)
+        assert truncated.terms == explicit.truncate(trunc).terms
+        inverse = nth_product(running_product(ring, sign, arg, base, trunc, inverted=True), k)
+        assert inverse.terms == explicit.invert_unit(trunc).terms
+
+    def test_truncated_run_settles_on_the_infinite_product(self):
+        # (q; q^3) to order 3: only the factor 1 - q lies below the truncation,
+        # and nothing of its expansion was dropped, yet 1 - q^4 follows it.
+        run = running_product(SINGLE_Q, 1, (1,), (3,), 3)
+        products = [next(run) for _ in range(4)]
+        assert products[1].terms == {(0,): 1, (1,): -1}
+        assert all(p is products[1] for p in products[2:])
+        assert not products[1].complete
+
+    @pytest.mark.parametrize(
+        "ring, arg, base, trunc, inverted, error",
+        (
+            (XZQ, (0, 0, 1), (1, 0, 0), None, False, ValueError),
+            (XZQ, (1, 0, 0), (0, 0, 1), 8, False, NonConvergent),
+            (FOUR_PARAM, (1, -1, 0, 0), Q, 8, True, NonConvergent),
+            (FOUR_PARAM, Q, Q, None, True, PrecisionLoss),
+        ),
+    )
+    def test_rejections(self, ring, arg, base, trunc, inverted, error):
+        with pytest.raises(error):
+            next(running_product(ring, 1, arg, base, trunc, inverted))
+
+    def test_run_starting_one_factor_late_is_caught(self, monkeypatch):
+        """A run that starts at ``arg * base`` instead of ``arg`` fails a catalog
+        identity, a summation check and a skeleton assembly by degree 8."""
+        real = qseries.running_product
+
+        def late(ring, sign, arg_exps, base_exps, trunc, inverted=False):
+            start = tuple(a + b for a, b in zip(arg_exps, base_exps))
+            return real(ring, sign, start, base_exps, trunc, inverted)
+
+        for module in (qseries, identities, sip):
+            monkeypatch.setattr(module, "running_product", late)
+        spec = identities.verify_spec(identities.spec_by_key("g1-four"), 8)
+        assert not spec.passed
+        assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
+        minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
+        gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
+        assert not gauss.passed
+        (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
+        assert sum(int(e) for e in at.split(",")) <= 8
+        four = sip.check_sip_gf_four_parameter(PartitionClass.P1, 8)
+        assert not four.passed
+        assert min(int(d) for d in re.findall(r"degree (\d+):", " ".join(four.failures))) <= 8
 
 
 class TestGaussBinomial:

@@ -347,5 +347,5 @@ class TestComparisonAndSerialization:
 @given(st.integers(min_value=0, max_value=8))
 def test_shift_multiplies_by_monomial(n):
     f = Series(FOUR_PARAM, {(1, 1, 0, 0): 2, (0, 0, 1, 1): 3}, None)
-    shifted = f.shift((n, 0, 0, 0))
+    shifted = f * Series.monomial(FOUR_PARAM, 1, (n, 0, 0, 0))
     assert shifted.terms == {(1 + n, 1, 0, 0): 2, (n, 0, 1, 1): 3}
