@@ -188,9 +188,7 @@ def _sum_family(
         term = term.truncate(trunc)
         for run in den_runs:
             term = term * next(run)
-        if nonneg_failures is not None and any(
-            e < 0 for exps in term.terms for e in exps
-        ):
+        if nonneg_failures is not None and term.has_negative_exponent():
             nonneg_failures.append(f"summand n={n}: negative exponent in expansion")
         total = total + term
         n += 1

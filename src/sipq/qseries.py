@@ -79,7 +79,7 @@ def running_product(
             prod = prod * Series.from_terms(ring, ((unit, 1), (exps, -sign)), trunc)
         exps = tuple(e + b for e, b in zip(exps, base_exps))
     # This factor and every later one only touch degrees above trunc.
-    yield from repeat(Series(ring, prod.terms, trunc, complete=False))
+    yield from repeat(prod.incomplete())
 
 
 def nth_product(run: Iterator[Series], n: int) -> Series:
@@ -149,6 +149,10 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
         if not cmp.equal:
             failures.append(f"{label}: at {cmp.exps} got {cmp.left} != {cmp.right}")
 
+    # One inverted run serves every pair: 4m(n-m) never exceeds n_max**2, and
+    # each pair reads its m-th product truncated down to its own order.
+    den_run = running_product(FOUR_PARAM, 1, _Q, _Q, n_max**2, inverted=True)
+    den_invs = list(islice(den_run, n_max + 1))
     for n in range(1, n_max + 1):
         for m in range(n + 1):
             val = gauss_binomial(n, m)
@@ -166,7 +170,7 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
             # Quotient form: a product of m factors over the m-factor base product.
             t = 4 * m * (n - m)
             num = nth_product(running_product(FOUR_PARAM, 1, (n - m + 1,) * 4, _Q, None), m)
-            den_inv = nth_product(running_product(FOUR_PARAM, 1, _Q, _Q, t, inverted=True), m)
+            den_inv = den_invs[m].truncate(t)
             expect(f"[{n},{m}] quotient-form", num.truncate(t) * den_inv, val.truncate(t))
     return CheckReport("qbinomial-recurrences", not failures, checks, tuple(failures))
 

@@ -1,8 +1,13 @@
 """Sparse truncated Laurent series over the integers with graded truncation.
 
-A :class:`Series` stores a finite dict of ``exponent-tuple -> int`` terms in a
+A :class:`Series` holds finitely many ``exponent-tuple -> int`` terms in a
 fixed :class:`SeriesRing`.  Each ring assigns every variable a nonnegative
 grading weight; the *degree* of a term is the weighted sum of its exponents.
+Terms are stored in buckets, ``degree -> {exponent-tuple: int}``, so a term's
+degree is computed once, when it enters; a product walks one factor's buckets
+in ascending degree and stops at the truncation, and truncating drops whole
+buckets.  The flat ``terms`` dict is a view built on access, for readers
+outside the arithmetic.
 A series either carries a truncation order ``trunc`` (every term of degree
 ``<= trunc`` is stored exactly; degrees above are unknown) or ``trunc=None``
 (the series is an exact Laurent polynomial — nothing is missing).
@@ -19,9 +24,9 @@ operation that would silently produce wrong coefficients raises
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import add, mul
+from typing import Iterable, Iterator, Mapping
 
 
 class SeriesError(Exception):
@@ -70,7 +75,7 @@ class SeriesRing:
         return len(self.names)
 
     def degree(self, exps: tuple[int, ...]) -> int:
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
 
 FOUR_PARAM = SeriesRing(("a", "b", "c", "d"), (1, 1, 1, 1))
@@ -81,12 +86,21 @@ SINGLE_Q = SeriesRing(("q",), (1,))
 class Series:
     """A sparse graded-truncated Laurent series with integer coefficients.
 
-    ``min_deg`` is the least degree the series can contain: the minimum over
-    stored terms, or ``trunc + 1`` for an incomplete series with no stored
-    terms (everything below is known to vanish).
+    Terms are stored by degree: ``buckets`` maps each degree to a non-empty
+    dict ``exponent-tuple -> int`` of the terms of that degree, none with
+    coefficient 0.  A term's degree is computed once, when it enters through
+    the constructor, :meth:`from_terms`, :meth:`monomial`, :meth:`geometric`
+    or :meth:`substitute`; arithmetic passes degrees through and truncation
+    drops whole buckets.  Bucket dicts are never changed after construction,
+    so series share them.  ``terms`` is a flat ``exponent-tuple -> int`` view,
+    built on each access.
+
+    ``min_deg`` is the least degree the series can contain: the least stored
+    degree, or ``trunc + 1`` for an incomplete series with no stored terms
+    (everything below is known to vanish).
     """
 
-    __slots__ = ("ring", "terms", "trunc", "min_deg", "complete")
+    __slots__ = ("ring", "buckets", "trunc", "min_deg", "complete")
 
     def __init__(
         self,
@@ -95,29 +109,61 @@ class Series:
         trunc: int | None,
         complete: bool = True,
     ) -> None:
-        kept: dict[tuple[int, ...], int] = {}
-        lowest: int | None = None
+        buckets: dict[int, dict[tuple[int, ...], int]] = {}
         for exps, coeff in terms.items():
             if coeff == 0:
                 continue
             if len(exps) != ring.nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
-            deg = ring.degree(exps)
-            if trunc is not None and deg > trunc:
-                complete = False
-                continue
-            kept[exps] = coeff
-            if lowest is None or deg < lowest:
-                lowest = deg
+            buckets.setdefault(ring.degree(exps), {})[exps] = coeff
+        self._set(ring, buckets, trunc, complete)
+
+    @classmethod
+    def _from_buckets(
+        cls,
+        ring: SeriesRing,
+        buckets: Mapping[int, dict[tuple[int, ...], int]],
+        trunc: int | None,
+        complete: bool,
+    ) -> "Series":
+        """A series on buckets whose degrees are trusted; zero coefficients,
+        empty buckets and buckets above ``trunc`` are dropped."""
+        out = cls.__new__(cls)
+        kept = {}
+        for deg, bucket in buckets.items():
+            if 0 in bucket.values():
+                bucket = {e: c for e, c in bucket.items() if c}
+            if bucket:
+                kept[deg] = bucket
+        out._set(ring, kept, trunc, complete)
+        return out
+
+    def _set(
+        self,
+        ring: SeriesRing,
+        buckets: dict[int, dict[tuple[int, ...], int]],
+        trunc: int | None,
+        complete: bool,
+    ) -> None:
+        if trunc is not None and buckets and max(buckets) > trunc:
+            complete = False
+            buckets = {d: b for d, b in buckets.items() if d <= trunc}
         if trunc is None and not complete:
             raise ValueError("an untruncated series must be complete")
-        if lowest is None:
+        if buckets:
+            lowest = min(buckets)
+        else:
             lowest = 0 if complete else trunc + 1  # type: ignore[operator]
         self.ring = ring
-        self.terms = kept
+        self.buckets = buckets
         self.trunc = trunc
         self.min_deg = lowest
         self.complete = complete
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """Every stored term as one flat dict, built on each access."""
+        return {e: c for bucket in self.buckets.values() for e, c in bucket.items()}
 
     # -- construction helpers -------------------------------------------------
 
@@ -167,54 +213,58 @@ class Series:
         return self.trunc
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.buckets
 
     def coefficient(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exps), 0)
+        exps = tuple(exps)
+        return self.buckets.get(self.ring.degree(exps), {}).get(exps, 0)
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.ring.nvars, 0)
+        return self.buckets.get(0, {}).get((0,) * self.ring.nvars, 0)
 
     def degree_slice(self, degree: int) -> dict[tuple[int, ...], int]:
         """All terms of exactly the given degree."""
         if self.trunc is not None and degree > self.trunc:
             raise PrecisionLoss(f"degree {degree} exceeds truncation {self.trunc}")
-        return {e: c for e, c in self.terms.items() if self.ring.degree(e) == degree}
+        return dict(self.buckets.get(degree, {}))
 
-    def _sorted_items(self) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
-        items = sorted(self.terms.items(), key=lambda kv: (self.ring.degree(kv[0]), kv[0]))
-        return [self.ring.degree(e) for e, _ in items], items
+    def has_negative_exponent(self) -> bool:
+        """Whether any stored term has a negative exponent."""
+        return any(e < 0 for bucket in self.buckets.values() for exps in bucket for e in exps)
+
+    def incomplete(self) -> "Series":
+        """The same stored terms, with the terms above the truncation unknown."""
+        return Series._from_buckets(self.ring, self.buckets, self.trunc, False)
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
         self._check_ring(other)
         trunc = self._combined_trunc(other)
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, 0) + coeff
-        return Series(self.ring, merged, trunc, complete=self.complete and other.complete)
+        merged = dict(self.buckets)
+        for deg, bucket in other.buckets.items():
+            mine = merged.get(deg)
+            if mine is None:
+                merged[deg] = bucket
+                continue
+            mine = dict(mine)
+            for exps, coeff in bucket.items():
+                mine[exps] = mine.get(exps, 0) + coeff
+            merged[deg] = mine
+        return Series._from_buckets(self.ring, merged, trunc, self.complete and other.complete)
 
     def __neg__(self) -> "Series":
-        return Series(
-            self.ring,
-            {e: -c for e, c in self.terms.items()},
-            self.trunc,
-            complete=self.complete,
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def scale(self, factor: int) -> "Series":
-        if factor == 0:
-            return Series(self.ring, {}, self.trunc, complete=self.complete)
-        return Series(
-            self.ring,
-            {e: factor * c for e, c in self.terms.items()},
-            self.trunc,
-            complete=self.complete,
-        )
+        buckets = {
+            deg: {e: factor * c for e, c in bucket.items()}
+            for deg, bucket in self.buckets.items()
+        }
+        return Series._from_buckets(self.ring, buckets, self.trunc, self.complete)
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_ring(other)
@@ -226,25 +276,25 @@ class Series:
             raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
         if not other.complete and self.min_deg < 0:
             raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
-        small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        degs, items = large._sorted_items()
-        nvars = self.ring.nvars
-        out: dict[tuple[int, ...], int] = {}
+        ladder = sorted(other.buckets.items())
+        out: dict[int, dict[tuple[int, ...], int]] = {}
         dropped = False
-        for exps_s, coeff_s in small.terms.items():
-            deg_s = self.ring.degree(exps_s)
-            if trunc is None:
-                stop = len(items)
-            else:
-                stop = bisect_right(degs, trunc - deg_s)
-                if stop < len(items):
+        for deg_s, bucket_s in self.buckets.items():
+            for deg_o, bucket_o in ladder:
+                deg = deg_s + deg_o
+                if trunc is not None and deg > trunc:
                     dropped = True
-            for i in range(stop):
-                exps_l, coeff_l = items[i]
-                key = tuple(exps_s[k] + exps_l[k] for k in range(nvars))
-                out[key] = out.get(key, 0) + coeff_s * coeff_l
+                    break
+                acc = out.get(deg)
+                if acc is None:
+                    acc = out[deg] = {}
+                get = acc.get
+                for exps_s, coeff_s in bucket_s.items():
+                    for exps_o, coeff_o in bucket_o.items():
+                        key = tuple(map(add, exps_s, exps_o))
+                        acc[key] = get(key, 0) + coeff_s * coeff_o
         complete = self.complete and other.complete and not dropped
-        return Series(self.ring, out, trunc, complete=complete)
+        return Series._from_buckets(self.ring, out, trunc, complete)
 
     def __pow__(self, n: int) -> "Series":
         if n < 0:
@@ -272,26 +322,29 @@ class Series:
             raise NotAUnit(f"constant term is {c0}")
         target = self.trunc if trunc is None else trunc
         unit = (0,) * self.ring.nvars
-        tail = {e: c for e, c in self.terms.items() if e != unit}
+        # With constant term u in {+1,-1}: 1/(u + t) = u / (1 + u t)
+        #                                          = u * sum_k (-u t)^k.
+        tail = {
+            deg: {e: -c0 * c for e, c in bucket.items() if e != unit}
+            for deg, bucket in self.buckets.items()
+        }
+        tail = {deg: bucket for deg, bucket in tail.items() if bucket}
         if not tail:
             return Series(self.ring, {unit: c0}, target)
-        tail_min = min(self.ring.degree(e) for e in tail)
+        tail_min = min(tail)
         if tail_min <= 0:
             raise NonPositiveTail("all non-constant terms must have positive degree")
         if target is None:
             raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
         if not self.complete and (self.trunc is None or target > self.trunc):
             raise PrecisionLoss(f"inverse to order {target} needs the series to that order")
-        # With constant term u in {+1,-1}: 1/(u + t) = u / (1 + u t)
-        #                                          = u * sum_k (-u t)^k.
-        w = Series(self.ring, {e: -c0 * c for e, c in tail.items()}, target, complete=False)
+        w = Series._from_buckets(self.ring, tail, target, False)
         one = Series.one(self.ring, target)
         acc = one
         for _ in range(target // tail_min):
             acc = one + (w * acc)
-        acc = acc.scale(c0)
         # The true inverse continues above `target`, so it is never complete.
-        return Series(self.ring, acc.terms, target, complete=False)
+        return acc.scale(c0).incomplete()
 
     @staticmethod
     def geometric(ring: SeriesRing, coeff: int, exps: tuple[int, ...], trunc: int) -> "Series":
@@ -305,20 +358,22 @@ class Series:
             raise NonPositiveTail(f"monomial {exps} must have positive degree")
         if trunc is None:
             raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
-        terms = {tuple(k * e for e in exps): coeff**k for k in range(trunc // deg + 1)}
-        return Series(ring, terms, trunc, complete=False)
+        buckets = {
+            k * deg: {tuple(k * e for e in exps): coeff**k} for k in range(trunc // deg + 1)
+        }
+        return Series._from_buckets(ring, buckets, trunc, False)
 
     # -- truncation and substitution -------------------------------------------
 
     def truncate(self, trunc: int | None) -> "Series":
         """Re-truncate: down always works, up (or to None) needs completeness."""
         if trunc is not None and (self.trunc is None or trunc <= self.trunc):
-            return Series(self.ring, self.terms, trunc, complete=self.complete)
+            return Series._from_buckets(self.ring, self.buckets, trunc, self.complete)
         if self.trunc == trunc:
             return self
         if not self.complete:
             raise PrecisionLoss(f"cannot raise truncation {self.trunc} -> {trunc} of an incomplete series")
-        return Series(self.ring, self.terms, trunc, complete=True)
+        return Series._from_buckets(self.ring, self.buckets, trunc, True)
 
     def substitute(self, smap: "SubstitutionMap", trunc: int | None) -> "Series":
         """Map each variable to a monomial of the target ring.
@@ -341,50 +396,60 @@ class Series:
             guaranteed = alpha * (self.trunc + 1) - 1
             if trunc is None or trunc > guaranteed:
                 raise PrecisionLoss(f"target truncation {trunc} exceeds guaranteed order {guaranteed}")
-        out: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
-            key = smap.map_exps(exps)
-            if target.degree(key) < 0:
-                raise NegativeQDegree(f"term {exps} maps to negative degree {key}")
-            out[key] = out.get(key, 0) + coeff
-        return Series(target, out, trunc, complete=self.complete)
+        out: dict[int, dict[tuple[int, ...], int]] = {}
+        for bucket in self.buckets.values():
+            for exps, coeff in bucket.items():
+                key = smap.map_exps(exps)
+                deg = target.degree(key)
+                if deg < 0:
+                    raise NegativeQDegree(f"term {exps} maps to negative degree {key}")
+                acc = out.setdefault(deg, {})
+                acc[key] = acc.get(key, 0) + coeff
+        return Series._from_buckets(target, out, trunc, self.complete)
 
     # -- comparison and rendering ----------------------------------------------
 
     def equal_to(self, other: "Series") -> "SeriesComparison":
-        """Compare coefficients up to the common truncation; report the first difference."""
+        """Compare coefficients up to the common truncation; report the first
+        difference, the least one by (degree, exponents)."""
         self._check_ring(other)
         trunc = self._combined_trunc(other)
-        keys = set(self.terms) | set(other.terms)
-        for exps in sorted(keys, key=lambda e: (self.ring.degree(e), e)):
-            if trunc is not None and self.ring.degree(exps) > trunc:
-                continue
-            lhs, rhs = self.terms.get(exps, 0), other.terms.get(exps, 0)
+        empty: dict[tuple[int, ...], int] = {}
+        for deg in sorted(self.buckets.keys() | other.buckets.keys()):
+            if trunc is not None and deg > trunc:
+                break
+            lhs, rhs = self.buckets.get(deg, empty), other.buckets.get(deg, empty)
             if lhs != rhs:
-                return SeriesComparison(False, exps, lhs, rhs)
+                exps = min(e for e in lhs.keys() | rhs.keys() if lhs.get(e, 0) != rhs.get(e, 0))
+                return SeriesComparison(False, exps, lhs.get(exps, 0), rhs.get(exps, 0))
         return SeriesComparison(True, None, 0, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.ring == other.ring and self.trunc == other.trunc and self.terms == other.terms
+        return self.ring == other.ring and self.trunc == other.trunc and self.buckets == other.buckets
 
     __hash__ = None  # type: ignore[assignment]
+
+    def _sorted_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every term, by degree and then by exponents."""
+        for deg in sorted(self.buckets):
+            yield from sorted(self.buckets[deg].items())
 
     def to_records(self) -> list[dict[str, object]]:
         """JSON-friendly rows: exponents under ``e<name>`` keys, coefficient as text."""
         rows = []
-        for exps, coeff in sorted(self.terms.items(), key=lambda kv: (self.ring.degree(kv[0]), kv[0])):
+        for exps, coeff in self._sorted_terms():
             row: dict[str, object] = {f"e{n}": e for n, e in zip(self.ring.names, exps)}
             row["coeff"] = str(coeff)
             rows.append(row)
         return rows
 
     def to_string(self) -> str:
-        if not self.terms:
+        if not self.buckets:
             return "0"
         chunks = []
-        for exps, coeff in sorted(self.terms.items(), key=lambda kv: (self.ring.degree(kv[0]), kv[0])):
+        for exps, coeff in self._sorted_terms():
             factors = []
             for name, e in zip(self.ring.names, exps):
                 if e == 1:

@@ -121,6 +121,7 @@ class TestVerify:
         (
             ("16", "94e71ccfa84ae93a687afaade5082ef721b51f8ccee528b75c200c637e652d0f"),
             ("24", "f62c98022279b6cf9e1ad5430911259c2ece9b16f35c8e26b1faf767719e92a0"),
+            ("32", "40cf470a212829bd221293203b108f2bbcdd4a6c932c8b86ff9e369fb994b866"),
         ),
     )
     def test_full_battery_stdout_is_pinned(self, capsys, trunc, digest):
@@ -188,6 +189,16 @@ class TestSeries:
             {"ea": 1, "eb": 0, "ec": 1, "ed": 0, "coeff": "1"},
             {"ea": 1, "eb": 1, "ec": 0, "ed": 0, "coeff": "1"},
         ]
+
+    def test_every_side_stdout_is_pinned(self, capsys):
+        """The rendered terms of every catalog side at trunc 32, in the order
+        the registry lists them, stay byte-identical to a recorded digest."""
+        digest = hashlib.sha256()
+        for spec in identities.registry():
+            for side in ("series", "product", "product-alt"):
+                main(["series", "--spec", spec.key, "--side", side, "--trunc", "32"])
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == "d476056f66f4586e64e7d5ed80ccb9eeee3e59983b6d6b8ef839436f07170812"
 
     def test_missing_side(self, capsys):
         code, _, err = run(

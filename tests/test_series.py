@@ -8,10 +8,14 @@ paths in the truncation logic.
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from sipq.identities import spec_by_key, verify_spec
+from sipq.qseries import A_INFINITY, check_q_gauss
 from sipq.series import (
     FOUR_PARAM,
     SINGLE_Q,
@@ -349,3 +353,203 @@ def test_shift_multiplies_by_monomial(n):
     f = Series(FOUR_PARAM, {(1, 1, 0, 0): 2, (0, 0, 1, 1): 3}, None)
     shifted = f * Series.monomial(FOUR_PARAM, 1, (n, 0, 0, 0))
     assert shifted.terms == {(1 + n, 1, 0, 0): 2, (n, 0, 1, 1): 3}
+
+
+# -- the bucket kernel against a flat-dict reference ---------------------------
+#
+# The reference below multiplies, adds and truncates flat ``exps -> coeff``
+# dicts term by term, with its own degree function, truncation filter and
+# dropped flag, and never looks at ``Series.buckets``.
+
+
+def _deg(ring: SeriesRing, exps: tuple[int, ...]) -> int:
+    return sum(w * e for w, e in zip(ring.weights, exps))
+
+
+def _expected(ring, terms, trunc, complete):
+    """``(terms, trunc, complete, min_deg)`` of a flat dict cut at ``trunc``."""
+    kept = {e: c for e, c in terms.items() if c and (trunc is None or _deg(ring, e) <= trunc)}
+    complete = complete and len(kept) == sum(1 for c in terms.values() if c)
+    if kept:
+        low = min(_deg(ring, e) for e in kept)
+    else:
+        low = 0 if complete else trunc + 1
+    return kept, trunc, complete, low
+
+
+def _observed(s: Series):
+    return s.terms, s.trunc, s.complete, s.min_deg
+
+
+def _naive_mul(f: Series, g: Series):
+    trunc = f.trunc if g.trunc is None else g.trunc
+    out: dict[tuple[int, ...], int] = {}
+    dropped = False
+    for ef, cf in f.terms.items():
+        for eg, cg in g.terms.items():
+            key = tuple(a + b for a, b in zip(ef, eg))
+            if trunc is not None and _deg(f.ring, key) > trunc:
+                dropped = True
+                continue
+            out[key] = out.get(key, 0) + cf * cg
+    return _expected(f.ring, out, trunc, f.complete and g.complete and not dropped)
+
+
+def _naive_add(f: Series, g: Series):
+    trunc = f.trunc if g.trunc is None else g.trunc
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = out.get(e, 0) + c
+    return _expected(f.ring, out, trunc, f.complete and g.complete)
+
+
+def assert_storage_invariant(s: Series) -> None:
+    """Each term sits in its own degree's bucket, no bucket is empty, no
+    coefficient is 0, nothing lies above the truncation, and ``min_deg`` is
+    the least stored degree."""
+    for deg, bucket in s.buckets.items():
+        assert bucket, f"empty bucket at degree {deg}"
+        assert all(c != 0 for c in bucket.values())
+        assert all(_deg(s.ring, e) == deg for e in bucket)
+        assert s.trunc is None or deg <= s.trunc
+    if s.buckets:
+        assert s.min_deg == min(s.buckets)
+
+
+def _ring_exps(ring: SeriesRing) -> st.SearchStrategy[tuple[int, ...]]:
+    """Exponents with negative values on the weight-0 variables of ``XZQ``
+    and on single variables of ``FOUR_PARAM``, so some terms have negative
+    degree."""
+    if ring is XZQ:
+        return st.tuples(
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=0, max_value=5),
+        )
+    return st.tuples(*[st.integers(min_value=-1, max_value=4)] * 4)
+
+
+@st.composite
+def series_pairs(draw, similar: bool = False):
+    """Two series in one ring, each exact or truncated at one shared order,
+    complete or not; with ``similar`` the second differs from the first in a
+    few terms only."""
+    ring = draw(st.sampled_from([FOUR_PARAM, XZQ]))
+    trunc = draw(st.integers(min_value=0, max_value=10))
+    terms = st.dictionaries(_ring_exps(ring), coeffs, max_size=10)
+
+    def one(body):
+        if draw(st.booleans()):
+            return Series(ring, body, None)
+        return Series(ring, body, trunc, complete=draw(st.booleans()))
+
+    first = draw(terms)
+    second = dict(first) if similar else draw(terms)
+    if similar:
+        second.update(draw(st.dictionaries(_ring_exps(ring), coeffs, max_size=3)))
+    return one(first), one(second)
+
+
+class TestBucketKernel:
+    @settings(max_examples=200)
+    @given(series_pairs())
+    def test_mul_matches_flat_convolution(self, pair):
+        f, g = pair
+        if (not f.complete and g.min_deg < 0) or (not g.complete and f.min_deg < 0):
+            with pytest.raises(PrecisionLoss):
+                f * g
+            return
+        product = f * g
+        assert_storage_invariant(product)
+        assert _observed(product) == _naive_mul(f, g)
+
+    @settings(max_examples=200)
+    @given(series_pairs())
+    def test_add_matches_flat_sum(self, pair):
+        f, g = pair
+        total = f + g
+        assert_storage_invariant(total)
+        assert _observed(total) == _naive_add(f, g)
+        negated = -f
+        assert_storage_invariant(negated)
+        assert _observed(negated) == _expected(
+            f.ring, {e: -c for e, c in f.terms.items()}, f.trunc, f.complete
+        )
+
+    @settings(max_examples=200)
+    @given(series_pairs(), st.one_of(st.none(), st.integers(min_value=-1, max_value=12)))
+    def test_truncate_matches_flat_filter(self, pair, n):
+        f, _ = pair
+        assert_storage_invariant(f)
+        if n is not None and (f.trunc is None or n <= f.trunc):
+            expected = _expected(f.ring, f.terms, n, f.complete)
+        elif f.trunc == n:
+            expected = _observed(f)
+        elif not f.complete:
+            with pytest.raises(PrecisionLoss):
+                f.truncate(n)
+            return
+        else:
+            expected = _expected(f.ring, f.terms, n, True)
+        cut = f.truncate(n)
+        assert_storage_invariant(cut)
+        assert _observed(cut) == expected
+
+    @settings(max_examples=200)
+    @given(series_pairs(similar=True))
+    def test_equal_to_reports_least_difference(self, pair):
+        f, g = pair
+        trunc = f.trunc if g.trunc is None else g.trunc
+        lhs, rhs = f.terms, g.terms
+        differ = [
+            e
+            for e in lhs.keys() | rhs.keys()
+            if lhs.get(e, 0) != rhs.get(e, 0) and (trunc is None or _deg(f.ring, e) <= trunc)
+        ]
+        cmp = f.equal_to(g)
+        if not differ:
+            assert (cmp.equal, cmp.exps) == (True, None)
+            return
+        least = min(differ, key=lambda e: (_deg(f.ring, e), e))
+        assert (cmp.equal, cmp.exps) == (False, least)
+        assert (cmp.left, cmp.right) == (lhs.get(least, 0), rhs.get(least, 0))
+
+    def test_incomplete_keeps_terms(self):
+        f = Series(XZQ, {(-2, 1, 0): 3, (1, 1, 2): -1}, 4)
+        g = f.incomplete()
+        assert_storage_invariant(g)
+        assert (g.terms, g.trunc, g.complete) == (f.terms, 4, False)
+
+    def test_dropped_top_bucket_is_caught(self, monkeypatch):
+        """A product whose walk, where it cuts at the truncation, also loses
+        the top bucket still below the cut fails a catalog identity and a
+        summation check by degree 8."""
+        real = Series.__mul__
+
+        def cut_short(self, other):
+            trunc = self._combined_trunc(other)
+            if trunc is None:
+                return real(self, other)
+            ladder = sorted(other.buckets.items())
+            out: dict[int, dict[tuple[int, ...], int]] = {}
+            for deg_s, bucket_s in self.buckets.items():
+                walk = [(d, b) for d, b in ladder if deg_s + d <= trunc]
+                if len(walk) < len(ladder):
+                    walk = walk[:-1]
+                for deg_o, bucket_o in walk:
+                    acc = out.setdefault(deg_s + deg_o, {})
+                    for exps_s, coeff_s in bucket_s.items():
+                        for exps_o, coeff_o in bucket_o.items():
+                            key = tuple(a + b for a, b in zip(exps_s, exps_o))
+                            acc[key] = acc.get(key, 0) + coeff_s * coeff_o
+            return Series._from_buckets(self.ring, out, trunc, False)
+
+        monkeypatch.setattr(Series, "__mul__", cut_short)
+        spec = verify_spec(spec_by_key("g1-four"), 8)
+        assert not spec.passed
+        assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
+        minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
+        gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
+        assert not gauss.passed
+        (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
+        assert sum(int(e) for e in at.split(",")) <= 8
