@@ -73,6 +73,7 @@ from .series import (
     FOUR_PARAM,
     SINGLE_Q,
     XZQ,
+    ExponentOverflow,
     NegativeQDegree,
     NonPositiveTail,
     NotAUnit,
@@ -94,6 +95,7 @@ from .sip import (
     SipError,
     basis_weight_poly,
     check_sip_gf_four_parameter,
+    class_counts,
     compose,
     decompose,
     sip_gf_four_parameter,
@@ -107,6 +109,7 @@ __all__ = [
     "A_INFINITY",
     "CheckReport",
     "DomainError",
+    "ExponentOverflow",
     "FOUR_PARAM",
     "InternalError",
     "LengthViolation",
@@ -146,6 +149,7 @@ __all__ = [
     "check_qbinomial_recurrences",
     "check_qbinomial_theorem",
     "check_sip_gf_four_parameter",
+    "class_counts",
     "class_weight_series",
     "combinatorial_side",
     "compose",

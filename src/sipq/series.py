@@ -1,13 +1,24 @@
 """Sparse truncated Laurent series over the integers with graded truncation.
 
-A :class:`Series` holds finitely many ``exponent-tuple -> int`` terms in a
-fixed :class:`SeriesRing`.  Each ring assigns every variable a nonnegative
-grading weight; the *degree* of a term is the weighted sum of its exponents.
-Terms are stored in buckets, ``degree -> {exponent-tuple: int}``, so a term's
-degree is computed once, when it enters; a product walks one factor's buckets
-in ascending degree and stops at the truncation, and truncating drops whole
-buckets.  The flat ``terms`` dict is a view built on access, for readers
-outside the arithmetic.
+A :class:`Series` holds finitely many terms, each an exponent vector with an
+integer coefficient, in a fixed :class:`SeriesRing`.  Each ring assigns every
+variable a nonnegative grading weight; the *degree* of a term is the weighted
+sum of its exponents.  Terms are stored in buckets, ``degree -> {packed key:
+int}``, so a term's degree is computed once, when it enters; a product walks
+one factor's buckets in ascending degree and stops at the truncation, and
+truncating drops whole buckets.
+
+An exponent vector is stored as one packed int (Kronecker substitution):
+``key = sum(e_i * RADIX**(n-1-i))`` with balanced digits, ``|e_i| <
+EXPONENT_LIMIT = RADIX / 2``, the first variable in the most significant
+digit.  Negative exponents need no offset, the key of a product term is the
+sum of its factors' keys, and int order equals exponent-tuple order.  Every
+series carries ``bound``, an upper bound on ``|exponent|``: it is measured
+when terms enter, a product's is the sum of its factors', and a bound that
+reaches ``EXPONENT_LIMIT`` raises :class:`ExponentOverflow` instead of letting
+digits carry into each other.  Keys are unpacked to tuples only by readers:
+the flat ``terms`` view, :meth:`Series.degree_slice`, comparison reports and
+rendering.
 A series either carries a truncation order ``trunc`` (every term of degree
 ``<= trunc`` is stored exactly; degrees above are unknown) or ``trunc=None``
 (the series is an exact Laurent polynomial — nothing is missing).
@@ -25,8 +36,14 @@ operation that would silently produce wrong coefficients raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, Mapping
+
+#: The packing radix: one balanced base-``RADIX`` digit per variable.
+RADIX = 1 << 24
+#: Every stored exponent lies strictly between ``-EXPONENT_LIMIT`` and ``EXPONENT_LIMIT``.
+EXPONENT_LIMIT = RADIX // 2
+_DIGIT_BITS = RADIX.bit_length() - 1
 
 
 class SeriesError(Exception):
@@ -57,9 +74,20 @@ class NegativeQDegree(SeriesError):
     """A substitution produced a term of negative degree."""
 
 
+class ExponentOverflow(SeriesError):
+    """An exponent would reach ``EXPONENT_LIMIT``, beyond what a packed key holds."""
+
+
+def _checked_bound(bound: int) -> int:
+    if bound >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"exponent bound {bound} reaches the packing limit {EXPONENT_LIMIT}")
+    return bound
+
+
 @dataclass(frozen=True)
 class SeriesRing:
-    """Variable names and their grading weights."""
+    """Variable names and their grading weights, and the packing of exponent
+    vectors into int keys."""
 
     names: tuple[str, ...]
     weights: tuple[int, ...]
@@ -69,6 +97,12 @@ class SeriesRing:
             raise ValueError("names and weights must have equal length")
         if any(w < 0 for w in self.weights):
             raise ValueError("grading weights must be nonnegative")
+        shifts = tuple(_DIGIT_BITS * i for i in reversed(range(len(self.names))))
+        # Adding `_offset` turns every balanced digit e into e + RADIX/2, in
+        # [1, RADIX - 1], so plain shifts and masks read the digits; the top
+        # bit of a shifted digit is set exactly when e >= 0.
+        object.__setattr__(self, "_shifts", shifts)
+        object.__setattr__(self, "_offset", sum(EXPONENT_LIMIT << s for s in shifts))
 
     @property
     def nvars(self) -> int:
@@ -76,6 +110,48 @@ class SeriesRing:
 
     def degree(self, exps: tuple[int, ...]) -> int:
         return sum(map(mul, self.weights, exps))
+
+    def pack(self, exps: Iterable[int]) -> int:
+        """The key of an exponent vector whose entries are below ``EXPONENT_LIMIT``
+        in absolute value (not checked here)."""
+        key = 0
+        for e in exps:
+            key = (key << _DIGIT_BITS) + e
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a packed key."""
+        key += self._offset  # type: ignore[attr-defined]
+        return tuple(((key >> s) & (RADIX - 1)) - EXPONENT_LIMIT for s in self._shifts)  # type: ignore[attr-defined]
+
+    def has_negative(self, key: int) -> bool:
+        """Whether the packed key has a negative exponent."""
+        offset = self._offset  # type: ignore[attr-defined]
+        return (key + offset) & offset != offset
+
+
+def _bucketed(
+    ring: SeriesRing, items: Iterable[tuple[Iterable[int], int]], trunc: int | None
+) -> tuple[dict[int, dict[int, int]], int]:
+    """``(buckets, bound)`` of ``(exponents, coeff)`` pairs entering a series:
+    coefficients of equal exponents are summed and zero coefficients skipped.
+    The bound covers the terms of degree at most ``trunc`` (the others are
+    dropped on storing) and is checked against ``EXPONENT_LIMIT``."""
+    buckets: dict[int, dict[int, int]] = {}
+    bound = 0
+    for exps, coeff in items:
+        if coeff == 0:
+            continue
+        exps = tuple(exps)
+        if len(exps) != ring.nvars:
+            raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
+        deg = ring.degree(exps)
+        if trunc is None or deg <= trunc:
+            bound = max(bound, max(exps), -min(exps))
+        acc = buckets.setdefault(deg, {})
+        key = ring.pack(exps)
+        acc[key] = acc.get(key, 0) + coeff
+    return buckets, _checked_bound(bound)
 
 
 FOUR_PARAM = SeriesRing(("a", "b", "c", "d"), (1, 1, 1, 1))
@@ -87,20 +163,22 @@ class Series:
     """A sparse graded-truncated Laurent series with integer coefficients.
 
     Terms are stored by degree: ``buckets`` maps each degree to a non-empty
-    dict ``exponent-tuple -> int`` of the terms of that degree, none with
-    coefficient 0.  A term's degree is computed once, when it enters through
-    the constructor, :meth:`from_terms`, :meth:`monomial`, :meth:`geometric`
-    or :meth:`substitute`; arithmetic passes degrees through and truncation
-    drops whole buckets.  Bucket dicts are never changed after construction,
-    so series share them.  ``terms`` is a flat ``exponent-tuple -> int`` view,
-    built on each access.
+    dict ``packed key -> int`` of the terms of that degree, none with
+    coefficient 0 (see the module docstring for the packing).  A term's
+    degree and key are computed once, when it enters through the constructor,
+    :meth:`from_terms`, :meth:`monomial`, :meth:`geometric` or
+    :meth:`substitute`; arithmetic passes degrees through, adds keys, and
+    truncation drops whole buckets.  Bucket dicts are never changed after
+    construction, so series share them.  ``terms`` is a flat
+    ``exponent-tuple -> int`` view, built on each access.
 
     ``min_deg`` is the least degree the series can contain: the least stored
     degree, or ``trunc + 1`` for an incomplete series with no stored terms
-    (everything below is known to vanish).
+    (everything below is known to vanish).  ``bound`` is at least every stored
+    ``|exponent|`` and below ``EXPONENT_LIMIT``.
     """
 
-    __slots__ = ("ring", "buckets", "trunc", "min_deg", "complete")
+    __slots__ = ("ring", "buckets", "trunc", "min_deg", "complete", "bound")
 
     def __init__(
         self,
@@ -109,61 +187,59 @@ class Series:
         trunc: int | None,
         complete: bool = True,
     ) -> None:
-        buckets: dict[int, dict[tuple[int, ...], int]] = {}
-        for exps, coeff in terms.items():
-            if coeff == 0:
-                continue
-            if len(exps) != ring.nvars:
-                raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
-            buckets.setdefault(ring.degree(exps), {})[exps] = coeff
-        self._set(ring, buckets, trunc, complete)
+        self._set(ring, *_bucketed(ring, terms.items(), trunc), trunc, complete)
 
     @classmethod
     def _from_buckets(
         cls,
         ring: SeriesRing,
-        buckets: Mapping[int, dict[tuple[int, ...], int]],
+        buckets: Mapping[int, dict[int, int]],
+        bound: int,
         trunc: int | None,
         complete: bool,
     ) -> "Series":
-        """A series on buckets whose degrees are trusted; zero coefficients,
-        empty buckets and buckets above ``trunc`` are dropped."""
+        """A series on buckets whose degrees and bound are trusted."""
         out = cls.__new__(cls)
-        kept = {}
-        for deg, bucket in buckets.items():
-            if 0 in bucket.values():
-                bucket = {e: c for e, c in bucket.items() if c}
-            if bucket:
-                kept[deg] = bucket
-        out._set(ring, kept, trunc, complete)
+        out._set(ring, buckets, bound, trunc, complete)
         return out
 
     def _set(
         self,
         ring: SeriesRing,
-        buckets: dict[int, dict[tuple[int, ...], int]],
+        buckets: Mapping[int, dict[int, int]],
+        bound: int,
         trunc: int | None,
         complete: bool,
     ) -> None:
-        if trunc is not None and buckets and max(buckets) > trunc:
-            complete = False
-            buckets = {d: b for d, b in buckets.items() if d <= trunc}
+        """Store the buckets, dropping zero coefficients, empty buckets and
+        buckets above ``trunc`` (which marks the series incomplete)."""
+        kept = {}
+        for deg, bucket in buckets.items():
+            if trunc is not None and deg > trunc:
+                complete = False
+                continue
+            if 0 in bucket.values():
+                bucket = {k: c for k, c in bucket.items() if c}
+            if bucket:
+                kept[deg] = bucket
         if trunc is None and not complete:
             raise ValueError("an untruncated series must be complete")
-        if buckets:
-            lowest = min(buckets)
+        if kept:
+            lowest = min(kept)
         else:
             lowest = 0 if complete else trunc + 1  # type: ignore[operator]
         self.ring = ring
-        self.buckets = buckets
+        self.buckets = kept
         self.trunc = trunc
         self.min_deg = lowest
         self.complete = complete
+        self.bound = bound
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         """Every stored term as one flat dict, built on each access."""
-        return {e: c for bucket in self.buckets.values() for e, c in bucket.items()}
+        unpack = self.ring.unpack
+        return {unpack(k): c for bucket in self.buckets.values() for k, c in bucket.items()}
 
     # -- construction helpers -------------------------------------------------
 
@@ -191,11 +267,8 @@ class Series:
         trunc: int | None,
         complete: bool = True,
     ) -> "Series":
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, coeff in items:
-            key = tuple(exps)
-            acc[key] = acc.get(key, 0) + coeff
-        return Series(ring, acc, trunc, complete=complete)
+        """A series from ``(exponents, coeff)`` pairs; repeated exponents add up."""
+        return Series._from_buckets(ring, *_bucketed(ring, items, trunc), trunc, complete)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -217,24 +290,30 @@ class Series:
 
     def coefficient(self, exps: tuple[int, ...]) -> int:
         exps = tuple(exps)
-        return self.buckets.get(self.ring.degree(exps), {}).get(exps, 0)
+        if len(exps) != self.ring.nvars:
+            raise ValueError(f"exponent tuple {exps} has wrong arity for {self.ring.names}")
+        if exps and max(max(exps), -min(exps)) > self.bound:
+            return 0  # beyond every stored exponent, and maybe beyond packing
+        return self.buckets.get(self.ring.degree(exps), {}).get(self.ring.pack(exps), 0)
 
     def constant_term(self) -> int:
-        return self.buckets.get(0, {}).get((0,) * self.ring.nvars, 0)
+        return self.buckets.get(0, {}).get(0, 0)
 
     def degree_slice(self, degree: int) -> dict[tuple[int, ...], int]:
         """All terms of exactly the given degree."""
         if self.trunc is not None and degree > self.trunc:
             raise PrecisionLoss(f"degree {degree} exceeds truncation {self.trunc}")
-        return dict(self.buckets.get(degree, {}))
+        unpack = self.ring.unpack
+        return {unpack(k): c for k, c in self.buckets.get(degree, {}).items()}
 
     def has_negative_exponent(self) -> bool:
         """Whether any stored term has a negative exponent."""
-        return any(e < 0 for bucket in self.buckets.values() for exps in bucket for e in exps)
+        negative = self.ring.has_negative
+        return any(negative(k) for bucket in self.buckets.values() for k in bucket)
 
     def incomplete(self) -> "Series":
         """The same stored terms, with the terms above the truncation unknown."""
-        return Series._from_buckets(self.ring, self.buckets, self.trunc, False)
+        return Series._from_buckets(self.ring, self.buckets, self.bound, self.trunc, False)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -248,10 +327,13 @@ class Series:
                 merged[deg] = bucket
                 continue
             mine = dict(mine)
-            for exps, coeff in bucket.items():
-                mine[exps] = mine.get(exps, 0) + coeff
+            for key, coeff in bucket.items():
+                mine[key] = mine.get(key, 0) + coeff
             merged[deg] = mine
-        return Series._from_buckets(self.ring, merged, trunc, self.complete and other.complete)
+        bound = max(self.bound, other.bound)
+        return Series._from_buckets(
+            self.ring, merged, bound, trunc, self.complete and other.complete
+        )
 
     def __neg__(self) -> "Series":
         return self.scale(-1)
@@ -261,10 +343,10 @@ class Series:
 
     def scale(self, factor: int) -> "Series":
         buckets = {
-            deg: {e: factor * c for e, c in bucket.items()}
+            deg: {k: factor * c for k, c in bucket.items()}
             for deg, bucket in self.buckets.items()
         }
-        return Series._from_buckets(self.ring, buckets, self.trunc, self.complete)
+        return Series._from_buckets(self.ring, buckets, self.bound, self.trunc, self.complete)
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_ring(other)
@@ -276,8 +358,11 @@ class Series:
             raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
         if not other.complete and self.min_deg < 0:
             raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
+        # Each product exponent is a sum of two factor exponents, so the sum of
+        # the bounds keeps every digit of every summed key balanced.
+        bound = _checked_bound(self.bound + other.bound)
         ladder = sorted(other.buckets.items())
-        out: dict[int, dict[tuple[int, ...], int]] = {}
+        out: dict[int, dict[int, int]] = {}
         dropped = False
         for deg_s, bucket_s in self.buckets.items():
             for deg_o, bucket_o in ladder:
@@ -289,12 +374,16 @@ class Series:
                 if acc is None:
                     acc = out[deg] = {}
                 get = acc.get
-                for exps_s, coeff_s in bucket_s.items():
-                    for exps_o, coeff_o in bucket_o.items():
-                        key = tuple(map(add, exps_s, exps_o))
-                        acc[key] = get(key, 0) + coeff_s * coeff_o
+                outer, inner = bucket_s, bucket_o
+                if len(outer) > len(inner):
+                    outer, inner = inner, outer
+                inner_items = inner.items()
+                for key_a, coeff_a in outer.items():
+                    for key_b, coeff_b in inner_items:
+                        key = key_a + key_b
+                        acc[key] = get(key, 0) + coeff_a * coeff_b
         complete = self.complete and other.complete and not dropped
-        return Series._from_buckets(self.ring, out, trunc, complete)
+        return Series._from_buckets(self.ring, out, bound, trunc, complete)
 
     def __pow__(self, n: int) -> "Series":
         if n < 0:
@@ -321,16 +410,16 @@ class Series:
         if c0 not in (1, -1):
             raise NotAUnit(f"constant term is {c0}")
         target = self.trunc if trunc is None else trunc
-        unit = (0,) * self.ring.nvars
         # With constant term u in {+1,-1}: 1/(u + t) = u / (1 + u t)
         #                                          = u * sum_k (-u t)^k.
+        # The constant term is the one with key 0.
         tail = {
-            deg: {e: -c0 * c for e, c in bucket.items() if e != unit}
+            deg: {k: -c0 * c for k, c in bucket.items() if k}
             for deg, bucket in self.buckets.items()
         }
         tail = {deg: bucket for deg, bucket in tail.items() if bucket}
         if not tail:
-            return Series(self.ring, {unit: c0}, target)
+            return Series(self.ring, {(0,) * self.ring.nvars: c0}, target)
         tail_min = min(tail)
         if tail_min <= 0:
             raise NonPositiveTail("all non-constant terms must have positive degree")
@@ -338,7 +427,7 @@ class Series:
             raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
         if not self.complete and (self.trunc is None or target > self.trunc):
             raise PrecisionLoss(f"inverse to order {target} needs the series to that order")
-        w = Series._from_buckets(self.ring, tail, target, False)
+        w = Series._from_buckets(self.ring, tail, self.bound, target, False)
         one = Series.one(self.ring, target)
         acc = one
         for _ in range(target // tail_min):
@@ -358,22 +447,24 @@ class Series:
             raise NonPositiveTail(f"monomial {exps} must have positive degree")
         if trunc is None:
             raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
-        buckets = {
-            k * deg: {tuple(k * e for e in exps): coeff**k} for k in range(trunc // deg + 1)
-        }
-        return Series._from_buckets(ring, buckets, trunc, False)
+        top = trunc // deg
+        # The k-th term's key is k times the monomial's key.
+        bound = _checked_bound(top * max(map(abs, exps)))
+        key = ring.pack(exps)
+        buckets = {k * deg: {k * key: coeff**k} for k in range(top + 1)}
+        return Series._from_buckets(ring, buckets, bound, trunc, False)
 
     # -- truncation and substitution -------------------------------------------
 
     def truncate(self, trunc: int | None) -> "Series":
         """Re-truncate: down always works, up (or to None) needs completeness."""
         if trunc is not None and (self.trunc is None or trunc <= self.trunc):
-            return Series._from_buckets(self.ring, self.buckets, trunc, self.complete)
+            return Series._from_buckets(self.ring, self.buckets, self.bound, trunc, self.complete)
         if self.trunc == trunc:
             return self
         if not self.complete:
             raise PrecisionLoss(f"cannot raise truncation {self.trunc} -> {trunc} of an incomplete series")
-        return Series._from_buckets(self.ring, self.buckets, trunc, True)
+        return Series._from_buckets(self.ring, self.buckets, self.bound, trunc, True)
 
     def substitute(self, smap: "SubstitutionMap", trunc: int | None) -> "Series":
         """Map each variable to a monomial of the target ring.
@@ -396,16 +487,13 @@ class Series:
             guaranteed = alpha * (self.trunc + 1) - 1
             if trunc is None or trunc > guaranteed:
                 raise PrecisionLoss(f"target truncation {trunc} exceeds guaranteed order {guaranteed}")
-        out: dict[int, dict[tuple[int, ...], int]] = {}
-        for bucket in self.buckets.values():
-            for exps, coeff in bucket.items():
-                key = smap.map_exps(exps)
-                deg = target.degree(key)
-                if deg < 0:
-                    raise NegativeQDegree(f"term {exps} maps to negative degree {key}")
-                acc = out.setdefault(deg, {})
-                acc[key] = acc.get(key, 0) + coeff
-        return Series._from_buckets(target, out, trunc, self.complete)
+        mapped = []
+        for exps, coeff in self.terms.items():
+            image = smap.map_exps(exps)
+            if target.degree(image) < 0:
+                raise NegativeQDegree(f"term {exps} maps to negative degree {image}")
+            mapped.append((image, coeff))
+        return Series._from_buckets(target, *_bucketed(target, mapped, trunc), trunc, self.complete)
 
     # -- comparison and rendering ----------------------------------------------
 
@@ -414,14 +502,17 @@ class Series:
         difference, the least one by (degree, exponents)."""
         self._check_ring(other)
         trunc = self._combined_trunc(other)
-        empty: dict[tuple[int, ...], int] = {}
+        empty: dict[int, int] = {}
         for deg in sorted(self.buckets.keys() | other.buckets.keys()):
             if trunc is not None and deg > trunc:
                 break
             lhs, rhs = self.buckets.get(deg, empty), other.buckets.get(deg, empty)
             if lhs != rhs:
-                exps = min(e for e in lhs.keys() | rhs.keys() if lhs.get(e, 0) != rhs.get(e, 0))
-                return SeriesComparison(False, exps, lhs.get(exps, 0), rhs.get(exps, 0))
+                # Key order is exponent-tuple order.
+                key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0))
+                return SeriesComparison(
+                    False, self.ring.unpack(key), lhs.get(key, 0), rhs.get(key, 0)
+                )
         return SeriesComparison(True, None, 0, 0)
 
     def __eq__(self, other: object) -> bool:
@@ -432,9 +523,11 @@ class Series:
     __hash__ = None  # type: ignore[assignment]
 
     def _sorted_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Every term, by degree and then by exponents."""
+        """Every term, by degree and then by exponents (key order)."""
+        unpack = self.ring.unpack
         for deg in sorted(self.buckets):
-            yield from sorted(self.buckets[deg].items())
+            for key, coeff in sorted(self.buckets[deg].items()):
+                yield unpack(key), coeff
 
     def to_records(self) -> list[dict[str, object]]:
         """JSON-friendly rows: exponents under ``e<name>`` keys, coefficient as text."""

@@ -200,6 +200,15 @@ class TestSeries:
                 digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == "d476056f66f4586e64e7d5ed80ccb9eeee3e59983b6d6b8ef839436f07170812"
 
+    def test_largest_product_at_trunc_64_is_pinned(self, capsys):
+        """The ``boulet-p`` product, the catalog's largest, stays byte-identical
+        at trunc 64, where its exponents and coefficients are far larger than
+        at trunc 32."""
+        code, out, _ = run(capsys, "series", "--spec", "boulet-p", "--side", "product", "--trunc", "64")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "fb0f808afaa108f1d74d981cfec9fc1020eb3420e026cfea105b17b2715f9f83"
+
     def test_missing_side(self, capsys):
         code, _, err = run(
             capsys, "series", "--spec", "boulet-p", "--side", "product-alt", "--trunc", "2"

@@ -17,9 +17,11 @@ import pytest
 from sipq.identities import spec_by_key, verify_spec
 from sipq.qseries import A_INFINITY, check_q_gauss
 from sipq.series import (
+    EXPONENT_LIMIT,
     FOUR_PARAM,
     SINGLE_Q,
     XZQ,
+    ExponentOverflow,
     NegativeQDegree,
     NonPositiveTail,
     NotAUnit,
@@ -405,12 +407,14 @@ def _naive_add(f: Series, g: Series):
 
 def assert_storage_invariant(s: Series) -> None:
     """Each term sits in its own degree's bucket, no bucket is empty, no
-    coefficient is 0, nothing lies above the truncation, and ``min_deg`` is
-    the least stored degree."""
+    coefficient is 0, nothing lies above the truncation, ``min_deg`` is the
+    least stored degree, and ``bound`` covers every decoded exponent."""
     for deg, bucket in s.buckets.items():
         assert bucket, f"empty bucket at degree {deg}"
         assert all(c != 0 for c in bucket.values())
-        assert all(_deg(s.ring, e) == deg for e in bucket)
+        decoded = [s.ring.unpack(k) for k in bucket]
+        assert all(_deg(s.ring, e) == deg for e in decoded)
+        assert all(abs(x) <= s.bound for e in decoded for x in e)
         assert s.trunc is None or deg <= s.trunc
     if s.buckets:
         assert s.min_deg == min(s.buckets)
@@ -429,14 +433,30 @@ def _ring_exps(ring: SeriesRing) -> st.SearchStrategy[tuple[int, ...]]:
     return st.tuples(*[st.integers(min_value=-1, max_value=4)] * 4)
 
 
+def _edge_exps(ring: SeriesRing, edge: int) -> st.SearchStrategy[tuple[int, ...]]:
+    """Exponents within ``edge`` of zero, mostly close to ``+edge`` or
+    ``-edge``, mixed with small ones; in ``XZQ`` the weight-0 x and z take
+    either sign, q only its own small or large positive values."""
+    near = st.one_of(
+        st.integers(min_value=-1, max_value=4),
+        st.integers(min_value=edge - 2, max_value=edge),
+        st.integers(min_value=-edge, max_value=-edge + 2),
+    )
+    if ring is XZQ:
+        q = st.one_of(st.integers(min_value=0, max_value=5), st.integers(min_value=edge - 2, max_value=edge))
+        return st.tuples(near, near, q)
+    return st.tuples(*[near] * 4)
+
+
 @st.composite
-def series_pairs(draw, similar: bool = False):
+def series_pairs(draw, similar: bool = False, edge: int | None = None):
     """Two series in one ring, each exact or truncated at one shared order,
     complete or not; with ``similar`` the second differs from the first in a
-    few terms only."""
+    few terms only.  With ``edge`` the exponents come from :func:`_edge_exps`."""
     ring = draw(st.sampled_from([FOUR_PARAM, XZQ]))
     trunc = draw(st.integers(min_value=0, max_value=10))
-    terms = st.dictionaries(_ring_exps(ring), coeffs, max_size=10)
+    exps = _ring_exps(ring) if edge is None else _edge_exps(ring, edge)
+    terms = st.dictionaries(exps, coeffs, max_size=10)
 
     def one(body):
         if draw(st.booleans()):
@@ -446,73 +466,85 @@ def series_pairs(draw, similar: bool = False):
     first = draw(terms)
     second = dict(first) if similar else draw(terms)
     if similar:
-        second.update(draw(st.dictionaries(_ring_exps(ring), coeffs, max_size=3)))
+        second.update(draw(st.dictionaries(exps, coeffs, max_size=3)))
     return one(first), one(second)
+
+
+def check_mul(f: Series, g: Series) -> None:
+    if (not f.complete and g.min_deg < 0) or (not g.complete and f.min_deg < 0):
+        with pytest.raises(PrecisionLoss):
+            f * g
+        return
+    product = f * g
+    assert_storage_invariant(product)
+    assert _observed(product) == _naive_mul(f, g)
+
+
+def check_add(f: Series, g: Series) -> None:
+    total = f + g
+    assert_storage_invariant(total)
+    assert _observed(total) == _naive_add(f, g)
+    negated = -f
+    assert_storage_invariant(negated)
+    assert _observed(negated) == _expected(
+        f.ring, {e: -c for e, c in f.terms.items()}, f.trunc, f.complete
+    )
+
+
+def check_truncate(f: Series, n: int | None) -> None:
+    assert_storage_invariant(f)
+    if n is not None and (f.trunc is None or n <= f.trunc):
+        expected = _expected(f.ring, f.terms, n, f.complete)
+    elif f.trunc == n:
+        expected = _observed(f)
+    elif not f.complete:
+        with pytest.raises(PrecisionLoss):
+            f.truncate(n)
+        return
+    else:
+        expected = _expected(f.ring, f.terms, n, True)
+    cut = f.truncate(n)
+    assert_storage_invariant(cut)
+    assert _observed(cut) == expected
+
+
+def check_equal_to(f: Series, g: Series) -> None:
+    trunc = f.trunc if g.trunc is None else g.trunc
+    lhs, rhs = f.terms, g.terms
+    differ = [
+        e
+        for e in lhs.keys() | rhs.keys()
+        if lhs.get(e, 0) != rhs.get(e, 0) and (trunc is None or _deg(f.ring, e) <= trunc)
+    ]
+    cmp = f.equal_to(g)
+    if not differ:
+        assert (cmp.equal, cmp.exps) == (True, None)
+        return
+    least = min(differ, key=lambda e: (_deg(f.ring, e), e))
+    assert (cmp.equal, cmp.exps) == (False, least)
+    assert (cmp.left, cmp.right) == (lhs.get(least, 0), rhs.get(least, 0))
 
 
 class TestBucketKernel:
     @settings(max_examples=200)
     @given(series_pairs())
     def test_mul_matches_flat_convolution(self, pair):
-        f, g = pair
-        if (not f.complete and g.min_deg < 0) or (not g.complete and f.min_deg < 0):
-            with pytest.raises(PrecisionLoss):
-                f * g
-            return
-        product = f * g
-        assert_storage_invariant(product)
-        assert _observed(product) == _naive_mul(f, g)
+        check_mul(*pair)
 
     @settings(max_examples=200)
     @given(series_pairs())
     def test_add_matches_flat_sum(self, pair):
-        f, g = pair
-        total = f + g
-        assert_storage_invariant(total)
-        assert _observed(total) == _naive_add(f, g)
-        negated = -f
-        assert_storage_invariant(negated)
-        assert _observed(negated) == _expected(
-            f.ring, {e: -c for e, c in f.terms.items()}, f.trunc, f.complete
-        )
+        check_add(*pair)
 
     @settings(max_examples=200)
     @given(series_pairs(), st.one_of(st.none(), st.integers(min_value=-1, max_value=12)))
     def test_truncate_matches_flat_filter(self, pair, n):
-        f, _ = pair
-        assert_storage_invariant(f)
-        if n is not None and (f.trunc is None or n <= f.trunc):
-            expected = _expected(f.ring, f.terms, n, f.complete)
-        elif f.trunc == n:
-            expected = _observed(f)
-        elif not f.complete:
-            with pytest.raises(PrecisionLoss):
-                f.truncate(n)
-            return
-        else:
-            expected = _expected(f.ring, f.terms, n, True)
-        cut = f.truncate(n)
-        assert_storage_invariant(cut)
-        assert _observed(cut) == expected
+        check_truncate(pair[0], n)
 
     @settings(max_examples=200)
     @given(series_pairs(similar=True))
     def test_equal_to_reports_least_difference(self, pair):
-        f, g = pair
-        trunc = f.trunc if g.trunc is None else g.trunc
-        lhs, rhs = f.terms, g.terms
-        differ = [
-            e
-            for e in lhs.keys() | rhs.keys()
-            if lhs.get(e, 0) != rhs.get(e, 0) and (trunc is None or _deg(f.ring, e) <= trunc)
-        ]
-        cmp = f.equal_to(g)
-        if not differ:
-            assert (cmp.equal, cmp.exps) == (True, None)
-            return
-        least = min(differ, key=lambda e: (_deg(f.ring, e), e))
-        assert (cmp.equal, cmp.exps) == (False, least)
-        assert (cmp.left, cmp.right) == (lhs.get(least, 0), rhs.get(least, 0))
+        check_equal_to(*pair)
 
     def test_incomplete_keeps_terms(self):
         f = Series(XZQ, {(-2, 1, 0): 3, (1, 1, 2): -1}, 4)
@@ -531,18 +563,21 @@ class TestBucketKernel:
             if trunc is None:
                 return real(self, other)
             ladder = sorted(other.buckets.items())
-            out: dict[int, dict[tuple[int, ...], int]] = {}
+            unpack, pack = self.ring.unpack, self.ring.pack
+            out: dict[int, dict[int, int]] = {}
             for deg_s, bucket_s in self.buckets.items():
                 walk = [(d, b) for d, b in ladder if deg_s + d <= trunc]
                 if len(walk) < len(ladder):
                     walk = walk[:-1]
                 for deg_o, bucket_o in walk:
                     acc = out.setdefault(deg_s + deg_o, {})
-                    for exps_s, coeff_s in bucket_s.items():
-                        for exps_o, coeff_o in bucket_o.items():
-                            key = tuple(a + b for a, b in zip(exps_s, exps_o))
+                    for key_s, coeff_s in bucket_s.items():
+                        for key_o, coeff_o in bucket_o.items():
+                            exps = (a + b for a, b in zip(unpack(key_s), unpack(key_o)))
+                            key = pack(exps)
                             acc[key] = acc.get(key, 0) + coeff_s * coeff_o
-            return Series._from_buckets(self.ring, out, trunc, False)
+            bound = self.bound + other.bound
+            return Series._from_buckets(self.ring, out, bound, trunc, False)
 
         monkeypatch.setattr(Series, "__mul__", cut_short)
         spec = verify_spec(spec_by_key("g1-four"), 8)
@@ -553,3 +588,114 @@ class TestBucketKernel:
         assert not gauss.passed
         (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
         assert sum(int(e) for e in at.split(",")) <= 8
+
+
+# -- packed exponent keys -------------------------------------------------------
+
+LIMIT = EXPONENT_LIMIT
+#: Factors whose exponents stay within this sum to exponents below the limit.
+HALF_EDGE = LIMIT // 2 - 1
+
+
+def _in_range(ring: SeriesRing) -> st.SearchStrategy[tuple[int, ...]]:
+    return _edge_exps(ring, LIMIT - 1)
+
+
+class TestPackedKeys:
+    @settings(max_examples=100)
+    @given(series_pairs(edge=HALF_EDGE))
+    def test_mul_near_limit_matches_flat_convolution(self, pair):
+        check_mul(*pair)
+
+    @settings(max_examples=100)
+    @given(series_pairs(edge=LIMIT - 1))
+    def test_add_near_limit_matches_flat_sum(self, pair):
+        check_add(*pair)
+
+    @settings(max_examples=100)
+    @given(series_pairs(edge=LIMIT - 1), st.one_of(st.none(), st.integers(min_value=-1, max_value=12)))
+    def test_truncate_near_limit_matches_flat_filter(self, pair, n):
+        check_truncate(pair[0], n)
+
+    @settings(max_examples=100)
+    @given(series_pairs(similar=True, edge=LIMIT - 1))
+    def test_equal_to_near_limit_reports_least_difference(self, pair):
+        check_equal_to(*pair)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from([FOUR_PARAM, XZQ]).flatmap(lambda r: st.tuples(st.just(r), _in_range(r), _in_range(r))))
+    def test_key_order_is_tuple_order(self, case):
+        ring, a, b = case
+        ka, kb = ring.pack(a), ring.pack(b)
+        assert (ring.unpack(ka), ring.unpack(kb)) == (a, b)
+        assert (ka < kb, ka == kb) == (a < b, a == b)
+        assert ring.has_negative(ka) == any(e < 0 for e in a)
+        total = tuple(x + y for x, y in zip(a, b))
+        if all(abs(e) < LIMIT for e in total):
+            assert ka + kb == ring.pack(total)
+
+    @settings(max_examples=100)
+    @given(series_pairs(edge=LIMIT - 1))
+    def test_readers_decode_keys(self, pair):
+        f, _ = pair
+        terms = f.terms
+        assert f.has_negative_exponent() == any(e < 0 for exps in terms for e in exps)
+        for exps, coeff in terms.items():
+            assert f.coefficient(exps) == coeff
+            assert f.degree_slice(_deg(f.ring, exps))[exps] == coeff
+        assert [r["coeff"] for r in f.to_records()] == [
+            str(terms[e]) for e in sorted(terms, key=lambda e: (_deg(f.ring, e), e))
+        ]
+
+    @pytest.mark.parametrize(
+        "ring, exps",
+        (
+            (FOUR_PARAM, (LIMIT, 0, 0, 0)),
+            (FOUR_PARAM, (0, 0, 0, -LIMIT)),
+            (XZQ, (-LIMIT, 0, 1)),
+            (XZQ, (0, LIMIT, 0)),
+        ),
+    )
+    def test_out_of_range_entry_raises(self, ring, exps):
+        with pytest.raises(ExponentOverflow):
+            Series(ring, {exps: 1}, None)
+        with pytest.raises(ExponentOverflow):
+            Series.from_terms(ring, [(exps, 1)], None)
+        with pytest.raises(ExponentOverflow):
+            Series.monomial(ring, 1, exps)
+        edge = tuple(e - (e > 0) + (e < 0) for e in exps)
+        assert Series.monomial(ring, 1, edge).terms == {edge: 1}
+
+    def test_out_of_range_geometric_and_substitution_raise(self):
+        # The 8th power of a^(LIMIT/8) reaches the limit at degree LIMIT.
+        with pytest.raises(ExponentOverflow):
+            Series.geometric(SINGLE_Q, 1, (LIMIT // 8,), LIMIT)
+        assert Series.geometric(SINGLE_Q, 1, (LIMIT // 8,), LIMIT - 1).bound == 7 * LIMIT // 8
+        square = SubstitutionMap(SINGLE_Q, SINGLE_Q, ((2,),))
+        with pytest.raises(ExponentOverflow):
+            Series.monomial(SINGLE_Q, 1, (LIMIT // 2,)).substitute(square, None)
+
+    def test_out_of_range_product_raises(self):
+        top = Series.monomial(XZQ, 1, (LIMIT // 2, 0, 0))
+        bottom = Series.monomial(XZQ, 1, (-(LIMIT // 2), 0, 1))
+        with pytest.raises(ExponentOverflow):
+            top * top
+        with pytest.raises(ExponentOverflow):
+            bottom * bottom
+        # The guard is the bound, checked before the walk: a product whose
+        # exponents would cancel back into range is refused too.
+        with pytest.raises(ExponentOverflow):
+            top * bottom
+        below = Series.monomial(XZQ, 1, (LIMIT // 2 - 1, 0, 0))
+        assert (top * below).terms == {(LIMIT - 1, 0, 0): 1}
+
+    def test_terms_above_the_truncation_do_not_count_toward_the_bound(self):
+        s = Series(FOUR_PARAM, {(LIMIT, 0, 0, 0): 1, (1, 0, 0, 0): 2}, 4)
+        assert (s.terms, s.bound, s.complete) == ({(1, 0, 0, 0): 2}, 1, False)
+
+    def test_coefficient_beyond_the_bound_is_zero(self):
+        s = Series.monomial(FOUR_PARAM, 5, (1, 2, 0, 0))
+        assert s.coefficient((1, 2, 0, 0)) == 5
+        # (LIMIT + 1, 2, 0, 0) would alias (1, 3, 0, 0) under unchecked packing.
+        assert s.coefficient((LIMIT + 1, 2, 0, 0)) == 0
+        assert Series.monomial(FOUR_PARAM, 5, (1, 3, 0, 0)).coefficient((1, 2 + LIMIT * 2, 0, 0)) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from sipq import sip
 from sipq.partitions import Partition, PartitionClass, enumerate_partitions
 from sipq.sip import (
     LengthViolation,
@@ -14,6 +15,7 @@ from sipq.sip import (
     SipDecomposition,
     basis_weight_poly,
     check_sip_gf_four_parameter,
+    class_counts,
     compose,
     decompose,
     sip_gf_four_parameter,
@@ -114,6 +116,33 @@ class TestSingleVariableSeries:
     def test_wrong_basis_rejected(self):
         with pytest.raises(ValueError):
             sip_gf_single_variable(PartitionClass.BASIS_P2, 8)
+
+    @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
+    def test_class_counts_match_enumeration(self, cls):
+        """The counts read off the row recursion equal the members built one by one."""
+        assert class_counts(cls, 20) == [len(enumerate_partitions(cls, w)) for w in range(21)]
+
+    @pytest.mark.parametrize(
+        "fault",
+        (
+            lambda counts: [0] + counts[:-1],  # each count read one weight low
+            lambda counts: counts[:-1] + [counts[-1] + 1],  # the top weight one too many
+        ),
+        ids=("shifted", "top-plus-one"),
+    )
+    @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
+    def test_off_by_one_counts_fail_by_weight_8(self, monkeypatch, cls, fault):
+        real = sip.class_counts
+        monkeypatch.setattr(sip, "class_counts", lambda c, w: fault(real(c, w)))
+        report = sip_gf_single_variable(cls, 8)
+        assert not report.passed
+        assert min(int(f.split(":")[0].split()[1]) for f in report.failures) <= 8
+
+    def test_short_count_list_is_refused(self, monkeypatch):
+        real = sip.class_counts
+        monkeypatch.setattr(sip, "class_counts", lambda c, w: real(c, w)[:-1])
+        with pytest.raises(IndexError):
+            sip_gf_single_variable(G1, 8)
 
 
 class TestBasisWeightPoly:
