@@ -152,21 +152,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _full_battery(trunc: int) -> list[CheckReport]:
-    """Everything `verify --all` runs, in fixed order; stderr names the reports run at the cap."""
+    """Everything `verify --all` runs, in fixed order.  The reports run at the
+    cap state the bound they ran at in their ``params``."""
     reports = [identities.verify_spec(spec, trunc) for spec in identities.registry()]
     for cls in sip.DECOMPOSABLE:
         reports.append(cross_check_tables(cls.basis, 12, 12))
     small = min(trunc, _MEMBERWISE_TRUNC_CAP)
-    capped: list[str] = []
-
-    def at_cap(report: CheckReport) -> CheckReport:
-        capped.append(report.name)
-        return report
-
     for cls in sip.DECOMPOSABLE:
-        reports.append(at_cap(sip.verify_sip_property(cls, small)))
+        reports.append(sip.verify_sip_property(cls, small))
         reports.append(sip.sip_gf_single_variable(cls, trunc))
-        reports.append(at_cap(sip.check_sip_gf_four_parameter(cls, small)))
+        reports.append(sip.check_sip_gf_four_parameter(cls, small))
     reports.append(qseries.check_qbinomial_recurrences(10))
     reports.append(qseries.check_qbinomial_theorem(6, (1, 2, 1, 1)))
     reports.append(qseries.check_qbinomial_theorem(6, (1, 1, 0, 1)))
@@ -177,10 +172,8 @@ def _full_battery(trunc: int) -> list[CheckReport]:
     reports.append(qseries.check_q_gauss((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), trunc))
     reports.append(identities.verify_partial_sums(PartitionClass.P1, 4, trunc))
     reports.append(identities.verify_partial_sums(PartitionClass.P2, 4, trunc))
-    reports.append(at_cap(identities.verify_substitution_consistency("xzq", small)))
-    reports.append(at_cap(identities.verify_substitution_consistency("bg", small)))
-    if small < trunc:
-        _diag(f"verify: {', '.join(capped)} ran at trunc {small}, not {trunc}")
+    reports.append(identities.verify_substitution_consistency("xzq", small))
+    reports.append(identities.verify_substitution_consistency("bg", small))
     return reports
 
 

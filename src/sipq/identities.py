@@ -773,5 +773,9 @@ def verify_substitution_consistency(map_id: str, weight_max: int) -> CheckReport
             if stats(conjugate(lam)).odd_parts != st.alt_sum:
                 failures.append(f"{lam!r}: transpose odd-part count != alternating sum")
     return CheckReport(
-        f"substitution[{map_id}]", not failures, checks, tuple(failures)
+        f"substitution[{map_id}]",
+        not failures,
+        checks,
+        tuple(failures),
+        {"weight_max": weight_max},
     )

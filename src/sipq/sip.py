@@ -164,7 +164,13 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
             n_splits = _split_count(cls, lam)
             if n_splits != 1:
                 failures.append(f"{lam!r}: {n_splits} valid splits, expected 1")
-    return CheckReport(f"sip-property[{cls.value}]", not failures, checks, tuple(failures))
+    return CheckReport(
+        f"sip-property[{cls.value}]",
+        not failures,
+        checks,
+        tuple(failures),
+        {"weight_max": weight_max},
+    )
 
 
 def class_counts(cls: PartitionClass, weight_max: int) -> list[int]:
@@ -259,5 +265,5 @@ def check_sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> CheckReport:
         if left != right:
             failures.append(f"degree {d}: assembly {left} != enumeration {right}")
     return CheckReport(
-        f"sip-gf-four[{cls.value}]", not failures, trunc + 1, tuple(failures)
+        f"sip-gf-four[{cls.value}]", not failures, trunc + 1, tuple(failures), {"trunc": trunc}
     )

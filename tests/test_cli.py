@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import sipq
-from sipq import identities
+from sipq import identities, sip
 from sipq.cli import main
+from sipq.partitions import PartitionClass
 from sipq.reporting import CheckReport
 
 
@@ -119,9 +120,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "trunc, digest",
         (
-            ("16", "94e71ccfa84ae93a687afaade5082ef721b51f8ccee528b75c200c637e652d0f"),
-            ("24", "f62c98022279b6cf9e1ad5430911259c2ece9b16f35c8e26b1faf767719e92a0"),
-            ("32", "40cf470a212829bd221293203b108f2bbcdd4a6c932c8b86ff9e369fb994b866"),
+            ("16", "b62fb8b7ecd7bc7490ba3d6440a75a73c58c04ddaa0a54aeb969decd078f8d96"),
+            ("24", "ea76d405bde151e413884a8f6b06bd7537f8055391ba9d01391e679496407b7b"),
+            ("32", "d178996a645faf087b3a93ebcf9e4ed7ccd9bf44718176e65c0cd4828575ced7"),
         ),
     )
     def test_full_battery_stdout_is_pinned(self, capsys, trunc, digest):
@@ -131,19 +132,27 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_capped_reports_are_named_on_stderr(self, capsys):
-        code, _, err = run(capsys, "verify", "--all", "--trunc", "20")
-        assert code == 0
-        capped = [line for line in err.splitlines() if "ran at trunc" in line]
-        assert capped == [
-            "verify: sip-property[g1], sip-gf-four[g1], sip-property[g2],"
-            " sip-gf-four[g2], sip-property[p1], sip-gf-four[p1],"
-            " sip-property[p2], sip-gf-four[p2], substitution[xzq],"
-            " substitution[bg] ran at trunc 16, not 20"
-        ]
-        code, _, err = run(capsys, "verify", "--all", "--trunc", "16")
+    def test_capped_reports_state_their_bound(self, capsys):
+        """The member-by-member reports state on stdout the bound they ran at,
+        and re-running one at that bound gives the same checks."""
+        code, out, err = run(capsys, "verify", "--all", "--trunc", "20")
         assert code == 0
         assert "ran at trunc" not in err
+        reports = {r["name"]: r for r in json.loads(out)["results"]}
+        declared = {name: r["params"] for name, r in reports.items() if r["params"]}
+        assert declared == {
+            **{f"sip-property[{c}]": {"weight_max": 16} for c in ("g1", "g2", "p1", "p2")},
+            **{f"sip-gf-four[{c}]": {"trunc": 16} for c in ("g1", "g2", "p1", "p2")},
+            "substitution[xzq]": {"weight_max": 16},
+            "substitution[bg]": {"weight_max": 16},
+        }
+        rerun = sip.verify_sip_property(PartitionClass.G2, **declared["sip-property[g2]"])
+        assert rerun.as_dict() == reports["sip-property[g2]"]
+        assert sip.verify_sip_property(PartitionClass.G2, 20).checks != rerun.checks
+        code, out, _ = run(capsys, "verify", "--all", "--trunc", "12")
+        assert code == 0
+        reports = json.loads(out)["results"]
+        assert {r["name"]: r["params"] for r in reports}["substitution[bg]"] == {"weight_max": 12}
 
     def test_env_default_truncation(self, capsys, monkeypatch):
         monkeypatch.setenv("SIPQ_TRUNC", "5")
