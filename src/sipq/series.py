@@ -19,6 +19,7 @@ reaches ``EXPONENT_LIMIT`` raises :class:`ExponentOverflow` instead of letting
 digits carry into each other.  Keys are unpacked to tuples only by readers:
 the flat ``terms`` view, :meth:`Series.degree_slice`, comparison reports and
 rendering.
+
 A series either carries a truncation order ``trunc`` (every term of degree
 ``<= trunc`` is stored exactly; degrees above are unknown) or ``trunc=None``
 (the series is an exact Laurent polynomial — nothing is missing).
@@ -35,7 +36,7 @@ operation that would silently produce wrong coefficients raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterable, Iterator, Mapping
 
@@ -91,6 +92,10 @@ class SeriesRing:
 
     names: tuple[str, ...]
     weights: tuple[int, ...]
+    # Derived from the arity: each variable's digit position, first variable
+    # highest, and the offset that makes every digit nonnegative.
+    _shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _offset: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.weights):
@@ -121,12 +126,12 @@ class SeriesRing:
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a packed key."""
-        key += self._offset  # type: ignore[attr-defined]
-        return tuple(((key >> s) & (RADIX - 1)) - EXPONENT_LIMIT for s in self._shifts)  # type: ignore[attr-defined]
+        key += self._offset
+        return tuple(((key >> s) & (RADIX - 1)) - EXPONENT_LIMIT for s in self._shifts)
 
     def has_negative(self, key: int) -> bool:
         """Whether the packed key has a negative exponent."""
-        offset = self._offset  # type: ignore[attr-defined]
+        offset = self._offset
         return (key + offset) & offset != offset
 
 
@@ -374,6 +379,9 @@ class Series:
                 if acc is None:
                     acc = out[deg] = {}
                 get = acc.get
+                # The larger bucket goes in the inner loop: a running product
+                # meets one- or two-term factor buckets, and each outer step
+                # costs a loop set-up.
                 outer, inner = bucket_s, bucket_o
                 if len(outer) > len(inner):
                     outer, inner = inner, outer

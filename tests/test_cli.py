@@ -120,9 +120,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "trunc, digest",
         (
-            ("16", "b62fb8b7ecd7bc7490ba3d6440a75a73c58c04ddaa0a54aeb969decd078f8d96"),
-            ("24", "ea76d405bde151e413884a8f6b06bd7537f8055391ba9d01391e679496407b7b"),
-            ("32", "d178996a645faf087b3a93ebcf9e4ed7ccd9bf44718176e65c0cd4828575ced7"),
+            pytest.param("16", "b62fb8b7ecd7bc7490ba3d6440a75a73c58c04ddaa0a54aeb969decd078f8d96", id="16"),
+            pytest.param("24", "ea76d405bde151e413884a8f6b06bd7537f8055391ba9d01391e679496407b7b", id="24"),
+            pytest.param("32", "d178996a645faf087b3a93ebcf9e4ed7ccd9bf44718176e65c0cd4828575ced7", id="32"),
         ),
     )
     def test_full_battery_stdout_is_pinned(self, capsys, trunc, digest):
