@@ -213,7 +213,8 @@ class TestSeries:
         """The ``boulet-p`` product, the catalog's largest, stays byte-identical
         at trunc 64, where its exponents and coefficients are far larger than
         at trunc 32."""
-        code, out, _ = run(capsys, "series", "--spec", "boulet-p", "--side", "product", "--trunc", "64")
+        argv = ("series", "--spec", "boulet-p", "--side", "product", "--trunc", "64")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "fb0f808afaa108f1d74d981cfec9fc1020eb3420e026cfea105b17b2715f9f83"
