@@ -53,8 +53,8 @@ def running_product(
     inverted: bool = False,
 ) -> Iterator[Series]:
     """Yield ``prod_{i<k} (1 - sign * x^arg_exps * (x^base_exps)^i)``, or its
-    inverse, for ``k = 0, 1, 2, ...``, multiplying in one binomial or one
-    :meth:`Series.geometric` expansion per step.
+    inverse, for ``k = 0, 1, 2, ...``; each step multiplies or divides the
+    previous product by one factor with :meth:`Series.times_factor`.
 
     Exact runs (``trunc`` None) allow an argument of negative degree; inverted
     runs must be truncated.  A truncated run needs an argument of positive
@@ -68,15 +68,11 @@ def running_product(
         raise PrecisionLoss("an inverted product is an infinite series")
     if trunc is not None and ring.degree(arg_exps) < 1:
         raise NonConvergent("a truncated product needs an argument of positive degree")
-    unit = (0,) * ring.nvars
     exps = tuple(arg_exps)
     prod = Series.one(ring, trunc)
     while trunc is None or ring.degree(exps) <= trunc:
         yield prod
-        if inverted:
-            prod = prod * Series.geometric(ring, sign, exps, trunc)
-        else:
-            prod = prod * Series.from_terms(ring, ((unit, 1), (exps, -sign)), trunc)
+        prod = prod.times_factor(sign, exps, inverted)
         exps = tuple(e + b for e, b in zip(exps, base_exps))
     # This factor and every later one only touch degrees above trunc.
     yield from repeat(prod.incomplete())

@@ -30,7 +30,9 @@ keep ``complete=True`` when no information can have been discarded.  Every
 operation that would silently produce wrong coefficients raises
 :class:`PrecisionLoss` instead of degrading the result.
 
-:meth:`Series.geometric` expands ``1 / (1 - monomial)`` directly, and
+:meth:`Series.times_factor` multiplies or divides by one binomial ``1 -
+sign * x^exps`` in a single walk over the buckets (division is the recurrence
+``g_d = f_d + sign * x^exps * g_(d - deg)``, linear in the output), and
 :meth:`SubstitutionMap.map_exps` is the one place exponents are substituted.
 """
 
@@ -171,11 +173,10 @@ class Series:
     dict ``packed key -> int`` of the terms of that degree, none with
     coefficient 0 (see the module docstring for the packing).  A term's
     degree and key are computed once, when it enters through the constructor,
-    :meth:`from_terms`, :meth:`monomial`, :meth:`geometric` or
-    :meth:`substitute`; arithmetic passes degrees through, adds keys, and
-    truncation drops whole buckets.  Bucket dicts are never changed after
-    construction, so series share them.  ``terms`` is a flat
-    ``exponent-tuple -> int`` view, built on each access.
+    :meth:`from_terms`, :meth:`monomial` or :meth:`substitute`; arithmetic
+    passes degrees through, adds keys, and truncation drops whole buckets.
+    Bucket dicts are never changed after construction, so series share them.
+    ``terms`` is a flat ``exponent-tuple -> int`` view, built on each access.
 
     ``min_deg`` is the least degree the series can contain: the least stored
     degree, or ``trunc + 1`` for an incomplete series with no stored terms
@@ -443,24 +444,88 @@ class Series:
         # The true inverse continues above `target`, so it is never complete.
         return acc.scale(c0).incomplete()
 
-    @staticmethod
-    def geometric(ring: SeriesRing, coeff: int, exps: tuple[int, ...], trunc: int) -> "Series":
-        """``1 / (1 - coeff * x^exps)`` expanded directly as ``sum_k (coeff * x^exps)^k``.
+    def times_factor(self, sign: int, exps: tuple[int, ...], inverted: bool = False) -> "Series":
+        """``self * (1 - sign * x^exps)``, or ``self / (1 - sign * x^exps)`` when
+        ``inverted``, walking the buckets once.
 
-        The monomial must have positive degree; the result is exact to order
-        ``trunc`` and, like every inverse with a tail, never complete.
+        The result, its flags and its bound are those of the general product
+        with the binomial, or with its geometric expansion ``sum_k (sign *
+        x^exps)^k`` to this series' truncation, and the same inputs raise the
+        same errors.  An inverted factor needs a finite truncation and positive
+        degree; its expansion continues above the truncation, so the quotient
+        is never complete.
         """
+        ring, trunc = self.ring, self.trunc
+        exps = tuple(exps)
+        if len(exps) != ring.nvars:
+            raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
         deg = ring.degree(exps)
-        if deg <= 0:
-            raise NonPositiveTail(f"monomial {exps} must have positive degree")
-        if trunc is None:
-            raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
-        top = trunc // deg
-        # The k-th term's key is k times the monomial's key.
-        bound = _checked_bound(top * max(map(abs, exps)))
-        key = ring.pack(exps)
-        buckets = {k * deg: {k * key: coeff**k} for k in range(top + 1)}
-        return Series._from_buckets(ring, buckets, bound, trunc, False)
+        edge = max(map(abs, exps), default=0)
+        if inverted:
+            if deg <= 0:
+                raise NonPositiveTail(f"monomial {exps} must have positive degree")
+            if trunc is None:
+                raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
+            # The expansion's k-th term has key k * key(exps), for k <= trunc // deg.
+            tail = _checked_bound((trunc // deg) * edge)
+            if self.min_deg < 0:
+                raise PrecisionLoss("negative-degree terms divided by a truncated expansion")
+            bound = _checked_bound(self.bound + tail)
+            buckets = self._divided(sign, ring.pack(exps), deg)
+            return Series._from_buckets(ring, buckets, bound, trunc, False)
+        # The binomial as a series truncated like this one: its constant term
+        # is lost below a negative truncation, its x^exps term above any.
+        unit_in = trunc is None or trunc >= 0
+        term_in = bool(sign) and (trunc is None or deg <= trunc)
+        factor_complete = unit_in and (term_in or not sign)
+        factor_bound = _checked_bound(edge if term_in else 0)
+        # The precision rules of a product (see __mul__).
+        if (not self.complete and term_in and deg < 0) or (
+            not factor_complete and self.min_deg < 0
+        ):
+            raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
+        bound = _checked_bound(self.bound + factor_bound)
+        out = dict(self.buckets)
+        dropped = False
+        if term_in:
+            key, step = ring.pack(exps), -sign
+            for d, bucket in self.buckets.items():
+                target = d + deg
+                if trunc is not None and target > trunc:
+                    dropped = True
+                    continue
+                # Each target degree is written once; its bucket is copied
+                # first, since bucket dicts are shared.
+                acc = dict(out.get(target, ()))
+                get = acc.get
+                for k, c in bucket.items():
+                    k += key
+                    acc[k] = get(k, 0) + step * c
+                out[target] = acc
+        complete = self.complete and factor_complete and not dropped
+        return Series._from_buckets(ring, out, bound, trunc, complete)
+
+    def _divided(self, sign: int, key: int, deg: int) -> dict[int, dict[int, int]]:
+        """The buckets of ``self / (1 - sign * x^exps)`` to ``self.trunc``, for
+        ``exps`` of key ``key`` and degree ``deg > 0``, and ``self.min_deg >= 0``.
+
+        ``g_d = f_d + sign * x^exps * g_(d - deg)`` ties together only degrees
+        congruent mod ``deg``: each chain is walked upward from its least
+        stored degree, so the cost is linear in the output.
+        """
+        out: dict[int, dict[int, int]] = {}
+        for start in sorted(self.buckets):
+            if start in out:
+                continue  # on the chain of a lower degree
+            below = out[start] = self.buckets[start]
+            for d in range(start + deg, self.trunc + 1, deg):  # type: ignore[operator]
+                acc = dict(self.buckets.get(d, ()))
+                get = acc.get
+                for k, c in below.items():
+                    k += key
+                    acc[k] = get(k, 0) + sign * c
+                below = out[d] = acc
+        return out
 
     # -- truncation and substitution -------------------------------------------
 

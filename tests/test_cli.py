@@ -209,6 +209,16 @@ class TestSeries:
                 digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == "d476056f66f4586e64e7d5ed80ccb9eeee3e59983b6d6b8ef839436f07170812"
 
+    def test_every_side_at_trunc_64_is_pinned(self, capsys):
+        """Every catalog side at trunc 64, the scale of the ``sides-t64``
+        benchmark workload, stays byte-identical to a recorded digest."""
+        digest = hashlib.sha256()
+        for spec in identities.registry():
+            for side in ("series", "product", "product-alt"):
+                main(["series", "--spec", spec.key, "--side", side, "--trunc", "64"])
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == "361f25e636954edcad86a3fdd3a50bf4ec0d7edde4fac8a02f1fcb0e72f1a97a"
+
     def test_largest_product_at_trunc_64_is_pinned(self, capsys):
         """The ``boulet-p`` product, the catalog's largest, stays byte-identical
         at trunc 64, where its exponents and coefficients are far larger than

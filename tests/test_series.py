@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pytest
 
 from sipq.identities import spec_by_key, verify_spec
-from sipq.qseries import A_INFINITY, check_q_gauss
+from sipq.qseries import A_INFINITY, check_q_gauss, check_qbinomial_recurrences
 from sipq.series import (
     EXPONENT_LIMIT,
     FOUR_PARAM,
@@ -28,6 +28,7 @@ from sipq.series import (
     PrecisionLoss,
     RingMismatch,
     Series,
+    SeriesError,
     SeriesRing,
     SubstitutionMap,
     TruncationMismatch,
@@ -249,7 +250,7 @@ class TestGeometric:
     )
     def test_matches_unit_inverse(self, ring_exps, sign, trunc):
         ring, exps = ring_exps
-        direct = Series.geometric(ring, sign, exps, trunc)
+        direct = Series.one(ring, trunc).times_factor(sign, exps, inverted=True)
         reference = (Series.one(ring) - Series.monomial(ring, sign, exps)).invert_unit(trunc)
         assert direct.terms == reference.terms
         assert (direct.trunc, direct.complete) == (reference.trunc, reference.complete)
@@ -260,11 +261,11 @@ class TestGeometric:
     )
     def test_non_positive_degree_rejected(self, ring, exps):
         with pytest.raises(NonPositiveTail):
-            Series.geometric(ring, 1, exps, 6)
+            Series.one(ring, 6).times_factor(1, exps, inverted=True)
 
     def test_truncation_required(self):
         with pytest.raises(PrecisionLoss):
-            Series.geometric(SINGLE_Q, 1, (1,), None)
+            Series.one(SINGLE_Q).times_factor(1, (1,), inverted=True)
 
 
 class TestSubstitution:
@@ -671,8 +672,9 @@ class TestPackedKeys:
     def test_out_of_range_geometric_and_substitution_raise(self):
         # The 8th power of a^(LIMIT/8) reaches the limit at degree LIMIT.
         with pytest.raises(ExponentOverflow):
-            Series.geometric(SINGLE_Q, 1, (LIMIT // 8,), LIMIT)
-        assert Series.geometric(SINGLE_Q, 1, (LIMIT // 8,), LIMIT - 1).bound == 7 * LIMIT // 8
+            Series.one(SINGLE_Q, LIMIT).times_factor(1, (LIMIT // 8,), inverted=True)
+        below = Series.one(SINGLE_Q, LIMIT - 1).times_factor(1, (LIMIT // 8,), inverted=True)
+        assert below.bound == 7 * LIMIT // 8
         square = SubstitutionMap(SINGLE_Q, SINGLE_Q, ((2,),))
         with pytest.raises(ExponentOverflow):
             Series.monomial(SINGLE_Q, 1, (LIMIT // 2,)).substitute(square, None)
@@ -702,3 +704,151 @@ class TestPackedKeys:
         alias = (1, 2 + 2 * LIMIT, -2 * LIMIT, 0)
         assert FOUR_PARAM.pack(alias) == FOUR_PARAM.pack((2, 1, 0, 0))
         assert s.coefficient(alias) == 0
+
+
+# -- the Pochhammer-step kernel --------------------------------------------------
+
+
+@st.composite
+def factor_cases(draw, inverted: bool):
+    """A series and a factor ``(sign, exps)`` in one ring.  The series is
+    truncated (below degree 0 too) or, for a plain factor, often exact;
+    complete or not; with negative weight-0 exponents in ``XZQ``.  A plain
+    factor's degree is often negative; an inverted factor's mostly positive,
+    since the other inverted cases only raise.  The sign is any small integer."""
+    ring = draw(st.sampled_from([FOUR_PARAM, XZQ]))
+    terms = draw(st.dictionaries(_ring_exps(ring), coeffs, max_size=10))
+    trunc = draw(st.integers(min_value=-2, max_value=10))
+    if not inverted and draw(st.booleans()):
+        trunc = None
+    complete = trunc is None or draw(st.booleans())
+    if complete and trunc is not None:
+        terms = {e: c for e, c in terms.items() if _deg(ring, e) <= trunc}
+    exps = _ring_exps(ring)
+    if not inverted:
+        exps = st.one_of(exps, st.tuples(*[st.integers(min_value=-3, max_value=1)] * ring.nvars))
+    sign = draw(st.integers(min_value=-2, max_value=2))
+    return Series(ring, terms, trunc, complete), sign, draw(exps)
+
+
+def _general_product_step(f: Series, sign: int, exps: tuple[int, ...], inverted: bool) -> Series:
+    """``f`` times the binomial ``1 - sign * x^exps`` as a two-term series, or
+    times its geometric expansion ``sum_k (sign * x^exps)^k`` to ``f.trunc``,
+    through the general product."""
+    ring, trunc = f.ring, f.trunc
+    if not inverted:
+        return f * Series.from_terms(ring, (((0,) * ring.nvars, 1), (exps, -sign)), trunc)
+    deg = _deg(ring, exps)
+    if deg <= 0:
+        raise NonPositiveTail(f"monomial {exps} must have positive degree")
+    if trunc is None:
+        raise PrecisionLoss("the expansion is an infinite series")
+    top = trunc // deg
+    bound = top * max(map(abs, exps))
+    if bound >= EXPONENT_LIMIT:
+        raise ExponentOverflow(f"exponent bound {bound}")
+    key = ring.pack(exps)
+    expansion = {k * deg: {k * key: sign**k} for k in range(top + 1)}
+    return f * Series._from_buckets(ring, expansion, bound, trunc, False)
+
+
+def check_times_factor(f: Series, sign: int, exps: tuple[int, ...], inverted: bool) -> None:
+    try:
+        expected = _general_product_step(f, sign, exps, inverted)
+    except SeriesError as err:
+        with pytest.raises(type(err)):
+            f.times_factor(sign, exps, inverted)
+        return
+    got = f.times_factor(sign, exps, inverted)
+    assert_storage_invariant(got)
+    assert got == expected
+    assert (got.complete, got.min_deg, got.bound) == (
+        expected.complete,
+        expected.min_deg,
+        expected.bound,
+    )
+
+
+def _short_division(self, sign, key, deg):
+    """The division recurrence reading the bucket ``deg - 1`` below, not ``deg``."""
+    out = {}
+    for d in range(self.min_deg, self.trunc + 1):
+        acc = dict(self.buckets.get(d, ()))
+        for k, c in out.get(d - (deg - 1), {}).items():
+            acc[k + key] = acc.get(k + key, 0) + sign * c
+        out[d] = acc
+    return out
+
+
+def assert_caught_by_degree_8() -> None:
+    """A catalog identity, a summation check and the q-binomial checks all
+    fail, each with a first difference of degree at most 8."""
+    spec = verify_spec(spec_by_key("g1-four"), 8)
+    assert not spec.passed
+    assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
+    minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
+    gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
+    assert not gauss.passed
+    (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
+    assert sum(int(e) for e in at.split(",")) <= 8
+    binomials = check_qbinomial_recurrences(3)
+    assert not binomials.passed
+    at = re.findall(r" at \(([-\d, ]+)\)", " ".join(binomials.failures))
+    assert min(sum(int(e) for e in exps.split(",")) for exps in at) <= 8
+
+
+class TestTimesFactor:
+    """``Series.times_factor`` against the general product it replaces, its
+    precision guards, and faults in it that the checks must catch.  The
+    inverted factor's own guards (positive degree, finite truncation, the
+    expansion's bound) are tested in ``TestGeometric`` and ``TestPackedKeys``."""
+
+    @settings(max_examples=300)
+    @given(factor_cases(inverted=False))
+    def test_plain_factor_matches_product_with_binomial(self, case):
+        check_times_factor(*case, inverted=False)
+
+    @settings(max_examples=300)
+    @given(factor_cases(inverted=True))
+    def test_inverted_factor_matches_product_with_expansion(self, case):
+        check_times_factor(*case, inverted=True)
+
+    def test_inverted_factor_on_negative_degrees_raises(self):
+        f = Series(FOUR_PARAM, {(0, 0, 0, 0): 1, (-1, 0, 0, 0): 2}, 6)
+        with pytest.raises(PrecisionLoss):
+            f.times_factor(1, (1, 0, 0, 0), inverted=True)
+
+    def test_negative_degree_factor_on_incomplete_series_raises(self):
+        f = Series.one(FOUR_PARAM, 6)
+        assert f.times_factor(1, (1, -2, 0, 0)).terms == {(0, 0, 0, 0): 1, (1, -2, 0, 0): -1}
+        with pytest.raises(PrecisionLoss):
+            f.incomplete().times_factor(1, (1, -2, 0, 0))
+
+    def test_overflowing_bound_raises(self):
+        top = Series.monomial(XZQ, 1, (LIMIT // 2, 0, 0), 8)
+        with pytest.raises(ExponentOverflow):
+            top.times_factor(1, (LIMIT // 2, 0, 1))
+        with pytest.raises(ExponentOverflow):
+            top.times_factor(1, (LIMIT // 16, 0, 1), inverted=True)
+        below = top.times_factor(1, (LIMIT // 2 - 1, 0, 1))
+        assert (below.bound, below.coefficient((LIMIT - 1, 0, 1))) == (LIMIT - 1, -1)
+        # An out-of-range factor is refused before the precision rules apply,
+        # as building it as a series was.
+        laurent = Series.monomial(XZQ, 1, (0, 0, -1), 8).incomplete()
+        with pytest.raises(ExponentOverflow):
+            laurent.times_factor(1, (LIMIT, 0, -1))
+        with pytest.raises(ExponentOverflow):
+            laurent.times_factor(1, (LIMIT // 8, 0, 1), inverted=True)
+
+    def test_shortened_division_step_is_caught(self, monkeypatch):
+        monkeypatch.setattr(Series, "_divided", _short_division)
+        assert_caught_by_degree_8()
+
+    def test_flipped_binomial_sign_is_caught(self, monkeypatch):
+        real = Series.times_factor
+
+        def flipped(self, sign, exps, inverted=False):
+            return real(self, sign if inverted else -sign, exps, inverted)
+
+        monkeypatch.setattr(Series, "times_factor", flipped)
+        assert_caught_by_degree_8()
