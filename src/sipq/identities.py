@@ -14,16 +14,16 @@ numerator or a denominator, is one :class:`PochFactor`, and every series
 prefactor is a table of integer coefficients.
 
 :func:`verify` expands every available side to the requested truncation and
-demands exact agreement pairwise.  Series summation stops at the first index
-whose term provably exceeds the truncation in minimum degree; the bound uses
-the numerators' most negative achievable degree, so early terms with inverse
-variables are never dropped.
+demands exact agreement pairwise.  A series family is summed by stepping each
+summand from the one before (:func:`qseries.summand_walk`), and stops at the
+first summand with no term at or below the truncation: no step polynomial has
+a term of negative degree (:class:`TheoremSpec` refuses a family otherwise),
+so no later summand can come back below it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from itertools import islice
 from typing import Iterator
 
 from .partitions import (
@@ -34,7 +34,7 @@ from .partitions import (
     omega_exponents,
     stats,
 )
-from .qseries import nth_product, running_product
+from .qseries import PochFactor, nth_product, running_product, summand_walk
 from .reporting import CheckReport
 from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
 
@@ -64,29 +64,6 @@ _MAPS = {"xzq": OMEGA_TO_XZQ, "xq": OMEGA_TO_XQ, "zq": OMEGA_TO_ZQ, "bg": OMEGA_
 
 
 @dataclasses.dataclass(frozen=True)
-class PochFactor:
-    """``prod_i (1 - sign * arg * base^i)``, or its inverse when ``inverted``.
-
-    In a series family ``count = (alpha, beta)`` gives the ``alpha*n + beta``
-    factors of the ``n``-th term; in a product ``count`` is None and the
-    product is infinite.
-    """
-
-    sign: int
-    arg_exps: tuple[int, ...]
-    base_exps: tuple[int, ...]
-    count: tuple[int, int] | None = None
-    inverted: bool = False
-
-    def per_term(self, ring: SeriesRing, trunc: int | None) -> Iterator[Series]:
-        """The products for the terms ``n = 0, 1, 2, ...`` of a series family:
-        the ``(alpha*n + beta)``-th products of this factor's running product."""
-        alpha, beta = self.count  # type: ignore[misc]
-        run = running_product(ring, self.sign, self.arg_exps, self.base_exps, trunc, self.inverted)
-        return islice(run, beta, None, alpha)
-
-
-@dataclasses.dataclass(frozen=True)
 class SumFamily:
     """``sum_n x^prefactor(n) * prod(factors)``: a monomial times a Pochhammer quotient.
 
@@ -98,9 +75,16 @@ class SumFamily:
     prefactor: tuple[tuple[int, int, int], ...]
     factors: tuple[PochFactor, ...]
 
-    def exponents(self, n: int) -> tuple[int, ...]:
-        pairs = n * (n - 1) // 2
-        return tuple(c2 * pairs + c1 * n + c0 for c2, c1, c0 in self.prefactor)
+    def summands(self, ring: SeriesRing, trunc: int) -> Iterator[Series]:
+        """The truncated summands, each stepped from the one before; from ``n``
+        to ``n+1`` the prefactor moves by ``n`` times the ``C(n,2)`` column
+        plus the ``n`` column."""
+        start = Series.monomial(ring, 1, tuple(c0 for _, _, c0 in self.prefactor))
+
+        def ratio(n: int) -> Series:
+            return Series.monomial(ring, 1, tuple(c2 * n + c1 for c2, c1, _ in self.prefactor))
+
+        return summand_walk(start, ratio, self.factors, trunc)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,15 +99,27 @@ class TheoremSpec:
     product_alt: tuple[PochFactor, ...] | None = None
 
     def __post_init__(self) -> None:
-        # Series summation stops at the first term past the truncation, so no
-        # prefactor degree may decrease in n.  From n to n+1 it moves by
-        # A*n + B, with A and B the graded sums of the C(n,2) and n columns.
+        # The summand walk needs every term of every step polynomial r_n at
+        # nonnegative degree.  r_n is the prefactor ratio, of degree A*n + B
+        # (A, B the graded sums of the C(n,2) and n columns), times the new
+        # numerator binomials; with A >= 0 and bases of positive degree its
+        # degrees only grow with n, so checking r_0 covers every n.  With
+        # A = B = 0 its lowest degree stays 0 and the walk would never stop.
+        degree = self.ring.degree
         for fam in self.series:
             a = sum(w * c2 for w, (c2, _, _) in zip(self.ring.weights, fam.prefactor))
             b = sum(w * c1 for w, (_, c1, _) in zip(self.ring.weights, fam.prefactor))
-            if a < 0 or b < 0:
+            if a < 0 or a == b == 0:
+                verb = "decreases" if a < 0 else "never grows"
+                raise ValueError(f"{self.key}: prefactor degree step {a}n + {b} {verb} in n")
+            if any(degree(f.base_exps) < 1 for f in fam.factors):
+                raise ValueError(f"{self.key}: every factor base needs positive degree")
+            nums = [f for f in fam.factors if not f.inverted]
+            low = b + sum(min(0, degree(e)) for f in nums for e in f.binomials(1))
+            if low < 0:
                 raise ValueError(
-                    f"{self.key}: prefactor degree step {a}n + {b} decreases in n"
+                    f"{self.key}: the first step polynomial has a term of degree {low},"
+                    " so the summand degree decreases in n"
                 )
 
 
@@ -135,66 +131,6 @@ def combinatorial_side(spec: TheoremSpec, trunc: int) -> Series:
     return weights if spec.weight_map is None else weights.substitute(spec.weight_map, trunc)
 
 
-def _tail_floor(ring: SeriesRing, num: PochFactor) -> int:
-    """A lower bound on the degree a numerator's terms can subtract.
-
-    The numerator's terms pick subsets of factors; choosing the ``k`` lowest
-    indices gives degree ``k * deg(arg) + deg(base) * k(k-1)/2``, which is
-    minimized over ``k`` here.  Nonnegative-degree arguments contribute
-    nothing below zero.
-    """
-    arg_deg = ring.degree(num.arg_exps)
-    if arg_deg >= 0:
-        return 0
-    base_deg = ring.degree(num.base_exps)
-    best = 0
-    k = 1
-    while True:
-        best = min(best, k * arg_deg + base_deg * k * (k - 1) // 2)
-        if arg_deg + k * base_deg >= 0:
-            return best
-        k += 1
-
-
-def _sum_family(
-    ring: SeriesRing,
-    fam: SumFamily,
-    trunc: int,
-    n_limit: int | None = None,
-    nonneg_failures: list[str] | None = None,
-) -> Series:
-    """Sum the family's terms until they provably exceed the truncation.
-
-    Prefactor degrees are nondecreasing in ``n`` (:class:`TheoremSpec`
-    enforces it); with ``n_limit`` the sum is cut off there instead, giving a
-    partial sum.  Each factor's running product advances with ``n``.
-    """
-    numerators = [f for f in fam.factors if not f.inverted]
-    floor = sum(_tail_floor(ring, num) for num in numerators)
-    # Numerators stay exact, since their arguments can have negative degree.
-    num_runs = [num.per_term(ring, None) for num in numerators]
-    den_runs = [den.per_term(ring, trunc) for den in fam.factors if den.inverted]
-    total = Series.zero(ring, trunc)
-    n = 0
-    while True:
-        if n_limit is not None and n > n_limit:
-            break
-        pref = fam.exponents(n)
-        if n_limit is None and ring.degree(pref) + floor > trunc:
-            break
-        term = Series.monomial(ring, 1, pref)
-        for run in num_runs:
-            term = term * next(run)
-        term = term.truncate(trunc)
-        for run in den_runs:
-            term = term * next(run)
-        if nonneg_failures is not None and term.has_negative_exponent():
-            nonneg_failures.append(f"summand n={n}: negative exponent in expansion")
-        total = total + term
-        n += 1
-    return total
-
-
 def series_side(
     spec: TheoremSpec,
     trunc: int,
@@ -202,14 +138,13 @@ def series_side(
 ) -> Series:
     if not spec.series:
         raise ValueError(f"{spec.key} has no series side")
+    failures = nonneg_failures if spec.ring is FOUR_PARAM else None
     total = Series.zero(spec.ring, trunc)
     for fam in spec.series:
-        total = total + _sum_family(
-            spec.ring,
-            fam,
-            trunc,
-            nonneg_failures=nonneg_failures if spec.ring is FOUR_PARAM else None,
-        )
+        for n, term in enumerate(fam.summands(spec.ring, trunc)):
+            if failures is not None and term.has_negative_exponent():
+                failures.append(f"summand n={n}: negative exponent in expansion")
+            total = total + term
     return total
 
 
@@ -709,16 +644,16 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
     failures: list[str] = []
     checks = 0
 
-    def partial(upto: int) -> Series:
-        total = Series.zero(FOUR_PARAM, trunc)
-        for fam in spec.series:
-            total = total + _sum_family(FOUR_PARAM, fam, trunc, n_limit=upto)
-        return total
-
+    # F(N) is a running total over one walk per family; a walk that has
+    # stopped adds nothing more below the truncation.
+    walks = [fam.summands(FOUR_PARAM, trunc) for fam in spec.series]
+    zero = Series.zero(FOUR_PARAM, trunc)
+    f = zero
     prev_f: Series | None = None
     prev_t: Series | None = None
     for upto in range(n_max + 1):
-        f = partial(upto)
+        for walk in walks:
+            f = f + next(walk, zero)
         t = _closed_partial(family, upto, trunc)
         checks += 1
         cmp = f.equal_to(t)

@@ -5,14 +5,16 @@ whatever ring the caller's argument series use, for the finite products).
 ``pochhammer_finite(x, Q, n)`` is the product ``(1-x)(1-xQ)...(1-xQ^{n-1})``,
 so the classical ``(x; Q)_n`` with a sign goes in through the argument.
 Every Pochhammer product, finite or infinite, inverted or not, is grown one
-factor at a time by :func:`running_product`.
+factor at a time by :func:`running_product`; every sum of Pochhammer
+quotients is walked summand by summand by :func:`summand_walk`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 from itertools import count, islice, repeat
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .reporting import CheckReport
 from .series import FOUR_PARAM, PrecisionLoss, Series, SeriesError, SeriesRing
@@ -42,6 +44,73 @@ A_INFINITY = _AInfinity()
 def q_monomial(power: int) -> Series:
     """``Q^power`` where ``Q = abcd``."""
     return Series.monomial(FOUR_PARAM, 1, (power,) * 4)
+
+
+@dataclasses.dataclass(frozen=True)
+class PochFactor:
+    """``prod_i (1 - sign * arg * base^i)``, or its inverse when ``inverted``.
+
+    In a sum ``count = (alpha, beta)`` gives the ``alpha*n + beta`` factors of
+    the ``n``-th summand; in a product ``count`` is None and the product is
+    infinite.
+    """
+
+    sign: int
+    arg_exps: tuple[int, ...]
+    base_exps: tuple[int, ...]
+    count: tuple[int, int] | None = None
+    inverted: bool = False
+
+    def binomials(self, n: int) -> list[tuple[int, ...]]:
+        """The exponents ``arg + i*base`` of the factors summand ``n`` has and
+        summand ``n - 1`` lacks: ``i < beta`` for ``n = 0``, else ``alpha*(n-1)
+        + beta <= i < alpha*n + beta``."""
+        alpha, beta = self.count  # type: ignore[misc]
+        start = 0 if n == 0 else alpha * (n - 1) + beta
+        return [
+            tuple(a + i * b for a, b in zip(self.arg_exps, self.base_exps))
+            for i in range(start, alpha * n + beta)
+        ]
+
+
+def summand_walk(
+    start: Series,
+    ratio: Callable[[int], Series],
+    factors: Sequence[PochFactor],
+    trunc: int,
+) -> Iterator[Series]:
+    """Yield the summands ``T_n = m_n * prod_f f_(alpha*n + beta)`` truncated at
+    ``trunc``, ``m_0 = start`` and ``m_(n+1) = m_n * ratio(n)`` exact monomials,
+    ``f_k`` the product of factor ``f``'s first ``k`` binomials (or its inverse).
+
+    ``T_0`` is ``start`` times the numerators' first ``beta`` binomials,
+    truncated, over the denominators' first ``beta``.  Each later summand is
+    ``T_(n+1) = T_n * r_n``, the exact step polynomial ``r_n`` being
+    ``ratio(n)`` times the new numerator binomials, divided by each new
+    denominator binomial.  The walk stops at the first summand with no term at
+    or below ``trunc``: a term of negative degree in some ``r_n`` raises
+    :class:`PrecisionLoss`, and denominators only raise degree, so no later
+    summand can come back below the truncation.
+    """
+    numerators = [f for f in factors if not f.inverted]
+    denominators = [f for f in factors if f.inverted]
+    for n in count():
+        step = start if n == 0 else ratio(n - 1)
+        for f in numerators:
+            for exps in f.binomials(n):
+                step = step.times_factor(f.sign, exps)
+        if n == 0:
+            term = step.truncate(trunc)
+        elif step.min_deg < 0:
+            raise PrecisionLoss(f"step polynomial {step.to_string()} has a negative-degree term")
+        else:
+            term = term * step
+        for f in denominators:
+            for exps in f.binomials(n):
+                term = term.times_factor(f.sign, exps, inverted=True)
+        if term.is_zero():
+            return
+        yield term
 
 
 def running_product(
@@ -263,25 +332,18 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
         rhs_num = [ratio_ca, ratio_cb]
         rhs_den = [c_param, ratio]
 
-    # Summand n: step^n Q^(pairs*n(n-1)/2) times the n-th numerator products,
-    # over the denominators (Q;Q)_n (c;Q)_n.
-    numerators = [
-        running_product(FOUR_PARAM, *_monomial_parts(p, "a, b"), _Q, None) for p in sum_args
-    ]
-    denominators = [
-        running_product(FOUR_PARAM, 1, _Q, _Q, trunc, True),
-        running_product(FOUR_PARAM, *_monomial_parts(c_param, "c"), _Q, trunc, True),
-    ]
+    # Summand n+1 is summand n times step * Q^(pairs*n) * prod (1 - p*Q^n),
+    # over (1 - Q^(n+1)) (1 - c*Q^n).  For n = 0 that step polynomial's terms
+    # are c/(ab), c/a, c/b and c (-c/b and c in the limit), each checked above
+    # to have positive degree, and its degrees only grow with n: the walk's
+    # precondition fails with a DomainError here, never mid-sum.
+    factors = [PochFactor(*_monomial_parts(p, "a, b"), _Q, (1, 0)) for p in sum_args]
+    factors.append(PochFactor(1, _Q, _Q, (1, 0), inverted=True))
+    factors.append(PochFactor(*_monomial_parts(c_param, "c"), _Q, (1, 0), inverted=True))
     lhs = Series.zero(FOUR_PARAM, trunc)
-    for n in count():
-        poly = step**n * q_monomial(pairs * n * (n - 1) // 2)
-        for run in numerators:
-            poly = poly * next(run)
-        if poly.min_deg > trunc:
-            break
-        term = poly.truncate(trunc)
-        for run in denominators:
-            term = term * next(run)
+    for term in summand_walk(
+        Series.one(FOUR_PARAM), lambda n: step * q_monomial(pairs * n), factors, trunc
+    ):
         lhs = lhs + term
 
     rhs = Series.one(FOUR_PARAM, trunc)

@@ -123,6 +123,8 @@ class TestVerify:
             pytest.param("16", "b62fb8b7ecd7bc7490ba3d6440a75a73c58c04ddaa0a54aeb969decd078f8d96", id="16"),
             pytest.param("24", "ea76d405bde151e413884a8f6b06bd7537f8055391ba9d01391e679496407b7b", id="24"),
             pytest.param("32", "d178996a645faf087b3a93ebcf9e4ed7ccd9bf44718176e65c0cd4828575ced7", id="32"),
+            pytest.param("48", "bbfb59244d3a20035549eb71f76b108d9e5529273e24c53e56d84be8fb3f59b9", id="48"),
+            pytest.param("64", "38ade0691e01bcdd89fc55e7e90374d03c58d74ca7a46d58dd741cfa28781451", id="64"),
         ),
     )
     def test_full_battery_stdout_is_pinned(self, capsys, trunc, digest):

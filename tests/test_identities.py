@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from itertools import count, islice
 
 import pytest
 
@@ -19,6 +21,8 @@ from sipq.identities import (
     verify_substitution_consistency,
 )
 from sipq.partitions import PartitionClass
+from sipq.qseries import PochFactor, check_q_gauss, running_product
+from sipq.series import Series
 
 EXPECTED_KEYS = (
     "g1-four",
@@ -185,6 +189,130 @@ def test_decreasing_prefactor_rejected(d_exponent):
     fam = dataclasses.replace(spec.series[0], prefactor=((0, 1, 0),) * 3 + (d_exponent,))
     with pytest.raises(ValueError, match="decreases"):
         dataclasses.replace(spec, series=(fam,))
+
+
+def test_negative_first_step_rejected():
+    """A numerator binomial of degree -5 against a prefactor step of degree 4
+    gives the first step polynomial a term of degree -1, so the walk could stop
+    before a summand that comes back below the truncation: refused when built."""
+    spec = spec_by_key("p1-four")
+    fam = spec.series[0]
+    low = dataclasses.replace(fam.factors[0], arg_exps=(0, -2, -2, -1))
+    family = dataclasses.replace(fam, factors=(low,) + fam.factors[1:])
+    with pytest.raises(ValueError, match="first step polynomial has a term of degree -1"):
+        dataclasses.replace(spec, series=(family,))
+
+
+def test_flat_prefactor_rejected():
+    """A prefactor whose degree never grows leaves a degree-0 term in every
+    step polynomial: the summands never pass the truncation, so the family is
+    refused when built instead of summed forever."""
+    spec = spec_by_key("g1-bg")
+    fam = dataclasses.replace(spec.series[0], prefactor=((0, 0, 0),) * 3)
+    with pytest.raises(ValueError, match="never grows"):
+        dataclasses.replace(spec, series=(fam,))
+
+
+def test_flat_factor_base_rejected():
+    """In the x, z, q ring only q carries degree: a base of x alone would let
+    numerator degrees stall, so the family is refused when built."""
+    spec = spec_by_key("g1-xzq")
+    fam = spec.series[0]
+    flat = dataclasses.replace(fam.factors[0], base_exps=(1, 0, 0))
+    family = dataclasses.replace(fam, factors=(flat,) + fam.factors[1:])
+    with pytest.raises(ValueError, match="base needs positive degree"):
+        dataclasses.replace(spec, series=(family,))
+
+
+def _rebuilt_summands(ring, fam, trunc):
+    """Each summand built from scratch: the prefactor monomial times the exact
+    numerator running products, truncated, times the inverted denominator runs."""
+    runs = [
+        (f, islice(running_product(ring, f.sign, f.arg_exps, f.base_exps,
+                                   trunc if f.inverted else None, f.inverted),
+                   f.count[1], None, f.count[0]))
+        for f in fam.factors
+    ]
+    for n in count():
+        pairs = n * (n - 1) // 2
+        term = Series.monomial(ring, 1, tuple(c2 * pairs + c1 * n + c0 for c2, c1, c0 in fam.prefactor))
+        for f, run in runs:
+            if not f.inverted:
+                term = term * next(run)
+        term = term.truncate(trunc)
+        for f, run in runs:
+            if f.inverted:
+                term = term * next(run)
+        yield term
+
+
+@pytest.mark.parametrize("key", [s.key for s in registry() if s.series])
+def test_walk_matches_rebuilt_summands(key):
+    """Stepping each summand from the one before gives the summands built from
+    scratch, and the walk stops only once they vanish.
+
+    The flags agree except that the walk may know ``T_0`` complete where the
+    rebuilt one is not: the 0th product of a run whose first factor lies
+    above the truncation is the whole infinite product, marked incomplete.
+    A summand the walk calls complete is checked against a deeper rebuild."""
+    spec = spec_by_key(key)
+    for trunc in range(25):
+        for fam in spec.series:
+            walked = list(fam.summands(spec.ring, trunc))
+            rebuilt = list(islice(_rebuilt_summands(spec.ring, fam, trunc), len(walked) + 3))
+            for n, (w, r) in enumerate(zip(walked, rebuilt)):
+                assert (w, w.trunc) == (r, r.trunc), (trunc, n)
+                assert not w.is_zero()
+                assert w.complete >= r.complete
+                if w.complete:
+                    deeper = next(islice(_rebuilt_summands(spec.ring, fam, trunc + 12), n, None))
+                    assert deeper.terms == w.terms, (trunc, n)
+            assert all(r.is_zero() for r in rebuilt[len(walked):]), trunc
+
+
+def _shifted_denominator(real):
+    def binomials(self, n):
+        exps = real(self, n)
+        if self.inverted:
+            return [tuple(e + b for e, b in zip(x, self.base_exps)) for x in exps]
+        return exps
+
+    return binomials
+
+
+def _dropped_numerator(real):
+    def binomials(self, n):
+        exps = real(self, n)
+        return exps[:-1] if n and not self.inverted else exps
+
+    return binomials
+
+
+def _at_degree(failure):
+    """Total degree of the first four-variable exponent tuple a failure names."""
+    at = re.search(r"at \(([-\d, ]+)\)", failure).group(1)
+    return sum(int(e) for e in at.split(","))
+
+
+@pytest.mark.parametrize("fault", (_shifted_denominator, _dropped_numerator),
+                         ids=("shifted-denominator", "dropped-numerator"))
+def test_walk_faults_are_caught(monkeypatch, fault):
+    """A walk that shifts every denominator index by one, or drops the new
+    numerator binomial from each step polynomial, fails a four-variable and a
+    three-variable identity, a summation check and the partial sums, each with
+    a first difference by degree 8."""
+    monkeypatch.setattr(PochFactor, "binomials", fault(PochFactor.binomials))
+    for key in ("g1-four", "g1-xzq"):
+        report = verify_spec(spec_by_key(key), 16)
+        assert not report.passed, key
+        degrees = re.findall(r"degree-(\d+) slices", " ".join(report.failures))
+        assert min(int(d) for d in degrees) <= 8, key
+    gauss = check_q_gauss((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), 16)
+    assert not gauss.passed
+    assert _at_degree(gauss.failures[0]) <= 8
+    partial = verify_partial_sums(PartitionClass.P1, 4, 16)
+    assert not partial.passed
+    assert _at_degree(partial.failures[0]) <= 8
 
 
 class TestMissingSides:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from itertools import count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from sipq.qseries import (
     A_INFINITY,
     DomainError,
     NonConvergent,
+    PochFactor,
     check_q_gauss,
     check_qbinomial_recurrences,
     check_qbinomial_theorem,
@@ -23,6 +25,7 @@ from sipq.qseries import (
     pochhammer_infinite,
     q_monomial,
     running_product,
+    summand_walk,
 )
 from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, PrecisionLoss, Series
 
@@ -286,3 +289,67 @@ class TestQGauss:
     def test_truncation_required(self):
         with pytest.raises(DomainError):
             check_q_gauss(A_INFINITY, (0, 1, 0, 0), (1, 1, 0, 0), None)
+
+    def test_negative_degree_step_rejected_before_summing(self):
+        """With c = ab and b = b^3 the limit's first step polynomial -(c/b)(1 - b)
+        has the term -c/b = -a*b^-2 of degree -1: the walk raises PrecisionLoss
+        at that step, so the check's c/b guard refuses the parameters first."""
+        b, c = (0, 3, 0, 0), (1, 1, 0, 0)
+        factors = [
+            PochFactor(1, b, Q, (1, 0)),
+            PochFactor(1, Q, Q, (1, 0), inverted=True),
+            PochFactor(1, c, Q, (1, 0), inverted=True),
+        ]
+        step = Series.monomial(FOUR_PARAM, -1, (1, -2, 0, 0))
+        walk = summand_walk(Series.one(FOUR_PARAM), lambda n: step * q_monomial(n), factors, 12)
+        next(walk)
+        with pytest.raises(PrecisionLoss, match="negative-degree term"):
+            next(walk)
+        with pytest.raises(DomainError, match="c/b"):
+            check_q_gauss(A_INFINITY, b, c, 12)
+
+
+def _rebuilt_q_gauss_sum(step, pairs, sum_args, c, trunc):
+    """The sum side with each summand built from scratch: step^n Q^(pairs*C(n,2))
+    times the exact numerator running products, truncated, times the inverted
+    runs (Q;Q) and (c;Q)."""
+    numerators = [running_product(FOUR_PARAM, sign, exps, Q, None) for sign, exps in sum_args]
+    denominators = [
+        running_product(FOUR_PARAM, 1, Q, Q, trunc, True),
+        running_product(FOUR_PARAM, 1, c, Q, trunc, True),
+    ]
+    total = Series.zero(FOUR_PARAM, trunc)
+    for n in count():
+        poly = step**n * q_monomial(pairs * n * (n - 1) // 2)
+        for run in numerators:
+            poly = poly * next(run)
+        if poly.min_deg > trunc:
+            return total
+        term = poly.truncate(trunc)
+        for run in denominators:
+            term = term * next(run)
+        total = total + term
+
+
+@pytest.mark.parametrize("trunc", (8, 16, 24))
+@pytest.mark.parametrize(
+    "a, b, c, step, pairs, sum_args",
+    (
+        (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, 1, 0, 0),
+         (1, 0, 0, 0), 1, [(-1, (0, 1, 0, 0))]),
+        (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 0, -1, 0)), (1, 1, 0, 0),
+         (1, 1, 1, 0), 1, [(-1, (0, 0, -1, 0))]),
+        ((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), Q, 0, [(1, (1, 0, 0, 0)), (1, (0, 1, 0, 0))]),
+    ),
+    ids=("minus-b", "minus-c-inverse", "generic"),
+)
+def test_q_gauss_sum_side_matches_rebuilt_summands(monkeypatch, trunc, a, b, c, step, pairs, sum_args):
+    """The battery's q-Gauss sum sides, walked, equal the sums of summands built
+    from scratch: same coefficients, truncation and completeness."""
+    compared = []
+    real = Series.equal_to
+    monkeypatch.setattr(Series, "equal_to", lambda s, o: compared.append(s) or real(s, o))
+    assert check_q_gauss(a, b, c, trunc).passed
+    (walked,) = compared
+    rebuilt = _rebuilt_q_gauss_sum(Series.monomial(FOUR_PARAM, 1, step), pairs, sum_args, c, trunc)
+    assert (walked, walked.trunc, walked.complete) == (rebuilt, rebuilt.trunc, rebuilt.complete)
