@@ -224,49 +224,68 @@ def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
     return out
 
 
+def _rems(strict: bool, cap: int, trunc: int) -> range:
+    """The remainders a part of size ``cap`` is added at, in update order.
+
+    Downward in a strict class, so each cell reads the cell below it before
+    this cap has touched it and the part is used at most once; upward
+    otherwise, so the part can repeat (the 0/1 and unbounded knapsack orders).
+    """
+    return range(trunc, cap - 1, -1) if strict else range(cap, trunc + 1)
+
+
 def class_weight_series(cls: PartitionClass, trunc: int) -> Series:
     """The four-parameter weight summed over every member of weight <= ``trunc``.
 
-    The sum runs row by row without building a partition: the memo holds, for
-    each (row-index parity, cap, remaining weight), the exponent vectors and
-    counts of every way to fill the rows from one of that parity down with
-    parts at most the cap and weight exactly the remainder.  A cell is the cell
-    one cap lower plus, when the cap itself is an allowed part, that part's
-    monomial times the cell for the next row.  This is still a direct sum over
-    class members under the class's row rules; it uses no skeleton, series or
-    product, so it stays independent of the sides it is compared with.  A
-    member's monomial has total degree equal to its weight, so the sum is exact
-    to order ``trunc``.  Basis tags are rejected: the recursion encodes the
-    base-class rules only.
+    The sum runs row by row without building a partition.  Two rolling rows
+    of cells, ``cell[parity][rem]`` for ``rem = 0..trunc``, map packed exponent
+    keys to counts: the ways to fill the rows from one of that row-index
+    parity down with parts at most the current cap and weight exactly
+    ``rem``.  Raising the cap by one updates every cell in place: where the
+    cap is an allowed part for that parity, the cell gains the other parity's
+    cell at ``rem - cap`` shifted by the part's monomial, one packed key added
+    to each key.  The order of :func:`_rems` makes a strict class read the
+    cell from the cap below and a non-strict one the cell at this cap.  This
+    is still a direct sum over class members under the class's row rules; it
+    uses no skeleton, series or product, so it stays independent of the sides
+    it is compared with.  A member's monomial has total degree equal to its
+    weight, so ``cell[1][w]`` after the last cap is the degree-``w`` bucket and
+    the sum is exact to order ``trunc``.  Basis tags are rejected: the
+    recursion encodes the base-class rules only.
     """
     if cls.is_basis:
         raise ValueError(f"{cls} is a basis tag; its rules are not row rules")
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     strict, even_row = _RULES[cls]
-    # cells[parity, rem][cap] for cap <= rem; a larger cap acts as cap = rem.
-    cells: dict[tuple[int, int], list[dict[tuple[int, int, int, int], int]]] = {}
-    for rem in range(trunc + 1):
-        for parity in (0, 1):
-            row = [{(0, 0, 0, 0): 1} if rem == 0 else {}]
-            for cap in range(1, rem + 1):
-                acc = dict(row[-1])
-                if not (parity == even_row and cap % 2):
-                    tail_rem = rem - cap
-                    tail_cap = cap - 1 if strict else cap
-                    tail = cells[1 - parity, tail_rem][min(tail_cap, tail_rem)]
-                    hi, lo = (cap + 1) // 2, cap // 2
-                    for (a, b, c, d), count in tail.items():
-                        key = (a + hi, b + lo, c, d) if parity else (a, b, c + hi, d + lo)
-                        acc[key] = acc.get(key, 0) + count
-                row.append(acc)
-            cells[parity, rem] = row
-    return Series.from_terms(
-        FOUR_PARAM,
-        (item for w in range(trunc + 1) for item in cells[1, w][w].items()),
-        trunc,
-        complete=False,
-    )
+    pack = FOUR_PARAM.pack
+    cell: list[list[dict[int, int]]] = [
+        [{0: 1}] + [{} for _ in range(trunc)] for _ in (0, 1)
+    ]
+    for cap in range(1, trunc + 1):
+        hi, lo = (cap + 1) // 2, cap // 2
+        # A part on an odd-indexed row (parity 1) adds to a and b, on an
+        # even-indexed row to c and d.
+        steps = [
+            (cell[parity], cell[1 - parity], pack((hi, lo, 0, 0) if parity else (0, 0, hi, lo)))
+            for parity in (0, 1)
+            if not (parity == even_row and cap % 2)
+        ]
+        for rem in _rems(strict, cap, trunc):
+            for row, tails, delta in steps:
+                acc = row[rem]
+                get = acc.get
+                for key, count in tails[rem - cap].items():
+                    key += delta
+                    acc[key] = get(key, 0) + count
+    # The bound the terms attain.  Every exponent is nonnegative, B <= A and
+    # D <= C.  A, the sum of ceil(p/2) over the m odd-indexed rows, is at most
+    # ceil(w/2), since the m - 1 rows between them weigh at least 1 each; C
+    # is at most floor(w/2), since there are no more even-indexed rows than
+    # odd-indexed ones.  The one-row member of weight trunc attains ceil; a
+    # class whose odd-indexed rows must be even has A <= floor(w/2) too.
+    bound = trunc // 2 if even_row == 1 else (trunc + 1) // 2
+    return Series._from_buckets(FOUR_PARAM, dict(enumerate(cell[1])), bound, trunc, False)
 
 
 def _least_above(part: int, rows: int, min_gap: int) -> int:

@@ -127,9 +127,10 @@ def running_product(
 
     Exact runs (``trunc`` None) allow an argument of negative degree; inverted
     runs must be truncated.  A truncated run needs an argument of positive
-    degree, so factor ``i`` has degree above ``i``, and from the ``trunc``-th
-    product on it repeats the whole infinite product, marked incomplete.  The
-    arguments are checked when the first product is drawn.
+    degree, so factor ``i`` has degree above ``i``.  Once the next factor lies
+    above ``trunc``, the product so far is yielded with its own flags, then
+    repeated as the whole infinite product, marked incomplete.  The arguments
+    are checked when the first product is drawn.
     """
     if ring.degree(base_exps) < 1:
         raise ValueError("base must have positive degree")
@@ -143,6 +144,7 @@ def running_product(
         yield prod
         prod = prod.times_factor(sign, exps, inverted)
         exps = tuple(e + b for e, b in zip(exps, base_exps))
+    yield prod
     # This factor and every later one only touch degrees above trunc.
     yield from repeat(prod.incomplete())
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from sipq import basis_gf
 from sipq.basis_gf import (
     cross_check_tables,
     table_closed_form,
@@ -16,6 +17,7 @@ from sipq.basis_gf import (
     table_recurrence,
 )
 from sipq.partitions import PartitionClass
+from sipq.series import FOUR_PARAM, Series
 
 BG1 = PartitionClass.BASIS_G1
 BG2 = PartitionClass.BASIS_G2
@@ -77,8 +79,6 @@ class TestTableProperties:
     def test_g1_even_column_factors(self):
         """Appending one cell to the top row multiplies the table entry by b."""
         b = {(0, 1, 0, 0): 1}
-        from sipq.series import FOUR_PARAM, Series
-
         bmono = Series(FOUR_PARAM, b, None)
         for n in range(1, 9):
             for h in range(1, 9):
@@ -92,3 +92,28 @@ def test_cross_check(basis):
     assert report.passed, report.failures
     assert report.name == f"basis-tables[{basis.value}]"
     assert report.checks >= 11 * 11
+
+
+@pytest.mark.parametrize("basis", ALL_BASES, ids=lambda c: c.value)
+@pytest.mark.parametrize("method", ("enumerated", "recurrence", "closed-form"))
+def test_one_perturbed_coefficient_fails_the_cross_check(monkeypatch, basis, method):
+    """Adding 1 to one coefficient of one length-2 entry of one method is reported."""
+    n, h = next((2, h) for h in range(5) if not table_enumerated(basis, 2, h).is_zero())
+
+    def perturbed(fn):
+        def table(cls, length, largest):
+            entry = fn(cls, length, largest)
+            if (length, largest) != (n, h):
+                return entry
+            return entry + Series.monomial(FOUR_PARAM, 1, min(entry.terms))
+
+        return table
+
+    methods = tuple(
+        (name, perturbed(fn) if name == method else fn) for name, fn in basis_gf._METHODS
+    )
+    assert any(name == method for name, _ in methods)
+    monkeypatch.setattr(basis_gf, "_METHODS", methods)
+    report = cross_check_tables(basis, 4, 4)
+    assert not report.passed
+    assert all(line.startswith(f"n={n} h={h} ") for line in report.failures), report.failures

@@ -3,8 +3,11 @@
 The oracle here is the filter the generators replaced: every partition of a
 weight, built part by part with no class rule, kept when :func:`is_member`
 accepts it.  It is only fast enough for small weights, so it lives in the
-tests.  The second half injects one fault into each generator and checks
-that the verification layer above it reports the fault at a low degree.
+tests, as does the per-cap memo that the rolling row recursion of
+:func:`class_weight_series` replaced, the reference for that function at
+larger truncations.  The second half injects one fault into each generator
+and checks that the verification layer above it reports the fault at a low
+degree.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 import re
+import tracemalloc
 
 import pytest
 
@@ -38,6 +42,7 @@ BASES = (
     PartitionClass.BASIS_P2,
 )
 ROW_CLASSES = tuple(cls for cls in PartitionClass if not cls.is_basis)
+REFERENCE_TRUNC = 40
 
 
 def _partition_gen(n: int, cap: int):
@@ -56,6 +61,41 @@ def _all_partitions(weight: int) -> tuple[Partition, ...]:
 
 def oracle_members(cls: PartitionClass, weight: int) -> list[Partition]:
     return [lam for lam in _all_partitions(weight) if is_member(cls, lam)]
+
+
+def memo_weight_series(cls: PartitionClass, trunc: int) -> Series:
+    """The class weight series from a memo of tuple-keyed cells.
+
+    ``cells[parity, rem][cap]`` holds the exponent vectors and counts of every
+    way to fill the rows from one of that row-index parity down with parts at
+    most ``cap`` and weight exactly ``rem``: the cell one cap lower plus, when
+    the cap is an allowed part, that part's monomial times the cell for the
+    next row (capped one lower in a strict class).  Every cap keeps its own
+    dict, so it is only fit for a test.
+    """
+    strict, even_row = partitions._RULES[cls]
+    cells: dict[tuple[int, int], list[dict[tuple[int, int, int, int], int]]] = {}
+    for rem in range(trunc + 1):
+        for parity in (0, 1):
+            row = [{(0, 0, 0, 0): 1} if rem == 0 else {}]
+            for cap in range(1, rem + 1):
+                acc = dict(row[-1])
+                if not (parity == even_row and cap % 2):
+                    tail_rem = rem - cap
+                    tail_cap = cap - 1 if strict else cap
+                    tail = cells[1 - parity, tail_rem][min(tail_cap, tail_rem)]
+                    hi, lo = (cap + 1) // 2, cap // 2
+                    for (a, b, c, d), count in tail.items():
+                        key = (a + hi, b + lo, c, d) if parity else (a, b, c + hi, d + lo)
+                        acc[key] = acc.get(key, 0) + count
+                row.append(acc)
+            cells[parity, rem] = row
+    return Series.from_terms(
+        FOUR_PARAM,
+        (item for w in range(trunc + 1) for item in cells[1, w][w].items()),
+        trunc,
+        complete=False,
+    )
 
 
 def skeleton_candidates(cls: PartitionClass, length: int) -> list[Partition]:
@@ -124,6 +164,25 @@ class TestAgainstTheFilter:
             assert got.terms == expected.terms
             assert (got.trunc, got.complete) == (trunc, False)
 
+    @pytest.mark.parametrize("cls", ROW_CLASSES, ids=lambda c: c.value)
+    def test_class_weight_series_matches_the_memo(self, cls):
+        for trunc in range(REFERENCE_TRUNC + 1):
+            expected = memo_weight_series(cls, trunc)
+            got = class_weight_series(cls, trunc)
+            assert got == expected, trunc
+            assert (got.complete, got.bound) == (expected.complete, expected.bound), trunc
+
+    def test_class_weight_series_memory(self):
+        # The rolling rows peaked at 3.0 MiB here; a memo with one dict per
+        # cap peaked at 52.8 MiB.
+        tracemalloc.start()
+        try:
+            class_weight_series(PartitionClass.ALL, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
     def test_class_weight_series_rejects_basis_tags(self, cls):
         with pytest.raises(ValueError):
@@ -154,6 +213,26 @@ class TestInjectedFaultsAreCaught:
         report = verify_spec(spec_by_key("p2-four"), 8)
         assert not report.passed
         assert _first_degree(report.failures, r"degree-(\d+) slices") <= 8
+
+    @pytest.mark.parametrize(
+        "cls, key, walk_as_strict",
+        (
+            (PartitionClass.G1, "g1-four", False),  # a part reused
+            (PartitionClass.P1, "p1-four", True),  # each part used once
+        ),
+        ids=("strict-walked-upward", "non-strict-walked-downward"),
+    )
+    def test_weight_series_walked_the_wrong_way(self, monkeypatch, cls, key, walk_as_strict):
+        rems = partitions._rems
+        monkeypatch.setattr(
+            partitions, "_rems", lambda strict, cap, trunc: rems(walk_as_strict, cap, trunc)
+        )
+        report = verify_spec(spec_by_key(key), 8)
+        assert not report.passed
+        assert _first_degree(report.failures, r"degree-(\d+) slices") <= 8
+        four = check_sip_gf_four_parameter(cls, 8)
+        assert not four.passed
+        assert _first_degree(four.failures, r"degree (\d+):") <= 8
 
     def test_skeleton_bound_off_by_one(self, monkeypatch):
         least_above = partitions._least_above

@@ -147,13 +147,25 @@ class TestRunningProduct:
         assert inverse.terms == explicit.invert_unit(trunc).terms
 
     def test_truncated_run_settles_on_the_infinite_product(self):
-        # (q; q^3) to order 3: only the factor 1 - q lies below the truncation,
-        # and nothing of its expansion was dropped, yet 1 - q^4 follows it.
+        # (q; q^3) to order 3: only the factor 1 - q lies below the truncation.
+        # The product 1 - q of that one factor is exact; from the next product
+        # on, 1 - q^4 and later factors follow, so the run settles on one
+        # incomplete series with the same terms.
         run = running_product(SINGLE_Q, 1, (1,), (3,), 3)
-        products = [next(run) for _ in range(4)]
+        products = [next(run) for _ in range(5)]
         assert products[1].terms == {(0,): 1, (1,): -1}
-        assert all(p is products[1] for p in products[2:])
-        assert not products[1].complete
+        assert products[1].complete
+        assert all(p is products[2] for p in products[3:])
+        assert products[2].terms == products[1].terms
+        assert not products[2].complete
+
+    def test_empty_product_of_a_run_above_the_truncation_is_complete(self):
+        # The first factor, 1 - ab, already lies above order 0.
+        run = running_product(FOUR_PARAM, 1, (1, 1, 0, 0), Q, 0, True)
+        empty, settled = next(run), next(run)
+        assert empty == settled == Series.one(FOUR_PARAM, 0)
+        assert empty.complete
+        assert not settled.complete
 
     @pytest.mark.parametrize(
         "ring, arg, base, trunc, inverted, error",
