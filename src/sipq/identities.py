@@ -34,7 +34,7 @@ from .partitions import (
     omega_exponents,
     stats,
 )
-from .qseries import PochFactor, nth_product, running_product, summand_walk
+from .qseries import PochFactor, infinite_product, nth_product, running_product, summand_walk
 from .reporting import CheckReport
 from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
 
@@ -155,7 +155,7 @@ def product_side(spec: TheoremSpec, trunc: int, alt: bool = False) -> Series:
     out = Series.one(spec.ring, trunc)
     for f in factors:
         run = running_product(spec.ring, f.sign, f.arg_exps, f.base_exps, trunc, f.inverted)
-        out = out * nth_product(run, trunc)
+        out = out * infinite_product(run, trunc)
     return out
 
 

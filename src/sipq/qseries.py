@@ -129,7 +129,8 @@ def running_product(
     runs must be truncated.  A truncated run needs an argument of positive
     degree, so factor ``i`` has degree above ``i``.  Once the next factor lies
     above ``trunc``, the product so far is yielded with its own flags, then
-    repeated as the whole infinite product, marked incomplete.  The arguments
+    repeated as the whole infinite product, marked incomplete; read that one
+    with :func:`infinite_product`.  The arguments
     are checked when the first product is drawn.
     """
     if ring.degree(base_exps) < 1:
@@ -154,6 +155,17 @@ def nth_product(run: Iterator[Series], n: int) -> Series:
     return next(islice(run, n, None))
 
 
+def infinite_product(run: Iterator[Series], trunc: int) -> Series:
+    """The whole infinite product of a run truncated at ``trunc``.
+
+    Factor ``i`` has degree above ``i``, so the run stops multiplying at some
+    ``k <= trunc`` and yields the exact product of those ``k`` factors at
+    index ``k``; index ``trunc + 1`` is always past it, on the incomplete
+    infinite product.
+    """
+    return nth_product(run, trunc + 1)
+
+
 def _poch_data(arg: Series, base: Series) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """``(sign, arg_exps, base_exps)`` of a monomial argument and a unit monomial base."""
     if len(arg.terms) != 1 or list(base.terms.values()) != [1]:
@@ -175,7 +187,7 @@ def pochhammer_infinite(arg: Series, base: Series, trunc: int) -> Series:
         raise ValueError("an infinite product requires a finite truncation")
     if arg.is_zero() or arg.min_deg < 1 or base.is_zero() or base.min_deg < 1:
         raise NonConvergent("argument and base must have positive degree")
-    return nth_product(running_product(arg.ring, *_poch_data(arg, base), trunc), trunc)
+    return infinite_product(running_product(arg.ring, *_poch_data(arg, base), trunc), trunc)
 
 
 @lru_cache(maxsize=None)
@@ -352,7 +364,7 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     for args, inverted in ((rhs_num, False), (rhs_den, True)):
         for arg in args:
             run = running_product(FOUR_PARAM, *_monomial_parts(arg, "ratio"), _Q, trunc, inverted)
-            rhs = rhs * nth_product(run, trunc)
+            rhs = rhs * infinite_product(run, trunc)
 
     name = f"q-gauss[a={_param_name(a_param)}; b={_param_name(b_param)}; c={_param_name(c_param)}]"
     cmp = lhs.equal_to(rhs)

@@ -22,7 +22,7 @@ from sipq.identities import (
 )
 from sipq.partitions import PartitionClass
 from sipq.qseries import PochFactor, check_q_gauss, running_product
-from sipq.series import Series
+from sipq.series import PrecisionLoss, Series
 
 EXPECTED_KEYS = (
     "g1-four",
@@ -313,6 +313,17 @@ def test_walk_faults_are_caught(monkeypatch, fault):
     partial = verify_partial_sums(PartitionClass.P1, 4, 16)
     assert not partial.passed
     assert _at_degree(partial.failures[0]) <= 8
+
+
+@pytest.mark.parametrize("key", [spec.key for spec in registry()])
+def test_product_side_to_order_zero_is_not_complete(key):
+    """To order 0 every product side reads 1, but each has terms above order
+    0, so it is not complete and cannot be raised."""
+    product = product_side(spec_by_key(key), 0)
+    assert product == Series.one(product.ring, 0)
+    assert not product.complete
+    with pytest.raises(PrecisionLoss):
+        product.truncate(1)
 
 
 class TestMissingSides:

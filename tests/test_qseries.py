@@ -98,6 +98,19 @@ class TestPochhammerInfinite:
             (0,): 1, (1,): -1, (2,): -1, (5,): 1, (7,): 1, (12,): -1,
         }
 
+    @pytest.mark.parametrize(
+        "trunc, terms", ((0, {(0,): 1}), (1, {(0,): 1, (1,): -1}))
+    )
+    def test_product_of_the_factors_below_the_truncation_is_not_complete(self, trunc, terms):
+        # (q; q)_inf to order 0 or 1: the factors below the truncation multiply
+        # to 1 or 1 - q exactly, but the infinite product goes on with -q^2.
+        arg = Series.monomial(SINGLE_Q, 1, (1,))
+        p = pochhammer_infinite(arg, arg, trunc)
+        assert p.terms == terms
+        assert not p.complete
+        with pytest.raises(PrecisionLoss):
+            p.truncate(2)
+
     def test_degenerate_argument_rejected(self):
         # argument of degree 0 would never converge
         arg = Series.monomial(FOUR_PARAM, 1, (0, 0, 0, 0))
