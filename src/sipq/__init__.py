@@ -42,6 +42,7 @@ from .identities import (
     verify_substitution_consistency,
 )
 from .partitions import (
+    OMEGA_IDENTITY,
     OmegaExponents,
     Partition,
     PartitionClass,
@@ -74,7 +75,6 @@ from .series import (
     SINGLE_Q,
     XZQ,
     ExponentOverflow,
-    NegativeQDegree,
     NonPositiveTail,
     NotAUnit,
     PrecisionLoss,
@@ -113,12 +113,12 @@ __all__ = [
     "FOUR_PARAM",
     "InternalError",
     "LengthViolation",
-    "NegativeQDegree",
     "NonConvergent",
     "NonEvenMu",
     "NonPositiveTail",
     "NotAUnit",
     "NotInClass",
+    "OMEGA_IDENTITY",
     "OMEGA_TO_BG",
     "OMEGA_TO_XQ",
     "OMEGA_TO_XZQ",

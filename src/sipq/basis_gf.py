@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .partitions import PartitionClass, enumerate_basis_by_shape, omega_exponents
-from .qseries import gauss_binomial
+from .qseries import gauss_binomial, q_monomial
 from .reporting import CheckReport
 from .series import FOUR_PARAM, Series
 
@@ -29,10 +29,6 @@ def _require_basis(cls: PartitionClass) -> None:
 
 def _mono(coeff: int, a: int = 0, b: int = 0, c: int = 0, d: int = 0) -> Series:
     return Series.monomial(FOUR_PARAM, coeff, (a, b, c, d))
-
-
-def _q_power(n: int) -> Series:
-    return _mono(1, n, n, n, n)
 
 
 def _c2(m: int) -> int:
@@ -89,9 +85,9 @@ def table_recurrence(cls: PartitionClass, n: int, h: int) -> Series:
         if h % 2:
             return _mono(1, 1) * table_recurrence(cls, n, h - 1)
         if n == 2 and h == 2:
-            return _q_power(1)
+            return q_monomial(1)
         half = h // 2
-        return _q_power(half) * (
+        return q_monomial(half) * (
             table_recurrence(cls, n - 2, h) + table_recurrence(cls, n - 2, h - 1)
         )
     if cls is PartitionClass.BASIS_P2:
@@ -100,9 +96,9 @@ def table_recurrence(cls: PartitionClass, n: int, h: int) -> Series:
         if n == 1:
             return _mono(1, 1, 1) if h == 2 else _ZERO
         if n == 2 and h == 2:
-            return _q_power(1) + _mono(1, 1, 1, 1)
+            return q_monomial(1) + _mono(1, 1, 1, 1)
         half = h // 2
-        return _q_power(half) * table_recurrence(cls, n - 2, h) + _mono(
+        return q_monomial(half) * table_recurrence(cls, n - 2, h) + _mono(
             1, half, half, half, half - 1
         ) * table_recurrence(cls, n - 2, h - 2)
     raise ValueError(f"no recurrence for {cls}")

@@ -107,26 +107,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             [_partition_record(lam) for lam in members],
         )
         return 0
+    counts = ("weight", "length", "alt_sum", "odd_parts", "bg_rank")
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        ["partition", "weight", "length", "alt_sum", "odd_parts", "bg_rank", "a", "b", "c", "d"]
-    )
+    writer.writerow(["partition", *counts, "a", "b", "c", "d"])
     for lam in members:
-        st = stats(lam)
-        om = omega_exponents(lam)
+        record = _partition_record(lam)
         writer.writerow(
-            [
-                ",".join(str(p) for p in lam),
-                st.weight,
-                st.length,
-                st.alt_sum,
-                st.odd_parts,
-                st.bg_rank,
-                om.a,
-                om.b,
-                om.c,
-                om.d,
-            ]
+            [",".join(map(str, lam)), *(record[k] for k in counts), *record["omega"].values()]
         )
     return 0
 

@@ -2,8 +2,8 @@
 
 Each :class:`TheoremSpec` packages up to four independently computed sides:
 
-* ``combinatorial`` — a sum of partition weights over a class, optionally
-  pushed through a variable substitution;
+* ``combinatorial`` — a sum of partition weights over a class, each part's
+  monomial pushed through the statement's weight map;
 * ``series`` — one or more summed families of Pochhammer-quotient terms;
 * ``product`` — an infinite product, truncated;
 * ``product-alt`` — an equivalent rewriting of the product when the catalog
@@ -27,6 +27,7 @@ import dataclasses
 from typing import Iterator
 
 from .partitions import (
+    OMEGA_IDENTITY,
     PartitionClass,
     class_weight_series,
     conjugate,
@@ -93,12 +94,17 @@ class TheoremSpec:
     description: str
     ring: SeriesRing
     partition_class: PartitionClass | None
-    weight_map: SubstitutionMap | None
+    weight_map: SubstitutionMap
     series: tuple[SumFamily, ...]
     product: tuple[PochFactor, ...]
     product_alt: tuple[PochFactor, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.weight_map.target != self.ring:
+            raise ValueError(
+                f"{self.key}: weight map target {self.weight_map.target.names}"
+                f" is not the ring {self.ring.names}"
+            )
         # The summand walk needs every term of every step polynomial r_n at
         # nonnegative degree.  r_n is the prefactor ratio, of degree A*n + B
         # (A, B the graded sums of the C(n,2) and n columns), times the new
@@ -124,11 +130,10 @@ class TheoremSpec:
 
 
 def combinatorial_side(spec: TheoremSpec, trunc: int) -> Series:
-    """Sum of (possibly substituted) weights over the statement's class."""
+    """Sum of the mapped weights over the statement's class."""
     if spec.partition_class is None:
         raise ValueError(f"{spec.key} has no combinatorial side")
-    weights = class_weight_series(spec.partition_class, trunc)
-    return weights if spec.weight_map is None else weights.substitute(spec.weight_map, trunc)
+    return class_weight_series(spec.partition_class, trunc, spec.weight_map)
 
 
 def series_side(
@@ -218,7 +223,7 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             ),
             ring=FOUR_PARAM,
             partition_class=PartitionClass.G1,
-            weight_map=None,
+            weight_map=OMEGA_IDENTITY,
             series=(
                 SumFamily(
                     ((1, 1, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)),
@@ -238,7 +243,7 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             ),
             ring=FOUR_PARAM,
             partition_class=PartitionClass.G2,
-            weight_map=None,
+            weight_map=OMEGA_IDENTITY,
             series=(
                 SumFamily(
                     ((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 0, 0)),
@@ -258,7 +263,7 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             ),
             ring=FOUR_PARAM,
             partition_class=PartitionClass.P1,
-            weight_map=None,
+            weight_map=OMEGA_IDENTITY,
             series=(
                 SumFamily(
                     ((0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
@@ -283,7 +288,7 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             ),
             ring=FOUR_PARAM,
             partition_class=PartitionClass.P2,
-            weight_map=None,
+            weight_map=OMEGA_IDENTITY,
             series=(
                 SumFamily(
                     ((0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
@@ -305,7 +310,7 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             description="all partitions: four-parameter weight product",
             ring=FOUR_PARAM,
             partition_class=PartitionClass.ALL,
-            weight_map=None,
+            weight_map=OMEGA_IDENTITY,
             series=(),
             product=(
                 PochFactor(-1, (1, 0, 0, 0), _Q4),

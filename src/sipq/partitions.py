@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .series import FOUR_PARAM, Series
+from .series import FOUR_PARAM, Series, SubstitutionMap, _checked_bound
 
 
 class Partition(tuple):
@@ -134,6 +134,11 @@ _RULES = {
     PartitionClass.P2: (False, 1),
 }
 
+#: The four-parameter weight unchanged: each of a, b, c, d maps to itself.
+OMEGA_IDENTITY = SubstitutionMap(
+    FOUR_PARAM, FOUR_PARAM, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+)
+
 
 def stats(lam: Partition) -> PartitionStats:
     """Weight, length, alternating sum, odd-part count and BG-rank of ``lam``."""
@@ -234,31 +239,55 @@ def _rems(strict: bool, cap: int, trunc: int) -> range:
     return range(trunc, cap - 1, -1) if strict else range(cap, trunc + 1)
 
 
-def class_weight_series(cls: PartitionClass, trunc: int) -> Series:
-    """The four-parameter weight summed over every member of weight <= ``trunc``.
+def class_weight_series(
+    cls: PartitionClass, trunc: int, weight_map: SubstitutionMap = OMEGA_IDENTITY
+) -> Series:
+    """The four-parameter weight, pushed through ``weight_map``, summed over
+    every member of weight <= ``trunc``.
 
     The sum runs row by row without building a partition.  Two rolling rows
-    of cells, ``cell[parity][rem]`` for ``rem = 0..trunc``, map packed exponent
-    keys to counts: the ways to fill the rows from one of that row-index
-    parity down with parts at most the current cap and weight exactly
-    ``rem``.  Raising the cap by one updates every cell in place: where the
-    cap is an allowed part for that parity, the cell gains the other parity's
-    cell at ``rem - cap`` shifted by the part's monomial, one packed key added
-    to each key.  The order of :func:`_rems` makes a strict class read the
-    cell from the cap below and a non-strict one the cell at this cap.  This
-    is still a direct sum over class members under the class's row rules; it
-    uses no skeleton, series or product, so it stays independent of the sides
-    it is compared with.  A member's monomial has total degree equal to its
-    weight, so ``cell[1][w]`` after the last cap is the degree-``w`` bucket and
-    the sum is exact to order ``trunc``.  Basis tags are rejected: the
-    recursion encodes the base-class rules only.
+    of cells, ``cell[parity][rem]`` for ``rem = 0..trunc``, map packed keys of
+    the map's target ring to counts: the ways to fill the rows from one of
+    that row-index parity down with parts at most the current cap and weight
+    exactly ``rem``.  Raising the cap by one updates every cell in place:
+    where the cap is an allowed part for that parity, the cell gains the
+    other parity's cell at ``rem - cap`` shifted by the part's mapped
+    monomial, one packed key added to each key.  The map is monomial, so
+    applying it part by part gives each member's mapped weight.  The order
+    of :func:`_rems` makes a strict class read the cell from the cap below
+    and a non-strict one the cell at this cap.  This is still a direct sum
+    over class members under the class's row rules; it uses no skeleton,
+    series or product, so it stays independent of the sides it is compared
+    with.  Every image has target degree 1, so a member's mapped monomial has
+    degree equal to its weight, ``cell[1][w]`` after the last cap is the
+    degree-``w`` bucket and the sum is exact to order ``trunc``.  Basis tags
+    are rejected: the recursion encodes the base-class rules only.
     """
     if cls.is_basis:
         raise ValueError(f"{cls} is a basis tag; its rules are not row rules")
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
+    if weight_map.source != FOUR_PARAM:
+        raise ValueError(f"weight map source {weight_map.source.names} is not {FOUR_PARAM.names}")
+    target = weight_map.target
+    if any(target.degree(image) != 1 for image in weight_map.images):
+        raise ValueError(f"every image of the weight map needs degree 1, got {weight_map.images}")
     strict, even_row = _RULES[cls]
-    pack = FOUR_PARAM.pack
+    # The bound the terms can reach.  A member of weight w <= trunc has
+    # nonnegative exponents (A, B, C, D) with B <= A and D <= C.  A, the sum
+    # of ceil(p/2) over the m odd-indexed rows, is at most ceil(w/2), since
+    # the m - 1 rows between them weigh at least 1 each; C is at most
+    # floor(w/2), since there are no more even-indexed rows than odd-indexed
+    # ones; a class whose odd-indexed rows must be even has A <= floor(w/2)
+    # too.  So each exponent is at most ``half``, and target exponent j,
+    # sum_i e_i * image_i[j], is at most half * sum_i |image_i[j]| in absolute
+    # value.  For the identity map this is ``half``, which a one-row member
+    # attains.
+    half = trunc // 2 if even_row == 1 else (trunc + 1) // 2
+    bound = _checked_bound(
+        max(half * sum(map(abs, column)) for column in zip(*weight_map.images))
+    )
+    pack, image_of = target.pack, weight_map.map_exps
     cell: list[list[dict[int, int]]] = [
         [{0: 1}] + [{} for _ in range(trunc)] for _ in (0, 1)
     ]
@@ -267,7 +296,11 @@ def class_weight_series(cls: PartitionClass, trunc: int) -> Series:
         # A part on an odd-indexed row (parity 1) adds to a and b, on an
         # even-indexed row to c and d.
         steps = [
-            (cell[parity], cell[1 - parity], pack((hi, lo, 0, 0) if parity else (0, 0, hi, lo)))
+            (
+                cell[parity],
+                cell[1 - parity],
+                pack(image_of((hi, lo, 0, 0) if parity else (0, 0, hi, lo))),
+            )
             for parity in (0, 1)
             if not (parity == even_row and cap % 2)
         ]
@@ -278,14 +311,7 @@ def class_weight_series(cls: PartitionClass, trunc: int) -> Series:
                 for key, count in tails[rem - cap].items():
                     key += delta
                     acc[key] = get(key, 0) + count
-    # The bound the terms attain.  Every exponent is nonnegative, B <= A and
-    # D <= C.  A, the sum of ceil(p/2) over the m odd-indexed rows, is at most
-    # ceil(w/2), since the m - 1 rows between them weigh at least 1 each; C
-    # is at most floor(w/2), since there are no more even-indexed rows than
-    # odd-indexed ones.  The one-row member of weight trunc attains ceil; a
-    # class whose odd-indexed rows must be even has A <= floor(w/2) too.
-    bound = trunc // 2 if even_row == 1 else (trunc + 1) // 2
-    return Series._from_buckets(FOUR_PARAM, dict(enumerate(cell[1])), bound, trunc, False)
+    return Series._from_buckets(target, dict(enumerate(cell[1])), bound, trunc, False)
 
 
 def _least_above(part: int, rows: int, min_gap: int) -> int:

@@ -73,10 +73,6 @@ class NonPositiveTail(SeriesError):
     """Inversion requires every non-constant term to have positive degree."""
 
 
-class NegativeQDegree(SeriesError):
-    """A substitution produced a term of negative degree."""
-
-
 class ExponentOverflow(SeriesError):
     """An exponent would reach ``EXPONENT_LIMIT``, beyond what a packed key holds."""
 
@@ -173,8 +169,8 @@ class Series:
     dict ``packed key -> int`` of the terms of that degree, none with
     coefficient 0 (see the module docstring for the packing).  A term's
     degree and key are computed once, when it enters through the constructor,
-    :meth:`from_terms`, :meth:`monomial` or :meth:`substitute`; arithmetic
-    passes degrees through, adds keys, and truncation drops whole buckets.
+    :meth:`from_terms` or :meth:`monomial`; arithmetic passes degrees
+    through, adds keys, and truncation drops whole buckets.
     Bucket dicts are never changed after construction, so series share them.
     ``terms`` is a flat ``exponent-tuple -> int`` view, built on each access.
 
@@ -527,7 +523,7 @@ class Series:
                 below = out[d] = acc
         return out
 
-    # -- truncation and substitution -------------------------------------------
+    # -- truncation -------------------------------------------------------------
 
     def truncate(self, trunc: int | None) -> "Series":
         """Re-truncate: down always works, up (or to None) needs completeness."""
@@ -538,35 +534,6 @@ class Series:
         if not self.complete:
             raise PrecisionLoss(f"cannot raise truncation {self.trunc} -> {trunc} of an incomplete series")
         return Series._from_buckets(self.ring, self.buckets, self.bound, trunc, True)
-
-    def substitute(self, smap: "SubstitutionMap", trunc: int | None) -> "Series":
-        """Map each variable to a monomial of the target ring.
-
-        For an incomplete source, each variable's image degree must equal one
-        uniform positive multiple of that variable's own weight, so that the
-        guaranteed target order can be derived from the source truncation.
-        """
-        if smap.source != self.ring:
-            raise RingMismatch(f"map expects {smap.source.names}, series has {self.ring.names}")
-        target = smap.target
-        if not self.complete:
-            alpha = smap.degree_scale()
-            if alpha is None or alpha <= 0:
-                raise PrecisionLoss(
-                    "substitution into an incomplete series needs a uniform positive degree scale"
-                )
-            if self.trunc is None:
-                raise PrecisionLoss("incomplete series without truncation")
-            guaranteed = alpha * (self.trunc + 1) - 1
-            if trunc is None or trunc > guaranteed:
-                raise PrecisionLoss(f"target truncation {trunc} exceeds guaranteed order {guaranteed}")
-        mapped = []
-        for exps, coeff in self.terms.items():
-            image = smap.map_exps(exps)
-            if target.degree(image) < 0:
-                raise NegativeQDegree(f"term {exps} maps to negative degree {image}")
-            mapped.append((image, coeff))
-        return Series._from_buckets(target, *_bucketed(target, mapped, trunc), trunc, self.complete)
 
     # -- comparison and rendering ----------------------------------------------
 
@@ -660,30 +627,6 @@ class SubstitutionMap:
         for img in self.images:
             if len(img) != self.target.nvars:
                 raise ValueError(f"image {img} has wrong arity for {self.target.names}")
-
-    def degree_scale(self) -> int | None:
-        """The factor by which the map scales degrees, if one exists.
-
-        Returns ``alpha`` such that every source variable of weight ``w`` maps
-        to a monomial of target degree ``alpha * w``, or None if no single
-        factor works.  When it exists, a term of source degree ``d`` always
-        maps to target degree ``alpha * d``.
-        """
-        alpha: int | None = None
-        for w, img in zip(self.source.weights, self.images):
-            d = self.target.degree(img)
-            if w == 0:
-                if d != 0:
-                    return None
-                continue
-            if d % w != 0:
-                return None
-            scale = d // w
-            if alpha is None:
-                alpha = scale
-            elif alpha != scale:
-                return None
-        return alpha
 
     def map_exps(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """The target exponents of the source monomial with exponents ``exps``."""

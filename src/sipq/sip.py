@@ -27,7 +27,7 @@ from .partitions import (
 )
 from .qseries import running_product
 from .reporting import CheckReport
-from .series import FOUR_PARAM, SINGLE_Q, Series
+from .series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
 
 
 class SipError(Exception):
@@ -173,12 +173,16 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     )
 
 
+# Every part's monomial to q^(its size): a member maps to q^(its weight).
+_OMEGA_TO_Q = SubstitutionMap(FOUR_PARAM, SINGLE_Q, ((1,), (1,), (1,), (1,)))
+
+
 def class_counts(cls: PartitionClass, weight_max: int) -> list[int]:
-    """The number of class members of each weight ``0..weight_max``, summed off
-    the degree slices of :func:`class_weight_series`.  That row recursion
-    builds no partition and uses no skeleton."""
-    weights = class_weight_series(cls, weight_max)
-    return [sum(weights.degree_slice(w).values()) for w in range(weight_max + 1)]
+    """The number of class members of each weight ``0..weight_max``, read off
+    :func:`class_weight_series` in ``q`` alone.  That row recursion builds no
+    partition and uses no skeleton."""
+    weights = class_weight_series(cls, weight_max, _OMEGA_TO_Q)
+    return [weights.coefficient((w,)) for w in range(weight_max + 1)]
 
 
 def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:

@@ -211,6 +211,15 @@ class TestSeries:
                 digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == "d476056f66f4586e64e7d5ed80ccb9eeee3e59983b6d6b8ef839436f07170812"
 
+    def test_every_combinatorial_side_is_pinned(self, capsys):
+        """The combinatorial side of every catalog identity at trunc 32, in
+        registry order, stays byte-identical to a recorded digest."""
+        digest = hashlib.sha256()
+        for spec in identities.registry():
+            main(["series", "--spec", spec.key, "--side", "combinatorial", "--trunc", "32"])
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == "3a5db8da09d3a34f88153f168e6af440558d79b82fe4640a21c8641c5cf7aa5e"
+
     def test_every_side_at_trunc_64_is_pinned(self, capsys):
         """Every catalog side at trunc 64, the scale of the ``sides-t64``
         benchmark workload, stays byte-identical to a recorded digest."""

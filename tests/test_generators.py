@@ -20,7 +20,7 @@ import tracemalloc
 import pytest
 
 from sipq import partitions
-from sipq.identities import spec_by_key, verify_spec
+from sipq.identities import combinatorial_side, registry, spec_by_key, verify_spec
 from sipq.partitions import (
     Partition,
     PartitionClass,
@@ -31,7 +31,8 @@ from sipq.partitions import (
     is_member,
     omega_exponents,
 )
-from sipq.series import FOUR_PARAM, Series
+from sipq.qseries import infinite_product, running_product
+from sipq.series import FOUR_PARAM, Series, SubstitutionMap
 from sipq.sip import check_sip_gf_four_parameter, sip_gf_single_variable
 
 ORACLE_WEIGHT = 20
@@ -119,6 +120,17 @@ def skeleton_candidates(cls: PartitionClass, length: int) -> list[Partition]:
     return found
 
 
+def _boulet_strict(trunc: int, abc_sign: int) -> Series:
+    """Boulet's product for strict partitions, with the sign of the
+    ``(-abc;Q)_inf`` factor given (-1 for the true product)."""
+    factors = ((-1, (1, 0, 0, 0), False), (abc_sign, (1, 1, 1, 0), False), (1, (1, 1, 0, 0), True))
+    out = Series.one(FOUR_PARAM, trunc)
+    for sign, arg, inverted in factors:
+        run = running_product(FOUR_PARAM, sign, arg, (1, 1, 1, 1), trunc, inverted)
+        out = out * infinite_product(run, trunc)
+    return out
+
+
 class TestAgainstTheFilter:
     @pytest.mark.parametrize("cls", list(PartitionClass), ids=lambda c: c.value)
     def test_enumerate_partitions(self, cls):
@@ -171,6 +183,36 @@ class TestAgainstTheFilter:
             got = class_weight_series(cls, trunc)
             assert got == expected, trunc
             assert (got.complete, got.bound) == (expected.complete, expected.bound), trunc
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for spec in registry() if spec.partition_class is not None],
+        ids=lambda spec: spec.key,
+    )
+    def test_combinatorial_side(self, spec):
+        # Each member's weight pushed through the map as a whole, against the
+        # recursion that maps it part by part.
+        for trunc in range(ORACLE_WEIGHT + 1):
+            images = [
+                spec.weight_map.map_exps(omega_exponents(lam).vector())
+                for w in range(trunc + 1)
+                for lam in oracle_members(spec.partition_class, w)
+            ]
+            expected = Series.from_terms(
+                spec.ring, ((image, 1) for image in images), trunc, complete=False
+            )
+            got = combinatorial_side(spec, trunc)
+            assert got == expected, trunc
+            assert (got.trunc, got.complete) == (trunc, False), trunc
+            assert got.bound >= max(max(map(abs, image)) for image in images), trunc
+
+    @pytest.mark.parametrize("trunc", (0, 1, 2, 8, 24, 40))
+    def test_strict_class_is_boulets_distinct_parts_product(self, trunc):
+        # (-a;Q)_inf (-abc;Q)_inf / (ab;Q)_inf with Q = abcd.
+        assert class_weight_series(PartitionClass.STRICT, trunc) == _boulet_strict(trunc, -1)
+
+    def test_boulet_strict_product_with_a_flipped_sign_differs(self):
+        assert class_weight_series(PartitionClass.STRICT, 8) != _boulet_strict(8, 1)
 
     def test_class_weight_series_memory(self):
         # The rolling rows peaked at 3.0 MiB here; a memo with one dict per
@@ -233,6 +275,16 @@ class TestInjectedFaultsAreCaught:
         four = check_sip_gf_four_parameter(cls, 8)
         assert not four.passed
         assert _first_degree(four.failures, r"degree (\d+):") <= 8
+
+    @pytest.mark.parametrize("key", ("g1-xzq", "p1-bg"))
+    def test_weight_map_without_its_d_image(self, monkeypatch, key):
+        map_exps = SubstitutionMap.map_exps
+        monkeypatch.setattr(
+            SubstitutionMap, "map_exps", lambda self, exps: map_exps(self, (*exps[:3], 0))
+        )
+        report = verify_spec(spec_by_key(key), 8)
+        assert not report.passed
+        assert _first_degree(report.failures, r"degree-(\d+) slices") <= 8
 
     def test_skeleton_bound_off_by_one(self, monkeypatch):
         least_above = partitions._least_above

@@ -224,6 +224,14 @@ def test_flat_factor_base_rejected():
         dataclasses.replace(spec, series=(family,))
 
 
+@pytest.mark.parametrize("key, other", (("g1-four", "g1-xzq"), ("g1-xzq", "g1-four")))
+def test_weight_map_into_another_ring_rejected(key, other):
+    """The combinatorial side is built in the target ring of the weight map,
+    so a map into any ring but the statement's is refused when built."""
+    with pytest.raises(ValueError, match="is not the ring"):
+        dataclasses.replace(spec_by_key(key), weight_map=spec_by_key(other).weight_map)
+
+
 def _rebuilt_summands(ring, fam, trunc):
     """Each summand built from scratch: the prefactor monomial times the exact
     numerator running products, truncated, times the inverted denominator runs."""

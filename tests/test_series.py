@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import pytest
 
 from sipq.identities import spec_by_key, verify_spec
+from sipq.partitions import PartitionClass, class_weight_series
 from sipq.qseries import A_INFINITY, check_q_gauss, check_qbinomial_recurrences
 from sipq.series import (
     EXPONENT_LIMIT,
@@ -22,7 +23,6 @@ from sipq.series import (
     SINGLE_Q,
     XZQ,
     ExponentOverflow,
-    NegativeQDegree,
     NonPositiveTail,
     NotAUnit,
     PrecisionLoss,
@@ -274,45 +274,32 @@ class TestSubstitution:
     )
 
     def test_monomial_image(self):
-        f = Series.monomial(FOUR_PARAM, 3, (2, 1, 1, 0))
-        out = f.substitute(self.smap, None)
-        assert out.terms == {(2, 2, 4): 3}
+        assert self.smap.map_exps((2, 1, 1, 0)) == (2, 2, 4)
 
-    @settings(max_examples=40)
-    @given(exact_polys(), exact_polys())
-    def test_multiplicative(self, f, g):
-        lhs = (f * g).substitute(self.smap, None)
-        rhs = f.substitute(self.smap, None) * g.substitute(self.smap, None)
-        assert lhs.terms == rhs.terms
+    @given(st.lists(st.tuples(*[st.integers(min_value=0, max_value=9)] * 4), max_size=6))
+    def test_multiplicative(self, monomials):
+        # The image of a product of monomials is the product of their images,
+        # which is what lets the class weight series map each part on its own.
+        total = tuple(map(sum, zip((0, 0, 0, 0), *monomials)))
+        images = [self.smap.map_exps(m) for m in monomials]
+        assert self.smap.map_exps(total) == tuple(map(sum, zip((0, 0, 0), *images)))
 
-    def test_truncated_source_keeps_guarantee(self):
-        f = Series(FOUR_PARAM, {(1, 0, 0, 0): 1, (9, 0, 0, 0): 7}, 6)
-        out = f.substitute(self.smap, 6)
-        assert out.terms == {(1, 1, 1): 1}
-        assert not out.complete
-
-    def test_truncated_source_cannot_promise_more(self):
-        f = Series(FOUR_PARAM, {(9, 0, 0, 0): 7, (1, 0, 0, 0): 1}, 6)
-        with pytest.raises(PrecisionLoss):
-            f.substitute(self.smap, 7)
-
-    def test_degree_dropping_map_requires_complete_source(self):
+    def test_degree_dropping_map_is_refused(self):
         drop_z = SubstitutionMap(
             FOUR_PARAM, XZQ, ((0, 1, 0), (0, 1, 0), (0, -1, 0), (0, -1, 0))
         )
-        # A complete source loses nothing under any map.
-        f = Series(FOUR_PARAM, {(1, 0, 0, 0): 1}, 6)
-        assert f.substitute(drop_z, 6).terms == {(0, 1, 0): 1}
-        # An incomplete one cannot bound the image order when degrees drop.
-        g = Series(FOUR_PARAM, {(1, 0, 0, 0): 1, (9, 0, 0, 0): 2}, 6)
-        with pytest.raises(PrecisionLoss):
-            g.substitute(drop_z, 6)
+        with pytest.raises(ValueError, match="degree 1"):
+            class_weight_series(PartitionClass.ALL, 6, drop_z)
 
     def test_negative_q_exponent_rejected(self):
         to_q = SubstitutionMap(FOUR_PARAM, SINGLE_Q, ((1,), (1,), (1,), (-1,)))
-        f = Series.monomial(FOUR_PARAM, 1, (0, 0, 0, 2))
-        with pytest.raises(NegativeQDegree):
-            f.substitute(to_q, None)
+        with pytest.raises(ValueError, match="degree 1"):
+            class_weight_series(PartitionClass.ALL, 6, to_q)
+
+    def test_map_from_another_ring_is_refused(self):
+        from_xzq = SubstitutionMap(XZQ, SINGLE_Q, ((0,), (0,), (1,)))
+        with pytest.raises(ValueError, match="source"):
+            class_weight_series(PartitionClass.ALL, 6, from_xzq)
 
     def test_arity_validation(self):
         with pytest.raises(ValueError):
@@ -675,9 +662,15 @@ class TestPackedKeys:
             Series.one(SINGLE_Q, LIMIT).times_factor(1, (LIMIT // 8,), inverted=True)
         below = Series.one(SINGLE_Q, LIMIT - 1).times_factor(1, (LIMIT // 8,), inverted=True)
         assert below.bound == 7 * LIMIT // 8
-        square = SubstitutionMap(SINGLE_Q, SINGLE_Q, ((2,),))
+        # Every image has degree 1; a part of size 3 has a^2, which maps to x^LIMIT.
+        wide = SubstitutionMap(
+            FOUR_PARAM, XZQ, ((LIMIT // 2, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1))
+        )
         with pytest.raises(ExponentOverflow):
-            Series.monomial(SINGLE_Q, 1, (LIMIT // 2,)).substitute(square, None)
+            class_weight_series(PartitionClass.ALL, 3, wide)
+        # At weight 2, (2) and (1, 1) both have a^1.
+        edge = class_weight_series(PartitionClass.ALL, 2, wide)
+        assert edge.coefficient((LIMIT // 2, 0, 2)) == 2
 
     def test_out_of_range_product_raises(self):
         top = Series.monomial(XZQ, 1, (LIMIT // 2, 0, 0))
