@@ -35,7 +35,8 @@ from .partitions import (
     omega_exponents,
     stats,
 )
-from .qseries import PochFactor, infinite_product, nth_product, running_product, summand_walk
+from .qseries import PochFactor, nth_product, running_product, summand_walk
+from .qseries import truncated_infinite_product
 from .reporting import CheckReport
 from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
 
@@ -141,6 +142,8 @@ def series_side(
     trunc: int,
     nonneg_failures: list[str] | None = None,
 ) -> Series:
+    if trunc < 0:
+        raise ValueError("trunc must be nonnegative")
     if not spec.series:
         raise ValueError(f"{spec.key} has no series side")
     failures = nonneg_failures if spec.ring is FOUR_PARAM else None
@@ -157,11 +160,9 @@ def product_side(spec: TheoremSpec, trunc: int, alt: bool = False) -> Series:
     factors = spec.product_alt if alt else spec.product
     if factors is None:
         raise ValueError(f"{spec.key} has no alternate product")
-    out = Series.one(spec.ring, trunc)
-    for f in factors:
-        run = running_product(spec.ring, f.sign, f.arg_exps, f.base_exps, trunc, f.inverted)
-        out = out * infinite_product(run, trunc)
-    return out
+    return truncated_infinite_product(
+        spec.ring, [(f.sign, f.arg_exps, f.base_exps, f.inverted) for f in factors], trunc
+    )
 
 
 def _slice_text(s: Series, degree: int) -> str:

@@ -245,23 +245,24 @@ def class_weight_series(
     """The four-parameter weight, pushed through ``weight_map``, summed over
     every member of weight <= ``trunc``.
 
-    The sum runs row by row without building a partition.  Two rolling rows
-    of cells, ``cell[parity][rem]`` for ``rem = 0..trunc``, map packed keys of
-    the map's target ring to counts: the ways to fill the rows from one of
-    that row-index parity down with parts at most the current cap and weight
-    exactly ``rem``.  Raising the cap by one updates every cell in place:
-    where the cap is an allowed part for that parity, the cell gains the
-    other parity's cell at ``rem - cap`` shifted by the part's mapped
-    monomial, one packed key added to each key.  The map is monomial, so
-    applying it part by part gives each member's mapped weight.  The order
-    of :func:`_rems` makes a strict class read the cell from the cap below
-    and a non-strict one the cell at this cap.  This is still a direct sum
-    over class members under the class's row rules; it uses no skeleton,
-    series or product, so it stays independent of the sides it is compared
-    with.  Every image has target degree 1, so a member's mapped monomial has
-    degree equal to its weight, ``cell[1][w]`` after the last cap is the
-    degree-``w`` bucket and the sum is exact to order ``trunc``.  Basis tags
-    are rejected: the recursion encodes the base-class rules only.
+    The sum runs row by row, top row first, without building a partition.
+    Two rolling rows of cells, ``cell[p][rem]`` for ``rem = 0..trunc``, map
+    packed keys of the map's target ring to counts: the ways to fill some top
+    rows, ``p`` their number mod 2, with parts at least the current cap and
+    weight exactly ``rem``.  Lowering the cap from ``trunc`` to 1 updates
+    every cell in place: where the cap is an allowed part on the next row, of
+    index parity ``1 - p``, ``cell[1 - p][rem]`` gains ``cell[p][rem - cap]``
+    shifted by the part's mapped monomial, one packed key added to each key.
+    Largest parts first, the cells stay sparse until the last caps.  The map
+    is monomial, so applying it part by part gives each member's mapped weight.
+    The order of :func:`_rems` makes a strict class read the cell from the
+    cap above and a non-strict one the cell at this cap.  This is still a
+    direct sum over class members under the class's row rules; it uses no
+    skeleton, series or product, so it stays independent of the sides it is
+    compared with.  Every image has target degree 1, so a member's mapped
+    monomial has degree equal to its weight, ``cell[0][w] + cell[1][w]`` is
+    the degree-``w`` bucket and the sum is exact to order ``trunc``.  Basis
+    tags are rejected: the recursion encodes the base-class rules only.
     """
     if cls.is_basis:
         raise ValueError(f"{cls} is a basis tag; its rules are not row rules")
@@ -288,10 +289,9 @@ def class_weight_series(
         max(half * sum(map(abs, column)) for column in zip(*weight_map.images))
     )
     pack, image_of = target.pack, weight_map.map_exps
-    cell: list[list[dict[int, int]]] = [
-        [{0: 1}] + [{} for _ in range(trunc)] for _ in (0, 1)
-    ]
-    for cap in range(1, trunc + 1):
+    cell: list[list[dict[int, int]]] = [[{} for _ in range(trunc + 1)] for _ in (0, 1)]
+    cell[0][0][0] = 1
+    for cap in range(trunc, 0, -1):
         hi, lo = (cap + 1) // 2, cap // 2
         # A part on an odd-indexed row (parity 1) adds to a and b, on an
         # even-indexed row to c and d.
@@ -305,13 +305,19 @@ def class_weight_series(
             if not (parity == even_row and cap % 2)
         ]
         for rem in _rems(strict, cap, trunc):
-            for row, tails, delta in steps:
+            for row, heads, delta in steps:
+                above = heads[rem - cap]
+                if not above:
+                    continue
                 acc = row[rem]
                 get = acc.get
-                for key, count in tails[rem - cap].items():
+                for key, count in above.items():
                     key += delta
                     acc[key] = get(key, 0) + count
-    return Series._from_buckets(target, dict(enumerate(cell[1])), bound, trunc, False)
+    even, odd = (
+        Series._from_buckets(target, dict(enumerate(row)), bound, trunc, False) for row in cell
+    )
+    return even + odd
 
 
 def _least_above(part: int, rows: int, min_gap: int) -> int:

@@ -4,8 +4,9 @@ Everything here lives in the four-variable ring with base ``Q = abcd`` (or in
 whatever ring the caller's argument series use, for the finite products).
 ``pochhammer_finite(x, Q, n)`` is the product ``(1-x)(1-xQ)...(1-xQ^{n-1})``,
 so the classical ``(x; Q)_n`` with a sign goes in through the argument.
-Every Pochhammer product, finite or infinite, inverted or not, is grown one
-factor at a time by :func:`running_product`; every sum of Pochhammer
+A run of finite Pochhammer products is grown one factor at a time by
+:func:`running_product`, a truncated infinite product largest binomial first
+by :func:`truncated_infinite_product`; every sum of Pochhammer
 quotients is walked summand by summand by :func:`summand_walk`.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 from itertools import count, islice, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .reporting import CheckReport
 from .series import FOUR_PARAM, PrecisionLoss, Series, SeriesError, SeriesRing
@@ -129,9 +130,9 @@ def running_product(
     runs must be truncated.  A truncated run needs an argument of positive
     degree, so factor ``i`` has degree above ``i``.  Once the next factor lies
     above ``trunc``, the product so far is yielded with its own flags, then
-    repeated as the whole infinite product, marked incomplete; read that one
-    with :func:`infinite_product`.  The arguments
-    are checked when the first product is drawn.
+    repeated as the whole infinite product, marked incomplete: every index
+    from ``trunc + 1`` on reads it.  The arguments are checked when the first
+    product is drawn.
     """
     if ring.degree(base_exps) < 1:
         raise ValueError("base must have positive degree")
@@ -155,15 +156,40 @@ def nth_product(run: Iterator[Series], n: int) -> Series:
     return next(islice(run, n, None))
 
 
-def infinite_product(run: Iterator[Series], trunc: int) -> Series:
-    """The whole infinite product of a run truncated at ``trunc``.
-
-    Factor ``i`` has degree above ``i``, so the run stops multiplying at some
-    ``k <= trunc`` and yields the exact product of those ``k`` factors at
-    index ``k``; index ``trunc + 1`` is always past it, on the incomplete
-    infinite product.
-    """
-    return nth_product(run, trunc + 1)
+def truncated_infinite_product(ring: SeriesRing, factors: Iterable[tuple], trunc: int) -> Series:
+    """The product of ``factors``, each ``(sign, arg_exps, base_exps, inverted)``
+    for ``prod_i (1 - sign * x^(arg + i*base))`` or its inverse, to order
+    ``trunc``, marked incomplete.  Every binomial of degree <= ``trunc`` is
+    applied by :meth:`Series.times_factor`, largest degree first (ties in
+    factor order): the order changes no coefficient, but keeps the product as
+    sparse as the terms that can still reach the truncation, so the work
+    follows the output."""
+    if trunc is None or trunc < 0:
+        raise ValueError(f"trunc must be nonnegative, got {trunc}")
+    steps = []
+    for sign, arg_exps, base_exps, inverted in factors:
+        if ring.degree(base_exps) < 1:
+            raise ValueError("base must have positive degree")
+        if ring.degree(arg_exps) < 1:
+            raise NonConvergent("a truncated product needs an argument of positive degree")
+        exps = tuple(arg_exps)
+        while (deg := ring.degree(exps)) <= trunc:
+            steps.append((deg, sign, exps, inverted))
+            exps = tuple(e + b for e, b in zip(exps, base_exps))
+    steps.sort(key=lambda step: step[0], reverse=True)  # stable: ties keep factor order
+    # The bound equals that of one running product per factor multiplied into
+    # ``Series.one``.  ``times_factor`` adds to its operand's bound an amount
+    # fixed by the binomial and ``trunc`` alone: ``max |e_i|`` for a plain
+    # binomial of degree <= trunc (0 for sign 0), ``(trunc // deg) * max
+    # |e_i|`` for an inverted one.  Each run applies its binomials of degree
+    # <= trunc from bound 0, and ``__mul__`` adds the run bounds to the 0 of
+    # ``Series.one``: both sum the same amounts over the same binomials.  The
+    # amounts are nonnegative, so no partial sum exceeds the total, and both
+    # raise ExponentOverflow alike.
+    prod = Series.one(ring, trunc)
+    for _, sign, exps, inverted in steps:
+        prod = prod.times_factor(sign, exps, inverted)
+    return prod.incomplete()
 
 
 def _poch_data(arg: Series, base: Series) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -183,11 +209,9 @@ def pochhammer_finite(arg: Series, base: Series, n: int) -> Series:
 
 def pochhammer_infinite(arg: Series, base: Series, trunc: int) -> Series:
     """The infinite product ``prod_i (1 - arg*base^i)`` to order ``trunc``."""
-    if trunc is None:
-        raise ValueError("an infinite product requires a finite truncation")
     if arg.is_zero() or arg.min_deg < 1 or base.is_zero() or base.min_deg < 1:
         raise NonConvergent("argument and base must have positive degree")
-    return infinite_product(running_product(arg.ring, *_poch_data(arg, base), trunc), trunc)
+    return truncated_infinite_product(arg.ring, [(*_poch_data(arg, base), False)], trunc)
 
 
 @lru_cache(maxsize=None)
@@ -333,8 +357,7 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
         ratio_cb = _monomial_div(c_param, b_param, "c/b")
         _require_positive_degree(ratio_cb, "c/b")
         sum_args, step, pairs = [b_param], -ratio_cb, 1
-        rhs_num = [ratio_cb]
-        rhs_den = [c_param]
+        rhs_args = [(ratio_cb, False), (c_param, True)]
     else:
         a_param = _as_monomial(a_param, "a")
         ratio = _monomial_div(c_param, a_param * b_param, "c/(ab)")
@@ -343,8 +366,7 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
         for s, what in ((ratio, "c/(ab)"), (ratio_ca, "c/a"), (ratio_cb, "c/b")):
             _require_positive_degree(s, what)
         sum_args, step, pairs = [a_param, b_param], ratio, 0
-        rhs_num = [ratio_ca, ratio_cb]
-        rhs_den = [c_param, ratio]
+        rhs_args = [(ratio_ca, False), (ratio_cb, False), (c_param, True), (ratio, True)]
 
     # Summand n+1 is summand n times step * Q^(pairs*n) * prod (1 - p*Q^n),
     # over (1 - Q^(n+1)) (1 - c*Q^n).  For n = 0 that step polynomial's terms
@@ -360,11 +382,8 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     ):
         lhs = lhs + term
 
-    rhs = Series.one(FOUR_PARAM, trunc)
-    for args, inverted in ((rhs_num, False), (rhs_den, True)):
-        for arg in args:
-            run = running_product(FOUR_PARAM, *_monomial_parts(arg, "ratio"), _Q, trunc, inverted)
-            rhs = rhs * infinite_product(run, trunc)
+    rhs_factors = [(*_monomial_parts(arg, "ratio"), _Q, inverted) for arg, inverted in rhs_args]
+    rhs = truncated_infinite_product(FOUR_PARAM, rhs_factors, trunc)
 
     name = f"q-gauss[a={_param_name(a_param)}; b={_param_name(b_param)}; c={_param_name(c_param)}]"
     cmp = lhs.equal_to(rhs)

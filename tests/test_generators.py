@@ -31,7 +31,7 @@ from sipq.partitions import (
     is_member,
     omega_exponents,
 )
-from sipq.qseries import infinite_product, running_product
+from sipq.qseries import truncated_infinite_product
 from sipq.series import FOUR_PARAM, Series, SubstitutionMap
 from sipq.sip import check_sip_gf_four_parameter, sip_gf_single_variable
 
@@ -123,12 +123,13 @@ def skeleton_candidates(cls: PartitionClass, length: int) -> list[Partition]:
 def _boulet_strict(trunc: int, abc_sign: int) -> Series:
     """Boulet's product for strict partitions, with the sign of the
     ``(-abc;Q)_inf`` factor given (-1 for the true product)."""
-    factors = ((-1, (1, 0, 0, 0), False), (abc_sign, (1, 1, 1, 0), False), (1, (1, 1, 0, 0), True))
-    out = Series.one(FOUR_PARAM, trunc)
-    for sign, arg, inverted in factors:
-        run = running_product(FOUR_PARAM, sign, arg, (1, 1, 1, 1), trunc, inverted)
-        out = out * infinite_product(run, trunc)
-    return out
+    q = (1, 1, 1, 1)
+    factors = (
+        (-1, (1, 0, 0, 0), q, False),
+        (abc_sign, (1, 1, 1, 0), q, False),
+        (1, (1, 1, 0, 0), q, True),
+    )
+    return truncated_infinite_product(FOUR_PARAM, factors, trunc)
 
 
 class TestAgainstTheFilter:

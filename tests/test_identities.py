@@ -107,6 +107,19 @@ def test_verify_rejects_negative_truncation():
         verify("g1-four", -1)
 
 
+@pytest.mark.parametrize("key", EXPECTED_KEYS)
+def test_sides_reject_negative_truncation(key):
+    """No side claims a sum below order 0: each refuses a negative truncation,
+    also where the statement has no series side."""
+    spec = spec_by_key(key)
+    sides = [combinatorial_side, series_side, product_side]
+    if spec.product_alt is not None:
+        sides.append(lambda spec, trunc: product_side(spec, trunc, alt=True))
+    for side in sides:
+        with pytest.raises(ValueError, match="trunc must be nonnegative"):
+            side(spec, -1)
+
+
 class TestDetectsInjectedErrors:
     """A deliberately corrupted statement must be caught, with a located diff."""
 

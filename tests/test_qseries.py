@@ -26,6 +26,7 @@ from sipq.qseries import (
     q_monomial,
     running_product,
     summand_walk,
+    truncated_infinite_product,
 )
 from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, PrecisionLoss, Series
 
@@ -119,22 +120,35 @@ class TestPochhammerInfinite:
             pochhammer_infinite(arg, base, 4)
 
 
+# Exponent tuples of positive degree.  In ``XZQ`` the weight-0 exponents of x
+# and z range over negative values too; in ``FOUR_PARAM`` single exponents may
+# be negative.
+FOUR_EXPS = st.tuples(*[st.integers(min_value=-2, max_value=3)] * 4).filter(
+    lambda e: sum(e) > 0
+)
+XZQ_EXPS = st.tuples(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+
+
 def run_data():
-    """A ring with an argument and a base exponent tuple, both of positive
-    degree.  In ``XZQ`` the weight-0 exponents of x and z range over negative
-    values too; in ``FOUR_PARAM`` single exponents may be negative."""
-    four = st.tuples(*[st.integers(min_value=-2, max_value=3)] * 4).filter(
-        lambda e: sum(e) > 0
-    )
-    xzq = st.tuples(
-        st.integers(min_value=-3, max_value=3),
-        st.integers(min_value=-3, max_value=3),
-        st.integers(min_value=1, max_value=3),
-    )
+    """A ring with an argument and a base exponent tuple, both of positive degree."""
     return st.one_of(
-        st.tuples(st.just(FOUR_PARAM), four, four),
-        st.tuples(st.just(XZQ), xzq, xzq),
+        st.tuples(st.just(FOUR_PARAM), FOUR_EXPS, FOUR_EXPS),
+        st.tuples(st.just(XZQ), XZQ_EXPS, XZQ_EXPS),
     )
+
+
+def factor_lists():
+    """A ring with one to three ``(sign, arg_exps, base_exps, inverted)`` factors."""
+
+    def in_ring(ring, exps):
+        factor = st.tuples(st.sampled_from([1, -1]), exps, exps, st.booleans())
+        return st.tuples(st.just(ring), st.lists(factor, min_size=1, max_size=3))
+
+    return st.one_of(in_ring(FOUR_PARAM, FOUR_EXPS), in_ring(XZQ, XZQ_EXPS))
 
 
 class TestRunningProduct:
@@ -194,16 +208,26 @@ class TestRunningProduct:
             next(running_product(ring, 1, arg, base, trunc, inverted))
 
     def test_run_starting_one_factor_late_is_caught(self, monkeypatch):
-        """A run that starts at ``arg * base`` instead of ``arg`` fails a catalog
-        identity, a summation check and a skeleton assembly by degree 8."""
-        real = qseries.running_product
+        """Pochhammer factors that start at ``arg * base`` instead of ``arg`` fail
+        a catalog identity and a summation check through the truncated infinite
+        products, and a skeleton assembly through its runs, by degree 8."""
+        real_run = qseries.running_product
+        real_product = qseries.truncated_infinite_product
 
-        def late(ring, sign, arg_exps, base_exps, trunc, inverted=False):
-            start = tuple(a + b for a, b in zip(arg_exps, base_exps))
-            return real(ring, sign, start, base_exps, trunc, inverted)
+        def late(arg_exps, base_exps):
+            return tuple(a + b for a, b in zip(arg_exps, base_exps))
+
+        def late_run(ring, sign, arg_exps, base_exps, trunc, inverted=False):
+            return real_run(ring, sign, late(arg_exps, base_exps), base_exps, trunc, inverted)
+
+        def late_product(ring, factors, trunc):
+            factors = [(sign, late(arg, base), base, inv) for sign, arg, base, inv in factors]
+            return real_product(ring, factors, trunc)
 
         for module in (qseries, identities, sip):
-            monkeypatch.setattr(module, "running_product", late)
+            monkeypatch.setattr(module, "running_product", late_run)
+        for module in (qseries, identities):
+            monkeypatch.setattr(module, "truncated_infinite_product", late_product)
         spec = identities.verify_spec(identities.spec_by_key("g1-four"), 8)
         assert not spec.passed
         assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
@@ -215,6 +239,85 @@ class TestRunningProduct:
         four = sip.check_sip_gf_four_parameter(PartitionClass.P1, 8)
         assert not four.passed
         assert min(int(d) for d in re.findall(r"degree (\d+):", " ".join(four.failures))) <= 8
+
+
+def _running_products(ring, factors, trunc):
+    """The reference product: one running product per factor, read at index
+    ``trunc + 1`` (past the index where it settles), multiplied together with
+    the general product."""
+    out = Series.one(ring, trunc)
+    for sign, arg, base, inverted in factors:
+        out = out * nth_product(running_product(ring, sign, arg, base, trunc, inverted), trunc + 1)
+    return out
+
+
+def _catalog_products():
+    """Each statement's product and alternate product, with its factor tuples."""
+    for spec in identities.registry():
+        for alt, factors in ((False, spec.product), (True, spec.product_alt)):
+            if factors is not None:
+                data = [(f.sign, f.arg_exps, f.base_exps, f.inverted) for f in factors]
+                yield pytest.param(spec, alt, data, id=spec.key + ("-alt" if alt else ""))
+
+
+def _same_series(got, expected):
+    assert got == expected
+    assert (got.trunc, got.complete, got.bound) == (
+        expected.trunc, expected.complete, expected.bound
+    )
+
+
+class TestTruncatedInfiniteProduct:
+    @pytest.mark.parametrize("spec, alt, factors", _catalog_products())
+    def test_catalog_products_match_the_running_products(self, spec, alt, factors):
+        for trunc in range(41):
+            expected = _running_products(spec.ring, factors, trunc)
+            _same_series(identities.product_side(spec, trunc, alt), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(factor_lists(), st.integers(min_value=0, max_value=12))
+    def test_matches_the_running_products(self, data, trunc):
+        ring, factors = data
+        got = truncated_infinite_product(ring, factors, trunc)
+        _same_series(got, _running_products(ring, factors, trunc))
+
+    @pytest.mark.parametrize("spec, alt, factors", _catalog_products())
+    def test_binomials_are_applied_largest_degree_first(self, monkeypatch, spec, alt, factors):
+        """The order changes no coefficient, so only this guard sees it: every
+        binomial of degree <= trunc is applied once, in descending degree, ties
+        in factor order."""
+        trunc = 24
+        applied = []
+        real = Series.times_factor
+
+        def record(self, sign, exps, inverted=False):
+            applied.append((self.ring.degree(exps), sign, tuple(exps), inverted))
+            return real(self, sign, exps, inverted)
+
+        monkeypatch.setattr(Series, "times_factor", record)
+        identities.product_side(spec, trunc, alt)
+        binomials = []
+        for sign, arg, base, inverted in factors:
+            for i in count():
+                exps = tuple(a + i * b for a, b in zip(arg, base))
+                if spec.ring.degree(exps) > trunc:
+                    break
+                binomials.append((spec.ring.degree(exps), sign, exps, inverted))
+        assert applied == sorted(binomials, key=lambda b: b[0], reverse=True)
+        assert applied[0][0] > applied[-1][0]
+
+    @pytest.mark.parametrize(
+        "ring, factor, trunc, error",
+        (
+            (XZQ, (1, (0, 0, 1), (1, 0, 0), False), 8, ValueError),
+            (XZQ, (1, (1, 0, 0), (0, 0, 1), False), 8, NonConvergent),
+            (FOUR_PARAM, (1, (1, -1, 0, 0), Q, True), 8, NonConvergent),
+            (FOUR_PARAM, (1, Q, Q, False), -1, ValueError),
+        ),
+    )
+    def test_rejections(self, ring, factor, trunc, error):
+        with pytest.raises(error):
+            truncated_infinite_product(ring, [factor], trunc)
 
 
 class TestGaussBinomial:
