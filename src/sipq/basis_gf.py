@@ -231,6 +231,8 @@ def cross_check_tables(cls: PartitionClass, n_max: int, h_max: int) -> CheckRepo
     even-largest bases) odd ``h``, and that ``B(n, 0) = 0`` for ``n >= 1``.
     """
     _require_basis(cls)
+    if n_max < 0 or h_max < 0:
+        raise ValueError("n_max and h_max must be nonnegative")
     (_, enumerated), *others = _METHODS
     failures: list[str] = []
     checks = 0

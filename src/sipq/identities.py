@@ -147,13 +147,15 @@ def series_side(
     if not spec.series:
         raise ValueError(f"{spec.key} has no series side")
     failures = nonneg_failures if spec.ring is FOUR_PARAM else None
-    total = Series.zero(spec.ring, trunc)
-    for fam in spec.series:
-        for n, term in enumerate(fam.summands(spec.ring, trunc)):
-            if failures is not None and term.has_negative_exponent():
-                failures.append(f"summand n={n}: negative exponent in expansion")
-            total = total + term
-    return total
+
+    def summands() -> Iterator[Series]:
+        for fam in spec.series:
+            for n, term in enumerate(fam.summands(spec.ring, trunc)):
+                if failures is not None and term.has_negative_exponent():
+                    failures.append(f"summand n={n}: negative exponent in expansion")
+                yield term
+
+    return Series.zero(spec.ring, trunc).plus(summands())
 
 
 def product_side(spec: TheoremSpec, trunc: int, alt: bool = False) -> Series:

@@ -325,17 +325,33 @@ def _least_above(part: int, rows: int, min_gap: int) -> int:
     return rows * part + min_gap * rows * (rows + 1) // 2
 
 
-def _skeletons(cls: PartitionClass, length: int, weight_max: int) -> tuple[Partition, ...]:
-    """The one skeleton generator: basis members of one length and bounded weight.
+def _reaches(part: int, rows_left: int, gaps: tuple[int, int], largest: int) -> bool:
+    """Whether ``rows_left`` more basis rows stacked on a row ``part``, each
+    one gap of ``gaps = (least, greatest)`` higher, can end on ``largest``."""
+    least, greatest = gaps
+    return part + rows_left * least <= largest <= part + rows_left * greatest
+
+
+def _skeletons(
+    cls: PartitionClass, length: int, weight_max: int, largest: int | None = None
+) -> tuple[Partition, ...]:
+    """The one skeleton generator: basis members of one length and bounded
+    weight, and, when ``largest`` is given, with that largest part.
 
     Members are built bottom-up, the way :func:`sipq.sip.decompose` forces a
     skeleton: the last part is 1 or 2, and each higher row adds one admissible
     gap and must obey its row's parity rule.  A branch is cut as soon as its
-    weight plus the least its remaining rows can add exceeds ``weight_max``,
-    so the work follows the output.  Returned lexicographically decreasing.
+    weight plus the least its remaining rows can add exceeds ``weight_max``.
+    Parts only grow going up, each gap lying in ``[min(gaps), max(gaps)]``, so
+    with ``largest`` set a branch is also cut once the rows left cannot end
+    on it: its top part plus the rows left times the least gap already
+    exceeds ``largest``, or plus the rows left times the greatest gap falls
+    short of it.  With no rows left that window is ``largest`` itself, so
+    every member built is returned and the work follows the output.
+    Returned lexicographically decreasing.
     """
     if length == 0:
-        return (Partition(),) if weight_max >= 0 else ()
+        return (Partition(),) if weight_max >= 0 and largest in (None, 0) else ()
     _, even_row = _RULES[cls.base_class]
     gaps = cls.gaps
     min_gap = min(gaps)
@@ -353,6 +369,8 @@ def _skeletons(cls: PartitionClass, length: int, weight_max: int) -> tuple[Parti
                 continue
             if weight + part + _least_above(part, index - 2, min_gap) > weight_max:
                 continue
+            if largest is not None and not _reaches(part, index - 2, gaps, largest):
+                continue
             rows.append(part)
             grow(index - 1, weight + part)
             rows.pop()
@@ -361,6 +379,8 @@ def _skeletons(cls: PartitionClass, length: int, weight_max: int) -> tuple[Parti
         if length % 2 == even_row and last % 2:
             continue
         if last + _least_above(last, length - 1, min_gap) > weight_max:
+            continue
+        if largest is not None and not _reaches(last, length - 1, gaps, largest):
             continue
         rows.append(last)
         grow(length, last)
@@ -387,16 +407,13 @@ def basis_members_of_length(
 def enumerate_basis_by_shape(cls: PartitionClass, length: int, largest: int) -> list[Partition]:
     """Basis members with the given length and largest part, lexicographically decreasing.
 
-    Such a member weighs at most ``length * largest``, so the skeleton
-    generator with that bound finds every one of them.  The largest part of
-    any basis member never exceeds twice its length.
+    The skeleton generator walks only the branches that can end on
+    ``largest``, so every skeleton it builds is returned.  Such a member
+    weighs at most ``length * largest``, the weight bound passed along.  The
+    largest part of any basis member never exceeds twice its length.
     """
     if not cls.is_basis:
         raise ValueError(f"{cls} is not a basis tag")
     if length < 0 or largest < 0:
         raise ValueError("length and largest must be nonnegative")
-    return [
-        lam
-        for lam in _skeletons(cls, length, length * largest)
-        if (lam[0] if lam else 0) == largest
-    ]
+    return list(_skeletons(cls, length, length * largest, largest))

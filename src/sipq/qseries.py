@@ -231,8 +231,11 @@ def _gauss_coeffs(n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def gauss_binomial(n: int, m: int) -> Series:
-    """The base-``Q`` binomial coefficient as a polynomial in ``Q = abcd``."""
+    """The base-``Q`` binomial coefficient as a polynomial in ``Q = abcd``.
+
+    Memoised: a series is never changed once built, so callers share it."""
     return Series(
         FOUR_PARAM,
         {(i, i, i, i): c for i, c in enumerate(_gauss_coeffs(n, m)) if c},
@@ -376,11 +379,10 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     factors = [PochFactor(*_monomial_parts(p, "a, b"), _Q, (1, 0)) for p in sum_args]
     factors.append(PochFactor(1, _Q, _Q, (1, 0), inverted=True))
     factors.append(PochFactor(*_monomial_parts(c_param, "c"), _Q, (1, 0), inverted=True))
-    lhs = Series.zero(FOUR_PARAM, trunc)
-    for term in summand_walk(
+    summands = summand_walk(
         Series.one(FOUR_PARAM), lambda n: step * q_monomial(pairs * n), factors, trunc
-    ):
-        lhs = lhs + term
+    )
+    lhs = Series.zero(FOUR_PARAM, trunc).plus(summands)
 
     rhs_factors = [(*_monomial_parts(arg, "ratio"), _Q, inverted) for arg, inverted in rhs_args]
     rhs = truncated_infinite_product(FOUR_PARAM, rhs_factors, trunc)

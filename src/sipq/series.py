@@ -320,22 +320,48 @@ class Series:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
-        self._check_ring(other)
-        trunc = self._combined_trunc(other)
+        return self.plus((other,))
+
+    def plus(self, others: Iterable["Series"]) -> "Series":
+        """``self`` plus every series of ``others``, in one pass.
+
+        Result, flags, bound and errors are those of adding ``others`` one at
+        a time, left to right, with ``+``; but buckets are shared until they
+        are written, and each shared bucket is copied at most once.  Once the
+        running sum takes a finite truncation, buckets above it are dropped
+        and mark the sum incomplete, as each ``+`` would.
+        """
+        trunc, complete, bound = self.trunc, self.complete, self.bound
         merged = dict(self.buckets)
-        for deg, bucket in other.buckets.items():
-            mine = merged.get(deg)
-            if mine is None:
-                merged[deg] = bucket
-                continue
-            mine = dict(mine)
-            for key, coeff in bucket.items():
-                mine[key] = mine.get(key, 0) + coeff
-            merged[deg] = mine
-        bound = max(self.bound, other.bound)
-        return Series._from_buckets(
-            self.ring, merged, bound, trunc, self.complete and other.complete
-        )
+        owned: set[int] = set()  # degrees whose bucket in ``merged`` is ours to write
+        for other in others:
+            self._check_ring(other)
+            if trunc is None:
+                if other.trunc is not None:
+                    trunc = other.trunc
+                    # The exact sum so far loses its terms above the truncation.
+                    for deg in [d for d in merged if d > trunc]:
+                        if any(merged.pop(deg).values()):
+                            complete = False
+            elif other.trunc is not None and other.trunc != trunc:
+                raise TruncationMismatch(f"{trunc} vs {other.trunc}")
+            complete = complete and other.complete
+            bound = max(bound, other.bound)
+            for deg, bucket in other.buckets.items():
+                if trunc is not None and deg > trunc:
+                    complete = False
+                    continue
+                mine = merged.get(deg)
+                if mine is None:
+                    merged[deg] = bucket
+                    continue
+                if deg not in owned:
+                    mine = merged[deg] = dict(mine)
+                    owned.add(deg)
+                get = mine.get
+                for key, coeff in bucket.items():
+                    mine[key] = get(key, 0) + coeff
+        return Series._from_buckets(self.ring, merged, bound, trunc, complete)
 
     def __neg__(self) -> "Series":
         return self.scale(-1)

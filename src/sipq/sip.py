@@ -127,10 +127,11 @@ def compose(cls: PartitionClass, beta: Partition, mu: Partition) -> Partition:
     return lam
 
 
-def _split_count(cls: PartitionClass, lam: Partition) -> int:
-    """Number of valid (skeleton, padding) splits of ``lam`` — must be 1."""
+def _split_count(lam: Partition, skeletons: tuple[Partition, ...]) -> int:
+    """Number of valid (skeleton, padding) splits of ``lam`` among
+    ``skeletons``, the basis members of its length — must be 1."""
     count = 0
-    for beta in basis_members_of_length(cls.basis, len(lam), lam.weight):
+    for beta in skeletons:
         diffs = [a - b for a, b in zip(lam, beta)]
         if any(d < 0 or d % 2 for d in diffs):
             continue
@@ -144,14 +145,18 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     """Round-trip and uniqueness of the split for every member up to a weight.
 
     Uniqueness is checked independently of :func:`decompose` by re-composing
-    every basis member of matching length and counting the valid splits.
-    Only skeletons of weight at most ``|lam|`` are generated for that count,
-    which is still exhaustive: a valid skeleton sits under ``lam`` row by row,
-    so its weight cannot exceed ``|lam|``.
+    every basis member of matching length and counting the valid splits.  The
+    skeletons of each length are built once, up to ``weight_max``, and serve
+    every member of that length.  The count is still exhaustive: a valid
+    skeleton sits under ``lam`` row by row, so its weight cannot exceed
+    ``|lam|``, and a heavier one leaves a negative difference and is rejected.
     """
     _require_decomposable(cls)
+    if weight_max < 0:
+        raise ValueError("weight_max must be nonnegative")
     failures: list[str] = []
     checks = 0
+    skeletons: dict[int, tuple[Partition, ...]] = {}
     for w in range(weight_max + 1):
         for lam in enumerate_partitions(cls, w):
             checks += 1
@@ -161,7 +166,10 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
             back = compose(cls, dec.beta, dec.mu)
             if back != lam:
                 failures.append(f"{lam!r}: round-trip gave {back!r}")
-            n_splits = _split_count(cls, lam)
+            n = len(lam)
+            if n not in skeletons:
+                skeletons[n] = basis_members_of_length(cls.basis, n, weight_max)
+            n_splits = _split_count(lam, skeletons[n])
             if n_splits != 1:
                 failures.append(f"{lam!r}: {n_splits} valid splits, expected 1")
     return CheckReport(

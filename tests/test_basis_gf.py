@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from sipq import basis_gf
+from sipq import basis_gf, partitions
 from sipq.basis_gf import (
     cross_check_tables,
     table_closed_form,
     table_enumerated,
     table_recurrence,
 )
-from sipq.partitions import PartitionClass
+from sipq.partitions import Partition, PartitionClass
 from sipq.series import FOUR_PARAM, Series
 
 BG1 = PartitionClass.BASIS_G1
@@ -117,3 +117,57 @@ def test_one_perturbed_coefficient_fails_the_cross_check(monkeypatch, basis, met
     report = cross_check_tables(basis, 4, 4)
     assert not report.passed
     assert all(line.startswith(f"n={n} h={h} ") for line in report.failures), report.failures
+
+
+@pytest.mark.parametrize("bounds", ((-1, 3), (3, -1), (-1, -1)))
+def test_negative_bounds_are_refused(bounds):
+    with pytest.raises(ValueError):
+        cross_check_tables(BG1, *bounds)
+
+
+@pytest.fixture
+def fresh_enumeration():
+    """Clear the enumerated table's cache around a test, so entries built
+    under a monkeypatched generator neither come from nor stay in it."""
+    table_enumerated.cache_clear()
+    yield
+    table_enumerated.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "fault",
+    (
+        lambda reaches: lambda part, rows, gaps, largest: reaches(part, rows + 1, gaps, largest),
+        lambda reaches: lambda part, rows, gaps, largest: reaches(part, rows - 1, gaps, largest),
+        lambda reaches: lambda part, rows, gaps, largest: reaches(part, rows, gaps, largest + 1),
+    ),
+    ids=("rows-plus-one", "rows-minus-one", "largest-plus-one"),
+)
+def test_off_by_one_window_fails_the_cross_check(monkeypatch, fresh_enumeration, fault):
+    monkeypatch.setattr(partitions, "_reaches", fault(partitions._reaches))
+    assert not all(cross_check_tables(basis, 8, 8).passed for basis in ALL_BASES)
+
+
+@pytest.mark.parametrize(
+    "basis, members", zip(ALL_BASES, (65, 53, 252, 190)), ids=lambda c: getattr(c, "value", c)
+)
+def test_the_grid_builds_only_the_skeletons_it_holds(
+    monkeypatch, fresh_enumeration, basis, members
+):
+    """Every skeleton the 12x12 grid builds lands in one of its entries."""
+    built = 0
+
+    class Counted(Partition):
+        __slots__ = ()
+
+        def __new__(cls, parts=()):
+            nonlocal built
+            built += 1
+            return Partition(parts)
+
+    monkeypatch.setattr(partitions, "Partition", Counted)
+    assert cross_check_tables(basis, 12, 12).passed
+    held = sum(
+        sum(table_enumerated(basis, n, h).terms.values()) for n in range(13) for h in range(13)
+    )
+    assert built == held == members

@@ -141,17 +141,19 @@ class TestAgainstTheFilter:
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
     def test_basis_members_of_length(self, cls):
         by_weight = [oracle_members(cls, w) for w in range(ORACLE_WEIGHT + 1)]
-        for n in range(13):
+        for n in range(17):
             every = skeleton_candidates(cls, n)
-            weights = sorted(lam.weight for lam in every)
-            low, high = weights[0], weights[-1]
             every.sort(reverse=True)
-            for bound in {low - 1, low, (low + high) // 2, high, 2 * n * n}:
-                got = basis_members_of_length(cls, n, bound)
-                assert got == tuple(b for b in every if b.weight <= bound)
             for h in range(2 * n + 2):
                 shaped = enumerate_basis_by_shape(cls, n, h)
                 assert shaped == [b for b in every if (b[0] if b else 0) == h], (n, h)
+            if n > 12:
+                continue
+            weights = sorted(lam.weight for lam in every)
+            low, high = weights[0], weights[-1]
+            for bound in {low - 1, low, (low + high) // 2, high, 2 * n * n}:
+                got = basis_members_of_length(cls, n, bound)
+                assert got == tuple(b for b in every if b.weight <= bound)
             # Within the filter's reach, compare with every partition too.
             for bound in range(ORACLE_WEIGHT + 1):
                 expected = [

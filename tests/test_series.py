@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -578,6 +578,99 @@ class TestBucketKernel:
         assert not gauss.passed
         (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
         assert sum(int(e) for e in at.split(",")) <= 8
+
+
+# -- one-pass sums ----------------------------------------------------------------
+
+
+@st.composite
+def series_sums(draw):
+    """Four series in one ring, each exact or truncated, mostly complete.  The
+    truncated ones share one order, except in one draw in ten, where some
+    carry another (a mismatch); an operand may negate the one before it up to
+    a few terms, so exact terms above a later truncation can sum to zero."""
+    ring = draw(st.sampled_from([FOUR_PARAM, XZQ]))
+    trunc = draw(st.integers(min_value=0, max_value=10))
+    terms = st.dictionaries(_ring_exps(ring), coeffs, max_size=8)
+    mismatch = draw(st.integers(min_value=0, max_value=9)) == 0
+    order = st.sampled_from([None, trunc, trunc + 1] if mismatch else [None, trunc])
+    out: list[Series] = []
+    body: dict[tuple[int, ...], int] = {}
+    for _ in range(4):
+        fresh = draw(terms)
+        if out and draw(st.booleans()):
+            fresh = {e: -c for e, c in body.items()}
+            fresh.update(draw(st.dictionaries(_ring_exps(ring), coeffs, max_size=2)))
+        body = fresh
+        n = draw(order)
+        complete = n is None or draw(st.sampled_from([True, True, True, False]))
+        out.append(Series(ring, body, n, complete))
+    return out
+
+
+def _snapshot(s: Series):
+    return {deg: dict(bucket) for deg, bucket in s.buckets.items()}
+
+
+def _naive_sum(operands: list[Series]):
+    """``(terms, trunc, complete, min_deg)`` of adding flat dicts left to right,
+    each partial sum cut at its truncation."""
+    first, *rest = operands
+    terms, trunc, complete = first.terms, first.trunc, first.complete
+    for g in rest:
+        trunc = trunc if g.trunc is None else g.trunc
+        out = dict(terms)
+        for e, c in g.terms.items():
+            out[e] = out.get(e, 0) + c
+        terms, trunc, complete, low = _expected(first.ring, out, trunc, complete and g.complete)
+    return terms, trunc, complete, low
+
+
+_CUBE = Series.monomial(FOUR_PARAM, 1, (3, 0, 0, 0))
+
+
+class TestPlus:
+    @settings(max_examples=400)
+    @given(series_sums())
+    # An exact prefix whose term above the later truncation cancels (the sum
+    # stays complete) and one whose term does not (the sum is incomplete).
+    @example([_CUBE, -_CUBE, Series.one(FOUR_PARAM, 2), Series.zero(FOUR_PARAM, 2)])
+    @example([_CUBE, Series.one(FOUR_PARAM, 2), _CUBE, Series.zero(FOUR_PARAM)])
+    def test_matches_repeated_add(self, operands):
+        """``a.plus([b, c, d])`` is ``((a + b) + c) + d`` on coefficients,
+        ``trunc``, ``complete`` and ``bound``, raises what that fold raises,
+        and leaves every operand's buckets as they were.  ``+`` is ``plus`` of
+        one operand, so the sum is also checked against a fold of flat dicts."""
+        a, *rest = operands
+        before = [_snapshot(s) for s in operands]
+        try:
+            folded = a
+            for s in rest:
+                folded = folded + s
+        except TruncationMismatch as exc:
+            with pytest.raises(TruncationMismatch, match=re.escape(str(exc))):
+                a.plus(rest)
+            return
+        total = a.plus(rest)
+        assert [_snapshot(s) for s in operands] == before
+        assert_storage_invariant(total)
+        assert total == folded
+        assert (total.trunc, total.complete, total.bound, total.min_deg) == (
+            folded.trunc,
+            folded.complete,
+            folded.bound,
+            folded.min_deg,
+        )
+        assert _observed(total) == _naive_sum(operands)
+        assert total.bound == max(s.bound for s in operands)
+
+    def test_ring_mismatch(self):
+        with pytest.raises(RingMismatch):
+            Series.one(FOUR_PARAM).plus([Series.one(FOUR_PARAM), Series.one(XZQ)])
+
+    def test_empty_is_self(self):
+        f = Series(XZQ, {(-2, 1, 0): 3, (1, 1, 2): -1}, 4, complete=False)
+        assert _observed(f.plus(())) == _observed(f)
 
 
 # -- packed exponent keys -------------------------------------------------------

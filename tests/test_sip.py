@@ -106,6 +106,47 @@ class TestSipProperty:
         with pytest.raises(ValueError):
             verify_sip_property(PartitionClass.BASIS_G2, 6)
 
+    @pytest.mark.parametrize("weight_max", (-1, -5))
+    @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
+    def test_negative_bound_is_refused(self, cls, weight_max):
+        with pytest.raises(ValueError):
+            verify_sip_property(cls, weight_max)
+
+    @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
+    def test_one_skeleton_list_per_length(self, monkeypatch, cls):
+        real = sip.basis_members_of_length
+        fetched = []
+
+        def counted(basis, length, weight_max):
+            fetched.append((basis, length))
+            return real(basis, length, weight_max)
+
+        monkeypatch.setattr(sip, "basis_members_of_length", counted)
+        assert verify_sip_property(cls, 12).passed
+        assert len(fetched) == len(set(fetched))
+        assert {length for _, length in fetched} == {
+            len(lam) for w in range(13) for lam in enumerate_partitions(cls, w)
+        }
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        (
+            (lambda real: lambda b, n, w: tuple(x for beta in real(b, n, w) for x in (beta, beta)),
+             "2 valid splits"),
+            (lambda real: lambda b, n, w: real(b, n, w - 1), "0 valid splits"),
+        ),
+        ids=("repeated", "cut-short"),
+    )
+    @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
+    def test_faulty_skeleton_list_fails_by_weight_8(self, monkeypatch, cls, fault, message):
+        """Some bound up to 8 catches the fault, and with its own message: a
+        cut list misses the members that are their own skeleton, which for g1
+        and g2 weigh 7 or 6 but never 8."""
+        monkeypatch.setattr(sip, "basis_members_of_length", fault(sip.basis_members_of_length))
+        failures = [line for w in range(9) for line in verify_sip_property(cls, w).failures]
+        assert failures
+        assert all(message in line for line in failures), failures
+
 
 class TestSingleVariableSeries:
     @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
