@@ -168,6 +168,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     trunc = args.trunc
     reports: list[CheckReport] = []
     started = time.perf_counter()
+    if args.all and args.ids:
+        _diag("verify: give identity keys or --all, not both")
+        return 2
     if args.all:
         reports = _full_battery(trunc)
     else:

@@ -23,8 +23,7 @@ so no later summand can come back below it.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import (
     OMEGA_IDENTITY,
@@ -65,8 +64,7 @@ OMEGA_TO_BG = SubstitutionMap(
 _MAPS = {"xzq": OMEGA_TO_XZQ, "xq": OMEGA_TO_XQ, "zq": OMEGA_TO_ZQ, "bg": OMEGA_TO_BG}
 
 
-@dataclasses.dataclass(frozen=True)
-class SumFamily:
+class SumFamily(NamedTuple):
     """``sum_n x^prefactor(n) * prod(factors)``: a monomial times a Pochhammer quotient.
 
     ``prefactor`` holds one triple per variable, the coefficients of
@@ -89,8 +87,7 @@ class SumFamily:
         return summand_walk(start, ratio, self.factors, trunc)
 
 
-@dataclasses.dataclass(frozen=True)
-class TheoremSpec:
+class _TheoremSpecFields(NamedTuple):
     key: str
     description: str
     ring: SeriesRing
@@ -100,7 +97,19 @@ class TheoremSpec:
     product: tuple[PochFactor, ...]
     product_alt: tuple[PochFactor, ...] | None = None
 
-    def __post_init__(self) -> None:
+
+class TheoremSpec(_TheoremSpecFields):
+    """One catalog statement and the data of each of its sides.
+
+    Every way of building one (the constructor, ``_make``, ``_replace``,
+    copying, unpickling) refuses a weight map into another ring and a series
+    family whose summation could not stop at the truncation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "TheoremSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.weight_map.target != self.ring:
             raise ValueError(
                 f"{self.key}: weight map target {self.weight_map.target.names}"
@@ -128,6 +137,12 @@ class TheoremSpec:
                     f"{self.key}: the first step polynomial has a term of degree {low},"
                     " so the summand degree decreases in n"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "TheoremSpec":
+        # The inherited `_make` (and so `_replace`) bypasses `__new__`.
+        return cls(*iterable)
 
 
 def combinatorial_side(spec: TheoremSpec, trunc: int) -> Series:
@@ -648,6 +663,8 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
     """
     if family not in (PartitionClass.P1, PartitionClass.P2):
         raise ValueError("partial sums are recorded for classes p1 and p2")
+    if n_max < 0 or trunc < 0:
+        raise ValueError("n_max and trunc must be nonnegative")
     spec = _BY_KEY["p1-four" if family is PartitionClass.P1 else "p2-four"]
     failures: list[str] = []
     checks = 0
@@ -698,6 +715,8 @@ def verify_substitution_consistency(map_id: str, weight_max: int) -> CheckReport
     """
     if map_id not in ("xzq", "bg"):
         raise ValueError("map_id must be 'xzq' or 'bg'")
+    if weight_max < 0:
+        raise ValueError("weight_max must be nonnegative")
     smap = _MAPS[map_id]
     failures: list[str] = []
     checks = 0

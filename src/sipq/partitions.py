@@ -14,7 +14,7 @@ against a filter of every partition through :func:`is_member`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import FOUR_PARAM, Series, SubstitutionMap, _checked_bound
 
@@ -41,8 +41,7 @@ class Partition(tuple):
         return f"Partition({', '.join(map(str, self))})"
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(NamedTuple):
     """Basic statistics of a single partition."""
 
     weight: int
@@ -52,8 +51,7 @@ class PartitionStats:
     bg_rank: int
 
 
-@dataclass(frozen=True)
-class OmegaExponents:
+class OmegaExponents(NamedTuple):
     """Exponents of the four-parameter weight monomial a^A b^B c^C d^D."""
 
     a: int

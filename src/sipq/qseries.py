@@ -12,10 +12,9 @@ quotients is walked summand by summand by :func:`summand_walk`.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 from itertools import count, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .reporting import CheckReport
 from .series import FOUR_PARAM, PrecisionLoss, Series, SeriesError, SeriesRing
@@ -47,8 +46,7 @@ def q_monomial(power: int) -> Series:
     return Series.monomial(FOUR_PARAM, 1, (power,) * 4)
 
 
-@dataclasses.dataclass(frozen=True)
-class PochFactor:
+class PochFactor(NamedTuple):
     """``prod_i (1 - sign * arg * base^i)``, or its inverse when ``inverted``.
 
     In a sum ``count = (alpha, beta)`` gives the ``alpha*n + beta`` factors of
@@ -245,6 +243,8 @@ def gauss_binomial(n: int, m: int) -> Series:
 
 def check_qbinomial_recurrences(n_max: int) -> CheckReport:
     """Both one-step recurrences, symmetry, and the quotient product form."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     failures: list[str] = []
     checks = 0
 
@@ -295,6 +295,8 @@ def _as_monomial(p: object, what: str) -> Series:
 def check_qbinomial_theorem(n_max: int, z: Series | tuple[int, int, int, int]) -> CheckReport:
     """Finite binomial expansion: the n-factor product of ``1 + z*Q^i`` equals
     the sum over k of ``z^k * Q^(k(k-1)/2)`` times the base-Q binomial."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     z = _as_monomial(z, "z")
     _require_positive_degree(z, "z")
     failures: list[str] = []

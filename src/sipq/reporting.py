@@ -1,13 +1,18 @@
-"""Small result records shared by the verification routines."""
+"""Small result records shared by the verification routines.
+
+Like every record in the package, :class:`CheckReport` is a
+``typing.NamedTuple``, not a dataclass: it is immutable, and importing the
+package loads neither the dataclass module nor ``inspect``, which would cost
+each CLI call more start-up time than a small check takes.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a batch of related checks.
 
     ``checks`` counts the individual assertions performed; ``failures`` holds
@@ -20,8 +25,8 @@ class CheckReport:
     name: str
     passed: bool
     checks: int
-    failures: tuple[str, ...] = field(default=())
-    params: Mapping[str, int] = field(default_factory=dict)
+    failures: tuple[str, ...] = ()
+    params: Mapping[str, int] = MappingProxyType({})
 
     def as_dict(self) -> dict[str, object]:
         return {

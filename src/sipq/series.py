@@ -34,13 +34,19 @@ operation that would silently produce wrong coefficients raises
 sign * x^exps`` in a single walk over the buckets (division is the recurrence
 ``g_d = f_d + sign * x^exps * g_(d - deg)``, linear in the output), and
 :meth:`SubstitutionMap.map_exps` is the one place exponents are substituted.
+
+No class here is a dataclass: :class:`SeriesRing` is a slotted class and the
+records are ``typing.NamedTuple`` classes, because the dataclass module imports
+``inspect`` and decorating a class execs generated code, which together cost
+every CLI call more time than a small check takes.  The two classes that
+validate, :class:`SeriesRing` and :class:`SubstitutionMap`, do so on every way
+of building one, and every instance is immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 #: The packing radix: one balanced base-``RADIX`` digit per variable.
 RADIX = 1 << 24
@@ -83,29 +89,56 @@ def _checked_bound(bound: int) -> int:
     return bound
 
 
-@dataclass(frozen=True)
 class SeriesRing:
     """Variable names and their grading weights, and the packing of exponent
-    vectors into int keys."""
+    vectors into int keys.
+
+    Immutable; equality and hash use ``names`` and ``weights`` only.
+    """
+
+    # `_shifts` and `_offset` are derived from the arity: each variable's digit
+    # position, first variable highest, and the offset that makes every digit
+    # nonnegative.
+    __slots__ = ("names", "weights", "_shifts", "_offset")
 
     names: tuple[str, ...]
     weights: tuple[int, ...]
-    # Derived from the arity: each variable's digit position, first variable
-    # highest, and the offset that makes every digit nonnegative.
-    _shifts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _offset: int = field(init=False, repr=False, compare=False)
+    _shifts: tuple[int, ...]
+    _offset: int
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.weights):
+    def __init__(self, names: tuple[str, ...], weights: tuple[int, ...]) -> None:
+        if len(names) != len(weights):
             raise ValueError("names and weights must have equal length")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise ValueError("grading weights must be nonnegative")
-        shifts = tuple(_DIGIT_BITS * i for i in reversed(range(len(self.names))))
+        shifts = tuple(_DIGIT_BITS * i for i in reversed(range(len(names))))
         # Adding `_offset` turns every balanced digit e into e + RADIX/2, in
         # [1, RADIX - 1], so plain shifts and masks read the digits; the top
         # bit of a shifted digit is set exactly when e >= 0.
-        object.__setattr__(self, "_shifts", shifts)
-        object.__setattr__(self, "_offset", sum(EXPONENT_LIMIT << s for s in shifts))
+        offset = sum(EXPONENT_LIMIT << s for s in shifts)
+        for slot, value in zip(self.__slots__, (names, weights, shifts, offset)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        # Copies and unpickled rings go through the constructor too.
+        return (SeriesRing, (self.names, self.weights))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names and self.weights == other.weights  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.weights))
+
+    def __repr__(self) -> str:
+        return f"SeriesRing(names={self.names!r}, weights={self.weights!r})"
 
     @property
     def nvars(self) -> int:
@@ -631,28 +664,41 @@ class Series:
         return f"Series({self.to_string()}; trunc={self.trunc}{flag})"
 
 
-@dataclass(frozen=True)
-class SeriesComparison:
+class SeriesComparison(NamedTuple):
     equal: bool
     exps: tuple[int, ...] | None
     left: int
     right: int
 
 
-@dataclass(frozen=True)
-class SubstitutionMap:
-    """A monomial substitution: each source variable maps to one target monomial."""
-
+class _SubstitutionMapFields(NamedTuple):
     source: SeriesRing
     target: SeriesRing
     images: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+
+class SubstitutionMap(_SubstitutionMapFields):
+    """A monomial substitution: each source variable maps to one target monomial.
+
+    Every way of building one (the constructor, ``_make``, ``_replace``,
+    copying, unpickling) checks that the images fit both rings.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "SubstitutionMap":
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.images) != self.source.nvars:
             raise ValueError("one image per source variable required")
         for img in self.images:
             if len(img) != self.target.nvars:
                 raise ValueError(f"image {img} has wrong arity for {self.target.names}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "SubstitutionMap":
+        # The inherited `_make` (and so `_replace`) bypasses `__new__`.
+        return cls(*iterable)
 
     def map_exps(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """The target exponents of the source monomial with exponents ``exps``."""

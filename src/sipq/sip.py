@@ -13,8 +13,7 @@ takes the class alone: its basis is ``cls.basis`` and padding parts are even.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import ClassVar
+from typing import NamedTuple
 
 from .partitions import (
     Partition,
@@ -64,14 +63,13 @@ def _require_decomposable(cls: PartitionClass) -> None:
         raise ValueError(f"no basis structure for class {cls.value!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class SipDecomposition:
+class SipDecomposition(NamedTuple):
     """A partition split as ``lam[i] = beta[i] + mu[i]`` (``mu`` zero-padded)."""
 
     beta: Partition
     mu: Partition
     #: Every basis pads with even parts; a constant, not a constructor field.
-    modulus: ClassVar[int] = 2
+    modulus = 2
 
 
 def decompose(cls: PartitionClass, lam: Partition) -> SipDecomposition:

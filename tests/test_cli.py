@@ -99,6 +99,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    def test_keys_with_all_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "g1-four", "--all", "--trunc", "4")
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         def fake(spec, trunc):
             return CheckReport(f"identity[{spec.key}]", False, 1, ("forced",))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from itertools import count, islice
 
@@ -120,11 +119,17 @@ def test_sides_reject_negative_truncation(key):
             side(spec, -1)
 
 
+def _rebuilt(record, **changes):
+    """``record`` with ``changes``, built through its class's constructor so
+    that the class's validation runs."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
 class TestDetectsInjectedErrors:
     """A deliberately corrupted statement must be caught, with a located diff."""
 
     def test_wrong_class(self):
-        spec = dataclasses.replace(spec_by_key("g1-four"), partition_class=PartitionClass.G2)
+        spec = _rebuilt(spec_by_key("g1-four"), partition_class=PartitionClass.G2)
         report = verify_spec(spec, 8)
         assert not report.passed
         assert report.failures
@@ -132,18 +137,18 @@ class TestDetectsInjectedErrors:
 
     def test_wrong_product_factor(self):
         spec = spec_by_key("g1-four")
-        bad_factor = dataclasses.replace(spec.product[0], sign=-spec.product[0].sign)
-        corrupted = dataclasses.replace(spec, product=(bad_factor,) + spec.product[1:])
+        bad_factor = _rebuilt(spec.product[0], sign=-spec.product[0].sign)
+        corrupted = _rebuilt(spec, product=(bad_factor,) + spec.product[1:])
         report = verify_spec(corrupted, 8)
         assert not report.passed
 
     def test_wrong_series_prefactor(self):
         spec = spec_by_key("g2-four")
         fam = spec.series[0]
-        shifted = dataclasses.replace(
+        shifted = _rebuilt(
             fam, prefactor=tuple((c2, c1, c0 + 1) for c2, c1, c0 in fam.prefactor)
         )
-        corrupted = dataclasses.replace(spec, series=(shifted,) + spec.series[1:])
+        corrupted = _rebuilt(spec, series=(shifted,) + spec.series[1:])
         report = verify_spec(corrupted, 8)
         assert not report.passed
 
@@ -159,21 +164,21 @@ def _single_datum_mutants(spec):
     for field in ("product", "product_alt"):
         factors = getattr(spec, field) or ()
         for i, f in enumerate(factors):
-            flipped = dataclasses.replace(f, sign=-f.sign)
-            yield f"{field}[{i}].sign", dataclasses.replace(
+            flipped = _rebuilt(f, sign=-f.sign)
+            yield f"{field}[{i}].sign", _rebuilt(
                 spec, **{field: _replace_at(factors, i, flipped)}
             )
     for k, fam in enumerate(spec.series):
         for i, f in enumerate(fam.factors):
             alpha, beta = f.count
-            longer = dataclasses.replace(f, count=(alpha, beta + 1))
-            family = dataclasses.replace(fam, factors=_replace_at(fam.factors, i, longer))
-            yield f"series[{k}].factors[{i}].count", dataclasses.replace(
+            longer = _rebuilt(f, count=(alpha, beta + 1))
+            family = _rebuilt(fam, factors=_replace_at(fam.factors, i, longer))
+            yield f"series[{k}].factors[{i}].count", _rebuilt(
                 spec, series=_replace_at(spec.series, k, family)
             )
         c2, c1, c0 = fam.prefactor[-1]
-        family = dataclasses.replace(fam, prefactor=fam.prefactor[:-1] + ((c2, c1, c0 + 1),))
-        yield f"series[{k}].prefactor[-1]", dataclasses.replace(
+        family = _rebuilt(fam, prefactor=fam.prefactor[:-1] + ((c2, c1, c0 + 1),))
+        yield f"series[{k}].prefactor[-1]", _rebuilt(
             spec, series=_replace_at(spec.series, k, family)
         )
 
@@ -199,9 +204,9 @@ def test_decreasing_prefactor_rejected(d_exponent):
     """Summation stops at the first term past the truncation, so a family
     whose prefactor degree can decrease in n is refused when built."""
     spec = spec_by_key("p1-four")
-    fam = dataclasses.replace(spec.series[0], prefactor=((0, 1, 0),) * 3 + (d_exponent,))
+    fam = _rebuilt(spec.series[0], prefactor=((0, 1, 0),) * 3 + (d_exponent,))
     with pytest.raises(ValueError, match="decreases"):
-        dataclasses.replace(spec, series=(fam,))
+        _rebuilt(spec, series=(fam,))
 
 
 def test_negative_first_step_rejected():
@@ -210,10 +215,10 @@ def test_negative_first_step_rejected():
     before a summand that comes back below the truncation: refused when built."""
     spec = spec_by_key("p1-four")
     fam = spec.series[0]
-    low = dataclasses.replace(fam.factors[0], arg_exps=(0, -2, -2, -1))
-    family = dataclasses.replace(fam, factors=(low,) + fam.factors[1:])
+    low = _rebuilt(fam.factors[0], arg_exps=(0, -2, -2, -1))
+    family = _rebuilt(fam, factors=(low,) + fam.factors[1:])
     with pytest.raises(ValueError, match="first step polynomial has a term of degree -1"):
-        dataclasses.replace(spec, series=(family,))
+        _rebuilt(spec, series=(family,))
 
 
 def test_flat_prefactor_rejected():
@@ -221,9 +226,9 @@ def test_flat_prefactor_rejected():
     step polynomial: the summands never pass the truncation, so the family is
     refused when built instead of summed forever."""
     spec = spec_by_key("g1-bg")
-    fam = dataclasses.replace(spec.series[0], prefactor=((0, 0, 0),) * 3)
+    fam = _rebuilt(spec.series[0], prefactor=((0, 0, 0),) * 3)
     with pytest.raises(ValueError, match="never grows"):
-        dataclasses.replace(spec, series=(fam,))
+        _rebuilt(spec, series=(fam,))
 
 
 def test_flat_factor_base_rejected():
@@ -231,10 +236,10 @@ def test_flat_factor_base_rejected():
     numerator degrees stall, so the family is refused when built."""
     spec = spec_by_key("g1-xzq")
     fam = spec.series[0]
-    flat = dataclasses.replace(fam.factors[0], base_exps=(1, 0, 0))
-    family = dataclasses.replace(fam, factors=(flat,) + fam.factors[1:])
+    flat = _rebuilt(fam.factors[0], base_exps=(1, 0, 0))
+    family = _rebuilt(fam, factors=(flat,) + fam.factors[1:])
     with pytest.raises(ValueError, match="base needs positive degree"):
-        dataclasses.replace(spec, series=(family,))
+        _rebuilt(spec, series=(family,))
 
 
 @pytest.mark.parametrize("key, other", (("g1-four", "g1-xzq"), ("g1-xzq", "g1-four")))
@@ -242,7 +247,7 @@ def test_weight_map_into_another_ring_rejected(key, other):
     """The combinatorial side is built in the target ring of the weight map,
     so a map into any ring but the statement's is refused when built."""
     with pytest.raises(ValueError, match="is not the ring"):
-        dataclasses.replace(spec_by_key(key), weight_map=spec_by_key(other).weight_map)
+        _rebuilt(spec_by_key(key), weight_map=spec_by_key(other).weight_map)
 
 
 def _rebuilt_summands(ring, fam, trunc):
@@ -353,12 +358,12 @@ class TestMissingSides:
             product_side(spec_by_key("boulet-p"), 4, alt=True)
 
     def test_no_combinatorial_side(self):
-        spec = dataclasses.replace(spec_by_key("g1-four"), partition_class=None)
+        spec = _rebuilt(spec_by_key("g1-four"), partition_class=None)
         with pytest.raises(ValueError):
             combinatorial_side(spec, 4)
 
     def test_no_series_side(self):
-        spec = dataclasses.replace(spec_by_key("g1-four"), series=())
+        spec = _rebuilt(spec_by_key("g1-four"), series=())
         with pytest.raises(ValueError):
             series_side(spec, 4)
 
@@ -390,6 +395,11 @@ class TestPartialSums:
         with pytest.raises(ValueError):
             verify_partial_sums(PartitionClass.G1, 4, 12)
 
+    @pytest.mark.parametrize("n_max, trunc", ((-1, 12), (2, -1)), ids=("n_max", "trunc"))
+    def test_negative_bounds_rejected(self, n_max, trunc):
+        with pytest.raises(ValueError, match="n_max and trunc must be nonnegative"):
+            verify_partial_sums(PartitionClass.P1, n_max, trunc)
+
 
 class TestSubstitutionConsistency:
     @pytest.mark.parametrize("map_id", ("xzq", "bg"))
@@ -401,3 +411,7 @@ class TestSubstitutionConsistency:
     def test_unknown_map(self):
         with pytest.raises(ValueError):
             verify_substitution_consistency("xq", 10)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="weight_max must be nonnegative"):
+            verify_substitution_consistency("xzq", -1)

@@ -364,6 +364,10 @@ class TestRecurrenceBattery:
         report = check_qbinomial_recurrences(0)
         assert report.passed
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            check_qbinomial_recurrences(-1)
+
 
 class TestBinomialTheorem:
     def test_with_series_argument(self):
@@ -378,6 +382,10 @@ class TestBinomialTheorem:
 
     def test_trivial_row_count(self):
         assert check_qbinomial_theorem(0, (1, 1, 0, 1)).passed
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            check_qbinomial_theorem(-1, (1, 1, 0, 1))
 
     def test_degree_zero_argument_rejected(self):
         with pytest.raises(DomainError):
