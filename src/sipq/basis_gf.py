@@ -22,9 +22,11 @@ _ZERO = Series.zero(FOUR_PARAM)
 _ONE = Series.one(FOUR_PARAM)
 
 
-def _require_basis(cls: PartitionClass) -> None:
+def _require_entry(cls: PartitionClass, n: int, h: int) -> None:
     if not cls.is_basis:
         raise ValueError(f"{cls} is not a basis tag")
+    if n < 0 or h < 0:
+        raise ValueError("length and largest must be nonnegative")
 
 
 def _mono(coeff: int, a: int = 0, b: int = 0, c: int = 0, d: int = 0) -> Series:
@@ -38,7 +40,7 @@ def _c2(m: int) -> int:
 @lru_cache(maxsize=None)
 def table_enumerated(cls: PartitionClass, n: int, h: int) -> Series:
     """Sum of the weights of basis members with length ``n``, largest ``h``."""
-    _require_basis(cls)
+    _require_entry(cls, n, h)
     return Series.from_terms(
         FOUR_PARAM,
         ((omega_exponents(beta).vector(), 1) for beta in enumerate_basis_by_shape(cls, n, h)),
@@ -46,7 +48,6 @@ def table_enumerated(cls: PartitionClass, n: int, h: int) -> Series:
     )
 
 
-@lru_cache(maxsize=None)
 def table_recurrence(cls: PartitionClass, n: int, h: int) -> Series:
     """The same table from two-row-stripping recurrences and initial values.
 
@@ -54,41 +55,48 @@ def table_recurrence(cls: PartitionClass, n: int, h: int) -> Series:
     the same family; each family's rule records what those two rows carry.
     The short lengths that the stripping argument cannot reach are hardwired.
     """
-    _require_basis(cls)
-    if n < 0 or n == 0:
-        return _ONE if (n == 0 and h == 0) else _ZERO
+    _require_entry(cls, n, h)
+    return _recurrence(cls, n, h)
+
+
+@lru_cache(maxsize=None)
+def _recurrence(cls: PartitionClass, n: int, h: int) -> Series:
+    """:func:`table_recurrence` for a basis tag; the stripping steps reach
+    ``h - 2`` and ``h - 4``, and a negative largest part gives zero."""
+    if n == 0:
+        return _ONE if h == 0 else _ZERO
     if h <= 0:
         return _ZERO
     if cls is PartitionClass.BASIS_G1:
         if n == 1:
             return _mono(1, 1) if h == 1 else (_mono(1, 1, 1) if h == 2 else _ZERO)
         if h % 2 == 0:
-            return _mono(1, 0, 1) * table_recurrence(cls, n, h - 1)
+            return _mono(1, 0, 1) * _recurrence(cls, n, h - 1)
         if n == 2 and h == 3:
             return _mono(1, 2, 1, 1, 1)
         half = (h + 1) // 2
-        return _mono(1, half, half - 1, half - 1, half - 1) * table_recurrence(
+        return _mono(1, half, half - 1, half - 1, half - 1) * _recurrence(
             cls, n - 2, h - 2
-        ) + _mono(1, half, half, half - 1, half - 1) * table_recurrence(cls, n - 2, h - 4)
+        ) + _mono(1, half, half, half - 1, half - 1) * _recurrence(cls, n - 2, h - 4)
     if cls is PartitionClass.BASIS_G2:
         if h % 2:
             return _ZERO
         if n == 1:
             return _mono(1, 1, 1) if h == 2 else _ZERO
         half = h // 2
-        return _mono(1, half, half, half, half - 1) * table_recurrence(
+        return _mono(1, half, half, half, half - 1) * _recurrence(
             cls, n - 2, h - 2
-        ) + _mono(1, half, half, half - 1, half - 1) * table_recurrence(cls, n - 2, h - 4)
+        ) + _mono(1, half, half, half - 1, half - 1) * _recurrence(cls, n - 2, h - 4)
     if cls is PartitionClass.BASIS_P1:
         if n == 1:
             return _mono(1, 1) if h == 1 else (_mono(1, 1, 1) if h == 2 else _ZERO)
         if h % 2:
-            return _mono(1, 1) * table_recurrence(cls, n, h - 1)
+            return _mono(1, 1) * _recurrence(cls, n, h - 1)
         if n == 2 and h == 2:
             return q_monomial(1)
         half = h // 2
         return q_monomial(half) * (
-            table_recurrence(cls, n - 2, h) + table_recurrence(cls, n - 2, h - 1)
+            _recurrence(cls, n - 2, h) + _recurrence(cls, n - 2, h - 1)
         )
     if cls is PartitionClass.BASIS_P2:
         if h % 2:
@@ -98,9 +106,9 @@ def table_recurrence(cls: PartitionClass, n: int, h: int) -> Series:
         if n == 2 and h == 2:
             return q_monomial(1) + _mono(1, 1, 1, 1)
         half = h // 2
-        return q_monomial(half) * table_recurrence(cls, n - 2, h) + _mono(
+        return q_monomial(half) * _recurrence(cls, n - 2, h) + _mono(
             1, half, half, half, half - 1
-        ) * table_recurrence(cls, n - 2, h - 2)
+        ) * _recurrence(cls, n - 2, h - 2)
     raise ValueError(f"no recurrence for {cls}")
 
 
@@ -112,7 +120,7 @@ def table_closed_form(cls: PartitionClass, n: int, h: int) -> Series:
     is zero and the accompanying monomial (whose exponents may be negative in
     intermediate form) is never materialized.
     """
-    _require_basis(cls)
+    _require_entry(cls, n, h)
     if n == 0:
         return _ONE if h == 0 else _ZERO
     if h <= 0:
@@ -230,9 +238,7 @@ def cross_check_tables(cls: PartitionClass, n_max: int, h_max: int) -> CheckRepo
     exponents only, that entries vanish for ``h > 2n`` and (for the two
     even-largest bases) odd ``h``, and that ``B(n, 0) = 0`` for ``n >= 1``.
     """
-    _require_basis(cls)
-    if n_max < 0 or h_max < 0:
-        raise ValueError("n_max and h_max must be nonnegative")
+    _require_entry(cls, n_max, h_max)
     (_, enumerated), *others = _METHODS
     failures: list[str] = []
     checks = 0

@@ -138,6 +138,15 @@ OMEGA_IDENTITY = SubstitutionMap(
 )
 
 
+def _require_weight_map(weight_map: SubstitutionMap) -> None:
+    """Refuse a weight map not from the four-parameter ring or with an image of
+    degree other than 1, so that a member's mapped degree is its weight."""
+    if weight_map.source != FOUR_PARAM:
+        raise ValueError(f"weight map source {weight_map.source.names} is not {FOUR_PARAM.names}")
+    if any(weight_map.target.degree(image) != 1 for image in weight_map.images):
+        raise ValueError(f"every image of the weight map needs degree 1, got {weight_map.images}")
+
+
 def stats(lam: Partition) -> PartitionStats:
     """Weight, length, alternating sum, odd-part count and BG-rank of ``lam``."""
     alt = 0
@@ -266,11 +275,8 @@ def class_weight_series(
         raise ValueError(f"{cls} is a basis tag; its rules are not row rules")
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
-    if weight_map.source != FOUR_PARAM:
-        raise ValueError(f"weight map source {weight_map.source.names} is not {FOUR_PARAM.names}")
+    _require_weight_map(weight_map)
     target = weight_map.target
-    if any(target.degree(image) != 1 for image in weight_map.images):
-        raise ValueError(f"every image of the weight map needs degree 1, got {weight_map.images}")
     strict, even_row = _RULES[cls]
     # The bound the terms can reach.  A member of weight w <= trunc has
     # nonnegative exponents (A, B, C, D) with B <= A and D <= C.  A, the sum

@@ -305,8 +305,10 @@ def check_qbinomial_theorem(n_max: int, z: Series | tuple[int, int, int, int]) -
     for n in range(n_max + 1):
         lhs = next(products)
         rhs = Series.zero(FOUR_PARAM)
+        z_power = Series.one(FOUR_PARAM)  # z^k
         for k in range(n + 1):
-            rhs = rhs + (z ** k) * q_monomial(k * (k - 1) // 2) * gauss_binomial(n, k)
+            rhs = rhs + z_power * q_monomial(k * (k - 1) // 2) * gauss_binomial(n, k)
+            z_power = z_power * z
         checks += 1
         cmp = lhs.equal_to(rhs)
         if not cmp.equal:

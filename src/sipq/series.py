@@ -449,19 +449,6 @@ class Series:
         complete = self.complete and other.complete and not dropped
         return Series._from_buckets(self.ring, out, bound, trunc, complete)
 
-    def __pow__(self, n: int) -> "Series":
-        if n < 0:
-            raise ValueError("negative powers are not defined; use invert_unit")
-        result = Series.one(self.ring, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     # -- inversion ------------------------------------------------------------
 
     def invert_unit(self, trunc: int | None = None) -> "Series":

@@ -6,9 +6,10 @@ even parts ("padding").  The split is computed bottom-up: the last skeleton
 row is 1 or 2, matching the parity of the last part, and each higher row
 exceeds the one below by the single admissible gap that matches the parity of
 the corresponding part.  This module implements the split, its inverse, an
-exhaustive verifier, and the two generating-function assemblies the structure
-yields (single-variable counts and the four-parameter weight).  Every check
-takes the class alone: its basis is ``cls.basis`` and padding parts are even.
+exhaustive verifier, and the one generating-function assembly the structure
+yields, through any weight map (the single-variable counts read it in ``q``).
+Every check takes the class alone: its basis is ``cls.basis`` and padding
+parts are even.
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .partitions import (
+    OMEGA_IDENTITY,
     Partition,
     PartitionClass,
+    _require_weight_map,
     basis_members_of_length,
     class_weight_series,
     enumerate_partitions,
     is_member,
     omega_exponents,
 )
-from .qseries import running_product
 from .reporting import CheckReport
 from .series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
 
@@ -194,23 +196,10 @@ def class_counts(cls: PartitionClass, weight_max: int) -> list[int]:
 def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     """Compare class counts with the basis-driven series, weight by weight.
 
-    The series side is ``sum_n B_n(q) / prod_{i=1..n}(1 - q^{2i})`` where
-    ``B_n`` collects ``q^|beta|`` over basis members of length ``n``; only
-    members of weight at most ``weight_max`` are generated, and since every
-    basis member of length ``n`` has weight at least ``n``, lengths beyond
-    ``weight_max`` cannot contribute.  The counts come from
-    :func:`class_counts`.
+    The series is :func:`sip_gf_four_parameter` in ``q`` alone, where every
+    ``d_m`` is ``1 - q^{2m}``; the counts come from :func:`class_counts`.
     """
-    _require_decomposable(cls)
-    series_side = Series.zero(SINGLE_Q, weight_max)
-    inverses = running_product(SINGLE_Q, 1, (2,), (2,), weight_max, inverted=True)
-    for n, inv in zip(range(weight_max + 1), inverses):
-        members = basis_members_of_length(cls.basis, n, weight_max)
-        weights = [beta.weight for beta in members]
-        if not weights:
-            continue
-        poly = Series.from_terms(SINGLE_Q, (((w,), 1) for w in weights), weight_max)
-        series_side = series_side + poly * inv
+    series_side = sip_gf_four_parameter(cls, weight_max, _OMEGA_TO_Q)
     counts = class_counts(cls, weight_max)
     failures: list[str] = []
     for w in range(weight_max + 1):
@@ -223,45 +212,53 @@ def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     )
 
 
-def basis_weight_poly(cls: PartitionClass, length: int, weight_max: int) -> Series:
-    """Four-parameter weight polynomial of the basis members of one length
-    and weight at most ``weight_max``."""
+def basis_weight_poly(
+    cls: PartitionClass, length: int, weight_max: int, weight_map: SubstitutionMap = OMEGA_IDENTITY
+) -> Series:
+    """Exact weight polynomial, in the target ring of ``weight_map``, of the
+    basis members of one length and weight at most ``weight_max``."""
     if not cls.is_basis:
         raise ValueError(f"{cls} is not a basis tag")
     members = basis_members_of_length(cls, length, weight_max)
+    image_of = weight_map.map_exps
     return Series.from_terms(
-        FOUR_PARAM, ((omega_exponents(beta).vector(), 1) for beta in members), None
+        weight_map.target, ((image_of(omega_exponents(beta)), 1) for beta in members), None
     )
 
 
-def sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> Series:
-    """Assemble the class's four-parameter weight series from its basis.
+def _divisor(m: int) -> tuple[int, int, int, int]:
+    """Four-parameter exponents of the monomial of ``d_m``, for ``m >= 1``:
+    ``ab Q^((m-1)/2)`` for odd ``m`` and ``Q^(m/2)`` for even ``m``, ``Q = abcd``."""
+    k, odd = divmod(m, 2)
+    return (k + odd, k + odd, k, k)
 
-    Lengths are summed with their forced denominators: a length-``2n`` block
-    contributes ``B_{2n} / ((ab;Q)_n (Q;Q)_n)`` and a length-``2n+1`` block
-    ``B_{2n+1} / ((ab;Q)_{n+1} (Q;Q)_n)``, with ``Q = abcd``.  A basis
-    member's total degree is its weight, so ``B_m`` needs only the members of
-    weight at most ``trunc``; since that weight is at least ``m``, lengths
+
+def sip_gf_four_parameter(
+    cls: PartitionClass, trunc: int, weight_map: SubstitutionMap = OMEGA_IDENTITY
+) -> Series:
+    """Assemble the class's four-parameter weight series, pushed through
+    ``weight_map``, from its basis: ``sum_m B_m / (d_1 ... d_m)``.
+
+    ``B_m`` is :func:`basis_weight_poly` of length ``m``, and the product of
+    the ``d_j`` (see :func:`_divisor`) is ``(ab;Q)_n (Q;Q)_n`` for ``m = 2n``
+    and ``(ab;Q)_{n+1} (Q;Q)_n`` for ``m = 2n+1``, ``Q = abcd``.  The sum is
+    nested from the top length down, ``total = (total + B_m) / d_m``, each
+    division one :meth:`Series.times_factor` walk on the mapped exponents.
+    ``weight_map`` is refused unless, as for :func:`class_weight_series`, it
+    maps from the four-parameter ring with every image of degree 1; a
+    skeleton's mapped degree is then its weight, at least its length, so
+    ``B_m`` needs only the members of weight at most ``trunc`` and lengths
     beyond ``trunc`` cannot contribute.
     """
     _require_decomposable(cls)
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
-    total = Series.zero(FOUR_PARAM, trunc)
-    q = (1, 1, 1, 1)
-    ab_inverses = running_product(FOUR_PARAM, 1, (1, 1, 0, 0), q, trunc, inverted=True)
-    q_inverses = running_product(FOUR_PARAM, 1, q, q, trunc, inverted=True)
-    inv_ab, inv_q = next(ab_inverses), next(q_inverses)
-    for m in range(trunc + 1):
-        if m % 2:
-            inv_ab = next(ab_inverses)
-        elif m:
-            inv_q = next(q_inverses)
-        poly = basis_weight_poly(cls.basis, m, trunc).truncate(trunc)
-        if poly.is_zero():
-            continue
-        total = total + poly * inv_ab * inv_q
-    return total
+    _require_weight_map(weight_map)
+    total = Series.zero(weight_map.target, trunc)
+    for m in range(trunc, 0, -1):
+        total = total + basis_weight_poly(cls.basis, m, trunc, weight_map)
+        total = total.times_factor(1, weight_map.map_exps(_divisor(m)), inverted=True)
+    return total + basis_weight_poly(cls.basis, 0, trunc, weight_map)
 
 
 def check_sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> CheckReport:

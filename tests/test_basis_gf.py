@@ -125,6 +125,16 @@ def test_negative_bounds_are_refused(bounds):
         cross_check_tables(BG1, *bounds)
 
 
+@pytest.mark.parametrize("entry", ((-1, 0), (0, -1), (2, -1)), ids=("n=-1", "h=-1", "n=2,h=-1"))
+@pytest.mark.parametrize(
+    "table", [fn for _, fn in basis_gf._METHODS], ids=[name for name, _ in basis_gf._METHODS]
+)
+@pytest.mark.parametrize("basis", ALL_BASES, ids=lambda c: c.value)
+def test_every_method_refuses_a_negative_entry(basis, table, entry):
+    with pytest.raises(ValueError, match="nonnegative"):
+        table(basis, *entry)
+
+
 @pytest.fixture
 def fresh_enumeration():
     """Clear the enumerated table's cache around a test, so entries built

@@ -113,15 +113,6 @@ def test_one_is_neutral(f):
     assert (f * Series.one(FOUR_PARAM)).terms == f.terms
 
 
-@settings(max_examples=40)
-@given(exact_polys(), st.integers(min_value=0, max_value=4))
-def test_pow_matches_repeated_multiplication(f, n):
-    expected = Series.one(FOUR_PARAM)
-    for _ in range(n):
-        expected = expected * f
-    assert (f ** n).terms == expected.terms
-
-
 @settings(max_examples=60)
 @given(exact_polys(), exact_polys(), st.integers(min_value=0, max_value=8))
 def test_truncation_is_a_ring_map(f, g, n):

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from sipq import sip
-from sipq.partitions import Partition, PartitionClass, enumerate_partitions
+from sipq.identities import combinatorial_side, registry
+from sipq.partitions import (
+    OMEGA_IDENTITY,
+    Partition,
+    PartitionClass,
+    class_weight_series,
+    enumerate_partitions,
+)
+from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, Series, SubstitutionMap
 from sipq.sip import (
     LengthViolation,
     NonEvenMu,
@@ -28,6 +40,12 @@ G2 = PartitionClass.G2
 P1 = PartitionClass.P1
 P2 = PartitionClass.P2
 DECOMPOSABLE = (G1, G2, P1, P2)
+
+
+def _first_degree(failures: tuple[str, ...], pattern: str) -> int:
+    degrees = [int(m.group(1)) for line in failures for m in [re.search(pattern, line)] if m]
+    assert degrees, failures
+    return min(degrees)
 
 
 class TestDecompose:
@@ -227,3 +245,85 @@ class TestFourParameterSeries:
         report = check_sip_gf_four_parameter(cls, 12)
         assert report.passed, report.failures
         assert report.name == f"sip-gf-four[{cls.value}]"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for spec in registry() if spec.partition_class in DECOMPOSABLE],
+        ids=lambda spec: spec.key,
+    )
+    def test_mapped_assembly_matches_the_combinatorial_side(self, spec):
+        """Through each catalog weight map, the skeleton assembly equals the row
+        recursion over class members: same terms and truncation."""
+        assert sip_gf_four_parameter(spec.partition_class, 32, spec.weight_map) == (
+            combinatorial_side(spec, 32)
+        )
+
+    @pytest.mark.parametrize(
+        "weight_map",
+        (
+            SubstitutionMap(XZQ, SINGLE_Q, ((0,), (0,), (1,))),
+            SubstitutionMap(FOUR_PARAM, XZQ, ((1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 0, 0))),
+        ),
+        ids=("from-xzq", "degree-0-image"),
+    )
+    def test_refuses_the_maps_the_row_recursion_refuses(self, weight_map):
+        with pytest.raises(ValueError) as refused:
+            class_weight_series(G1, 8, weight_map)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            sip_gf_four_parameter(G1, 8, weight_map)
+
+    @pytest.mark.parametrize(
+        "cls, digest",
+        (
+            (G1, "8a0b74389e23fc07d1c2f07a9b02e5acf148db4c2c706027572c95b5cb4eb190"),
+            (G2, "762311e723eeedc1fc163eaccd0a26b835a85eb6ee9d605187de866223aa243f"),
+            (P1, "6ddbc5b2a2247c0f56d66c215d0817d29e5bba8f12a833396caf51d079435957"),
+            (P2, "9928584aeaef574e9fdaa8d00985a5dfd214009abdbdc37ffef6cb386f715e28"),
+        ),
+        ids=lambda c: getattr(c, "value", "digest"),
+    )
+    def test_assembly_is_pinned_at_trunc_40(self, cls, digest):
+        """The battery runs ``sip-gf-four`` at trunc 16 only; past that cap the
+        assembly's terms are held to the recorded output."""
+        records = json.dumps(sip_gf_four_parameter(cls, 40).to_records())
+        assert hashlib.sha256(records.encode()).hexdigest() == digest
+
+
+def _odd_length_by_q(monkeypatch):
+    # d_m for odd m = 2k + 1 becomes 1 - Q^(k+1), the next even length's divisor.
+    real = sip._divisor
+    monkeypatch.setattr(sip, "_divisor", lambda m: real(m + m % 2))
+
+
+def _b0_dropped(monkeypatch):
+    real = sip.basis_weight_poly
+
+    def without_b0(cls, length, weight_max, weight_map=OMEGA_IDENTITY):
+        if length == 0:
+            return Series.zero(weight_map.target)
+        return real(cls, length, weight_max, weight_map)
+
+    monkeypatch.setattr(sip, "basis_weight_poly", without_b0)
+
+
+def _first_division_late(monkeypatch):
+    # d_1 = 1 - ab becomes the next factor of its run, 1 - abQ.
+    real = sip._divisor
+    monkeypatch.setattr(sip, "_divisor", lambda m: real(3) if m == 1 else real(m))
+
+
+@pytest.mark.parametrize(
+    "fault",
+    (_odd_length_by_q, _b0_dropped, _first_division_late),
+    ids=("odd-length-by-q", "b0-dropped", "first-division-late"),
+)
+@pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
+def test_faulty_assembly_fails_both_checks_by_degree_8(monkeypatch, cls, fault):
+    """One assembly serves both reports, so a fault in it fails both."""
+    fault(monkeypatch)
+    single = sip_gf_single_variable(cls, 8)
+    assert not single.passed
+    assert _first_degree(single.failures, r"^weight (\d+):") <= 8
+    four = check_sip_gf_four_parameter(cls, 8)
+    assert not four.passed
+    assert _first_degree(four.failures, r"^degree (\d+):") <= 8
