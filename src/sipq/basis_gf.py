@@ -235,8 +235,8 @@ def cross_check_tables(cls: PartitionClass, n_max: int, h_max: int) -> CheckRepo
     """Three-way agreement over the full (length, largest) grid.
 
     Beyond equality this asserts that every entry expands with nonnegative
-    exponents only, that entries vanish for ``h > 2n`` and (for the two
-    even-largest bases) odd ``h``, and that ``B(n, 0) = 0`` for ``n >= 1``.
+    exponents only, that entries vanish for ``h > 2n`` and for an ``h`` the
+    basis's rule refuses on row 1, and that ``B(n, 0) = 0`` for ``n >= 1``.
     """
     _require_entry(cls, n_max, h_max)
     (_, enumerated), *others = _METHODS
@@ -255,9 +255,7 @@ def cross_check_tables(cls: PartitionClass, n_max: int, h_max: int) -> CheckRepo
                     )
             if reference.has_negative_exponent():
                 failures.append(f"n={n} h={h}: negative exponent in {reference!r}")
-            must_vanish = h > 2 * n or (n >= 1 and h == 0)
-            if cls in (PartitionClass.BASIS_G2, PartitionClass.BASIS_P2) and h % 2:
-                must_vanish = True
+            must_vanish = h > 2 * n or (n >= 1 and h == 0) or not cls.rule.allows(1, h)
             if must_vanish and not reference.is_zero():
                 failures.append(f"n={n} h={h}: expected empty support, got {reference!r}")
     return CheckReport(

@@ -34,7 +34,7 @@ from .partitions import (
     omega_exponents,
     stats,
 )
-from .qseries import PochFactor, nth_product, running_product, summand_walk
+from .qseries import PochFactor, summand_walk
 from .qseries import truncated_infinite_product
 from .reporting import CheckReport
 from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
@@ -646,20 +646,14 @@ def verify(key: str, trunc: int) -> CheckReport:
 # -- telescoping partial sums ---------------------------------------------------
 
 
-def _closed_partial(family: PartitionClass, upto: int, trunc: int) -> Series:
-    """Closed form for the partial sum: a finite Pochhammer quotient."""
-    arg = (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0)
-    num = nth_product(running_product(FOUR_PARAM, -1, arg, _Q4, None), upto)
-    den1 = nth_product(running_product(FOUR_PARAM, 1, _AB, _Q4, trunc, True), upto + 1)
-    den2 = nth_product(running_product(FOUR_PARAM, 1, _Q4, _Q4, trunc, True), upto)
-    return num.truncate(trunc) * den1 * den2
-
-
 def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> CheckReport:
     """Partial sums of the two-family series match their closed quotient form.
 
     Checks ``F(N) = T(N)`` for each ``N <= n_max`` and the telescoping step
-    ``T(N+1) - T(N) = F(N+1) - F(N)``.
+    ``T(N+1) - T(N) = F(N+1) - F(N)``.  ``T(N) = (-x;Q)_N / ((ab;Q)_(N+1)
+    (Q;Q)_N)``, ``x = a`` for p1 and ``abc`` for p2, is built from products
+    alone, each step one numerator binomial and two :meth:`Series.times_factor`
+    divisions, so the work is linear in ``n_max``.
     """
     if family not in (PartitionClass.P1, PartitionClass.P2):
         raise ValueError("partial sums are recorded for classes p1 and p2")
@@ -674,12 +668,16 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
     walks = [fam.summands(FOUR_PARAM, trunc) for fam in spec.series]
     zero = Series.zero(FOUR_PARAM, trunc)
     f = zero
-    prev_f: Series | None = None
-    prev_t: Series | None = None
+    x = (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0)
+    t = Series.one(FOUR_PARAM, trunc).times_factor(1, _AB, inverted=True)
     for upto in range(n_max + 1):
+        prev_f, prev_t = f, t
         for walk in walks:
             f = f + next(walk, zero)
-        t = _closed_partial(family, upto, trunc)
+        if upto:
+            t = t.times_factor(-1, tuple(e + upto - 1 for e in x))  # 1 + x Q^(N-1)
+            t = t.times_factor(1, (1 + upto, 1 + upto, upto, upto), inverted=True)  # ab Q^N
+            t = t.times_factor(1, (upto,) * 4, inverted=True)  # Q^N
         checks += 1
         cmp = f.equal_to(t)
         if not cmp.equal:
@@ -687,7 +685,7 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
                 f"N={upto}: partial sum differs from closed form at {cmp.exps}"
                 f" ({cmp.left} vs {cmp.right})"
             )
-        if prev_f is not None and prev_t is not None:
+        if upto:
             checks += 1
             step = (t - prev_t).equal_to(f - prev_f)
             if not step.equal:
@@ -695,7 +693,6 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
                     f"N={upto}: step increments differ at {step.exps}"
                     f" ({step.left} vs {step.right})"
                 )
-        prev_f, prev_t = f, t
     return CheckReport(
         f"partial-sums[{family.value}]", not failures, checks, tuple(failures)
     )

@@ -3,12 +3,12 @@
 A partition is a weakly decreasing tuple of positive integers.  Filling its
 rows with two alternating letters, ``a b a b ...`` on odd-indexed rows and
 ``c d c d ...`` on even-indexed rows, assigns each partition a monomial
-``a^A b^B c^C d^D`` (the four-parameter weight).  Everything in this module
-is exhaustive and exact.  The generators build only what their callers can
-use: class members part by part under the class's row rules, skeletons
-bottom-up under a weight bound, and the class weight series by a recursion
-over rows that never builds a partition.  The test suite checks each of them
-against a filter of every partition through :func:`is_member`.
+``a^A b^B c^C d^D`` (the four-parameter weight).  A class is one
+:class:`RowRule`, which everything here reads.  All of it is exhaustive and
+exact.  The generators build only what their callers can use: class members
+part by part under the class's row rules, skeletons bottom-up under a weight
+bound, and the class weight series by a recursion over rows that never builds
+a partition.  The tests check each against a filter through :func:`is_member`.
 """
 
 from __future__ import annotations
@@ -67,12 +67,32 @@ class OmegaExponents(NamedTuple):
         return self.a + self.b + self.c + self.d
 
 
+class RowRule(NamedTuple):
+    """The row rules of a position-parity class: ``strict`` asks for distinct
+    parts, and a row whose 1-based index has parity ``even_row`` (None: no
+    row) holds even parts only.  The skeleton gaps follow from ``strict``."""
+
+    strict: bool
+    even_row: int | None
+
+    def allows(self, index: int, part: int) -> bool:
+        """Whether row ``index`` (1-based) may hold ``part``."""
+        return part % 2 == 0 or index % 2 != self.even_row
+
+    @property
+    def gaps(self) -> tuple[int, int]:
+        """The successive differences allowed within a skeleton (basis member)."""
+        return (1, 2) if self.strict else (0, 1)
+
+
 class PartitionClass(enum.Enum):
     """Tags for the partition families the package works with.
 
-    G1/G2 are strict partitions whose even-indexed (resp. odd-indexed) parts
-    are even; P1/P2 drop the strictness requirement.  Each has a basis
-    subfamily with bounded gaps and smallest part 1 or 2.
+    Each class is one :class:`RowRule` in ``_RULES``.  G1/G2 are strict
+    partitions whose even-indexed (resp. odd-indexed) parts are even; P1/P2
+    drop the strictness requirement.  A class with a parity row has a basis
+    tag, ``"basis-"`` plus its value: its members with gaps in ``gaps`` and
+    smallest part 1 or 2.
     """
 
     ALL = "all"
@@ -88,48 +108,42 @@ class PartitionClass(enum.Enum):
 
     @property
     def is_basis(self) -> bool:
-        return self in _BASIS_TO_CLASS
+        return self is not _BASE_CLASS[self]
 
     @property
     def base_class(self) -> "PartitionClass":
         """For a basis tag, the class it is a basis of; otherwise itself."""
-        return _BASIS_TO_CLASS.get(self, self)
+        return _BASE_CLASS[self]
 
     @property
     def basis(self) -> "PartitionClass":
         """For one of G1/G2/P1/P2, the corresponding basis tag."""
         try:
-            return _CLASS_TO_BASIS[self]
-        except KeyError:
+            return PartitionClass("basis-" + self.value)
+        except ValueError:
             raise ValueError(f"{self} has no associated basis") from None
+
+    @property
+    def rule(self) -> RowRule:
+        """The class's row rules; a basis tag obeys those of its base class."""
+        return _RULES[_BASE_CLASS[self]]
 
     @property
     def gaps(self) -> tuple[int, int]:
         """Allowed successive differences within basis members."""
-        basis = self if self.is_basis else self.basis
-        if basis in (PartitionClass.BASIS_G1, PartitionClass.BASIS_G2):
-            return (1, 2)
-        return (0, 1)
+        return self.rule.gaps
 
 
-_BASIS_TO_CLASS = {
-    PartitionClass.BASIS_G1: PartitionClass.G1,
-    PartitionClass.BASIS_G2: PartitionClass.G2,
-    PartitionClass.BASIS_P1: PartitionClass.P1,
-    PartitionClass.BASIS_P2: PartitionClass.P2,
-}
-_CLASS_TO_BASIS = {v: k for k, v in _BASIS_TO_CLASS.items()}
+#: Each tag's base class, read off its value once, at import.
+_BASE_CLASS = {tag: PartitionClass(tag.value.removeprefix("basis-")) for tag in PartitionClass}
 
-# Row rules of the non-basis classes: (strict, parity of the 1-based row
-# index whose parts must be even; None when no row has a parity rule).  A
-# basis tag obeys the rules of its base class.
 _RULES = {
-    PartitionClass.ALL: (False, None),
-    PartitionClass.STRICT: (True, None),
-    PartitionClass.G1: (True, 0),
-    PartitionClass.G2: (True, 1),
-    PartitionClass.P1: (False, 0),
-    PartitionClass.P2: (False, 1),
+    PartitionClass.ALL: RowRule(False, None),
+    PartitionClass.STRICT: RowRule(True, None),
+    PartitionClass.G1: RowRule(True, 0),
+    PartitionClass.G2: RowRule(True, 1),
+    PartitionClass.P1: RowRule(False, 0),
+    PartitionClass.P2: RowRule(False, 1),
 }
 
 #: The four-parameter weight unchanged: each of a, b, c, d maps to itself.
@@ -187,17 +201,17 @@ def conjugate(lam: Partition) -> Partition:
 
 def is_member(cls: PartitionClass, lam: Partition) -> bool:
     """Exhaustive membership test for every class tag."""
-    strict, even_row = _RULES[cls.base_class]
-    if strict and any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
+    rule = cls.rule
+    if rule.strict and any(lam[i] <= lam[i + 1] for i in range(len(lam) - 1)):
         return False
-    if any(p % 2 for i, p in enumerate(lam, 1) if i % 2 == even_row):
+    if not all(map(rule.allows, range(1, len(lam) + 1), lam)):
         return False
     if not cls.is_basis:
         return True
     # Basis tags: class membership plus gap and smallest-part conditions.
     if lam and lam[-1] not in (1, 2):
         return False
-    gaps = cls.gaps
+    gaps = rule.gaps
     return all(lam[i] - lam[i + 1] in gaps for i in range(len(lam) - 1))
 
 
@@ -212,7 +226,7 @@ def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
     """
     if weight < 0:
         raise ValueError("weight must be nonnegative")
-    strict, even_row = _RULES[cls.base_class]
+    strict, allows = cls.rule.strict, cls.rule.allows
     out: list[Partition] = []
     parts: list[int] = []
 
@@ -223,7 +237,7 @@ def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
         if strict and rem > cap * (cap + 1) // 2:
             return
         top, step = min(rem, cap), 1
-        if index % 2 == even_row:
+        if not allows(index, 1):  # the row holds even parts only
             top, step = top - top % 2, 2
         for part in range(top, 0, -step):
             parts.append(part)
@@ -277,7 +291,7 @@ def class_weight_series(
         raise ValueError("trunc must be nonnegative")
     _require_weight_map(weight_map)
     target = weight_map.target
-    strict, even_row = _RULES[cls]
+    rule = cls.rule
     # The bound the terms can reach.  A member of weight w <= trunc has
     # nonnegative exponents (A, B, C, D) with B <= A and D <= C.  A, the sum
     # of ceil(p/2) over the m odd-indexed rows, is at most ceil(w/2), since
@@ -288,7 +302,7 @@ def class_weight_series(
     # sum_i e_i * image_i[j], is at most half * sum_i |image_i[j]| in absolute
     # value.  For the identity map this is ``half``, which a one-row member
     # attains.
-    half = trunc // 2 if even_row == 1 else (trunc + 1) // 2
+    half = (trunc + 1) // 2 if rule.allows(1, 1) else trunc // 2
     bound = _checked_bound(
         max(half * sum(map(abs, column)) for column in zip(*weight_map.images))
     )
@@ -306,9 +320,9 @@ def class_weight_series(
                 pack(image_of((hi, lo, 0, 0) if parity else (0, 0, hi, lo))),
             )
             for parity in (0, 1)
-            if not (parity == even_row and cap % 2)
+            if rule.allows(parity, cap)
         ]
-        for rem in _rems(strict, cap, trunc):
+        for rem in _rems(rule.strict, cap, trunc):
             for row, heads, delta in steps:
                 above = heads[rem - cap]
                 if not above:
@@ -318,10 +332,14 @@ def class_weight_series(
                 for key, count in above.items():
                     key += delta
                     acc[key] = get(key, 0) + count
-    even, odd = (
-        Series._from_buckets(target, dict(enumerate(row)), bound, trunc, False) for row in cell
-    )
-    return even + odd
+    # Fold the odd row into the even one, freeing each odd cell as it goes.
+    even, odd = cell
+    for acc, extra in zip(even, odd):
+        get = acc.get
+        for key, count in extra.items():
+            acc[key] = get(key, 0) + count
+        extra.clear()
+    return Series._from_buckets(target, dict(enumerate(even)), bound, trunc, False)
 
 
 def _least_above(part: int, rows: int, min_gap: int) -> int:
@@ -356,39 +374,30 @@ def _skeletons(
     """
     if length == 0:
         return (Partition(),) if weight_max >= 0 and largest in (None, 0) else ()
-    _, even_row = _RULES[cls.base_class]
-    gaps = cls.gaps
+    allows, gaps = cls.rule.allows, cls.gaps
     min_gap = min(gaps)
     found: list[Partition] = []
     rows: list[int] = []  # bottom row first
 
-    def grow(index: int, weight: int) -> None:
-        # ``index`` is the 1-based index of the highest row placed so far.
+    def place(index: int, part: int, weight: int) -> None:
+        # Put ``part`` on row ``index`` (1-based) over rows of weight ``weight``.
+        weight += part
+        if (
+            not allows(index, part)
+            or weight + _least_above(part, index - 1, min_gap) > weight_max
+            or (largest is not None and not _reaches(part, index - 1, gaps, largest))
+        ):
+            return
+        rows.append(part)
         if index == 1:
             found.append(Partition(rows[::-1]))
-            return
-        for gap in gaps:
-            part = rows[-1] + gap
-            if (index - 1) % 2 == even_row and part % 2:
-                continue
-            if weight + part + _least_above(part, index - 2, min_gap) > weight_max:
-                continue
-            if largest is not None and not _reaches(part, index - 2, gaps, largest):
-                continue
-            rows.append(part)
-            grow(index - 1, weight + part)
-            rows.pop()
+        else:
+            for gap in gaps:
+                place(index - 1, part + gap, weight)
+        rows.pop()
 
     for last in (1, 2):
-        if length % 2 == even_row and last % 2:
-            continue
-        if last + _least_above(last, length - 1, min_gap) > weight_max:
-            continue
-        if largest is not None and not _reaches(last, length - 1, gaps, largest):
-            continue
-        rows.append(last)
-        grow(length, last)
-        rows.pop()
+        place(length, last, 0)
     return tuple(sorted(found, reverse=True))
 
 

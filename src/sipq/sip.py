@@ -51,12 +51,9 @@ class InternalError(SipError):
     """A derived skeleton/padding pair failed its own invariants."""
 
 
-#: The classes with a basis, in the order the reports list them.
-DECOMPOSABLE = (
-    PartitionClass.G1,
-    PartitionClass.G2,
-    PartitionClass.P1,
-    PartitionClass.P2,
+#: The classes with a basis: those whose rule has a parity row, in enum order.
+DECOMPOSABLE = tuple(
+    cls for cls in PartitionClass if not cls.is_basis and cls.rule.even_row is not None
 )
 
 
@@ -217,8 +214,6 @@ def basis_weight_poly(
 ) -> Series:
     """Exact weight polynomial, in the target ring of ``weight_map``, of the
     basis members of one length and weight at most ``weight_max``."""
-    if not cls.is_basis:
-        raise ValueError(f"{cls} is not a basis tag")
     members = basis_members_of_length(cls, length, weight_max)
     image_of = weight_map.map_exps
     return Series.from_terms(

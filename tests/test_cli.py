@@ -47,6 +47,17 @@ class TestEnumerate:
         assert lines[0] == "partition,weight,length,alt_sum,odd_parts,bg_rank,a,b,c,d"
         assert lines[1:] == ["5,5,1,5,1,1,3,2,0,0", '"3,2",5,2,1,1,1,2,1,1,1']
 
+    def test_every_tag_at_weight_14_is_pinned(self, capsys):
+        """The members of every class and basis tag, in enum order, stay
+        byte-identical to this recorded digest of their concatenated stdout."""
+        out = ""
+        for cls in PartitionClass:
+            code, tag_out, _ = run(capsys, "enumerate", "--class", cls.value, "--weight", "14")
+            assert code == 0
+            out += tag_out
+        digest = "a254412cdb9fc97880b7a5bb8e6f697c9d82c1072ca4f71ac84f92de030838c8"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_empty_class_weight(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--class", "g2", "--weight", "1")
         assert code == 0

@@ -20,10 +20,12 @@ import tracemalloc
 import pytest
 
 from sipq import partitions
+from sipq.basis_gf import cross_check_tables, table_enumerated
 from sipq.identities import combinatorial_side, registry, spec_by_key, verify_spec
 from sipq.partitions import (
     Partition,
     PartitionClass,
+    RowRule,
     basis_members_of_length,
     class_weight_series,
     enumerate_basis_by_shape,
@@ -44,6 +46,18 @@ BASES = (
 )
 ROW_CLASSES = tuple(cls for cls in PartitionClass if not cls.is_basis)
 REFERENCE_TRUNC = 40
+# The oracles' own row rules, written from the class definitions and not read
+# from the package, so that a wrong rule record cannot pass both a generator
+# and its oracle: (distinct parts, parity of the 1-based row index whose parts
+# must be even, or None).
+ORACLE_RULES = {
+    PartitionClass.ALL: (False, None),
+    PartitionClass.STRICT: (True, None),
+    PartitionClass.G1: (True, 0),  # distinct; even-indexed parts even
+    PartitionClass.G2: (True, 1),  # distinct; odd-indexed parts even
+    PartitionClass.P1: (False, 0),  # even-indexed parts even
+    PartitionClass.P2: (False, 1),  # odd-indexed parts even
+}
 
 
 def _partition_gen(n: int, cap: int):
@@ -74,7 +88,7 @@ def memo_weight_series(cls: PartitionClass, trunc: int) -> Series:
     next row (capped one lower in a strict class).  Every cap keeps its own
     dict, so it is only fit for a test.
     """
-    strict, even_row = partitions._RULES[cls]
+    strict, even_row = ORACLE_RULES[cls]
     cells: dict[tuple[int, int], list[dict[tuple[int, int, int, int], int]]] = {}
     for rem in range(trunc + 1):
         for parity in (0, 1):
@@ -104,13 +118,15 @@ def skeleton_candidates(cls: PartitionClass, length: int) -> list[Partition]:
 
     A basis member is fixed by its last part (1 or 2) and its gaps, so this
     finds every member of any weight without the generator's parity rule or
-    pruning.
+    pruning.  The gaps, {1, 2} in a strict class and {0, 1} otherwise, come
+    from :data:`ORACLE_RULES`.
     """
     if length == 0:
         return [Partition()]
     found = []
     for last in (1, 2):
-        for gaps in product(cls.gaps, repeat=length - 1):
+        strict, _ = ORACLE_RULES[cls.base_class]
+        for gaps in product((1, 2) if strict else (0, 1), repeat=length - 1):
             parts = [last]
             for g in gaps:
                 parts.append(parts[-1] + g)
@@ -248,16 +264,36 @@ class TestInjectedFaultsAreCaught:
     """Each fault is reported by a check above the generator, by degree 8."""
 
     def test_g1_without_strictness(self, monkeypatch):
-        monkeypatch.setitem(partitions._RULES, PartitionClass.G1, (False, 0))
+        monkeypatch.setitem(partitions._RULES, PartitionClass.G1, RowRule(False, 0))
         report = verify_spec(spec_by_key("g1-four"), 8)
         assert not report.passed
         assert _first_degree(report.failures, r"degree-(\d+) slices") <= 8
 
     def test_p2_with_flipped_parity_index(self, monkeypatch):
-        monkeypatch.setitem(partitions._RULES, PartitionClass.P2, (False, 0))
+        monkeypatch.setitem(partitions._RULES, PartitionClass.P2, RowRule(False, 0))
         report = verify_spec(spec_by_key("p2-four"), 8)
         assert not report.passed
         assert _first_degree(report.failures, r"degree-(\d+) slices") <= 8
+
+    @pytest.mark.parametrize("cls", (PartitionClass.G1, PartitionClass.G2), ids=lambda c: c.value)
+    def test_strict_class_with_non_strict_gaps(self, monkeypatch, cls):
+        monkeypatch.setattr(RowRule, "gaps", property(lambda rule: (0, 1)))
+        single = sip_gf_single_variable(cls, 8)
+        assert not single.passed
+        assert _first_degree(single.failures, r"weight (\d+):") <= 8
+        four = check_sip_gf_four_parameter(cls, 8)
+        assert not four.passed
+        assert _first_degree(four.failures, r"degree (\d+):") <= 8
+
+    def test_g2_with_flipped_parity_row(self, monkeypatch):
+        monkeypatch.setitem(partitions._RULES, PartitionClass.G2, RowRule(True, 0))
+        table_enumerated.cache_clear()
+        try:
+            report = cross_check_tables(PartitionClass.BASIS_G2, 6, 6)
+        finally:
+            table_enumerated.cache_clear()  # no wrong entry outlives the fault
+        assert not report.passed
+        assert min(int(n) for n in re.findall(r"^n=(\d+)", "\n".join(report.failures), re.M)) <= 3
 
     @pytest.mark.parametrize(
         "cls, key, walk_as_strict",

@@ -191,8 +191,25 @@ def test_class_tag_properties():
     assert not PartitionClass.G1.is_basis
     assert PartitionClass.G1.gaps == (1, 2)
     assert PartitionClass.P2.gaps == (0, 1)
-    with pytest.raises(ValueError):
-        PartitionClass.ALL.basis
+    for tag in (PartitionClass.ALL, PartitionClass.STRICT, PartitionClass.BASIS_P1):
+        with pytest.raises(ValueError, match="has no associated basis"):
+            tag.basis
+
+
+def test_rule_records():
+    """A class has a basis exactly when its rule has a parity row; a basis tag
+    obeys its base class's rule; the gaps follow the strict flag."""
+    with_basis = {tag.base_class for tag in PartitionClass if tag.is_basis}
+    for cls in PartitionClass:
+        rule = cls.rule
+        assert rule == cls.base_class.rule
+        assert cls.gaps == ((1, 2) if rule.strict else (0, 1))
+        if not cls.is_basis:
+            assert (cls in with_basis) == (rule.even_row is not None)
+            assert cls.base_class is cls
+    assert not PartitionClass.P2.rule.allows(1, 3)
+    assert PartitionClass.P2.rule.allows(2, 3)
+    assert PartitionClass.STRICT.rule.allows(1, 3)
 
 
 def test_basis_by_shape_matches_filter():

@@ -225,8 +225,8 @@ class TestRunningProduct:
             factors = [(sign, late(arg, base), base, inv) for sign, arg, base, inv in factors]
             return real_product(ring, factors, trunc)
 
+        monkeypatch.setattr(qseries, "running_product", late_run)
         for module in (qseries, identities):
-            monkeypatch.setattr(module, "running_product", late_run)
             monkeypatch.setattr(module, "truncated_infinite_product", late_product)
         monkeypatch.setattr(sip, "_divisor", lambda m: late(real_divisor(m), Q))
         spec = identities.verify_spec(identities.spec_by_key("g1-four"), 8)

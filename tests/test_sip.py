@@ -48,6 +48,10 @@ def _first_degree(failures: tuple[str, ...], pattern: str) -> int:
     return min(degrees)
 
 
+def test_decomposable_classes_are_the_parity_classes_in_report_order():
+    assert sip.DECOMPOSABLE == DECOMPOSABLE
+
+
 class TestDecompose:
     def test_worked_example(self):
         d = decompose(G1, Partition((11, 8, 7, 4)))
