@@ -14,16 +14,20 @@ numerator or a denominator, is one :class:`PochFactor`, and every series
 prefactor is a table of integer coefficients.
 
 :func:`verify` expands every available side to the requested truncation and
-demands exact agreement pairwise.  A series family is summed by stepping each
-summand from the one before (:func:`qseries.summand_walk`), and stops at the
-first summand with no term at or below the truncation: no step polynomial has
-a term of negative degree (:class:`TheoremSpec` refuses a family otherwise),
-so no later summand can come back below it.
+demands exact agreement pairwise.  A series family is summed from the top down
+(:func:`qseries.nested_sum`), each level kept to the truncation less its
+summand's least degree, and stops at the first summand with no term at or
+below the truncation: no step polynomial has a term of negative degree
+(:class:`TheoremSpec` refuses a family otherwise), so no later summand can come
+back below it.  A four-parameter series side also asserts that no summand has
+a negative exponent; it reads the numerator polynomials, which is equivalent
+because :class:`TheoremSpec` also refuses a four-parameter denominator with a
+negative exponent.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import (
     OMEGA_IDENTITY,
@@ -34,8 +38,7 @@ from .partitions import (
     omega_exponents,
     stats,
 )
-from .qseries import PochFactor, summand_walk
-from .qseries import truncated_infinite_product
+from .qseries import PochFactor, nested_sum, summand_walk, truncated_infinite_product
 from .reporting import CheckReport
 from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
 
@@ -75,16 +78,24 @@ class SumFamily(NamedTuple):
     prefactor: tuple[tuple[int, int, int], ...]
     factors: tuple[PochFactor, ...]
 
-    def summands(self, ring: SeriesRing, trunc: int) -> Iterator[Series]:
-        """The truncated summands, each stepped from the one before; from ``n``
-        to ``n+1`` the prefactor moves by ``n`` times the ``C(n,2)`` column
-        plus the ``n`` column."""
+    def _monomials(self, ring: SeriesRing) -> tuple[Series, Callable[[int], Series]]:
+        """The prefactor at ``n = 0`` and its ratio from ``n`` to ``n+1``:
+        ``n`` times the ``C(n,2)`` column plus the ``n`` column."""
         start = Series.monomial(ring, 1, tuple(c0 for _, _, c0 in self.prefactor))
 
         def ratio(n: int) -> Series:
             return Series.monomial(ring, 1, tuple(c2 * n + c1 for c2, c1, _ in self.prefactor))
 
-        return summand_walk(start, ratio, self.factors, trunc)
+        return start, ratio
+
+    def summands(self, ring: SeriesRing, trunc: int) -> Iterator[Series]:
+        """The truncated summands, each stepped from the one before."""
+        return summand_walk(*self._monomials(ring), self.factors, trunc)
+
+    def nested_sum(self, ring: SeriesRing, trunc: int) -> tuple[Series, list[int]]:
+        """The family's sum to order ``trunc``, nested from the top, and the
+        summands whose numerator polynomial has a negative exponent."""
+        return nested_sum(*self._monomials(ring), self.factors, trunc)
 
 
 class _TheoremSpecFields(NamedTuple):
@@ -130,6 +141,14 @@ class TheoremSpec(_TheoremSpecFields):
                 raise ValueError(f"{self.key}: prefactor degree step {a}n + {b} {verb} in n")
             if any(degree(f.base_exps) < 1 for f in fam.factors):
                 raise ValueError(f"{self.key}: every factor base needs positive degree")
+            # The summand nonnegativity check of a four-parameter family reads
+            # the numerator polynomials, which holds when every denominator
+            # binomial is 1 - m with m of nonnegative exponents (see
+            # qseries.nested_sum).
+            if self.ring == FOUR_PARAM and any(
+                min(f.arg_exps + f.base_exps) < 0 for f in fam.factors if f.inverted
+            ):
+                raise ValueError(f"{self.key}: a denominator has a negative exponent")
             nums = [f for f in fam.factors if not f.inverted]
             low = b + sum(min(0, degree(e)) for f in nums for e in f.binomials(1))
             if low < 0:
@@ -161,16 +180,15 @@ def series_side(
         raise ValueError("trunc must be nonnegative")
     if not spec.series:
         raise ValueError(f"{spec.key} has no series side")
-    failures = nonneg_failures if spec.ring is FOUR_PARAM else None
-
-    def summands() -> Iterator[Series]:
-        for fam in spec.series:
-            for n, term in enumerate(fam.summands(spec.ring, trunc)):
-                if failures is not None and term.has_negative_exponent():
-                    failures.append(f"summand n={n}: negative exponent in expansion")
-                yield term
-
-    return Series.zero(spec.ring, trunc).plus(summands())
+    sums = []
+    for fam in spec.series:
+        total, negative = fam.nested_sum(spec.ring, trunc)
+        if nonneg_failures is not None and spec.ring is FOUR_PARAM:
+            nonneg_failures.extend(
+                f"summand n={n}: negative exponent in expansion" for n in negative
+            )
+        sums.append(total)
+    return Series.zero(spec.ring, trunc).plus(sums)
 
 
 def product_side(spec: TheoremSpec, trunc: int, alt: bool = False) -> Series:

@@ -41,6 +41,12 @@ class Partition(tuple):
         return f"Partition({', '.join(map(str, self))})"
 
 
+def _built(parts: list[int]) -> Partition:
+    """A partition from parts a generator made valid by construction, so not
+    checked again; outside input goes through :class:`Partition`."""
+    return tuple.__new__(Partition, parts)
+
+
 class PartitionStats(NamedTuple):
     """Basic statistics of a single partition."""
 
@@ -84,6 +90,16 @@ class RowRule(NamedTuple):
         """The successive differences allowed within a skeleton (basis member)."""
         return (1, 2) if self.strict else (0, 1)
 
+    @property
+    def last_parts(self) -> tuple[int, int]:
+        """A skeleton's possible last parts, odd first: the least part of each
+        parity, so that even padding keeps a member's last-part parity."""
+        return (1, 2)
+
+    def last_part(self, part: int) -> int:
+        """The last skeleton part under a member whose last part is ``part``."""
+        return self.last_parts[part % 2 == 0]
+
 
 class PartitionClass(enum.Enum):
     """Tags for the partition families the package works with.
@@ -92,7 +108,7 @@ class PartitionClass(enum.Enum):
     partitions whose even-indexed (resp. odd-indexed) parts are even; P1/P2
     drop the strictness requirement.  A class with a parity row has a basis
     tag, ``"basis-"`` plus its value: its members with gaps in ``gaps`` and
-    smallest part 1 or 2.
+    smallest part in ``last_parts``.
     """
 
     ALL = "all"
@@ -193,10 +209,13 @@ def omega_exponents(lam: Partition) -> OmegaExponents:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Ferrers diagram."""
-    if not lam:
-        return Partition()
-    return Partition(tuple(sum(1 for p in lam if p > i) for i in range(lam[0])))
+    """Transpose of the Ferrers diagram, in time linear in its size."""
+    # Column j is as long as the number of rows longer than j.  Walking the
+    # rows from the bottom, the columns up to row i's end have exactly i rows.
+    columns: list[int] = []
+    for i in range(len(lam), 0, -1):
+        columns.extend([i] * (lam[i - 1] - len(columns)))
+    return _built(columns)
 
 
 def is_member(cls: PartitionClass, lam: Partition) -> bool:
@@ -209,7 +228,7 @@ def is_member(cls: PartitionClass, lam: Partition) -> bool:
     if not cls.is_basis:
         return True
     # Basis tags: class membership plus gap and smallest-part conditions.
-    if lam and lam[-1] not in (1, 2):
+    if lam and lam[-1] not in rule.last_parts:
         return False
     gaps = rule.gaps
     return all(lam[i] - lam[i + 1] in gaps for i in range(len(lam) - 1))
@@ -232,7 +251,7 @@ def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
 
     def grow(rem: int, cap: int, index: int) -> None:
         if rem == 0:
-            out.append(Partition(parts))
+            out.append(_built(parts))
             return
         if strict and rem > cap * (cap + 1) // 2:
             return
@@ -361,9 +380,10 @@ def _skeletons(
     weight, and, when ``largest`` is given, with that largest part.
 
     Members are built bottom-up, the way :func:`sipq.sip.decompose` forces a
-    skeleton: the last part is 1 or 2, and each higher row adds one admissible
-    gap and must obey its row's parity rule.  A branch is cut as soon as its
-    weight plus the least its remaining rows can add exceeds ``weight_max``.
+    skeleton: the last part is one of the rule's ``last_parts``, and each
+    higher row adds one admissible gap and must obey its row's parity rule.
+    A branch is cut as soon as its weight plus the least its remaining rows
+    can add exceeds ``weight_max``.
     Parts only grow going up, each gap lying in ``[min(gaps), max(gaps)]``, so
     with ``largest`` set a branch is also cut once the rows left cannot end
     on it: its top part plus the rows left times the least gap already
@@ -373,8 +393,9 @@ def _skeletons(
     Returned lexicographically decreasing.
     """
     if length == 0:
-        return (Partition(),) if weight_max >= 0 and largest in (None, 0) else ()
-    allows, gaps = cls.rule.allows, cls.gaps
+        return (_built([]),) if weight_max >= 0 and largest in (None, 0) else ()
+    rule = cls.rule
+    allows, gaps = rule.allows, rule.gaps
     min_gap = min(gaps)
     found: list[Partition] = []
     rows: list[int] = []  # bottom row first
@@ -390,13 +411,13 @@ def _skeletons(
             return
         rows.append(part)
         if index == 1:
-            found.append(Partition(rows[::-1]))
+            found.append(_built(rows[::-1]))
         else:
             for gap in gaps:
                 place(index - 1, part + gap, weight)
         rows.pop()
 
-    for last in (1, 2):
+    for last in rule.last_parts:
         place(length, last, 0)
     return tuple(sorted(found, reverse=True))
 

@@ -5,9 +5,15 @@ whatever ring the caller's argument series use, for the finite products).
 ``pochhammer_finite(x, Q, n)`` is the product ``(1-x)(1-xQ)...(1-xQ^{n-1})``,
 so the classical ``(x; Q)_n`` with a sign goes in through the argument.
 A run of finite Pochhammer products is grown one factor at a time by
-:func:`running_product`, a truncated infinite product largest binomial first
-by :func:`truncated_infinite_product`; every sum of Pochhammer
-quotients is walked summand by summand by :func:`summand_walk`.
+:func:`running_product`; a truncated infinite product is one
+:meth:`Series.times_run` over its binomials, largest first
+(:func:`truncated_infinite_product`).  A sum of Pochhammer quotients is summed
+by :func:`nested_sum`, from the top down, ``S = T_0 (1 + R_0 (1 + R_1
+(...)))``, each level kept only to the degree its summand can still reach;
+:func:`summand_walk` steps the summands one by one and serves the partial
+sums and the tests.  The nested sum also reports the summands whose numerator
+polynomial has a negative exponent, which for denominators ``1 - m``, ``m`` of
+nonnegative exponents and positive degree, is the summands that have one.
 """
 
 from __future__ import annotations
@@ -112,6 +118,95 @@ def summand_walk(
         yield term
 
 
+def nested_sum(
+    start: Series,
+    ratio: Callable[[int], Series],
+    factors: Sequence[PochFactor],
+    trunc: int,
+) -> tuple[Series, list[int]]:
+    """The sum of the summands :func:`summand_walk` yields, nested from the
+    top; and the indices ``n`` whose numerator polynomial ``P_n`` has a
+    negative exponent at degree ``<= trunc``.
+
+    ``P_n`` is the monomial ``m_n`` times the numerator products, so that
+    ``T_n = P_n / D_n``, ``D_n`` the denominator products.  With the step
+    polynomials ``r_k = P_(k+1) / P_k`` (exact: ``ratio(k)`` times the new
+    numerator binomials) the sum is ``S = T_0 (1 + R_0 (1 + R_1 (...)))``,
+    ``R_k = r_k / (D_(k+1) / D_k)``, the quotient over the new denominator
+    binomials.
+
+    A forward pass steps ``P_n``, truncated at ``trunc``, by ``r_n`` (one
+    general product each) and reads its least degree ``L_n``, exact below the
+    truncation.  It stops at the first ``P_n`` with no term at or below
+    ``trunc``, where the walk stops: no ``r_n`` has a term of negative degree,
+    so ``L_n`` never decreases.  Level ``k`` of the nest multiplies into
+    ``T_k``, whose terms have degree at least ``L_k``, so it is kept only to
+    ``trunc - L_k``; the product with ``r_k``, of least degree ``L_(k+1) -
+    L_k``, is known exactly that far up.  The whole nest is one
+    :meth:`Series.times_run`.  ``r_k`` enters as one exact polynomial, never
+    binomial by binomial after a truncation, since a numerator binomial may
+    have negative degree.  Result and flags equal those of adding up the
+    walk's summands with :meth:`Series.plus` (the innermost level starts at
+    the exact 1, as the walk's last summand ends there), and a step polynomial
+    with a term of negative degree raises :class:`PrecisionLoss`.
+
+    The numerator verdict equals the walk's ``T_n.has_negative_exponent()``
+    when every denominator binomial is ``1 - m`` with ``m`` of nonnegative
+    exponents and positive degree.  Then ``1/D_n`` has constant term 1 and
+    nonnegative exponents, and its other terms have positive degree.  If
+    ``P_n`` has nonnegative exponents below the truncation, so has ``T_n``.
+    Otherwise, in some variable, let ``e < 0`` be the least exponent among the
+    terms of ``P_n`` at degree ``<= trunc``, and ``d`` the least degree among
+    those terms with exponent ``e``.  A term of ``T_n`` with exponent ``e``
+    and degree ``d`` comes from a term of ``P_n`` (exponent ``>= e``, degree
+    ``<= d``, so among those terms) times a term of ``1/D_n`` (exponent and
+    degree ``>= 0``).  The exponents add up to ``e`` and the degrees to
+    ``d``, so the first term has exponent ``e`` and degree ``d``, and the
+    second is the constant 1.  That slice of ``T_n`` is the one of ``P_n``,
+    which is not zero.
+    """
+    ring = start.ring
+    numerators = [f for f in factors if not f.inverted]
+    denominators = [f for f in factors if f.inverted]
+
+    def numerator(n: int, monomial: Series) -> Series:
+        """The monomial times the numerator binomials new in summand ``n``, exactly."""
+        return monomial.times_run(
+            [("times", f.sign, exps) for f in numerators for exps in f.binomials(n)]
+        )
+
+    def over(n: int) -> list[tuple]:
+        """The division steps by the denominator binomials new in summand ``n``."""
+        return [("over", f.sign, exps) for f in denominators for exps in f.binomials(n)]
+
+    head = numerator(0, start)
+    poly = head.truncate(trunc)
+    lows: list[int] = []  # L_n
+    steps: list[Series] = []  # r_n
+    negative: list[int] = []
+    n = 0
+    while not poly.is_zero():
+        if poly.has_negative_exponent():
+            negative.append(n)
+        lows.append(poly.min_deg)
+        step = numerator(n + 1, ratio(n))
+        if step.min_deg < 0:
+            raise PrecisionLoss(f"step polynomial {step.to_string()} has a negative-degree term")
+        steps.append(step)
+        poly = poly * step
+        n += 1
+    if not lows:
+        return Series.zero(ring, trunc), negative
+    run: list[tuple] = []
+    for k in reversed(range(len(lows) - 1)):
+        run.append(("poly", steps[k], trunc - lows[k]))
+        run += over(k + 1)
+        run.append(("one",))
+    run.append(("poly", head, trunc))
+    run += over(0)
+    return Series.one(ring, trunc - lows[-1]).times_run(run), negative
+
+
 def running_product(
     ring: SeriesRing,
     sign: int,
@@ -184,18 +279,28 @@ def truncated_infinite_product(ring: SeriesRing, factors: Iterable[tuple], trunc
     # ``Series.one``: both sum the same amounts over the same binomials.  The
     # amounts are nonnegative, so no partial sum exceeds the total, and both
     # raise ExponentOverflow alike.
-    prod = Series.one(ring, trunc)
-    for _, sign, exps, inverted in steps:
-        prod = prod.times_factor(sign, exps, inverted)
-    return prod.incomplete()
+    run = [("over" if inverted else "times", sign, exps) for _, sign, exps, inverted in steps]
+    return Series.one(ring, trunc).times_run(run).incomplete()
+
+
+def _only_term(s: object) -> tuple[int, tuple[int, ...]] | None:
+    """``(coeff, exps)`` of a series with exactly one term, read off its one
+    bucket; None for anything else."""
+    if not isinstance(s, Series) or len(s.buckets) != 1:
+        return None
+    (bucket,) = s.buckets.values()
+    if len(bucket) != 1:
+        return None
+    ((key, coeff),) = bucket.items()
+    return coeff, s.ring.unpack(key)
 
 
 def _poch_data(arg: Series, base: Series) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """``(sign, arg_exps, base_exps)`` of a monomial argument and a unit monomial base."""
-    if len(arg.terms) != 1 or list(base.terms.values()) != [1]:
+    arg_term, base_term = _only_term(arg), _only_term(base)
+    if arg_term is None or base_term is None or base_term[0] != 1:
         raise ValueError("argument and base must be monomials, the base with coefficient 1")
-    ((arg_exps, sign),) = arg.terms.items()
-    return sign, arg_exps, next(iter(base.terms))
+    return (*arg_term, base_term[1])
 
 
 def pochhammer_finite(arg: Series, base: Series, n: int) -> Series:
@@ -285,7 +390,7 @@ def _as_monomial(p: object, what: str) -> Series:
     """Coerce an exponent tuple to a unit monomial; pass signed monomials through."""
     if isinstance(p, tuple):
         p = Series.monomial(FOUR_PARAM, 1, p)
-    if not isinstance(p, Series) or len(p.terms) != 1:
+    if not isinstance(p, Series) or _only_term(p) is None:
         raise DomainError(f"{what} must be a single monomial")
     if p.trunc is not None:
         raise DomainError(f"{what} must be exact (untruncated)")
@@ -319,10 +424,10 @@ def check_qbinomial_theorem(n_max: int, z: Series | tuple[int, int, int, int]) -
 
 
 def _monomial_parts(s: Series, what: str) -> tuple[int, tuple[int, ...]]:
-    if not isinstance(s, Series) or len(s.terms) != 1:
+    term = _only_term(s)
+    if term is None:
         raise DomainError(f"{what} must be a single monomial")
-    ((exps, coeff),) = s.terms.items()
-    return coeff, exps
+    return term
 
 
 def _monomial_div(num: Series, den: Series, what: str) -> Series:
@@ -383,10 +488,9 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     factors = [PochFactor(*_monomial_parts(p, "a, b"), _Q, (1, 0)) for p in sum_args]
     factors.append(PochFactor(1, _Q, _Q, (1, 0), inverted=True))
     factors.append(PochFactor(*_monomial_parts(c_param, "c"), _Q, (1, 0), inverted=True))
-    summands = summand_walk(
+    lhs, _ = nested_sum(
         Series.one(FOUR_PARAM), lambda n: step * q_monomial(pairs * n), factors, trunc
     )
-    lhs = Series.zero(FOUR_PARAM, trunc).plus(summands)
 
     rhs_factors = [(*_monomial_parts(arg, "ratio"), _Q, inverted) for arg, inverted in rhs_args]
     rhs = truncated_infinite_product(FOUR_PARAM, rhs_factors, trunc)

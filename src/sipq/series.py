@@ -30,9 +30,14 @@ keep ``complete=True`` when no information can have been discarded.  Every
 operation that would silently produce wrong coefficients raises
 :class:`PrecisionLoss` instead of degrading the result.
 
-:meth:`Series.times_factor` multiplies or divides by one binomial ``1 -
-sign * x^exps`` in a single walk over the buckets (division is the recurrence
-``g_d = f_d + sign * x^exps * g_(d - deg)``, linear in the output), and
+One kernel, :meth:`Series.times_run`, applies a whole run of steps to one
+private bucket map and builds one series at the end: a multiplication or a
+division by a binomial ``1 - sign * x^exps``, a product with a small exact
+polynomial, or adding 1.  A multiplication walks the buckets in descending
+degree and a division in ascending degree (the recurrence ``g_d = f_d + sign
+* x^exps * g_(d - deg)``, linear in the output), both in place; a polynomial
+product builds each new bucket by a dict comprehension; a shared bucket is
+copied at most once.  :meth:`Series.times_factor` is a run of one step.
 :meth:`SubstitutionMap.map_exps` is the one place exponents are substituted.
 
 No class here is a dataclass: :class:`SeriesRing` is a slotted class and the
@@ -488,7 +493,7 @@ class Series:
 
     def times_factor(self, sign: int, exps: tuple[int, ...], inverted: bool = False) -> "Series":
         """``self * (1 - sign * x^exps)``, or ``self / (1 - sign * x^exps)`` when
-        ``inverted``, walking the buckets once.
+        ``inverted``: a run of one step (see :meth:`times_run`).
 
         The result, its flags and its bound are those of the general product
         with the binomial, or with its geometric expansion ``sum_k (sign *
@@ -497,77 +502,97 @@ class Series:
         degree; its expansion continues above the truncation, so the quotient
         is never complete.
         """
-        ring, trunc = self.ring, self.trunc
-        exps = tuple(exps)
-        if len(exps) != ring.nvars:
-            raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
-        deg = ring.degree(exps)
-        edge = max(map(abs, exps), default=0)
-        if inverted:
-            if deg <= 0:
-                raise NonPositiveTail(f"monomial {exps} must have positive degree")
-            if trunc is None:
-                raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
-            # The expansion's k-th term has key k * key(exps), for k <= trunc // deg.
-            tail = _checked_bound((trunc // deg) * edge)
-            if self.min_deg < 0:
-                raise PrecisionLoss("negative-degree terms divided by a truncated expansion")
-            bound = _checked_bound(self.bound + tail)
-            buckets = self._divided(sign, ring.pack(exps), deg)
-            return Series._from_buckets(ring, buckets, bound, trunc, False)
-        # The binomial as a series truncated like this one: its constant term
-        # is lost below a negative truncation, its x^exps term above any.
-        unit_in = trunc is None or trunc >= 0
-        term_in = bool(sign) and (trunc is None or deg <= trunc)
-        factor_complete = unit_in and (term_in or not sign)
-        factor_bound = _checked_bound(edge if term_in else 0)
-        # The precision rules of a product (see __mul__).
-        if (not self.complete and term_in and deg < 0) or (
-            not factor_complete and self.min_deg < 0
-        ):
-            raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
-        bound = _checked_bound(self.bound + factor_bound)
-        out = dict(self.buckets)
-        dropped = False
-        if term_in:
-            key, step = ring.pack(exps), -sign
-            for d, bucket in self.buckets.items():
-                target = d + deg
-                if trunc is not None and target > trunc:
-                    dropped = True
-                    continue
-                # Each target degree is written once; its bucket is copied
-                # first, since bucket dicts are shared.
-                acc = dict(out.get(target, ()))
-                get = acc.get
-                for k, c in bucket.items():
-                    k += key
-                    acc[k] = get(k, 0) + step * c
-                out[target] = acc
-        complete = self.complete and factor_complete and not dropped
-        return Series._from_buckets(ring, out, bound, trunc, complete)
+        return self.times_run((("over" if inverted else "times", sign, exps),))
 
-    def _divided(self, sign: int, key: int, deg: int) -> dict[int, dict[int, int]]:
-        """The buckets of ``self / (1 - sign * x^exps)`` to ``self.trunc``, for
-        ``exps`` of key ``key`` and degree ``deg > 0``, and ``self.min_deg >= 0``.
+    def times_run(self, steps: Iterable[tuple]) -> "Series":
+        """Apply a run of steps, in order, to one private copy of the buckets,
+        and build one series at the end.  A step is one of
 
-        ``g_d = f_d + sign * x^exps * g_(d - deg)`` ties together only degrees
-        congruent mod ``deg``: each chain is walked upward from its least
-        stored degree, so the cost is linear in the output.
+        * ``("times", sign, exps)``: multiply by ``1 - sign * x^exps``;
+        * ``("over", sign, exps)``: divide by it;
+        * ``("poly", poly, trunc)``: multiply by the exact polynomial ``poly``
+          (``trunc=None``) and truncate at ``trunc``;
+        * ``("one",)``: add the constant 1.
+
+        A binomial step has the result, flags, bound and errors of
+        :meth:`times_factor` applied alone.  The product with ``poly`` is known
+        to this truncation plus ``poly``'s least degree: an incomplete series
+        may move its truncation up to there, and no further (PrecisionLoss).
+        Adding 1 is adding the constant series 1 at the run's truncation.
+
+        Bucket dicts are shared until written, and a shared bucket is copied at
+        most once: a multiplication walks the buckets in descending degree (in
+        ascending degree for a factor of negative degree), so each source
+        bucket is read before it is written, and a division in ascending
+        degree, so each bucket is final before the recurrence reads it.
         """
-        out: dict[int, dict[int, int]] = {}
-        for start in sorted(self.buckets):
-            if start in out:
-                continue  # on the chain of a lower degree
-            below = out[start] = self.buckets[start]
-            for d in range(start + deg, self.trunc + 1, deg):  # type: ignore[operator]
-                acc = dict(self.buckets.get(d, ()))
-                get = acc.get
-                for k, c in below.items():
-                    k += key
-                    acc[k] = get(k, 0) + sign * c
-                below = out[d] = acc
-        return out
+        ring, trunc, complete, bound = self.ring, self.trunc, self.complete, self.bound
+        buckets = dict(self.buckets)
+        owned: set[int] = set()  # degrees whose bucket in ``buckets`` is ours to write
+        for kind, *args in steps:
+            if kind == "poly":
+                poly, to = args
+                self._check_ring(poly)
+                if poly.trunc is not None:
+                    raise ValueError("a run multiplies by exact polynomials only")
+                if not complete and (
+                    to is None or to > trunc + poly.min_deg  # type: ignore[operator]
+                ):
+                    raise PrecisionLoss(
+                        f"a product known to order {trunc} + {poly.min_deg} asked for order {to}"
+                    )
+                bound = _checked_bound(bound + poly.bound)
+                buckets, dropped = _times_poly(buckets, poly.buckets, to)
+                owned = set(buckets)
+                trunc, complete = to, complete and not dropped
+                continue
+            if kind == "one":
+                if trunc is not None and trunc < 0:
+                    complete = False  # the constant lies above the truncation
+                    continue
+                acc = buckets.get(0, {})
+                if 0 not in owned:
+                    acc = buckets[0] = dict(acc)
+                    owned.add(0)
+                acc[0] = acc.get(0, 0) + 1
+                continue
+            if kind not in ("times", "over"):
+                raise ValueError(f"unknown run step {kind!r}")
+            sign, exps = args
+            exps = tuple(exps)
+            if len(exps) != ring.nvars:
+                raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
+            deg = ring.degree(exps)
+            edge = max(map(abs, exps), default=0)
+            if kind == "over":
+                if deg <= 0:
+                    raise NonPositiveTail(f"monomial {exps} must have positive degree")
+                if trunc is None:
+                    raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
+                # The expansion's k-th term has key k * key(exps), for k <= trunc // deg.
+                tail = _checked_bound((trunc // deg) * edge)
+                if _below_zero(buckets, trunc, complete):
+                    raise PrecisionLoss("negative-degree terms divided by a truncated expansion")
+                bound = _checked_bound(bound + tail)
+                _over_binomial(buckets, owned, ring.pack(exps), deg, sign, trunc)
+                complete = False
+                continue
+            # The binomial as a series truncated like this one: its constant
+            # term is lost below a negative truncation, its x^exps term above any.
+            unit_in = trunc is None or trunc >= 0
+            term_in = bool(sign) and (trunc is None or deg <= trunc)
+            factor_complete = unit_in and (term_in or not sign)
+            factor_bound = _checked_bound(edge if term_in else 0)
+            # The precision rules of a product (see __mul__).
+            if (not complete and term_in and deg < 0) or (
+                not factor_complete and _below_zero(buckets, trunc, complete)
+            ):
+                raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
+            bound = _checked_bound(bound + factor_bound)
+            if term_in and _times_binomial(buckets, owned, ring.pack(exps), deg, -sign, trunc):
+                complete = False
+            complete = complete and factor_complete
+        return Series._from_buckets(ring, buckets, bound, trunc, complete)
 
     # -- truncation -------------------------------------------------------------
 
@@ -649,6 +674,128 @@ class Series:
     def __repr__(self) -> str:
         flag = "" if self.complete else ", incomplete"
         return f"Series({self.to_string()}; trunc={self.trunc}{flag})"
+
+
+
+# -- the run kernel -------------------------------------------------------------
+#
+# Each step of :meth:`Series.times_run` works on ``buckets``, a private map
+# whose bucket dicts may still be shared with other series; ``owned`` holds the
+# degrees whose dicts the run has made itself and may write.
+
+
+def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None, complete: bool) -> bool:
+    """Whether a series on these buckets would have ``min_deg < 0``; buckets
+    may hold zero coefficients, which a series drops."""
+    if buckets and min(buckets) >= 0:
+        return False
+    stored = [d for d, bucket in buckets.items() if any(bucket.values())]
+    if stored:
+        return min(stored) < 0
+    return not complete and trunc is not None and trunc + 1 < 0
+
+
+def _times_binomial(
+    buckets: dict[int, dict[int, int]],
+    owned: set[int],
+    key: int,
+    deg: int,
+    step: int,
+    trunc: int | None,
+) -> bool:
+    """Multiply by ``1 + step * x^e`` in place, ``e`` of key ``key`` and degree
+    ``deg``; return whether a nonzero term left the truncation.
+
+    Bucket ``d`` adds ``step`` times itself, shifted, to bucket ``d + deg``.
+    Walking the source degrees away from the targets (descending for ``deg >
+    0``, ascending for ``deg < 0``) reads every source before it is written.
+    """
+    dropped = False
+    for d in sorted(buckets, reverse=deg > 0):
+        src = buckets[d]
+        target = d + deg
+        if trunc is not None and target > trunc:
+            dropped = dropped or any(src.values())
+            continue
+        acc = buckets.get(target)
+        if acc is None:
+            buckets[target] = {k + key: step * c for k, c in src.items()}
+            owned.add(target)
+            continue
+        if target not in owned or target == d:
+            # Copy a shared bucket once; at degree 0 the source is the target,
+            # so the sum goes into a new dict while the old one is read.
+            acc = buckets[target] = dict(acc)
+            owned.add(target)
+        get = acc.get
+        for k, c in src.items():
+            k += key
+            acc[k] = get(k, 0) + step * c
+    return dropped
+
+
+def _over_binomial(
+    buckets: dict[int, dict[int, int]],
+    owned: set[int],
+    key: int,
+    deg: int,
+    sign: int,
+    trunc: int,
+) -> None:
+    """Divide by ``1 - sign * x^e`` in place to order ``trunc``, ``e`` of key
+    ``key`` and degree ``deg > 0``, every stored degree nonnegative.
+
+    The recurrence ``g_d = f_d + sign * x^e * g_(d - deg)`` is walked in
+    ascending degree, so bucket ``d - deg`` is final when bucket ``d`` reads
+    it; the cost is linear in the output.
+    """
+    if not buckets:
+        return
+    for d in range(min(buckets) + deg, trunc + 1):
+        below = buckets.get(d - deg)
+        if not below:
+            continue
+        acc = buckets.get(d)
+        if acc is None:
+            buckets[d] = {k + key: sign * c for k, c in below.items()}
+            owned.add(d)
+            continue
+        if d not in owned:
+            acc = buckets[d] = dict(acc)
+            owned.add(d)
+        get = acc.get
+        for k, c in below.items():
+            k += key
+            acc[k] = get(k, 0) + sign * c
+
+
+def _times_poly(
+    buckets: dict[int, dict[int, int]], poly: dict[int, dict[int, int]], trunc: int | None
+) -> tuple[dict[int, dict[int, int]], bool]:
+    """The buckets times the exact polynomial ``poly``, to order ``trunc``, as
+    new buckets; and whether a nonzero term was dropped above ``trunc``.
+
+    Each source bucket meets each polynomial term once: the first to reach a
+    target degree builds its bucket by a dict comprehension, the others add in.
+    """
+    terms = [(pd, pk, pc) for pd, bucket in poly.items() for pk, pc in bucket.items()]
+    out: dict[int, dict[int, int]] = {}
+    dropped = False
+    for d, src in buckets.items():
+        for pd, pk, pc in terms:
+            target = d + pd
+            if trunc is not None and target > trunc:
+                dropped = dropped or any(src.values())
+                continue
+            acc = out.get(target)
+            if acc is None:
+                out[target] = {k + pk: pc * c for k, c in src.items()}
+                continue
+            get = acc.get
+            for k, c in src.items():
+                k += pk
+                acc[k] = get(k, 0) + pc * c
+    return out, dropped
 
 
 class SeriesComparison(NamedTuple):

@@ -3,11 +3,12 @@
 Every member of one of the four constrained classes splits uniquely into a
 basis member ("skeleton") of the same length plus a weakly decreasing stack of
 even parts ("padding").  The split is computed bottom-up: the last skeleton
-row is 1 or 2, matching the parity of the last part, and each higher row
-exceeds the one below by the single admissible gap that matches the parity of
-the corresponding part.  This module implements the split, its inverse, an
-exhaustive verifier, and the one generating-function assembly the structure
-yields, through any weight map (the single-variable counts read it in ``q``).
+row is the row rule's last part (1 or 2) of the member's last-part parity,
+and each higher row exceeds the one below by the single admissible gap that
+matches the parity of the corresponding part.  This module implements the
+split, its inverse, an exhaustive verifier, and the one generating-function
+assembly the structure yields, through any weight map (the single-variable
+counts read it in ``q``).
 Every check takes the class alone: its basis is ``cls.basis`` and padding
 parts are even.
 """
@@ -85,7 +86,7 @@ def decompose(cls: PartitionClass, lam: Partition) -> SipDecomposition:
         return SipDecomposition(Partition(), Partition())
     n = len(lam)
     beta = [0] * n
-    beta[-1] = 1 if lam[-1] % 2 else 2
+    beta[-1] = cls.rule.last_part(lam[-1])
     gaps = cls.gaps
     for i in range(n - 2, -1, -1):
         matches = [beta[i + 1] + g for g in gaps if (beta[i + 1] + g) % 2 == lam[i] % 2]

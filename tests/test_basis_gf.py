@@ -16,7 +16,7 @@ from sipq.basis_gf import (
     table_enumerated,
     table_recurrence,
 )
-from sipq.partitions import Partition, PartitionClass
+from sipq.partitions import PartitionClass
 from sipq.series import FOUR_PARAM, Series
 
 BG1 = PartitionClass.BASIS_G1
@@ -166,16 +166,14 @@ def test_the_grid_builds_only_the_skeletons_it_holds(
 ):
     """Every skeleton the 12x12 grid builds lands in one of its entries."""
     built = 0
+    real = partitions._built
 
-    class Counted(Partition):
-        __slots__ = ()
+    def counted(parts):
+        nonlocal built
+        built += 1
+        return real(parts)
 
-        def __new__(cls, parts=()):
-            nonlocal built
-            built += 1
-            return Partition(parts)
-
-    monkeypatch.setattr(partitions, "Partition", Counted)
+    monkeypatch.setattr(partitions, "_built", counted)
     assert cross_check_tables(basis, 12, 12).passed
     held = sum(
         sum(table_enumerated(basis, n, h).terms.values()) for n in range(13) for h in range(13)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import re
 from itertools import count, islice
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import pytest
 
 from sipq.identities import (
+    SumFamily,
     UnknownTheorem,
     combinatorial_side,
     product_side,
@@ -20,8 +23,8 @@ from sipq.identities import (
     verify_substitution_consistency,
 )
 from sipq.partitions import PartitionClass
-from sipq.qseries import PochFactor, check_q_gauss, running_product
-from sipq.series import PrecisionLoss, Series
+from sipq.qseries import A_INFINITY, PochFactor, check_q_gauss, running_product
+from sipq.series import FOUR_PARAM, XZQ, PrecisionLoss, Series
 
 EXPECTED_KEYS = (
     "g1-four",
@@ -339,6 +342,167 @@ def test_walk_faults_are_caught(monkeypatch, fault):
     partial = verify_partial_sums(PartitionClass.P1, 4, 16)
     assert not partial.passed
     assert _at_degree(partial.failures[0]) <= 8
+
+
+# -- nested family sums against the walk ---------------------------------------------
+
+
+def _exps(draw, ring, low, high, positive):
+    """An exponent tuple in ``ring``: weight-0 entries of ``XZQ`` in [-2, 2],
+    the others in [low, high], with positive degree when asked."""
+    while True:
+        exps = tuple(
+            draw(st.integers(min_value=-2 if w == 0 else low, max_value=2 if w == 0 else high))
+            for w in ring.weights
+        )
+        if not positive or ring.degree(exps) > 0:
+            return exps
+
+
+def _family_degree(ring, factors, n):
+    """The least degree the new numerator binomials of summand ``n`` can add."""
+    return sum(
+        min(0, ring.degree(e)) for f in factors if not f.inverted for e in f.binomials(n)
+    )
+
+
+@st.composite
+def families(draw):
+    """A ring, a series family that passes ``TheoremSpec``, and a truncation in
+    0..40.  Numerator arguments may have negative degree and negative
+    exponents, ``XZQ`` denominators negative weight-0 exponents; the
+    prefactor's ``n`` and constant columns are raised just enough that the
+    first step polynomial and the first summand have no term of negative
+    degree."""
+    ring = draw(st.sampled_from([FOUR_PARAM, XZQ]))
+    factors = []
+    for inverted in [False] * draw(st.integers(0, 2)) + [True] * draw(st.integers(0, 2)):
+        arg = _exps(draw, ring, 0 if inverted else -1, 2, inverted)
+        base = _exps(draw, ring, 0, 2, True)
+        count = (draw(st.integers(1, 2)), draw(st.integers(0, 1)))
+        factors.append(PochFactor(draw(st.sampled_from([1, -1])), arg, base, count, inverted))
+    weighted = ring.weights.index(1)  # the first variable of weight 1
+    columns = []
+    for w in ring.weights:
+        c2 = draw(st.integers(-1 if w == 0 else 0, 1))
+        columns.append([c2, draw(st.integers(-1, 2)), draw(st.integers(-2 if w == 0 else 0, 2))])
+    degree = lambda col: sum(w * c[col] for w, c in zip(ring.weights, columns))  # noqa: E731
+    columns[weighted][1] += max(0, -_family_degree(ring, factors, 1) - degree(1))
+    if degree(0) == degree(1) == 0:
+        columns[weighted][1] += 1
+    columns[weighted][2] += max(0, -_family_degree(ring, factors, 0) - degree(2))
+    family = SumFamily(tuple(map(tuple, columns)), tuple(factors))
+    host = spec_by_key("g1-four" if ring is FOUR_PARAM else "g1-xzq")
+    _rebuilt(host, series=(family,))  # TheoremSpec accepts it
+    trunc = draw(st.one_of(st.integers(0, 12), st.integers(0, 40)))
+    return ring, family, trunc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(families())
+def test_nested_sum_matches_the_walk(case):
+    """(a) The nested sum equals the walk's summands added with ``plus``, with
+    the same truncation and completeness.  (b) Where every denominator has
+    nonnegative exponents, the numerator verdict names exactly the walked
+    summands with a negative exponent."""
+    ring, family, trunc = case
+    walked = list(family.summands(ring, trunc))
+    expected = Series.zero(ring, trunc).plus(walked)
+    got, negative = family.nested_sum(ring, trunc)
+    assert (got, got.trunc, got.complete) == (expected, expected.trunc, expected.complete)
+    if all(min(f.arg_exps + f.base_exps) >= 0 for f in family.factors if f.inverted):
+        assert negative == [n for n, t in enumerate(walked) if t.has_negative_exponent()]
+
+
+def test_negative_summand_exponent_is_reported():
+    """A numerator argument a*c/b passes ``TheoremSpec`` but puts b^-1 into
+    the summands from n=1 on; the nonnegativity check reports it."""
+    spec = spec_by_key("g1-four")
+    fam = spec.series[0]
+    numerator = _rebuilt(fam.factors[0], arg_exps=(1, -1, 1, 0))
+    family = _rebuilt(fam, factors=(numerator,) + fam.factors[1:])
+    report = verify_spec(_rebuilt(spec, series=(family,)), 8)
+    assert not report.passed
+    assert "summand n=1: negative exponent in expansion" in report.failures
+
+
+def test_four_parameter_denominator_with_negative_exponent_rejected():
+    """The nonnegativity check reads the numerators, which needs denominator
+    monomials with nonnegative exponents: a four-parameter family is refused
+    otherwise, while a three-variable one may have negative weight-0 ones."""
+    spec = spec_by_key("g1-four")
+    fam = spec.series[0]
+    den = _rebuilt(fam.factors[1], arg_exps=(2, -1, 0, 0))
+    with pytest.raises(ValueError, match="denominator has a negative exponent"):
+        _rebuilt(spec, series=(_rebuilt(fam, factors=(fam.factors[0], den, fam.factors[2])),))
+    xzq = spec_by_key("g1-xzq")
+    fam = xzq.series[0]
+    den = _rebuilt(fam.factors[1], arg_exps=(-1, 2, 2))
+    _rebuilt(xzq, series=(_rebuilt(fam, factors=(fam.factors[0], den, fam.factors[2])),))
+
+
+def _levels_one_lower(steps):
+    """Every level of the nest kept to one degree below its order."""
+    last = max(i for i, step in enumerate(steps) if step[0] == "poly")
+    return [
+        ("poly", step[1], step[2] - 1) if step[0] == "poly" and i < last else step
+        for i, step in enumerate(steps)
+    ]
+
+
+def _without_ones(steps):
+    """The nest without its ``+1`` at each level."""
+    return [step for step in steps if step[0] != "one"]
+
+
+def _divided_one_level_early(steps):
+    """Level ``k`` divided by the denominator binomials new in summand ``k``,
+    not ``k + 1``: each level takes the divisions of the level below it."""
+    groups = []  # [step polynomial, divisions, the rest]
+    for step in steps:
+        if step[0] == "poly":
+            groups.append([step, [], []])
+        else:
+            groups[-1][1 if step[0] == "over" else 2].append(step)
+    shifted = [divisions for _, divisions, _ in groups[1:]] + [[]]
+    return [s for (poly, _, rest), divs in zip(groups, shifted) for s in (poly, *divs, *rest)]
+
+
+def _nest_fault(fault):
+    real = Series.times_run
+
+    def run(self, steps):
+        steps = list(steps)
+        return real(self, fault(steps) if ("one",) in steps else steps)
+
+    return run
+
+
+@pytest.mark.parametrize("fault", (_without_ones, _divided_one_level_early),
+                         ids=("without-ones", "divided-one-level-early"))
+def test_nest_faults_are_caught(monkeypatch, fault):
+    """A nest that drops its ``+1`` or divides each level by the binomials of
+    the level below fails a catalog identity and a summation check, each
+    with a first difference by degree 8."""
+    monkeypatch.setattr(Series, "times_run", _nest_fault(fault))
+    report = verify_spec(spec_by_key("g1-four"), 8)
+    assert not report.passed
+    assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(report.failures))) <= 8
+    minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
+    gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
+    assert not gauss.passed
+    assert _at_degree(gauss.failures[0]) <= 8
+
+
+def test_level_kept_one_degree_short_is_refused(monkeypatch):
+    """A level kept one degree below its order leaves the next level's
+    product unknown at its top degree: the run refuses it instead of
+    returning a short sum."""
+    monkeypatch.setattr(Series, "times_run", _nest_fault(_levels_one_lower))
+    with pytest.raises(PrecisionLoss):
+        verify_spec(spec_by_key("g1-four"), 8)
+    with pytest.raises(PrecisionLoss):
+        check_q_gauss(A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, 1, 0, 0), 8)
 
 
 @pytest.mark.parametrize("key", [spec.key for spec in registry()])

@@ -116,6 +116,31 @@ def test_conjugate_involution_and_statistics(lam):
 
 def test_conjugate_example():
     assert conjugate(Partition((4, 2, 1))) == Partition((3, 2, 1, 1))
+    assert conjugate(Partition()) == Partition()
+
+
+@given(partitions())
+def test_conjugate_counts_the_rows_longer_than_each_column(lam):
+    """The linear-time transpose equals the definition: column j holds one
+    cell per row longer than j.  Like every generator's output, it is a
+    ``Partition`` that passes the constructor's checks."""
+    got = conjugate(lam)
+    assert type(got) is Partition
+    assert got == Partition(tuple(sum(1 for p in lam if p > j) for j in range(max(lam, default=0))))
+
+
+def test_generated_partitions_are_valid_partitions():
+    """The generators build partitions without the constructor's checks;
+    each one built passes them."""
+    built = [
+        lam for w in range(13) for cls in PartitionClass for lam in enumerate_partitions(cls, w)
+    ]
+    built += [lam for tag in PartitionClass if tag.is_basis for n in range(6)
+              for lam in basis_members_of_length(tag, n, 24)]
+    assert built
+    for lam in built:
+        assert type(lam) is Partition
+        assert Partition(lam) == lam
 
 
 CLASS_COUNTS = [
@@ -198,7 +223,8 @@ def test_class_tag_properties():
 
 def test_rule_records():
     """A class has a basis exactly when its rule has a parity row; a basis tag
-    obeys its base class's rule; the gaps follow the strict flag."""
+    obeys its base class's rule; the gaps follow the strict flag; a skeleton
+    ends on 1 or 2, the one of its member's last-part parity."""
     with_basis = {tag.base_class for tag in PartitionClass if tag.is_basis}
     for cls in PartitionClass:
         rule = cls.rule
@@ -207,6 +233,8 @@ def test_rule_records():
         if not cls.is_basis:
             assert (cls in with_basis) == (rule.even_row is not None)
             assert cls.base_class is cls
+        assert rule.last_parts == (1, 2)
+        assert [rule.last_part(p) for p in (1, 2, 7, 8)] == [1, 2, 1, 2]
     assert not PartitionClass.P2.rule.allows(1, 3)
     assert PartitionClass.P2.rule.allows(2, 3)
     assert PartitionClass.STRICT.rule.allows(1, 3)

@@ -289,13 +289,15 @@ class TestTruncatedInfiniteProduct:
         in factor order."""
         trunc = 24
         applied = []
-        real = Series.times_factor
+        real = Series.times_run
 
-        def record(self, sign, exps, inverted=False):
-            applied.append((self.ring.degree(exps), sign, tuple(exps), inverted))
-            return real(self, sign, exps, inverted)
+        def record(self, steps):
+            steps = list(steps)
+            for kind, sign, exps in steps:
+                applied.append((self.ring.degree(exps), sign, tuple(exps), kind == "over"))
+            return real(self, steps)
 
-        monkeypatch.setattr(Series, "times_factor", record)
+        monkeypatch.setattr(Series, "times_run", record)
         identities.product_side(spec, trunc, alt)
         binomials = []
         for sign, arg, base, inverted in factors:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from sipq import series
 from sipq.identities import spec_by_key, verify_spec
 from sipq.partitions import PartitionClass, class_weight_series
 from sipq.qseries import A_INFINITY, check_q_gauss, check_qbinomial_recurrences
@@ -535,8 +536,10 @@ class TestBucketKernel:
 
     def test_dropped_top_bucket_is_caught(self, monkeypatch):
         """A product whose walk, where it cuts at the truncation, also loses
-        the top bucket still below the cut fails a catalog identity and a
-        summation check by degree 8."""
+        the top bucket still below the cut fails the q-binomial checks, whose
+        quotient forms are truncated products, by degree 8.  The series sides
+        and the summation checks multiply in the run kernel, whose cut is
+        checked in ``TestRunKernel``."""
         real = Series.__mul__
 
         def cut_short(self, other):
@@ -561,14 +564,10 @@ class TestBucketKernel:
             return Series._from_buckets(self.ring, out, bound, trunc, False)
 
         monkeypatch.setattr(Series, "__mul__", cut_short)
-        spec = verify_spec(spec_by_key("g1-four"), 8)
-        assert not spec.passed
-        assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
-        minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
-        gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
-        assert not gauss.passed
-        (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
-        assert sum(int(e) for e in at.split(",")) <= 8
+        binomials = check_qbinomial_recurrences(3)
+        assert not binomials.passed
+        at = re.findall(r" at \(([-\d, ]+)\)", " ".join(binomials.failures))
+        assert min(sum(int(e) for e in exps.split(",")) for exps in at) <= 8
 
 
 # -- one-pass sums ----------------------------------------------------------------
@@ -846,15 +845,14 @@ def check_times_factor(f: Series, sign: int, exps: tuple[int, ...], inverted: bo
     )
 
 
-def _short_division(self, sign, key, deg):
+def _short_division(buckets, owned, key, deg, sign, trunc):
     """The division recurrence reading the bucket ``deg - 1`` below, not ``deg``."""
-    out = {}
-    for d in range(self.min_deg, self.trunc + 1):
-        acc = dict(self.buckets.get(d, ()))
-        for k, c in out.get(d - (deg - 1), {}).items():
+    for d in range(min(buckets, default=0), trunc + 1):
+        below = buckets.get(d - (deg - 1), {}) if deg > 1 else {}
+        acc = buckets[d] = dict(buckets.get(d, ()))
+        owned.add(d)
+        for k, c in below.items():
             acc[k + key] = acc.get(k + key, 0) + sign * c
-        out[d] = acc
-    return out
 
 
 def assert_caught_by_degree_8() -> None:
@@ -918,14 +916,187 @@ class TestTimesFactor:
             laurent.times_factor(1, (LIMIT // 8, 0, 1), inverted=True)
 
     def test_shortened_division_step_is_caught(self, monkeypatch):
-        monkeypatch.setattr(Series, "_divided", _short_division)
+        monkeypatch.setattr(series, "_over_binomial", _short_division)
         assert_caught_by_degree_8()
 
     def test_flipped_binomial_sign_is_caught(self, monkeypatch):
-        real = Series.times_factor
+        real = Series.times_run
 
-        def flipped(self, sign, exps, inverted=False):
-            return real(self, sign if inverted else -sign, exps, inverted)
+        def flipped(self, steps):
+            return real(self, [
+                (kind, -args[0], *args[1:]) if kind == "times" else (kind, *args)
+                for kind, *args in steps
+            ])
 
-        monkeypatch.setattr(Series, "times_factor", flipped)
+        monkeypatch.setattr(Series, "times_run", flipped)
+        assert_caught_by_degree_8()
+
+
+# -- the run kernel ----------------------------------------------------------------
+
+
+@st.composite
+def binomial_runs(draw):
+    """A series as in ``factor_cases`` and a run of one to four binomial steps
+    in its ring, plain or inverted, with any small sign."""
+    f, _, _ = draw(factor_cases(inverted=False))
+    negative = st.tuples(*[st.integers(min_value=-3, max_value=1)] * f.ring.nvars)
+    plain = st.one_of(_ring_exps(f.ring), negative)
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        inverted = draw(st.booleans())
+        exps = draw(_ring_exps(f.ring) if inverted else plain)
+        sign = draw(st.integers(min_value=-2, max_value=2))
+        steps.append(("over" if inverted else "times", sign, exps))
+    return f, steps
+
+
+def _snapshot_buckets(s: Series) -> dict[int, dict[int, int]]:
+    return {deg: dict(bucket) for deg, bucket in s.buckets.items()}
+
+
+def _same_flags(got: Series, expected: Series) -> None:
+    assert_storage_invariant(got)
+    assert got == expected
+    assert (got.complete, got.min_deg, got.bound) == (
+        expected.complete,
+        expected.min_deg,
+        expected.bound,
+    )
+
+
+def _ascending_times(buckets, owned, key, deg, step, trunc):
+    """Multiplication walking the sources upward, so a factor of positive
+    degree reads buckets it has already written."""
+    dropped = False
+    for d in sorted(buckets, reverse=deg < 0):
+        target = d + deg
+        if trunc is not None and target > trunc:
+            dropped = True
+            continue
+        src = list(buckets[d].items())
+        acc = buckets[target] = dict(buckets.get(target, ()))
+        owned.add(target)
+        for k, c in src:
+            acc[k + key] = acc.get(k + key, 0) + step * c
+    return dropped
+
+
+def _descending_over(buckets, owned, key, deg, sign, trunc):
+    """Division walking the degrees downward, so each bucket reads the one
+    below before that one is final."""
+    for d in range(trunc, min(buckets, default=0) + deg - 1, -1):
+        below = buckets.get(d - deg)
+        if below:
+            acc = buckets[d] = dict(buckets.get(d, ()))
+            owned.add(d)
+            for k, c in below.items():
+                acc[k + key] = acc.get(k + key, 0) + sign * c
+
+
+def _cut_short_poly(buckets, poly, trunc):
+    """The polynomial product losing, where it cuts at the truncation, the
+    top product bucket still below the cut."""
+    ladder = sorted(poly.items())
+    out: dict[int, dict[int, int]] = {}
+    for d, src in buckets.items():
+        walk = [(pd, pb) for pd, pb in ladder if trunc is None or d + pd <= trunc]
+        if len(walk) < len(ladder):
+            walk = walk[:-1]
+        for pd, pb in walk:
+            acc = out.setdefault(d + pd, {})
+            for pk, pc in pb.items():
+                for k, c in src.items():
+                    acc[k + pk] = acc.get(k + pk, 0) + pc * c
+    return out, True
+
+
+def assert_sums_caught_by_degree_8() -> None:
+    """A catalog identity and a summation check fail, each with a first
+    difference of degree at most 8."""
+    spec = verify_spec(spec_by_key("g1-four"), 8)
+    assert not spec.passed
+    assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
+    minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
+    gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
+    assert not gauss.passed
+    (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
+    assert sum(int(e) for e in at.split(",")) <= 8
+
+
+class TestRunKernel:
+    """``Series.times_run`` against the same steps one at a time through the
+    general product (the reference ``times_factor`` is held to above), the
+    polynomial and constant steps against flat references, and faults in the
+    kernel's walks that the checks must catch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(binomial_runs())
+    def test_binomial_run_matches_the_steps_one_at_a_time(self, case):
+        f, steps = case
+        before = _snapshot_buckets(f)
+        expected = f
+        try:
+            for kind, sign, exps in steps:
+                expected = _general_product_step(expected, sign, exps, kind == "over")
+        except SeriesError as err:
+            with pytest.raises(type(err)):
+                f.times_run(steps)
+        else:
+            _same_flags(f.times_run(steps), expected)
+        assert _snapshot_buckets(f) == before  # shared buckets are never written
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_poly_step_matches_flat_product(self, data):
+        f, _, _ = data.draw(factor_cases(inverted=False))
+        ring = f.ring
+        poly = Series(ring, data.draw(st.dictionaries(_ring_exps(ring), coeffs, max_size=4)), None)
+        to = data.draw(st.one_of(st.none(), st.integers(min_value=-2, max_value=14)))
+        before = _snapshot_buckets(f)
+        if not f.complete and (to is None or to > f.trunc + poly.min_deg):
+            with pytest.raises(PrecisionLoss):
+                f.times_run((("poly", poly, to),))
+            return
+        product: dict[tuple[int, ...], int] = {}
+        dropped = False
+        for e, c in f.terms.items():
+            for pe, pc in poly.terms.items():
+                exps = tuple(a + b for a, b in zip(e, pe))
+                if to is not None and _deg(ring, exps) > to:
+                    dropped = True
+                    continue
+                product[exps] = product.get(exps, 0) + c * pc
+        got = f.times_run((("poly", poly, to),))
+        assert_storage_invariant(got)
+        assert (got.terms, got.trunc) == ({e: c for e, c in product.items() if c}, to)
+        assert (got.complete, got.bound) == (f.complete and not dropped, f.bound + poly.bound)
+        assert _snapshot_buckets(f) == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_step_adds_the_constant(self, data):
+        f, _, _ = data.draw(factor_cases(inverted=False))
+        got = f.times_run((("one",),))
+        expected = f + Series.one(f.ring, f.trunc)
+        assert_storage_invariant(got)
+        assert (got, got.complete) == (expected, expected.complete)
+
+    def test_poly_step_needs_an_exact_polynomial(self):
+        f = Series.one(FOUR_PARAM, 4)
+        with pytest.raises(ValueError, match="exact polynomials"):
+            f.times_run((("poly", Series.one(FOUR_PARAM, 4), 4),))
+        with pytest.raises(RingMismatch):
+            f.times_run((("poly", Series.one(XZQ), 4),))
+
+    def test_dropped_top_product_bucket_is_caught(self, monkeypatch):
+        monkeypatch.setattr(series, "_times_poly", _cut_short_poly)
+        assert_sums_caught_by_degree_8()
+
+    def test_ascending_multiplication_is_caught(self, monkeypatch):
+        monkeypatch.setattr(series, "_times_binomial", _ascending_times)
+        assert_sums_caught_by_degree_8()
+
+    def test_descending_division_is_caught(self, monkeypatch):
+        monkeypatch.setattr(series, "_over_binomial", _descending_over)
         assert_caught_by_degree_8()
