@@ -38,8 +38,9 @@ _DEFAULT_TRUNC = 16
 
 _CLASS_CHOICES = sorted(cls.value for cls in sip.DECOMPOSABLE)
 # `verify --all` runs its member-by-member checks at most at this truncation:
-# they enumerate every member up to it, so at trunc 24 they would take 0.79 s
-# instead of 0.12 s (Python 3.11, 2-core host), more than the rest of the run.
+# they enumerate every member up to it, so at trunc 24 they would take
+# 0.14-0.18 s instead of 0.03-0.04 s (Python 3.11.7, 2-core host, fresh
+# process), about as long as the whole trunc-24 run takes now (0.18-0.21 s).
 _MEMBERWISE_TRUNC_CAP = 16
 _TABLE_METHODS = {
     "enumerated": table_enumerated,

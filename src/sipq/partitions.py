@@ -358,7 +358,7 @@ def class_weight_series(
         for key, count in extra.items():
             acc[key] = get(key, 0) + count
         extra.clear()
-    return Series._from_buckets(target, dict(enumerate(even)), bound, trunc, False)
+    return Series._from_buckets(target, dict(enumerate(even)), bound, trunc)
 
 
 def _least_above(part: int, rows: int, min_gap: int) -> int:

@@ -145,10 +145,9 @@ def nested_sum(
     L_k``, is known exactly that far up.  The whole nest is one
     :meth:`Series.times_run`.  ``r_k`` enters as one exact polynomial, never
     binomial by binomial after a truncation, since a numerator binomial may
-    have negative degree.  Result and flags equal those of adding up the
-    walk's summands with :meth:`Series.plus` (the innermost level starts at
-    the exact 1, as the walk's last summand ends there), and a step polynomial
-    with a term of negative degree raises :class:`PrecisionLoss`.
+    have negative degree.  The result equals the sum of the walk's summands
+    with :meth:`Series.plus`, and a step polynomial with a term of negative
+    degree raises :class:`PrecisionLoss`.
 
     The numerator verdict equals the walk's ``T_n.has_negative_exponent()``
     when every denominator binomial is ``1 - m`` with ``m`` of nonnegative
@@ -222,10 +221,9 @@ def running_product(
     Exact runs (``trunc`` None) allow an argument of negative degree; inverted
     runs must be truncated.  A truncated run needs an argument of positive
     degree, so factor ``i`` has degree above ``i``.  Once the next factor lies
-    above ``trunc``, the product so far is yielded with its own flags, then
-    repeated as the whole infinite product, marked incomplete: every index
-    from ``trunc + 1`` on reads it.  The arguments are checked when the first
-    product is drawn.
+    above ``trunc``, the product so far is the whole infinite product to that
+    order, and is repeated: every later index reads it.  The arguments are
+    checked when the first product is drawn.
     """
     if ring.degree(base_exps) < 1:
         raise ValueError("base must have positive degree")
@@ -239,9 +237,8 @@ def running_product(
         yield prod
         prod = prod.times_factor(sign, exps, inverted)
         exps = tuple(e + b for e, b in zip(exps, base_exps))
-    yield prod
     # This factor and every later one only touch degrees above trunc.
-    yield from repeat(prod.incomplete())
+    yield from repeat(prod)
 
 
 def nth_product(run: Iterator[Series], n: int) -> Series:
@@ -252,7 +249,7 @@ def nth_product(run: Iterator[Series], n: int) -> Series:
 def truncated_infinite_product(ring: SeriesRing, factors: Iterable[tuple], trunc: int) -> Series:
     """The product of ``factors``, each ``(sign, arg_exps, base_exps, inverted)``
     for ``prod_i (1 - sign * x^(arg + i*base))`` or its inverse, to order
-    ``trunc``, marked incomplete.  Every binomial of degree <= ``trunc`` is
+    ``trunc``.  Every binomial of degree <= ``trunc`` is
     applied by :meth:`Series.times_factor`, largest degree first (ties in
     factor order): the order changes no coefficient, but keeps the product as
     sparse as the terms that can still reach the truncation, so the work
@@ -280,7 +277,7 @@ def truncated_infinite_product(ring: SeriesRing, factors: Iterable[tuple], trunc
     # amounts are nonnegative, so no partial sum exceeds the total, and both
     # raise ExponentOverflow alike.
     run = [("over" if inverted else "times", sign, exps) for _, sign, exps, inverted in steps]
-    return Series.one(ring, trunc).times_run(run).incomplete()
+    return Series.one(ring, trunc).times_run(run)
 
 
 def _only_term(s: object) -> tuple[int, tuple[int, ...]] | None:

@@ -20,15 +20,13 @@ digits carry into each other.  Keys are unpacked to tuples only by readers:
 the flat ``terms`` view, :meth:`Series.degree_slice`, comparison reports and
 rendering.
 
-A series either carries a truncation order ``trunc`` (every term of degree
-``<= trunc`` is stored exactly; degrees above are unknown) or ``trunc=None``
-(the series is an exact Laurent polynomial — nothing is missing).
-
-The ``complete`` flag records whether the stored terms are the whole truth
-even above ``trunc``.  Arithmetic tracks it conservatively: operations only
-keep ``complete=True`` when no information can have been discarded.  Every
-operation that would silently produce wrong coefficients raises
-:class:`PrecisionLoss` instead of degrading the result.
+A series is either exact, ``trunc=None`` (an exact Laurent polynomial:
+nothing is missing), or truncated at ``trunc`` (every term of degree ``<=
+trunc`` is stored exactly, and every coefficient above is unknown, even where
+nothing is stored).  Every operation that would need an unknown coefficient
+raises :class:`PrecisionLoss` instead of degrading the result: raising a
+truncation, reading a coefficient above it, or a product in which a
+negative-degree term would pull unknown terms back below it.
 
 One kernel, :meth:`Series.times_run`, applies a whole run of steps to one
 private bucket map and builds one series at the end: a multiplication or a
@@ -213,21 +211,17 @@ class Series:
     ``terms`` is a flat ``exponent-tuple -> int`` view, built on each access.
 
     ``min_deg`` is the least degree the series can contain: the least stored
-    degree, or ``trunc + 1`` for an incomplete series with no stored terms
-    (everything below is known to vanish).  ``bound`` is at least every stored
-    ``|exponent|`` and below ``EXPONENT_LIMIT``.
+    degree or, with no stored terms, 0 for an exact series and ``trunc + 1``
+    for a truncated one (everything below is known to vanish).  ``bound`` is
+    at least every stored ``|exponent|`` and below ``EXPONENT_LIMIT``.
     """
 
-    __slots__ = ("ring", "buckets", "trunc", "min_deg", "complete", "bound")
+    __slots__ = ("ring", "buckets", "trunc", "min_deg", "bound")
 
     def __init__(
-        self,
-        ring: SeriesRing,
-        terms: Mapping[tuple[int, ...], int],
-        trunc: int | None,
-        complete: bool = True,
+        self, ring: SeriesRing, terms: Mapping[tuple[int, ...], int], trunc: int | None
     ) -> None:
-        self._set(ring, *_bucketed(ring, terms.items(), trunc), trunc, complete)
+        self._set(ring, *_bucketed(ring, terms.items(), trunc), trunc)
 
     @classmethod
     def _from_buckets(
@@ -236,11 +230,10 @@ class Series:
         buckets: Mapping[int, dict[int, int]],
         bound: int,
         trunc: int | None,
-        complete: bool,
     ) -> "Series":
         """A series on buckets whose degrees and bound are trusted."""
         out = cls.__new__(cls)
-        out._set(ring, buckets, bound, trunc, complete)
+        out._set(ring, buckets, bound, trunc)
         return out
 
     def _set(
@@ -249,30 +242,25 @@ class Series:
         buckets: Mapping[int, dict[int, int]],
         bound: int,
         trunc: int | None,
-        complete: bool,
     ) -> None:
         """Store the buckets, dropping zero coefficients, empty buckets and
-        buckets above ``trunc`` (which marks the series incomplete)."""
+        buckets above ``trunc``."""
         kept = {}
         for deg, bucket in buckets.items():
             if trunc is not None and deg > trunc:
-                complete = False
                 continue
             if 0 in bucket.values():
                 bucket = {k: c for k, c in bucket.items() if c}
             if bucket:
                 kept[deg] = bucket
-        if trunc is None and not complete:
-            raise ValueError("an untruncated series must be complete")
         if kept:
             lowest = min(kept)
         else:
-            lowest = 0 if complete else trunc + 1  # type: ignore[operator]
+            lowest = 0 if trunc is None else trunc + 1
         self.ring = ring
         self.buckets = kept
         self.trunc = trunc
         self.min_deg = lowest
-        self.complete = complete
         self.bound = bound
 
     @property
@@ -305,10 +293,9 @@ class Series:
         ring: SeriesRing,
         items: Iterable[tuple[tuple[int, ...], int]],
         trunc: int | None,
-        complete: bool = True,
     ) -> "Series":
         """A series from ``(exponents, coeff)`` pairs; repeated exponents add up."""
-        return Series._from_buckets(ring, *_bucketed(ring, items, trunc), trunc, complete)
+        return Series._from_buckets(ring, *_bucketed(ring, items, trunc), trunc)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -328,21 +315,27 @@ class Series:
     def is_zero(self) -> bool:
         return not self.buckets
 
+    def _check_known(self, degree: int) -> None:
+        if self.trunc is not None and degree > self.trunc:
+            raise PrecisionLoss(f"degree {degree} exceeds truncation {self.trunc}")
+
     def coefficient(self, exps: tuple[int, ...]) -> int:
         exps = tuple(exps)
         if len(exps) != self.ring.nvars:
             raise ValueError(f"exponent tuple {exps} has wrong arity for {self.ring.names}")
+        deg = self.ring.degree(exps)
+        self._check_known(deg)
         if exps and max(max(exps), -min(exps)) > self.bound:
             return 0  # beyond every stored exponent, and maybe beyond packing
-        return self.buckets.get(self.ring.degree(exps), {}).get(self.ring.pack(exps), 0)
+        return self.buckets.get(deg, {}).get(self.ring.pack(exps), 0)
 
     def constant_term(self) -> int:
+        self._check_known(0)
         return self.buckets.get(0, {}).get(0, 0)
 
     def degree_slice(self, degree: int) -> dict[tuple[int, ...], int]:
         """All terms of exactly the given degree."""
-        if self.trunc is not None and degree > self.trunc:
-            raise PrecisionLoss(f"degree {degree} exceeds truncation {self.trunc}")
+        self._check_known(degree)
         unpack = self.ring.unpack
         return {unpack(k): c for k, c in self.buckets.get(degree, {}).items()}
 
@@ -350,10 +343,6 @@ class Series:
         """Whether any stored term has a negative exponent."""
         negative = self.ring.has_negative
         return any(negative(k) for bucket in self.buckets.values() for k in bucket)
-
-    def incomplete(self) -> "Series":
-        """The same stored terms, with the terms above the truncation unknown."""
-        return Series._from_buckets(self.ring, self.buckets, self.bound, self.trunc, False)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -363,31 +352,26 @@ class Series:
     def plus(self, others: Iterable["Series"]) -> "Series":
         """``self`` plus every series of ``others``, in one pass.
 
-        Result, flags, bound and errors are those of adding ``others`` one at
-        a time, left to right, with ``+``; but buckets are shared until they
-        are written, and each shared bucket is copied at most once.  Once the
-        running sum takes a finite truncation, buckets above it are dropped
-        and mark the sum incomplete, as each ``+`` would.
+        Result, bound and errors are those of adding ``others`` one at a
+        time, left to right, with ``+``; but buckets are shared until they are
+        written, and each shared bucket is copied at most once.  Once the
+        running sum takes a finite truncation, buckets above it are dropped,
+        as each ``+`` would drop them.
         """
-        trunc, complete, bound = self.trunc, self.complete, self.bound
+        trunc, bound = self.trunc, self.bound
         merged = dict(self.buckets)
         owned: set[int] = set()  # degrees whose bucket in ``merged`` is ours to write
         for other in others:
             self._check_ring(other)
             if trunc is None:
-                if other.trunc is not None:
-                    trunc = other.trunc
-                    # The exact sum so far loses its terms above the truncation.
-                    for deg in [d for d in merged if d > trunc]:
-                        if any(merged.pop(deg).values()):
-                            complete = False
+                # The exact sum so far loses its terms above the truncation
+                # when the series is built.
+                trunc = other.trunc
             elif other.trunc is not None and other.trunc != trunc:
                 raise TruncationMismatch(f"{trunc} vs {other.trunc}")
-            complete = complete and other.complete
             bound = max(bound, other.bound)
             for deg, bucket in other.buckets.items():
                 if trunc is not None and deg > trunc:
-                    complete = False
                     continue
                 mine = merged.get(deg)
                 if mine is None:
@@ -399,7 +383,7 @@ class Series:
                 get = mine.get
                 for key, coeff in bucket.items():
                     mine[key] = get(key, 0) + coeff
-        return Series._from_buckets(self.ring, merged, bound, trunc, complete)
+        return Series._from_buckets(self.ring, merged, bound, trunc)
 
     def __neg__(self) -> "Series":
         return self.scale(-1)
@@ -412,29 +396,27 @@ class Series:
             deg: {k: factor * c for k, c in bucket.items()}
             for deg, bucket in self.buckets.items()
         }
-        return Series._from_buckets(self.ring, buckets, self.bound, self.trunc, self.complete)
+        return Series._from_buckets(self.ring, buckets, self.bound, self.trunc)
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_ring(other)
         trunc = self._combined_trunc(other)
-        # Unknown terms of an incomplete factor sit above its truncation; a
+        # Unknown terms of a truncated factor sit above its truncation; a
         # negative-degree term in the other factor would pull them back below
         # it, so no coefficient of the product would be trustworthy.
-        if not self.complete and other.min_deg < 0:
-            raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
-        if not other.complete and self.min_deg < 0:
-            raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
+        if (self.trunc is not None and other.min_deg < 0) or (
+            other.trunc is not None and self.min_deg < 0
+        ):
+            raise PrecisionLoss("truncated series multiplied by negative-degree terms")
         # Each product exponent is a sum of two factor exponents, so the sum of
         # the bounds keeps every digit of every summed key balanced.
         bound = _checked_bound(self.bound + other.bound)
         ladder = sorted(other.buckets.items())
         out: dict[int, dict[int, int]] = {}
-        dropped = False
         for deg_s, bucket_s in self.buckets.items():
             for deg_o, bucket_o in ladder:
                 deg = deg_s + deg_o
                 if trunc is not None and deg > trunc:
-                    dropped = True
                     break
                 acc = out.get(deg)
                 if acc is None:
@@ -451,8 +433,7 @@ class Series:
                     for key_b, coeff_b in inner_items:
                         key = key_a + key_b
                         acc[key] = get(key, 0) + coeff_a * coeff_b
-        complete = self.complete and other.complete and not dropped
-        return Series._from_buckets(self.ring, out, bound, trunc, complete)
+        return Series._from_buckets(self.ring, out, bound, trunc)
 
     # -- inversion ------------------------------------------------------------
 
@@ -460,7 +441,8 @@ class Series:
         """Inverse of a series with constant term +1 or -1.
 
         Every non-constant term must have positive degree; the result is
-        computed to order ``trunc`` (default: this series' truncation).
+        computed to order ``trunc`` (default: this series' truncation), which
+        a truncated series cannot exceed.
         """
         c0 = self.constant_term()
         if c0 not in (1, -1):
@@ -474,33 +456,31 @@ class Series:
             for deg, bucket in self.buckets.items()
         }
         tail = {deg: bucket for deg, bucket in tail.items() if bucket}
-        if not tail:
-            return Series(self.ring, {(0,) * self.ring.nvars: c0}, target)
-        tail_min = min(tail)
+        tail_min = min(tail, default=1)
         if tail_min <= 0:
             raise NonPositiveTail("all non-constant terms must have positive degree")
+        if self.trunc is not None and trunc is not None and trunc > self.trunc:
+            raise PrecisionLoss(f"inverse to order {target} needs the series to that order")
+        if not tail:
+            return Series(self.ring, {(0,) * self.ring.nvars: c0}, target)
         if target is None:
             raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
-        if not self.complete and (self.trunc is None or target > self.trunc):
-            raise PrecisionLoss(f"inverse to order {target} needs the series to that order")
-        w = Series._from_buckets(self.ring, tail, self.bound, target, False)
+        w = Series._from_buckets(self.ring, tail, self.bound, target)
         one = Series.one(self.ring, target)
         acc = one
         for _ in range(target // tail_min):
             acc = one + (w * acc)
-        # The true inverse continues above `target`, so it is never complete.
-        return acc.scale(c0).incomplete()
+        return acc.scale(c0)
 
     def times_factor(self, sign: int, exps: tuple[int, ...], inverted: bool = False) -> "Series":
         """``self * (1 - sign * x^exps)``, or ``self / (1 - sign * x^exps)`` when
         ``inverted``: a run of one step (see :meth:`times_run`).
 
-        The result, its flags and its bound are those of the general product
-        with the binomial, or with its geometric expansion ``sum_k (sign *
-        x^exps)^k`` to this series' truncation, and the same inputs raise the
-        same errors.  An inverted factor needs a finite truncation and positive
-        degree; its expansion continues above the truncation, so the quotient
-        is never complete.
+        The result, its truncation and its bound are those of the general
+        product with the binomial, or with its geometric expansion ``sum_k
+        (sign * x^exps)^k``, truncated like this series, and the same inputs
+        raise the same errors.  An inverted factor needs a finite truncation
+        and positive degree.
         """
         return self.times_run((("over" if inverted else "times", sign, exps),))
 
@@ -514,10 +494,10 @@ class Series:
           (``trunc=None``) and truncate at ``trunc``;
         * ``("one",)``: add the constant 1.
 
-        A binomial step has the result, flags, bound and errors of
+        A binomial step has the result, truncation, bound and errors of
         :meth:`times_factor` applied alone.  The product with ``poly`` is known
-        to this truncation plus ``poly``'s least degree: an incomplete series
-        may move its truncation up to there, and no further (PrecisionLoss).
+        to this truncation plus ``poly``'s least degree: a truncated series may
+        move its truncation up to there, and no further (PrecisionLoss).
         Adding 1 is adding the constant series 1 at the run's truncation.
 
         Bucket dicts are shared until written, and a shared bucket is copied at
@@ -526,7 +506,7 @@ class Series:
         bucket is read before it is written, and a division in ascending
         degree, so each bucket is final before the recurrence reads it.
         """
-        ring, trunc, complete, bound = self.ring, self.trunc, self.complete, self.bound
+        ring, trunc, bound = self.ring, self.trunc, self.bound
         buckets = dict(self.buckets)
         owned: set[int] = set()  # degrees whose bucket in ``buckets`` is ours to write
         for kind, *args in steps:
@@ -535,21 +515,18 @@ class Series:
                 self._check_ring(poly)
                 if poly.trunc is not None:
                     raise ValueError("a run multiplies by exact polynomials only")
-                if not complete and (
-                    to is None or to > trunc + poly.min_deg  # type: ignore[operator]
-                ):
+                if trunc is not None and (to is None or to > trunc + poly.min_deg):
                     raise PrecisionLoss(
                         f"a product known to order {trunc} + {poly.min_deg} asked for order {to}"
                     )
                 bound = _checked_bound(bound + poly.bound)
-                buckets, dropped = _times_poly(buckets, poly.buckets, to)
+                buckets = _times_poly(buckets, poly.buckets, to)
                 owned = set(buckets)
-                trunc, complete = to, complete and not dropped
+                trunc = to
                 continue
             if kind == "one":
                 if trunc is not None and trunc < 0:
-                    complete = False  # the constant lies above the truncation
-                    continue
+                    continue  # the constant lies above the truncation
                 acc = buckets.get(0, {})
                 if 0 not in owned:
                     acc = buckets[0] = dict(acc)
@@ -571,40 +548,34 @@ class Series:
                     raise PrecisionLoss("the inverse of a non-monomial unit is an infinite series")
                 # The expansion's k-th term has key k * key(exps), for k <= trunc // deg.
                 tail = _checked_bound((trunc // deg) * edge)
-                if _below_zero(buckets, trunc, complete):
+                if _below_zero(buckets, trunc):
                     raise PrecisionLoss("negative-degree terms divided by a truncated expansion")
                 bound = _checked_bound(bound + tail)
                 _over_binomial(buckets, owned, ring.pack(exps), deg, sign, trunc)
-                complete = False
                 continue
-            # The binomial as a series truncated like this one: its constant
-            # term is lost below a negative truncation, its x^exps term above any.
-            unit_in = trunc is None or trunc >= 0
+            # The binomial as a series truncated like this one: its x^exps term
+            # is lost above the truncation.
             term_in = bool(sign) and (trunc is None or deg <= trunc)
-            factor_complete = unit_in and (term_in or not sign)
             factor_bound = _checked_bound(edge if term_in else 0)
-            # The precision rules of a product (see __mul__).
-            if (not complete and term_in and deg < 0) or (
-                not factor_complete and _below_zero(buckets, trunc, complete)
-            ):
-                raise PrecisionLoss("incomplete series multiplied by negative-degree terms")
+            # The precision rules of a product (see __mul__); the binomial's
+            # least degree is negative only through a negative-degree term, or
+            # below a truncation under -1, where this series' is negative too.
+            if trunc is not None and ((term_in and deg < 0) or _below_zero(buckets, trunc)):
+                raise PrecisionLoss("truncated series multiplied by negative-degree terms")
             bound = _checked_bound(bound + factor_bound)
-            if term_in and _times_binomial(buckets, owned, ring.pack(exps), deg, -sign, trunc):
-                complete = False
-            complete = complete and factor_complete
-        return Series._from_buckets(ring, buckets, bound, trunc, complete)
+            if term_in:
+                _times_binomial(buckets, owned, ring.pack(exps), deg, -sign, trunc)
+        return Series._from_buckets(ring, buckets, bound, trunc)
 
     # -- truncation -------------------------------------------------------------
 
     def truncate(self, trunc: int | None) -> "Series":
-        """Re-truncate: down always works, up (or to None) needs completeness."""
+        """Re-truncate: down always works; up, or to None, only on an exact series."""
         if trunc is not None and (self.trunc is None or trunc <= self.trunc):
-            return Series._from_buckets(self.ring, self.buckets, self.bound, trunc, self.complete)
+            return Series._from_buckets(self.ring, self.buckets, self.bound, trunc)
         if self.trunc == trunc:
             return self
-        if not self.complete:
-            raise PrecisionLoss(f"cannot raise truncation {self.trunc} -> {trunc} of an incomplete series")
-        return Series._from_buckets(self.ring, self.buckets, self.bound, trunc, True)
+        raise PrecisionLoss(f"cannot raise truncation {self.trunc} -> {trunc} of a truncated series")
 
     # -- comparison and rendering ----------------------------------------------
 
@@ -672,8 +643,7 @@ class Series:
         return " + ".join(chunks).replace("+ -", "- ")
 
     def __repr__(self) -> str:
-        flag = "" if self.complete else ", incomplete"
-        return f"Series({self.to_string()}; trunc={self.trunc}{flag})"
+        return f"Series({self.to_string()}; trunc={self.trunc})"
 
 
 
@@ -684,7 +654,7 @@ class Series:
 # degrees whose dicts the run has made itself and may write.
 
 
-def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None, complete: bool) -> bool:
+def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None) -> bool:
     """Whether a series on these buckets would have ``min_deg < 0``; buckets
     may hold zero coefficients, which a series drops."""
     if buckets and min(buckets) >= 0:
@@ -692,7 +662,7 @@ def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None, complete:
     stored = [d for d, bucket in buckets.items() if any(bucket.values())]
     if stored:
         return min(stored) < 0
-    return not complete and trunc is not None and trunc + 1 < 0
+    return trunc is not None and trunc + 1 < 0
 
 
 def _times_binomial(
@@ -702,20 +672,18 @@ def _times_binomial(
     deg: int,
     step: int,
     trunc: int | None,
-) -> bool:
+) -> None:
     """Multiply by ``1 + step * x^e`` in place, ``e`` of key ``key`` and degree
-    ``deg``; return whether a nonzero term left the truncation.
+    ``deg``.
 
     Bucket ``d`` adds ``step`` times itself, shifted, to bucket ``d + deg``.
     Walking the source degrees away from the targets (descending for ``deg >
     0``, ascending for ``deg < 0``) reads every source before it is written.
     """
-    dropped = False
     for d in sorted(buckets, reverse=deg > 0):
         src = buckets[d]
         target = d + deg
         if trunc is not None and target > trunc:
-            dropped = dropped or any(src.values())
             continue
         acc = buckets.get(target)
         if acc is None:
@@ -731,7 +699,6 @@ def _times_binomial(
         for k, c in src.items():
             k += key
             acc[k] = get(k, 0) + step * c
-    return dropped
 
 
 def _over_binomial(
@@ -771,21 +738,19 @@ def _over_binomial(
 
 def _times_poly(
     buckets: dict[int, dict[int, int]], poly: dict[int, dict[int, int]], trunc: int | None
-) -> tuple[dict[int, dict[int, int]], bool]:
+) -> dict[int, dict[int, int]]:
     """The buckets times the exact polynomial ``poly``, to order ``trunc``, as
-    new buckets; and whether a nonzero term was dropped above ``trunc``.
+    new buckets.
 
     Each source bucket meets each polynomial term once: the first to reach a
     target degree builds its bucket by a dict comprehension, the others add in.
     """
     terms = [(pd, pk, pc) for pd, bucket in poly.items() for pk, pc in bucket.items()]
     out: dict[int, dict[int, int]] = {}
-    dropped = False
     for d, src in buckets.items():
         for pd, pk, pc in terms:
             target = d + pd
             if trunc is not None and target > trunc:
-                dropped = dropped or any(src.values())
                 continue
             acc = out.get(target)
             if acc is None:
@@ -795,7 +760,7 @@ def _times_poly(
             for k, c in src.items():
                 k += pk
                 acc[k] = get(k, 0) + pc * c
-    return out, dropped
+    return out
 
 
 class SeriesComparison(NamedTuple):

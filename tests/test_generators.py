@@ -109,7 +109,6 @@ def memo_weight_series(cls: PartitionClass, trunc: int) -> Series:
         FOUR_PARAM,
         (item for w in range(trunc + 1) for item in cells[1, w][w].items()),
         trunc,
-        complete=False,
     )
 
 
@@ -189,11 +188,10 @@ class TestAgainstTheFilter:
                     for lam in oracle_members(cls, w)
                 ),
                 trunc,
-                complete=False,
             )
             got = class_weight_series(cls, trunc)
             assert got.terms == expected.terms
-            assert (got.trunc, got.complete) == (trunc, False)
+            assert got.trunc == trunc
 
     @pytest.mark.parametrize("cls", ROW_CLASSES, ids=lambda c: c.value)
     def test_class_weight_series_matches_the_memo(self, cls):
@@ -201,7 +199,7 @@ class TestAgainstTheFilter:
             expected = memo_weight_series(cls, trunc)
             got = class_weight_series(cls, trunc)
             assert got == expected, trunc
-            assert (got.complete, got.bound) == (expected.complete, expected.bound), trunc
+            assert got.bound == expected.bound, trunc
 
     @pytest.mark.parametrize(
         "spec",
@@ -217,12 +215,10 @@ class TestAgainstTheFilter:
                 for w in range(trunc + 1)
                 for lam in oracle_members(spec.partition_class, w)
             ]
-            expected = Series.from_terms(
-                spec.ring, ((image, 1) for image in images), trunc, complete=False
-            )
+            expected = Series.from_terms(spec.ring, ((image, 1) for image in images), trunc)
             got = combinatorial_side(spec, trunc)
             assert got == expected, trunc
-            assert (got.trunc, got.complete) == (trunc, False), trunc
+            assert got.trunc == trunc, trunc
             assert got.bound >= max(max(map(abs, image)) for image in images), trunc
 
     @pytest.mark.parametrize("trunc", (0, 1, 2, 8, 24, 40))

@@ -278,12 +278,7 @@ def _rebuilt_summands(ring, fam, trunc):
 @pytest.mark.parametrize("key", [s.key for s in registry() if s.series])
 def test_walk_matches_rebuilt_summands(key):
     """Stepping each summand from the one before gives the summands built from
-    scratch, and the walk stops only once they vanish.
-
-    The flags agree except that the walk may know ``T_0`` complete where the
-    rebuilt one is not: the 0th product of a run whose first factor lies
-    above the truncation is the whole infinite product, marked incomplete.
-    A summand the walk calls complete is checked against a deeper rebuild."""
+    scratch, and the walk stops only once they vanish."""
     spec = spec_by_key(key)
     for trunc in range(25):
         for fam in spec.series:
@@ -292,10 +287,6 @@ def test_walk_matches_rebuilt_summands(key):
             for n, (w, r) in enumerate(zip(walked, rebuilt)):
                 assert (w, w.trunc) == (r, r.trunc), (trunc, n)
                 assert not w.is_zero()
-                assert w.complete >= r.complete
-                if w.complete:
-                    deeper = next(islice(_rebuilt_summands(spec.ring, fam, trunc + 12), n, None))
-                    assert deeper.terms == w.terms, (trunc, n)
             assert all(r.is_zero() for r in rebuilt[len(walked):]), trunc
 
 
@@ -402,14 +393,14 @@ def families(draw):
 @given(families())
 def test_nested_sum_matches_the_walk(case):
     """(a) The nested sum equals the walk's summands added with ``plus``, with
-    the same truncation and completeness.  (b) Where every denominator has
+    the same truncation.  (b) Where every denominator has
     nonnegative exponents, the numerator verdict names exactly the walked
     summands with a negative exponent."""
     ring, family, trunc = case
     walked = list(family.summands(ring, trunc))
     expected = Series.zero(ring, trunc).plus(walked)
     got, negative = family.nested_sum(ring, trunc)
-    assert (got, got.trunc, got.complete) == (expected, expected.trunc, expected.complete)
+    assert (got, got.trunc) == (expected, expected.trunc)
     if all(min(f.arg_exps + f.base_exps) >= 0 for f in family.factors if f.inverted):
         assert negative == [n for n, t in enumerate(walked) if t.has_negative_exponent()]
 
@@ -508,12 +499,23 @@ def test_level_kept_one_degree_short_is_refused(monkeypatch):
 @pytest.mark.parametrize("key", [spec.key for spec in registry()])
 def test_product_side_to_order_zero_is_not_complete(key):
     """To order 0 every product side reads 1, but each has terms above order
-    0, so it is not complete and cannot be raised."""
+    0, so its truncation cannot be raised."""
     product = product_side(spec_by_key(key), 0)
     assert product == Series.one(product.ring, 0)
-    assert not product.complete
     with pytest.raises(PrecisionLoss):
         product.truncate(1)
+
+
+@pytest.mark.parametrize("key", [spec.key for spec in registry() if spec.series])
+def test_series_side_to_order_t_cannot_be_raised(key):
+    """Every series side is truncated: its truncation cannot be raised, and a
+    deeper side cut back to order ``t`` is the side to order ``t``."""
+    spec = spec_by_key(key)
+    for t in range(5):
+        side = series_side(spec, t)
+        with pytest.raises(PrecisionLoss):
+            side.truncate(t + 1)
+        assert series_side(spec, t + 3).truncate(t) == side, t
 
 
 class TestMissingSides:

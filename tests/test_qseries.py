@@ -108,7 +108,6 @@ class TestPochhammerInfinite:
         arg = Series.monomial(SINGLE_Q, 1, (1,))
         p = pochhammer_infinite(arg, arg, trunc)
         assert p.terms == terms
-        assert not p.complete
         with pytest.raises(PrecisionLoss):
             p.truncate(2)
 
@@ -174,25 +173,13 @@ class TestRunningProduct:
         assert inverse.terms == explicit.invert_unit(trunc).terms
 
     def test_truncated_run_settles_on_the_infinite_product(self):
-        # (q; q^3) to order 3: only the factor 1 - q lies below the truncation.
-        # The product 1 - q of that one factor is exact; from the next product
-        # on, 1 - q^4 and later factors follow, so the run settles on one
-        # incomplete series with the same terms.
+        # (q; q^3) to order 3: only the factor 1 - q lies below the truncation,
+        # so from the product of that one factor on, 1 - q^4 and later factors
+        # follow, and the run settles on one series.
         run = running_product(SINGLE_Q, 1, (1,), (3,), 3)
         products = [next(run) for _ in range(5)]
         assert products[1].terms == {(0,): 1, (1,): -1}
-        assert products[1].complete
-        assert all(p is products[2] for p in products[3:])
-        assert products[2].terms == products[1].terms
-        assert not products[2].complete
-
-    def test_empty_product_of_a_run_above_the_truncation_is_complete(self):
-        # The first factor, 1 - ab, already lies above order 0.
-        run = running_product(FOUR_PARAM, 1, (1, 1, 0, 0), Q, 0, True)
-        empty, settled = next(run), next(run)
-        assert empty == settled == Series.one(FOUR_PARAM, 0)
-        assert empty.complete
-        assert not settled.complete
+        assert all(p is products[1] for p in products[2:])
 
     @pytest.mark.parametrize(
         "ring, arg, base, trunc, inverted, error",
@@ -263,9 +250,7 @@ def _catalog_products():
 
 def _same_series(got, expected):
     assert got == expected
-    assert (got.trunc, got.complete, got.bound) == (
-        expected.trunc, expected.complete, expected.bound
-    )
+    assert (got.trunc, got.bound) == (expected.trunc, expected.bound)
 
 
 class TestTruncatedInfiniteProduct:
@@ -486,11 +471,11 @@ def _rebuilt_q_gauss_sum(step, pairs, sum_args, c, trunc):
 )
 def test_q_gauss_sum_side_matches_rebuilt_summands(monkeypatch, trunc, a, b, c, step, pairs, sum_args):
     """The battery's q-Gauss sum sides, walked, equal the sums of summands built
-    from scratch: same coefficients, truncation and completeness."""
+    from scratch: same coefficients and truncation."""
     compared = []
     real = Series.equal_to
     monkeypatch.setattr(Series, "equal_to", lambda s, o: compared.append(s) or real(s, o))
     assert check_q_gauss(a, b, c, trunc).passed
     (walked,) = compared
     rebuilt = _rebuilt_q_gauss_sum(Series.monomial(FOUR_PARAM, 1, step), pairs, sum_args, c, trunc)
-    assert (walked, walked.trunc, walked.complete) == (rebuilt, rebuilt.trunc, rebuilt.complete)
+    assert (walked, walked.trunc) == (rebuilt, rebuilt.trunc)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pytest
 
 from sipq import series
-from sipq.identities import spec_by_key, verify_spec
+from sipq.identities import product_side, spec_by_key, verify_spec
 from sipq.partitions import PartitionClass, class_weight_series
 from sipq.qseries import A_INFINITY, check_q_gauss, check_qbinomial_recurrences
 from sipq.series import (
@@ -59,7 +59,7 @@ class TestConstruction:
     def test_overflow_terms_dropped_and_marked(self):
         s = Series(FOUR_PARAM, {(5, 0, 0, 0): 1, (1, 0, 0, 0): 2}, 3)
         assert s.terms == {(1, 0, 0, 0): 2}
-        assert not s.complete
+        assert s.trunc == 3
 
     def test_min_deg_of_stored_terms(self):
         s = Series(FOUR_PARAM, {(2, 1, 0, 0): 1, (1, 0, 0, 0): 1}, 10)
@@ -71,10 +71,6 @@ class TestConstruction:
 
     def test_min_deg_empty_exact(self):
         assert Series.zero(FOUR_PARAM).min_deg == 0
-
-    def test_exact_series_must_be_complete(self):
-        with pytest.raises(ValueError):
-            Series(FOUR_PARAM, {}, None, complete=False)
 
     def test_ring_weights(self):
         assert XZQ.degree((5, -3, 2)) == 2
@@ -140,21 +136,48 @@ class TestTruncationFlag:
         with pytest.raises(PrecisionLoss):
             f.truncate(4)
 
-    def test_raising_truncation_of_complete_is_fine(self):
-        f = Series(FOUR_PARAM, {(1, 0, 0, 0): 1}, 3)
-        assert f.truncate(7).trunc == 7
-        assert f.truncate(None).trunc is None
-
     def test_degree_slice_beyond_trunc(self):
         f = Series.one(FOUR_PARAM, 3)
         with pytest.raises(PrecisionLoss):
             f.degree_slice(4)
+
+    def test_single_coefficient_beyond_trunc(self):
+        # The product side to order 3 stores no a^4, but its a^4 coefficient
+        # is unknown, not 0; a term beyond every stored exponent is no different.
+        product = product_side(spec_by_key("g1-four"), 3)
+        assert product.coefficient((3, 0, 0, 0)) == product.degree_slice(3).get((3, 0, 0, 0), 0)
+        for exps in ((4, 0, 0, 0), (9, -1, 0, 0)):
+            with pytest.raises(PrecisionLoss):
+                product.coefficient(exps)
+        assert Series.one(FOUR_PARAM, 0).constant_term() == 1
+        with pytest.raises(PrecisionLoss):
+            Series.one(FOUR_PARAM, -1).constant_term()
 
     def test_incomplete_times_negative_degree(self):
         trunc_series = (Series.one(FOUR_PARAM) - Series.monomial(FOUR_PARAM, 1, (1, 1, 1, 1))).invert_unit(8)
         laurent = Series.monomial(FOUR_PARAM, 1, (-1, 0, 0, 0))
         with pytest.raises(PrecisionLoss):
             trunc_series * laurent
+
+
+_A = Series.monomial(FOUR_PARAM, 1, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "unknown",
+    (
+        lambda: Series.one(FOUR_PARAM, 4).truncate(6),
+        lambda: Series.one(FOUR_PARAM, 4) * Series.monomial(FOUR_PARAM, 1, (-1, 0, 0, 0)),
+        lambda: (Series.one(FOUR_PARAM) - _A).truncate(4).invert_unit(6),
+        lambda: Series.one(FOUR_PARAM, 4).times_run((("poly", _A, 4 + _A.min_deg + 1),)),
+    ),
+    ids=("raised-truncation", "negative-degree-product", "deeper-inverse", "deeper-poly-step"),
+)
+def test_truncated_series_with_no_stored_term_above_still_refuses(unknown):
+    """A truncated series whose stored terms all lie below its truncation
+    still has unknown coefficients above it."""
+    with pytest.raises(PrecisionLoss):
+        unknown()
 
 
 class TestRingMismatch:
@@ -245,7 +268,7 @@ class TestGeometric:
         direct = Series.one(ring, trunc).times_factor(sign, exps, inverted=True)
         reference = (Series.one(ring) - Series.monomial(ring, sign, exps)).invert_unit(trunc)
         assert direct.terms == reference.terms
-        assert (direct.trunc, direct.complete) == (reference.trunc, reference.complete)
+        assert direct.trunc == reference.trunc
 
     @pytest.mark.parametrize(
         "ring, exps",
@@ -340,41 +363,36 @@ def test_shift_multiplies_by_monomial(n):
 # -- the bucket kernel against a flat-dict reference ---------------------------
 #
 # The reference below multiplies, adds and truncates flat ``exps -> coeff``
-# dicts term by term, with its own degree function, truncation filter and
-# dropped flag, and never looks at ``Series.buckets``.
+# dicts term by term, with its own degree function and truncation filter, and
+# never looks at ``Series.buckets``.
 
 
 def _deg(ring: SeriesRing, exps: tuple[int, ...]) -> int:
     return sum(w * e for w, e in zip(ring.weights, exps))
 
 
-def _expected(ring, terms, trunc, complete):
-    """``(terms, trunc, complete, min_deg)`` of a flat dict cut at ``trunc``."""
+def _expected(ring, terms, trunc):
+    """``(terms, trunc, min_deg)`` of a flat dict cut at ``trunc``."""
     kept = {e: c for e, c in terms.items() if c and (trunc is None or _deg(ring, e) <= trunc)}
-    complete = complete and len(kept) == sum(1 for c in terms.values() if c)
     if kept:
         low = min(_deg(ring, e) for e in kept)
     else:
-        low = 0 if complete else trunc + 1
-    return kept, trunc, complete, low
+        low = 0 if trunc is None else trunc + 1
+    return kept, trunc, low
 
 
 def _observed(s: Series):
-    return s.terms, s.trunc, s.complete, s.min_deg
+    return s.terms, s.trunc, s.min_deg
 
 
 def _naive_mul(f: Series, g: Series):
     trunc = f.trunc if g.trunc is None else g.trunc
     out: dict[tuple[int, ...], int] = {}
-    dropped = False
     for ef, cf in f.terms.items():
         for eg, cg in g.terms.items():
             key = tuple(a + b for a, b in zip(ef, eg))
-            if trunc is not None and _deg(f.ring, key) > trunc:
-                dropped = True
-                continue
             out[key] = out.get(key, 0) + cf * cg
-    return _expected(f.ring, out, trunc, f.complete and g.complete and not dropped)
+    return _expected(f.ring, out, trunc)
 
 
 def _naive_add(f: Series, g: Series):
@@ -382,7 +400,7 @@ def _naive_add(f: Series, g: Series):
     out = dict(f.terms)
     for e, c in g.terms.items():
         out[e] = out.get(e, 0) + c
-    return _expected(f.ring, out, trunc, f.complete and g.complete)
+    return _expected(f.ring, out, trunc)
 
 
 def assert_storage_invariant(s: Series) -> None:
@@ -432,9 +450,9 @@ def _edge_exps(ring: SeriesRing, edge: int) -> st.SearchStrategy[tuple[int, ...]
 
 @st.composite
 def series_pairs(draw, similar: bool = False, edge: int | None = None):
-    """Two series in one ring, each exact or truncated at one shared order,
-    complete or not; with ``similar`` the second differs from the first in a
-    few terms only.  With ``edge`` the exponents come from :func:`_edge_exps`."""
+    """Two series in one ring, each exact or truncated at one shared order;
+    with ``similar`` the second differs from the first in a few terms only.
+    With ``edge`` the exponents come from :func:`_edge_exps`."""
     ring = draw(st.sampled_from([FOUR_PARAM, XZQ]))
     trunc = draw(st.integers(min_value=0, max_value=10))
     exps = _ring_exps(ring) if edge is None else _edge_exps(ring, edge)
@@ -443,7 +461,7 @@ def series_pairs(draw, similar: bool = False, edge: int | None = None):
     def one(body):
         if draw(st.booleans()):
             return Series(ring, body, None)
-        return Series(ring, body, trunc, complete=draw(st.booleans()))
+        return Series(ring, body, trunc)
 
     first = draw(terms)
     second = dict(first) if similar else draw(terms)
@@ -453,7 +471,7 @@ def series_pairs(draw, similar: bool = False, edge: int | None = None):
 
 
 def check_mul(f: Series, g: Series) -> None:
-    if (not f.complete and g.min_deg < 0) or (not g.complete and f.min_deg < 0):
+    if (f.trunc is not None and g.min_deg < 0) or (g.trunc is not None and f.min_deg < 0):
         with pytest.raises(PrecisionLoss):
             f * g
         return
@@ -468,23 +486,19 @@ def check_add(f: Series, g: Series) -> None:
     assert _observed(total) == _naive_add(f, g)
     negated = -f
     assert_storage_invariant(negated)
-    assert _observed(negated) == _expected(
-        f.ring, {e: -c for e, c in f.terms.items()}, f.trunc, f.complete
-    )
+    assert _observed(negated) == _expected(f.ring, {e: -c for e, c in f.terms.items()}, f.trunc)
 
 
 def check_truncate(f: Series, n: int | None) -> None:
     assert_storage_invariant(f)
     if n is not None and (f.trunc is None or n <= f.trunc):
-        expected = _expected(f.ring, f.terms, n, f.complete)
+        expected = _expected(f.ring, f.terms, n)
     elif f.trunc == n:
         expected = _observed(f)
-    elif not f.complete:
+    else:
         with pytest.raises(PrecisionLoss):
             f.truncate(n)
         return
-    else:
-        expected = _expected(f.ring, f.terms, n, True)
     cut = f.truncate(n)
     assert_storage_invariant(cut)
     assert _observed(cut) == expected
@@ -528,12 +542,6 @@ class TestBucketKernel:
     def test_equal_to_reports_least_difference(self, pair):
         check_equal_to(*pair)
 
-    def test_incomplete_keeps_terms(self):
-        f = Series(XZQ, {(-2, 1, 0): 3, (1, 1, 2): -1}, 4)
-        g = f.incomplete()
-        assert_storage_invariant(g)
-        assert (g.terms, g.trunc, g.complete) == (f.terms, 4, False)
-
     def test_dropped_top_bucket_is_caught(self, monkeypatch):
         """A product whose walk, where it cuts at the truncation, also loses
         the top bucket still below the cut fails the q-binomial checks, whose
@@ -561,7 +569,7 @@ class TestBucketKernel:
                             key = pack(exps)
                             acc[key] = acc.get(key, 0) + coeff_s * coeff_o
             bound = self.bound + other.bound
-            return Series._from_buckets(self.ring, out, bound, trunc, False)
+            return Series._from_buckets(self.ring, out, bound, trunc)
 
         monkeypatch.setattr(Series, "__mul__", cut_short)
         binomials = check_qbinomial_recurrences(3)
@@ -575,8 +583,7 @@ class TestBucketKernel:
 
 @st.composite
 def series_sums(draw):
-    """Four series in one ring, each exact or truncated, mostly complete.  The
-    truncated ones share one order, except in one draw in ten, where some
+    """Four series in one ring, each exact or truncated.  The truncated ones share one order, except in one draw in ten, where some
     carry another (a mismatch); an operand may negate the one before it up to
     a few terms, so exact terms above a later truncation can sum to zero."""
     ring = draw(st.sampled_from([FOUR_PARAM, XZQ]))
@@ -592,9 +599,7 @@ def series_sums(draw):
             fresh = {e: -c for e, c in body.items()}
             fresh.update(draw(st.dictionaries(_ring_exps(ring), coeffs, max_size=2)))
         body = fresh
-        n = draw(order)
-        complete = n is None or draw(st.sampled_from([True, True, True, False]))
-        out.append(Series(ring, body, n, complete))
+        out.append(Series(ring, body, draw(order)))
     return out
 
 
@@ -603,17 +608,17 @@ def _snapshot(s: Series):
 
 
 def _naive_sum(operands: list[Series]):
-    """``(terms, trunc, complete, min_deg)`` of adding flat dicts left to right,
-    each partial sum cut at its truncation."""
+    """``(terms, trunc, min_deg)`` of adding flat dicts left to right, each
+    partial sum cut at its truncation."""
     first, *rest = operands
-    terms, trunc, complete = first.terms, first.trunc, first.complete
+    terms, trunc = first.terms, first.trunc
     for g in rest:
         trunc = trunc if g.trunc is None else g.trunc
         out = dict(terms)
         for e, c in g.terms.items():
             out[e] = out.get(e, 0) + c
-        terms, trunc, complete, low = _expected(first.ring, out, trunc, complete and g.complete)
-    return terms, trunc, complete, low
+        terms, trunc, low = _expected(first.ring, out, trunc)
+    return terms, trunc, low
 
 
 _CUBE = Series.monomial(FOUR_PARAM, 1, (3, 0, 0, 0))
@@ -622,13 +627,13 @@ _CUBE = Series.monomial(FOUR_PARAM, 1, (3, 0, 0, 0))
 class TestPlus:
     @settings(max_examples=400)
     @given(series_sums())
-    # An exact prefix whose term above the later truncation cancels (the sum
-    # stays complete) and one whose term does not (the sum is incomplete).
+    # An exact prefix whose term above the later truncation cancels, and one
+    # whose term does not.
     @example([_CUBE, -_CUBE, Series.one(FOUR_PARAM, 2), Series.zero(FOUR_PARAM, 2)])
     @example([_CUBE, Series.one(FOUR_PARAM, 2), _CUBE, Series.zero(FOUR_PARAM)])
     def test_matches_repeated_add(self, operands):
         """``a.plus([b, c, d])`` is ``((a + b) + c) + d`` on coefficients,
-        ``trunc``, ``complete`` and ``bound``, raises what that fold raises,
+        ``trunc`` and ``bound``, raises what that fold raises,
         and leaves every operand's buckets as they were.  ``+`` is ``plus`` of
         one operand, so the sum is also checked against a fold of flat dicts."""
         a, *rest = operands
@@ -645,9 +650,8 @@ class TestPlus:
         assert [_snapshot(s) for s in operands] == before
         assert_storage_invariant(total)
         assert total == folded
-        assert (total.trunc, total.complete, total.bound, total.min_deg) == (
+        assert (total.trunc, total.bound, total.min_deg) == (
             folded.trunc,
-            folded.complete,
             folded.bound,
             folded.min_deg,
         )
@@ -659,7 +663,7 @@ class TestPlus:
             Series.one(FOUR_PARAM).plus([Series.one(FOUR_PARAM), Series.one(XZQ)])
 
     def test_empty_is_self(self):
-        f = Series(XZQ, {(-2, 1, 0): 3, (1, 1, 2): -1}, 4, complete=False)
+        f = Series(XZQ, {(-2, 1, 0): 3, (1, 1, 2): -1}, 4)
         assert _observed(f.plus(())) == _observed(f)
 
 
@@ -771,7 +775,7 @@ class TestPackedKeys:
 
     def test_terms_above_the_truncation_do_not_count_toward_the_bound(self):
         s = Series(FOUR_PARAM, {(LIMIT, 0, 0, 0): 1, (1, 0, 0, 0): 2}, 4)
-        assert (s.terms, s.bound, s.complete) == ({(1, 0, 0, 0): 2}, 1, False)
+        assert (s.terms, s.bound) == ({(1, 0, 0, 0): 2}, 1)
 
     def test_coefficient_beyond_the_bound_is_zero(self):
         s = Series.monomial(FOUR_PARAM, 5, (2, 1, 0, 0))
@@ -788,8 +792,8 @@ class TestPackedKeys:
 @st.composite
 def factor_cases(draw, inverted: bool):
     """A series and a factor ``(sign, exps)`` in one ring.  The series is
-    truncated (below degree 0 too) or, for a plain factor, often exact;
-    complete or not; with negative weight-0 exponents in ``XZQ``.  A plain
+    truncated (below degree 0 too) or, for a plain factor, often exact; with
+    negative weight-0 exponents in ``XZQ``.  A plain
     factor's degree is often negative; an inverted factor's mostly positive,
     since the other inverted cases only raise.  The sign is any small integer."""
     ring = draw(st.sampled_from([FOUR_PARAM, XZQ]))
@@ -797,14 +801,11 @@ def factor_cases(draw, inverted: bool):
     trunc = draw(st.integers(min_value=-2, max_value=10))
     if not inverted and draw(st.booleans()):
         trunc = None
-    complete = trunc is None or draw(st.booleans())
-    if complete and trunc is not None:
-        terms = {e: c for e, c in terms.items() if _deg(ring, e) <= trunc}
     exps = _ring_exps(ring)
     if not inverted:
         exps = st.one_of(exps, st.tuples(*[st.integers(min_value=-3, max_value=1)] * ring.nvars))
     sign = draw(st.integers(min_value=-2, max_value=2))
-    return Series(ring, terms, trunc, complete), sign, draw(exps)
+    return Series(ring, terms, trunc), sign, draw(exps)
 
 
 def _general_product_step(f: Series, sign: int, exps: tuple[int, ...], inverted: bool) -> Series:
@@ -825,7 +826,7 @@ def _general_product_step(f: Series, sign: int, exps: tuple[int, ...], inverted:
         raise ExponentOverflow(f"exponent bound {bound}")
     key = ring.pack(exps)
     expansion = {k * deg: {k * key: sign**k} for k in range(top + 1)}
-    return f * Series._from_buckets(ring, expansion, bound, trunc, False)
+    return f * Series._from_buckets(ring, expansion, bound, trunc)
 
 
 def check_times_factor(f: Series, sign: int, exps: tuple[int, ...], inverted: bool) -> None:
@@ -838,11 +839,7 @@ def check_times_factor(f: Series, sign: int, exps: tuple[int, ...], inverted: bo
     got = f.times_factor(sign, exps, inverted)
     assert_storage_invariant(got)
     assert got == expected
-    assert (got.complete, got.min_deg, got.bound) == (
-        expected.complete,
-        expected.min_deg,
-        expected.bound,
-    )
+    assert (got.min_deg, got.bound) == (expected.min_deg, expected.bound)
 
 
 def _short_division(buckets, owned, key, deg, sign, trunc):
@@ -895,9 +892,10 @@ class TestTimesFactor:
 
     def test_negative_degree_factor_on_incomplete_series_raises(self):
         f = Series.one(FOUR_PARAM, 6)
-        assert f.times_factor(1, (1, -2, 0, 0)).terms == {(0, 0, 0, 0): 1, (1, -2, 0, 0): -1}
+        exact = Series.one(FOUR_PARAM).times_factor(1, (1, -2, 0, 0))
+        assert exact.terms == {(0, 0, 0, 0): 1, (1, -2, 0, 0): -1}
         with pytest.raises(PrecisionLoss):
-            f.incomplete().times_factor(1, (1, -2, 0, 0))
+            f.times_factor(1, (1, -2, 0, 0))
 
     def test_overflowing_bound_raises(self):
         top = Series.monomial(XZQ, 1, (LIMIT // 2, 0, 0), 8)
@@ -909,7 +907,7 @@ class TestTimesFactor:
         assert (below.bound, below.coefficient((LIMIT - 1, 0, 1))) == (LIMIT - 1, -1)
         # An out-of-range factor is refused before the precision rules apply,
         # as building it as a series was.
-        laurent = Series.monomial(XZQ, 1, (0, 0, -1), 8).incomplete()
+        laurent = Series.monomial(XZQ, 1, (0, 0, -1), 8)
         with pytest.raises(ExponentOverflow):
             laurent.times_factor(1, (LIMIT, 0, -1))
         with pytest.raises(ExponentOverflow):
@@ -955,31 +953,24 @@ def _snapshot_buckets(s: Series) -> dict[int, dict[int, int]]:
     return {deg: dict(bucket) for deg, bucket in s.buckets.items()}
 
 
-def _same_flags(got: Series, expected: Series) -> None:
+def _same_series(got: Series, expected: Series) -> None:
     assert_storage_invariant(got)
     assert got == expected
-    assert (got.complete, got.min_deg, got.bound) == (
-        expected.complete,
-        expected.min_deg,
-        expected.bound,
-    )
+    assert (got.min_deg, got.bound) == (expected.min_deg, expected.bound)
 
 
 def _ascending_times(buckets, owned, key, deg, step, trunc):
     """Multiplication walking the sources upward, so a factor of positive
     degree reads buckets it has already written."""
-    dropped = False
     for d in sorted(buckets, reverse=deg < 0):
         target = d + deg
         if trunc is not None and target > trunc:
-            dropped = True
             continue
         src = list(buckets[d].items())
         acc = buckets[target] = dict(buckets.get(target, ()))
         owned.add(target)
         for k, c in src:
             acc[k + key] = acc.get(k + key, 0) + step * c
-    return dropped
 
 
 def _descending_over(buckets, owned, key, deg, sign, trunc):
@@ -1008,7 +999,7 @@ def _cut_short_poly(buckets, poly, trunc):
             for pk, pc in pb.items():
                 for k, c in src.items():
                     acc[k + pk] = acc.get(k + pk, 0) + pc * c
-    return out, True
+    return out
 
 
 def assert_sums_caught_by_degree_8() -> None:
@@ -1043,7 +1034,7 @@ class TestRunKernel:
             with pytest.raises(type(err)):
                 f.times_run(steps)
         else:
-            _same_flags(f.times_run(steps), expected)
+            _same_series(f.times_run(steps), expected)
         assert _snapshot_buckets(f) == before  # shared buckets are never written
 
     @settings(max_examples=300, deadline=None)
@@ -1054,23 +1045,20 @@ class TestRunKernel:
         poly = Series(ring, data.draw(st.dictionaries(_ring_exps(ring), coeffs, max_size=4)), None)
         to = data.draw(st.one_of(st.none(), st.integers(min_value=-2, max_value=14)))
         before = _snapshot_buckets(f)
-        if not f.complete and (to is None or to > f.trunc + poly.min_deg):
+        if f.trunc is not None and (to is None or to > f.trunc + poly.min_deg):
             with pytest.raises(PrecisionLoss):
                 f.times_run((("poly", poly, to),))
             return
         product: dict[tuple[int, ...], int] = {}
-        dropped = False
         for e, c in f.terms.items():
             for pe, pc in poly.terms.items():
                 exps = tuple(a + b for a, b in zip(e, pe))
-                if to is not None and _deg(ring, exps) > to:
-                    dropped = True
-                    continue
-                product[exps] = product.get(exps, 0) + c * pc
+                if to is None or _deg(ring, exps) <= to:
+                    product[exps] = product.get(exps, 0) + c * pc
         got = f.times_run((("poly", poly, to),))
         assert_storage_invariant(got)
         assert (got.terms, got.trunc) == ({e: c for e, c in product.items() if c}, to)
-        assert (got.complete, got.bound) == (f.complete and not dropped, f.bound + poly.bound)
+        assert got.bound == f.bound + poly.bound
         assert _snapshot_buckets(f) == before
 
     @settings(max_examples=100, deadline=None)
@@ -1080,7 +1068,7 @@ class TestRunKernel:
         got = f.times_run((("one",),))
         expected = f + Series.one(f.ring, f.trunc)
         assert_storage_invariant(got)
-        assert (got, got.complete) == (expected, expected.complete)
+        assert got == expected
 
     def test_poly_step_needs_an_exact_polynomial(self):
         f = Series.one(FOUR_PARAM, 4)
