@@ -34,8 +34,10 @@ division by a binomial ``1 - sign * x^exps``, a product with a small exact
 polynomial, or adding 1.  A multiplication walks the buckets in descending
 degree and a division in ascending degree (the recurrence ``g_d = f_d + sign
 * x^exps * g_(d - deg)``, linear in the output), both in place; a polynomial
-product builds each new bucket by a dict comprehension; a shared bucket is
-copied at most once.  :meth:`Series.times_factor` is a run of one step.
+product builds each new bucket by a dict comprehension.  A run copies its
+input's buckets once, up front, so every bucket it writes is its own.
+:meth:`Series.times_factor` is a run of one step, and a product of two series
+is the polynomial product, walking the factor with fewer terms.
 :meth:`SubstitutionMap.map_exps` is the one place exponents are substituted.
 
 No class here is a dataclass: :class:`SeriesRing` is a slotted class and the
@@ -353,14 +355,14 @@ class Series:
         """``self`` plus every series of ``others``, in one pass.
 
         Result, bound and errors are those of adding ``others`` one at a
-        time, left to right, with ``+``; but buckets are shared until they are
-        written, and each shared bucket is copied at most once.  Once the
-        running sum takes a finite truncation, buckets above it are dropped,
-        as each ``+`` would drop them.
+        time, left to right, with ``+``; but the sum is written only into
+        copies it made: of ``self``'s buckets, up front, and of an operand's
+        bucket at a degree the sum does not hold yet.  Once the running sum
+        takes a finite truncation, buckets above it are dropped, as each ``+``
+        would drop them.
         """
         trunc, bound = self.trunc, self.bound
-        merged = dict(self.buckets)
-        owned: set[int] = set()  # degrees whose bucket in ``merged`` is ours to write
+        merged = {deg: dict(bucket) for deg, bucket in self.buckets.items()}
         for other in others:
             self._check_ring(other)
             if trunc is None:
@@ -375,11 +377,8 @@ class Series:
                     continue
                 mine = merged.get(deg)
                 if mine is None:
-                    merged[deg] = bucket
+                    merged[deg] = dict(bucket)
                     continue
-                if deg not in owned:
-                    mine = merged[deg] = dict(mine)
-                    owned.add(deg)
                 get = mine.get
                 for key, coeff in bucket.items():
                     mine[key] = get(key, 0) + coeff
@@ -411,29 +410,14 @@ class Series:
         # Each product exponent is a sum of two factor exponents, so the sum of
         # the bounds keeps every digit of every summed key balanced.
         bound = _checked_bound(self.bound + other.bound)
-        ladder = sorted(other.buckets.items())
-        out: dict[int, dict[int, int]] = {}
-        for deg_s, bucket_s in self.buckets.items():
-            for deg_o, bucket_o in ladder:
-                deg = deg_s + deg_o
-                if trunc is not None and deg > trunc:
-                    break
-                acc = out.get(deg)
-                if acc is None:
-                    acc = out[deg] = {}
-                get = acc.get
-                # The larger bucket goes in the inner loop: a running product
-                # meets one- or two-term factor buckets, and each outer step
-                # costs a loop set-up.
-                outer, inner = bucket_s, bucket_o
-                if len(outer) > len(inner):
-                    outer, inner = inner, outer
-                inner_items = inner.items()
-                for key_a, coeff_a in outer.items():
-                    for key_b, coeff_b in inner_items:
-                        key = key_a + key_b
-                        acc[key] = get(key, 0) + coeff_a * coeff_b
-        return Series._from_buckets(self.ring, out, bound, trunc)
+        # The run kernel's product walks the factor with fewer terms term by
+        # term, each term against whole buckets of the other.
+        big, small = self, other
+        if sum(map(len, self.buckets.values())) < sum(map(len, other.buckets.values())):
+            big, small = other, self
+        return Series._from_buckets(
+            self.ring, _times_poly(big.buckets, small.buckets, trunc), bound, trunc
+        )
 
     # -- inversion ------------------------------------------------------------
 
@@ -500,15 +484,15 @@ class Series:
         move its truncation up to there, and no further (PrecisionLoss).
         Adding 1 is adding the constant series 1 at the run's truncation.
 
-        Bucket dicts are shared until written, and a shared bucket is copied at
-        most once: a multiplication walks the buckets in descending degree (in
-        ascending degree for a factor of negative degree), so each source
-        bucket is read before it is written, and a division in ascending
-        degree, so each bucket is final before the recurrence reads it.
+        The input's buckets are copied once, up front, and every step writes
+        the run's own dicts in place: a multiplication walks the buckets in
+        descending degree (in ascending degree for a factor of negative
+        degree), so each source bucket is read before it is written, and a
+        division in ascending degree, so each bucket is final before the
+        recurrence reads it.
         """
         ring, trunc, bound = self.ring, self.trunc, self.bound
-        buckets = dict(self.buckets)
-        owned: set[int] = set()  # degrees whose bucket in ``buckets`` is ours to write
+        buckets = {deg: dict(bucket) for deg, bucket in self.buckets.items()}
         for kind, *args in steps:
             if kind == "poly":
                 poly, to = args
@@ -521,16 +505,12 @@ class Series:
                     )
                 bound = _checked_bound(bound + poly.bound)
                 buckets = _times_poly(buckets, poly.buckets, to)
-                owned = set(buckets)
                 trunc = to
                 continue
             if kind == "one":
                 if trunc is not None and trunc < 0:
                     continue  # the constant lies above the truncation
-                acc = buckets.get(0, {})
-                if 0 not in owned:
-                    acc = buckets[0] = dict(acc)
-                    owned.add(0)
+                acc = buckets.setdefault(0, {})
                 acc[0] = acc.get(0, 0) + 1
                 continue
             if kind not in ("times", "over"):
@@ -551,7 +531,7 @@ class Series:
                 if _below_zero(buckets, trunc):
                     raise PrecisionLoss("negative-degree terms divided by a truncated expansion")
                 bound = _checked_bound(bound + tail)
-                _over_binomial(buckets, owned, ring.pack(exps), deg, sign, trunc)
+                _over_binomial(buckets, ring.pack(exps), deg, sign, trunc)
                 continue
             # The binomial as a series truncated like this one: its x^exps term
             # is lost above the truncation.
@@ -564,7 +544,7 @@ class Series:
                 raise PrecisionLoss("truncated series multiplied by negative-degree terms")
             bound = _checked_bound(bound + factor_bound)
             if term_in:
-                _times_binomial(buckets, owned, ring.pack(exps), deg, -sign, trunc)
+                _times_binomial(buckets, ring.pack(exps), deg, -sign, trunc)
         return Series._from_buckets(ring, buckets, bound, trunc)
 
     # -- truncation -------------------------------------------------------------
@@ -650,8 +630,8 @@ class Series:
 # -- the run kernel -------------------------------------------------------------
 #
 # Each step of :meth:`Series.times_run` works on ``buckets``, a private map
-# whose bucket dicts may still be shared with other series; ``owned`` holds the
-# degrees whose dicts the run has made itself and may write.
+# whose bucket dicts the run has copied or built itself, and writes them in
+# place; :meth:`Series.__mul__` hands its product to ``_times_poly``.
 
 
 def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None) -> bool:
@@ -667,7 +647,6 @@ def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None) -> bool:
 
 def _times_binomial(
     buckets: dict[int, dict[int, int]],
-    owned: set[int],
     key: int,
     deg: int,
     step: int,
@@ -688,13 +667,11 @@ def _times_binomial(
         acc = buckets.get(target)
         if acc is None:
             buckets[target] = {k + key: step * c for k, c in src.items()}
-            owned.add(target)
             continue
-        if target not in owned or target == d:
-            # Copy a shared bucket once; at degree 0 the source is the target,
-            # so the sum goes into a new dict while the old one is read.
+        if target == d:
+            # At degree 0 the source is the target, so the sum goes into a new
+            # dict while the old one is read.
             acc = buckets[target] = dict(acc)
-            owned.add(target)
         get = acc.get
         for k, c in src.items():
             k += key
@@ -703,7 +680,6 @@ def _times_binomial(
 
 def _over_binomial(
     buckets: dict[int, dict[int, int]],
-    owned: set[int],
     key: int,
     deg: int,
     sign: int,
@@ -725,11 +701,7 @@ def _over_binomial(
         acc = buckets.get(d)
         if acc is None:
             buckets[d] = {k + key: sign * c for k, c in below.items()}
-            owned.add(d)
             continue
-        if d not in owned:
-            acc = buckets[d] = dict(acc)
-            owned.add(d)
         get = acc.get
         for k, c in below.items():
             k += key
@@ -739,10 +711,10 @@ def _over_binomial(
 def _times_poly(
     buckets: dict[int, dict[int, int]], poly: dict[int, dict[int, int]], trunc: int | None
 ) -> dict[int, dict[int, int]]:
-    """The buckets times the exact polynomial ``poly``, to order ``trunc``, as
-    new buckets.
+    """The buckets times the buckets ``poly``, to order ``trunc``, as new
+    buckets: the product of a run's polynomial step and of :meth:`Series.__mul__`.
 
-    Each source bucket meets each polynomial term once: the first to reach a
+    Each source bucket meets each term of ``poly`` once: the first to reach a
     target degree builds its bucket by a dict comprehension, the others add in.
     """
     terms = [(pd, pk, pc) for pd, bucket in poly.items() for pk, pc in bucket.items()]

@@ -100,11 +100,6 @@ def test_multiplication_associates_and_distributes(f, g, h):
     assert (f * (g + h)).terms == (f * g + f * h).terms
 
 
-@given(exact_polys(), exact_polys())
-def test_multiplication_commutes(f, g):
-    assert (f * g).terms == (g * f).terms
-
-
 @given(exact_polys())
 def test_one_is_neutral(f):
     assert (f * Series.one(FOUR_PARAM)).terms == f.terms
@@ -470,6 +465,23 @@ def series_pairs(draw, similar: bool = False, edge: int | None = None):
     return one(first), one(second)
 
 
+@settings(max_examples=200)
+@given(series_pairs())
+def test_multiplication_commutes(pair):
+    """``f * g`` and ``g * f`` agree on coefficients, ``bound`` and ``min_deg``,
+    or raise the same error, whichever factor the product walks term by term."""
+    f, g = pair
+    try:
+        fg = f * g
+    except SeriesError as err:
+        with pytest.raises(type(err)):
+            g * f
+        return
+    gf = g * f
+    assert fg == gf
+    assert (fg.bound, fg.min_deg) == (gf.bound, gf.min_deg)
+
+
 def check_mul(f: Series, g: Series) -> None:
     if (f.trunc is not None and g.min_deg < 0) or (g.trunc is not None and f.min_deg < 0):
         with pytest.raises(PrecisionLoss):
@@ -541,41 +553,6 @@ class TestBucketKernel:
     @given(series_pairs(similar=True))
     def test_equal_to_reports_least_difference(self, pair):
         check_equal_to(*pair)
-
-    def test_dropped_top_bucket_is_caught(self, monkeypatch):
-        """A product whose walk, where it cuts at the truncation, also loses
-        the top bucket still below the cut fails the q-binomial checks, whose
-        quotient forms are truncated products, by degree 8.  The series sides
-        and the summation checks multiply in the run kernel, whose cut is
-        checked in ``TestRunKernel``."""
-        real = Series.__mul__
-
-        def cut_short(self, other):
-            trunc = self._combined_trunc(other)
-            if trunc is None:
-                return real(self, other)
-            ladder = sorted(other.buckets.items())
-            unpack, pack = self.ring.unpack, self.ring.pack
-            out: dict[int, dict[int, int]] = {}
-            for deg_s, bucket_s in self.buckets.items():
-                walk = [(d, b) for d, b in ladder if deg_s + d <= trunc]
-                if len(walk) < len(ladder):
-                    walk = walk[:-1]
-                for deg_o, bucket_o in walk:
-                    acc = out.setdefault(deg_s + deg_o, {})
-                    for key_s, coeff_s in bucket_s.items():
-                        for key_o, coeff_o in bucket_o.items():
-                            exps = (a + b for a, b in zip(unpack(key_s), unpack(key_o)))
-                            key = pack(exps)
-                            acc[key] = acc.get(key, 0) + coeff_s * coeff_o
-            bound = self.bound + other.bound
-            return Series._from_buckets(self.ring, out, bound, trunc)
-
-        monkeypatch.setattr(Series, "__mul__", cut_short)
-        binomials = check_qbinomial_recurrences(3)
-        assert not binomials.passed
-        at = re.findall(r" at \(([-\d, ]+)\)", " ".join(binomials.failures))
-        assert min(sum(int(e) for e in exps.split(",")) for exps in at) <= 8
 
 
 # -- one-pass sums ----------------------------------------------------------------
@@ -842,19 +819,18 @@ def check_times_factor(f: Series, sign: int, exps: tuple[int, ...], inverted: bo
     assert (got.min_deg, got.bound) == (expected.min_deg, expected.bound)
 
 
-def _short_division(buckets, owned, key, deg, sign, trunc):
+def _short_division(buckets, key, deg, sign, trunc):
     """The division recurrence reading the bucket ``deg - 1`` below, not ``deg``."""
     for d in range(min(buckets, default=0), trunc + 1):
         below = buckets.get(d - (deg - 1), {}) if deg > 1 else {}
         acc = buckets[d] = dict(buckets.get(d, ()))
-        owned.add(d)
         for k, c in below.items():
             acc[k + key] = acc.get(k + key, 0) + sign * c
 
 
-def assert_caught_by_degree_8() -> None:
-    """A catalog identity, a summation check and the q-binomial checks all
-    fail, each with a first difference of degree at most 8."""
+def assert_sums_caught_by_degree_8() -> None:
+    """A catalog identity and a summation check fail, each with a first
+    difference of degree at most 8."""
     spec = verify_spec(spec_by_key("g1-four"), 8)
     assert not spec.passed
     assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
@@ -863,6 +839,12 @@ def assert_caught_by_degree_8() -> None:
     assert not gauss.passed
     (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
     assert sum(int(e) for e in at.split(",")) <= 8
+
+
+def assert_caught_by_degree_8() -> None:
+    """As :func:`assert_sums_caught_by_degree_8`, and the q-binomial checks
+    fail too, with a first difference of degree at most 8."""
+    assert_sums_caught_by_degree_8()
     binomials = check_qbinomial_recurrences(3)
     assert not binomials.passed
     at = re.findall(r" at \(([-\d, ]+)\)", " ".join(binomials.failures))
@@ -959,7 +941,7 @@ def _same_series(got: Series, expected: Series) -> None:
     assert (got.min_deg, got.bound) == (expected.min_deg, expected.bound)
 
 
-def _ascending_times(buckets, owned, key, deg, step, trunc):
+def _ascending_times(buckets, key, deg, step, trunc):
     """Multiplication walking the sources upward, so a factor of positive
     degree reads buckets it has already written."""
     for d in sorted(buckets, reverse=deg < 0):
@@ -968,19 +950,17 @@ def _ascending_times(buckets, owned, key, deg, step, trunc):
             continue
         src = list(buckets[d].items())
         acc = buckets[target] = dict(buckets.get(target, ()))
-        owned.add(target)
         for k, c in src:
             acc[k + key] = acc.get(k + key, 0) + step * c
 
 
-def _descending_over(buckets, owned, key, deg, sign, trunc):
+def _descending_over(buckets, key, deg, sign, trunc):
     """Division walking the degrees downward, so each bucket reads the one
     below before that one is final."""
     for d in range(trunc, min(buckets, default=0) + deg - 1, -1):
         below = buckets.get(d - deg)
         if below:
             acc = buckets[d] = dict(buckets.get(d, ()))
-            owned.add(d)
             for k, c in below.items():
                 acc[k + key] = acc.get(k + key, 0) + sign * c
 
@@ -1000,19 +980,6 @@ def _cut_short_poly(buckets, poly, trunc):
                 for k, c in src.items():
                     acc[k + pk] = acc.get(k + pk, 0) + pc * c
     return out
-
-
-def assert_sums_caught_by_degree_8() -> None:
-    """A catalog identity and a summation check fail, each with a first
-    difference of degree at most 8."""
-    spec = verify_spec(spec_by_key("g1-four"), 8)
-    assert not spec.passed
-    assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
-    minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
-    gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
-    assert not gauss.passed
-    (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
-    assert sum(int(e) for e in at.split(",")) <= 8
 
 
 class TestRunKernel:
@@ -1078,8 +1045,11 @@ class TestRunKernel:
             f.times_run((("poly", Series.one(XZQ), 4),))
 
     def test_dropped_top_product_bucket_is_caught(self, monkeypatch):
+        """The polynomial step and ``Series.__mul__`` share the cut: the
+        q-binomial checks, whose quotient forms are truncated products, fail
+        too."""
         monkeypatch.setattr(series, "_times_poly", _cut_short_poly)
-        assert_sums_caught_by_degree_8()
+        assert_caught_by_degree_8()
 
     def test_ascending_multiplication_is_caught(self, monkeypatch):
         monkeypatch.setattr(series, "_times_binomial", _ascending_times)
@@ -1088,3 +1058,28 @@ class TestRunKernel:
     def test_descending_division_is_caught(self, monkeypatch):
         monkeypatch.setattr(series, "_over_binomial", _descending_over)
         assert_caught_by_degree_8()
+
+    @pytest.mark.parametrize(
+        "operate",
+        [
+            lambda g: g.times_run((("times", 1, (1, 0, 0, 0)),)),
+            lambda g: g.times_run((("over", -1, (0, 1, 0, 0)),)),
+            lambda g: g.times_run((("poly", Series(FOUR_PARAM, {(0, 0, 1, 1): -2}, None), 10),)),
+            lambda g: g.times_run((("one",),)),
+            lambda g: g.plus((g,)),
+            lambda g: Series.zero(FOUR_PARAM, 8).plus((g, g)),
+            lambda g: g * g,
+        ],
+        ids=["times", "over", "poly", "one", "plus", "plus-onto-zero", "mul"],
+    )
+    def test_shared_buckets_are_never_written(self, operate):
+        """A truncation shares its bucket dicts with the series it cuts; no
+        step kind, sum or product on the cut changes the uncut series."""
+        spec = spec_by_key("g1-four")
+        f = product_side(spec, 12)
+        g = f.truncate(8)
+        assert all(g.buckets[d] is f.buckets[d] for d in g.buckets)
+        before = _snapshot_buckets(f)
+        operate(g)
+        assert f == product_side(spec, 12)
+        assert _snapshot_buckets(f) == before
