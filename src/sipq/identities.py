@@ -14,10 +14,10 @@ numerator or a denominator, is one :class:`PochFactor`, and every series
 prefactor is a table of integer coefficients.
 
 :func:`verify` expands every available side to the requested truncation and
-demands exact agreement pairwise.  A series family is summed from the top down
-(:func:`qseries.nested_sum`), each level kept to the truncation less its
-summand's least degree, and stops at the first summand with no term at or
-below the truncation: no step polynomial has a term of negative degree
+demands exact agreement pairwise.  A series family is summed in Horner form
+from the top summand down (:func:`qseries.nested_sum`), every level at the
+truncation, and stops at the first summand with no term at or below the
+truncation: no step polynomial has a term of negative degree
 (:class:`TheoremSpec` refuses a family otherwise), so no later summand can come
 back below it.  A four-parameter series side also asserts that no summand has
 a negative exponent; it reads the numerator polynomials, which is equivalent
@@ -93,8 +93,8 @@ class SumFamily(NamedTuple):
         return summand_walk(*self._monomials(ring), self.factors, trunc)
 
     def nested_sum(self, ring: SeriesRing, trunc: int) -> tuple[Series, list[int]]:
-        """The family's sum to order ``trunc``, nested from the top, and the
-        summands whose numerator polynomial has a negative exponent."""
+        """The family's sum to order ``trunc``, in Horner form from the top,
+        and the summands whose numerator polynomial has a negative exponent."""
         return nested_sum(*self._monomials(ring), self.factors, trunc)
 
 
@@ -670,8 +670,8 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
     Checks ``F(N) = T(N)`` for each ``N <= n_max`` and the telescoping step
     ``T(N+1) - T(N) = F(N+1) - F(N)``.  ``T(N) = (-x;Q)_N / ((ab;Q)_(N+1)
     (Q;Q)_N)``, ``x = a`` for p1 and ``abc`` for p2, is built from products
-    alone, each step one numerator binomial and two :meth:`Series.times_factor`
-    divisions, so the work is linear in ``n_max``.
+    alone, each step one :meth:`Series.times_run` of one numerator binomial
+    and two divisions, so the work is linear in ``n_max``.
     """
     if family not in (PartitionClass.P1, PartitionClass.P2):
         raise ValueError("partial sums are recorded for classes p1 and p2")
@@ -693,9 +693,11 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
         for walk in walks:
             f = f + next(walk, zero)
         if upto:
-            t = t.times_factor(-1, tuple(e + upto - 1 for e in x))  # 1 + x Q^(N-1)
-            t = t.times_factor(1, (1 + upto, 1 + upto, upto, upto), inverted=True)  # ab Q^N
-            t = t.times_factor(1, (upto,) * 4, inverted=True)  # Q^N
+            t = t.times_run((
+                ("times", -1, tuple(e + upto - 1 for e in x)),  # 1 + x Q^(N-1)
+                ("over", 1, (1 + upto, 1 + upto, upto, upto)),  # ab Q^N
+                ("over", 1, (upto,) * 4),  # Q^N
+            ))
         checks += 1
         cmp = f.equal_to(t)
         if not cmp.equal:

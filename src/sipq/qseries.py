@@ -7,13 +7,14 @@ so the classical ``(x; Q)_n`` with a sign goes in through the argument.
 A run of finite Pochhammer products is grown one factor at a time by
 :func:`running_product`; a truncated infinite product is one
 :meth:`Series.times_run` over its binomials, largest first
-(:func:`truncated_infinite_product`).  A sum of Pochhammer quotients is summed
-by :func:`nested_sum`, from the top down, ``S = T_0 (1 + R_0 (1 + R_1
-(...)))``, each level kept only to the degree its summand can still reach;
-:func:`summand_walk` steps the summands one by one and serves the partial
-sums and the tests.  The nested sum also reports the summands whose numerator
-polynomial has a negative exponent, which for denominators ``1 - m``, ``m`` of
-nonnegative exponents and positive degree, is the summands that have one.
+(:func:`truncated_infinite_product`).  A sum of Pochhammer quotients
+``sum_n P_n / (delta_0 ... delta_n)`` is summed by :func:`nested_sum` in
+Horner form, ``S = (P_0 + (P_1 + (...) / delta_2) / delta_1) / delta_0``, in
+one kernel run from the top level down; :func:`summand_walk` steps the
+summands one by one and serves the partial sums and the tests.  The nested
+sum also reports the summands whose numerator polynomial ``P_n`` has a
+negative exponent, which for denominators ``1 - m``, ``m`` of nonnegative
+exponents and positive degree, is the summands that have one.
 """
 
 from __future__ import annotations
@@ -124,30 +125,28 @@ def nested_sum(
     factors: Sequence[PochFactor],
     trunc: int,
 ) -> tuple[Series, list[int]]:
-    """The sum of the summands :func:`summand_walk` yields, nested from the
-    top; and the indices ``n`` whose numerator polynomial ``P_n`` has a
-    negative exponent at degree ``<= trunc``.
+    """The sum of the summands :func:`summand_walk` yields, in Horner form;
+    and the indices ``n`` whose numerator polynomial ``P_n`` has a negative
+    exponent at degree ``<= trunc``.
 
     ``P_n`` is the monomial ``m_n`` times the numerator products, so that
-    ``T_n = P_n / D_n``, ``D_n`` the denominator products.  With the step
-    polynomials ``r_k = P_(k+1) / P_k`` (exact: ``ratio(k)`` times the new
-    numerator binomials) the sum is ``S = T_0 (1 + R_0 (1 + R_1 (...)))``,
-    ``R_k = r_k / (D_(k+1) / D_k)``, the quotient over the new denominator
-    binomials.
+    ``T_n = P_n / D_n``, ``D_n = delta_0 ... delta_n`` the denominator
+    products, ``delta_k`` the binomials new in summand ``k``.  A forward pass
+    steps ``P_n``, truncated at ``trunc``, by the exact step polynomial
+    ``r_n = P_(n+1) / P_n`` (``ratio(n)`` times the new numerator binomials,
+    one general product each), and stops at the first ``P_n`` with no term at
+    or below ``trunc``, where the walk stops: no ``r_n`` has a term of
+    negative degree, so no later summand can come back below the truncation;
+    a step polynomial that has one raises :class:`PrecisionLoss`.  ``r_n``
+    enters as one exact polynomial, never binomial by binomial after a
+    truncation, since a numerator binomial may have negative degree.
 
-    A forward pass steps ``P_n``, truncated at ``trunc``, by ``r_n`` (one
-    general product each) and reads its least degree ``L_n``, exact below the
-    truncation.  It stops at the first ``P_n`` with no term at or below
-    ``trunc``, where the walk stops: no ``r_n`` has a term of negative degree,
-    so ``L_n`` never decreases.  Level ``k`` of the nest multiplies into
-    ``T_k``, whose terms have degree at least ``L_k``, so it is kept only to
-    ``trunc - L_k``; the product with ``r_k``, of least degree ``L_(k+1) -
-    L_k``, is known exactly that far up.  The whole nest is one
-    :meth:`Series.times_run`.  ``r_k`` enters as one exact polynomial, never
-    binomial by binomial after a truncation, since a numerator binomial may
-    have negative degree.  The result equals the sum of the walk's summands
-    with :meth:`Series.plus`, and a step polynomial with a term of negative
-    degree raises :class:`PrecisionLoss`.
+    The sum is then ``S = (P_0 + (P_1 + (...) / delta_2) / delta_1) /
+    delta_0``: one :meth:`Series.times_run` that, from the top level down,
+    adds ``P_k`` and divides by ``delta_k``, every level at ``trunc``.  Each
+    ``1 / delta_k`` has constant term 1 and terms of positive degree only, so
+    ``P_k`` truncated at ``trunc`` gives every level exactly to there.  The
+    result equals the sum of the walk's summands with :meth:`Series.plus`.
 
     The numerator verdict equals the walk's ``T_n.has_negative_exponent()``
     when every denominator binomial is ``1 - m`` with ``m`` of nonnegative
@@ -164,7 +163,6 @@ def nested_sum(
     second is the constant 1.  That slice of ``T_n`` is the one of ``P_n``,
     which is not zero.
     """
-    ring = start.ring
     numerators = [f for f in factors if not f.inverted]
     denominators = [f for f in factors if f.inverted]
 
@@ -174,36 +172,23 @@ def nested_sum(
             [("times", f.sign, exps) for f in numerators for exps in f.binomials(n)]
         )
 
-    def over(n: int) -> list[tuple]:
-        """The division steps by the denominator binomials new in summand ``n``."""
-        return [("over", f.sign, exps) for f in denominators for exps in f.binomials(n)]
-
-    head = numerator(0, start)
-    poly = head.truncate(trunc)
-    lows: list[int] = []  # L_n
-    steps: list[Series] = []  # r_n
+    poly = numerator(0, start).truncate(trunc)
+    polys: list[Series] = []  # P_n
     negative: list[int] = []
-    n = 0
     while not poly.is_zero():
+        n = len(polys)
         if poly.has_negative_exponent():
             negative.append(n)
-        lows.append(poly.min_deg)
+        polys.append(poly)
         step = numerator(n + 1, ratio(n))
         if step.min_deg < 0:
             raise PrecisionLoss(f"step polynomial {step.to_string()} has a negative-degree term")
-        steps.append(step)
         poly = poly * step
-        n += 1
-    if not lows:
-        return Series.zero(ring, trunc), negative
     run: list[tuple] = []
-    for k in reversed(range(len(lows) - 1)):
-        run.append(("poly", steps[k], trunc - lows[k]))
-        run += over(k + 1)
-        run.append(("one",))
-    run.append(("poly", head, trunc))
-    run += over(0)
-    return Series.one(ring, trunc - lows[-1]).times_run(run), negative
+    for k in reversed(range(len(polys))):
+        run.append(("add", polys[k]))
+        run += [("over", f.sign, exps) for f in denominators for exps in f.binomials(k)]
+    return Series.zero(start.ring, trunc).times_run(run), negative
 
 
 def running_product(

@@ -30,14 +30,14 @@ negative-degree term would pull unknown terms back below it.
 
 One kernel, :meth:`Series.times_run`, applies a whole run of steps to one
 private bucket map and builds one series at the end: a multiplication or a
-division by a binomial ``1 - sign * x^exps``, a product with a small exact
-polynomial, or adding 1.  A multiplication walks the buckets in descending
-degree and a division in ascending degree (the recurrence ``g_d = f_d + sign
-* x^exps * g_(d - deg)``, linear in the output), both in place; a polynomial
-product builds each new bucket by a dict comprehension.  A run copies its
-input's buckets once, up front, so every bucket it writes is its own.
-:meth:`Series.times_factor` is a run of one step, and a product of two series
-is the polynomial product, walking the factor with fewer terms.
+division by a binomial ``1 - sign * x^exps``, or adding a series.  A
+multiplication walks the buckets in descending degree and a division in
+ascending degree (the recurrence ``g_d = f_d + sign * x^exps * g_(d - deg)``,
+linear in the output), both in place.  A run copies its input's buckets once,
+up front, so every bucket it writes is its own.  :meth:`Series.times_factor`
+is a run of one binomial step and :meth:`Series.plus` a run of additions; a
+product of two series walks the factor with fewer terms, each term against
+whole buckets of the other.
 :meth:`SubstitutionMap.map_exps` is the one place exponents are substituted.
 
 No class here is a dataclass: :class:`SeriesRing` is a slotted class and the
@@ -352,37 +352,10 @@ class Series:
         return self.plus((other,))
 
     def plus(self, others: Iterable["Series"]) -> "Series":
-        """``self`` plus every series of ``others``, in one pass.
-
-        Result, bound and errors are those of adding ``others`` one at a
-        time, left to right, with ``+``; but the sum is written only into
-        copies it made: of ``self``'s buckets, up front, and of an operand's
-        bucket at a degree the sum does not hold yet.  Once the running sum
-        takes a finite truncation, buckets above it are dropped, as each ``+``
-        would drop them.
-        """
-        trunc, bound = self.trunc, self.bound
-        merged = {deg: dict(bucket) for deg, bucket in self.buckets.items()}
-        for other in others:
-            self._check_ring(other)
-            if trunc is None:
-                # The exact sum so far loses its terms above the truncation
-                # when the series is built.
-                trunc = other.trunc
-            elif other.trunc is not None and other.trunc != trunc:
-                raise TruncationMismatch(f"{trunc} vs {other.trunc}")
-            bound = max(bound, other.bound)
-            for deg, bucket in other.buckets.items():
-                if trunc is not None and deg > trunc:
-                    continue
-                mine = merged.get(deg)
-                if mine is None:
-                    merged[deg] = dict(bucket)
-                    continue
-                get = mine.get
-                for key, coeff in bucket.items():
-                    mine[key] = get(key, 0) + coeff
-        return Series._from_buckets(self.ring, merged, bound, trunc)
+        """``self`` plus every series of ``others``, left to right: a run of
+        ``add`` steps (see :meth:`times_run`), with the result, bound and
+        errors of adding them one at a time with ``+``."""
+        return self.times_run(("add", other) for other in others)
 
     def __neg__(self) -> "Series":
         return self.scale(-1)
@@ -474,44 +447,45 @@ class Series:
 
         * ``("times", sign, exps)``: multiply by ``1 - sign * x^exps``;
         * ``("over", sign, exps)``: divide by it;
-        * ``("poly", poly, trunc)``: multiply by the exact polynomial ``poly``
-          (``trunc=None``) and truncate at ``trunc``;
-        * ``("one",)``: add the constant 1.
+        * ``("add", other)``: add the series ``other``.
 
-        A binomial step has the result, truncation, bound and errors of
-        :meth:`times_factor` applied alone.  The product with ``poly`` is known
-        to this truncation plus ``poly``'s least degree: a truncated series may
-        move its truncation up to there, and no further (PrecisionLoss).
-        Adding 1 is adding the constant series 1 at the run's truncation.
+        Each step has the result, truncation, bound and errors of the series
+        operation it stands for: a binomial step those of :meth:`times_factor`
+        applied alone, an ``add`` those of ``+``.  So an exact run adopts the
+        truncation of the first truncated addend, and a run of Horner steps,
+        ``add`` and then ``over`` from the top level down, sums
+        ``sum_k P_k / (d_0 ... d_k)`` in one pass.
 
         The input's buckets are copied once, up front, and every step writes
-        the run's own dicts in place: a multiplication walks the buckets in
-        descending degree (in ascending degree for a factor of negative
-        degree), so each source bucket is read before it is written, and a
-        division in ascending degree, so each bucket is final before the
-        recurrence reads it.
+        the run's own dicts in place: an addend's bucket is copied where it
+        opens a degree, a multiplication walks the buckets in descending degree
+        (in ascending degree for a factor of negative degree), so each source
+        bucket is read before it is written, and a division in ascending
+        degree, so each bucket is final before the recurrence reads it.
         """
         ring, trunc, bound = self.ring, self.trunc, self.bound
         buckets = {deg: dict(bucket) for deg, bucket in self.buckets.items()}
         for kind, *args in steps:
-            if kind == "poly":
-                poly, to = args
-                self._check_ring(poly)
-                if poly.trunc is not None:
-                    raise ValueError("a run multiplies by exact polynomials only")
-                if trunc is not None and (to is None or to > trunc + poly.min_deg):
-                    raise PrecisionLoss(
-                        f"a product known to order {trunc} + {poly.min_deg} asked for order {to}"
-                    )
-                bound = _checked_bound(bound + poly.bound)
-                buckets = _times_poly(buckets, poly.buckets, to)
-                trunc = to
-                continue
-            if kind == "one":
-                if trunc is not None and trunc < 0:
-                    continue  # the constant lies above the truncation
-                acc = buckets.setdefault(0, {})
-                acc[0] = acc.get(0, 0) + 1
+            if kind == "add":
+                (other,) = args
+                self._check_ring(other)
+                if trunc is None and other.trunc is not None:
+                    # The exact sum so far loses its terms above the truncation.
+                    trunc = other.trunc
+                    buckets = {deg: bucket for deg, bucket in buckets.items() if deg <= trunc}
+                elif other.trunc is not None and other.trunc != trunc:
+                    raise TruncationMismatch(f"{trunc} vs {other.trunc}")
+                bound = max(bound, other.bound)
+                for deg, bucket in other.buckets.items():
+                    if trunc is not None and deg > trunc:
+                        continue
+                    acc = buckets.get(deg)
+                    if acc is None:
+                        buckets[deg] = dict(bucket)
+                        continue
+                    get = acc.get
+                    for key, coeff in bucket.items():
+                        acc[key] = get(key, 0) + coeff
                 continue
             if kind not in ("times", "over"):
                 raise ValueError(f"unknown run step {kind!r}")
@@ -629,9 +603,10 @@ class Series:
 
 # -- the run kernel -------------------------------------------------------------
 #
-# Each step of :meth:`Series.times_run` works on ``buckets``, a private map
-# whose bucket dicts the run has copied or built itself, and writes them in
-# place; :meth:`Series.__mul__` hands its product to ``_times_poly``.
+# Each binomial step of :meth:`Series.times_run` works on ``buckets``, a
+# private map whose bucket dicts the run has copied or built itself, and
+# writes them in place; :meth:`Series.__mul__` hands its product to
+# ``_times_poly``.
 
 
 def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None) -> bool:
@@ -712,7 +687,7 @@ def _times_poly(
     buckets: dict[int, dict[int, int]], poly: dict[int, dict[int, int]], trunc: int | None
 ) -> dict[int, dict[int, int]]:
     """The buckets times the buckets ``poly``, to order ``trunc``, as new
-    buckets: the product of a run's polynomial step and of :meth:`Series.__mul__`.
+    buckets: the product of :meth:`Series.__mul__`.
 
     Each source bucket meets each term of ``poly`` once: the first to reach a
     target degree builds its bucket by a dict comprehension, the others add in.

@@ -238,8 +238,9 @@ def sip_gf_four_parameter(
     ``B_m`` is :func:`basis_weight_poly` of length ``m``, and the product of
     the ``d_j`` (see :func:`_divisor`) is ``(ab;Q)_n (Q;Q)_n`` for ``m = 2n``
     and ``(ab;Q)_{n+1} (Q;Q)_n`` for ``m = 2n+1``, ``Q = abcd``.  The sum is
-    nested from the top length down, ``total = (total + B_m) / d_m``, each
-    division one :meth:`Series.times_factor` walk on the mapped exponents.
+    taken in Horner form from the top length down, ``total = (total + B_m) /
+    d_m``: one :meth:`Series.times_run` of ``add`` and ``over`` steps, each
+    division on the mapped exponents.
     ``weight_map`` is refused unless, as for :func:`class_weight_series`, it
     maps from the four-parameter ring with every image of degree 1; a
     skeleton's mapped degree is then its weight, at least its length, so
@@ -250,11 +251,12 @@ def sip_gf_four_parameter(
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     _require_weight_map(weight_map)
-    total = Series.zero(weight_map.target, trunc)
-    for m in range(trunc, 0, -1):
-        total = total + basis_weight_poly(cls.basis, m, trunc, weight_map)
-        total = total.times_factor(1, weight_map.map_exps(_divisor(m)), inverted=True)
-    return total + basis_weight_poly(cls.basis, 0, trunc, weight_map)
+    run: list[tuple] = []
+    for m in range(trunc, -1, -1):
+        run.append(("add", basis_weight_poly(cls.basis, m, trunc, weight_map)))
+        if m:
+            run.append(("over", 1, weight_map.map_exps(_divisor(m))))
+    return Series.zero(weight_map.target, trunc).times_run(run)
 
 
 def check_sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> CheckReport:

@@ -432,50 +432,47 @@ def test_four_parameter_denominator_with_negative_exponent_rejected():
     _rebuilt(xzq, series=(_rebuilt(fam, factors=(fam.factors[0], den, fam.factors[2])),))
 
 
-def _levels_one_lower(steps):
-    """Every level of the nest kept to one degree below its order."""
-    last = max(i for i, step in enumerate(steps) if step[0] == "poly")
-    return [
-        ("poly", step[1], step[2] - 1) if step[0] == "poly" and i < last else step
-        for i, step in enumerate(steps)
-    ]
-
-
-def _without_ones(steps):
-    """The nest without its ``+1`` at each level."""
-    return [step for step in steps if step[0] != "one"]
+def _lost_summand(steps):
+    """The Horner run without its first ``add``: the top summand is lost, as
+    a loop stopping one level short would lose it."""
+    first = next(i for i, step in enumerate(steps) if step[0] == "add")
+    return steps[:first] + steps[first + 1:]
 
 
 def _divided_one_level_early(steps):
-    """Level ``k`` divided by the denominator binomials new in summand ``k``,
-    not ``k + 1``: each level takes the divisions of the level below it."""
-    groups = []  # [step polynomial, divisions, the rest]
+    """Each summand's divisions applied after the ``add`` of the summand above
+    it: ``P_k`` is divided by the binomials up to ``delta_(k-1)``, and ``P_0``
+    by none."""
+    groups = []  # [an add, the divisions after it]
     for step in steps:
-        if step[0] == "poly":
-            groups.append([step, [], []])
+        if step[0] == "add":
+            groups.append([step, []])
         else:
-            groups[-1][1 if step[0] == "over" else 2].append(step)
-    shifted = [divisions for _, divisions, _ in groups[1:]] + [[]]
-    return [s for (poly, _, rest), divs in zip(groups, shifted) for s in (poly, *divs, *rest)]
+            groups[-1][1].append(step)
+    shifted = [divisions for _, divisions in groups[1:]] + [[]]
+    return [s for (add, _), divs in zip(groups, shifted) for s in (add, *divs)]
 
 
-def _nest_fault(fault):
+def _horner_fault(fault):
+    """``Series.times_run`` with ``fault`` applied to every run that both adds
+    and divides: the series sums' Horner runs."""
     real = Series.times_run
 
     def run(self, steps):
         steps = list(steps)
-        return real(self, fault(steps) if ("one",) in steps else steps)
+        kinds = {step[0] for step in steps}
+        return real(self, fault(steps) if {"add", "over"} <= kinds else steps)
 
     return run
 
 
-@pytest.mark.parametrize("fault", (_without_ones, _divided_one_level_early),
-                         ids=("without-ones", "divided-one-level-early"))
-def test_nest_faults_are_caught(monkeypatch, fault):
-    """A nest that drops its ``+1`` or divides each level by the binomials of
-    the level below fails a catalog identity and a summation check, each
-    with a first difference by degree 8."""
-    monkeypatch.setattr(Series, "times_run", _nest_fault(fault))
+@pytest.mark.parametrize("fault", (_lost_summand, _divided_one_level_early),
+                         ids=("lost-summand", "divided-one-level-early"))
+def test_horner_faults_are_caught(monkeypatch, fault):
+    """A Horner run that loses a summand or divides each level by the
+    binomials of the level below fails a catalog identity and a summation
+    check, each with a first difference by degree 8."""
+    monkeypatch.setattr(Series, "times_run", _horner_fault(fault))
     report = verify_spec(spec_by_key("g1-four"), 8)
     assert not report.passed
     assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(report.failures))) <= 8
@@ -483,17 +480,6 @@ def test_nest_faults_are_caught(monkeypatch, fault):
     gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
     assert not gauss.passed
     assert _at_degree(gauss.failures[0]) <= 8
-
-
-def test_level_kept_one_degree_short_is_refused(monkeypatch):
-    """A level kept one degree below its order leaves the next level's
-    product unknown at its top degree: the run refuses it instead of
-    returning a short sum."""
-    monkeypatch.setattr(Series, "times_run", _nest_fault(_levels_one_lower))
-    with pytest.raises(PrecisionLoss):
-        verify_spec(spec_by_key("g1-four"), 8)
-    with pytest.raises(PrecisionLoss):
-        check_q_gauss(A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, 1, 0, 0), 8)
 
 
 @pytest.mark.parametrize("key", [spec.key for spec in registry()])

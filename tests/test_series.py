@@ -164,9 +164,8 @@ _A = Series.monomial(FOUR_PARAM, 1, (1, 0, 0, 0))
         lambda: Series.one(FOUR_PARAM, 4).truncate(6),
         lambda: Series.one(FOUR_PARAM, 4) * Series.monomial(FOUR_PARAM, 1, (-1, 0, 0, 0)),
         lambda: (Series.one(FOUR_PARAM) - _A).truncate(4).invert_unit(6),
-        lambda: Series.one(FOUR_PARAM, 4).times_run((("poly", _A, 4 + _A.min_deg + 1),)),
     ),
-    ids=("raised-truncation", "negative-degree-product", "deeper-inverse", "deeper-poly-step"),
+    ids=("raised-truncation", "negative-degree-product", "deeper-inverse"),
 )
 def test_truncated_series_with_no_stored_term_above_still_refuses(unknown):
     """A truncated series whose stored terms all lie below its truncation
@@ -985,8 +984,8 @@ def _cut_short_poly(buckets, poly, trunc):
 class TestRunKernel:
     """``Series.times_run`` against the same steps one at a time through the
     general product (the reference ``times_factor`` is held to above), the
-    polynomial and constant steps against flat references, and faults in the
-    kernel's walks that the checks must catch."""
+    ``add`` step against a flat sum, and faults in the kernel's walks that the
+    checks must catch."""
 
     @settings(max_examples=300, deadline=None)
     @given(binomial_runs())
@@ -1005,49 +1004,37 @@ class TestRunKernel:
         assert _snapshot_buckets(f) == before  # shared buckets are never written
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_poly_step_matches_flat_product(self, data):
-        f, _, _ = data.draw(factor_cases(inverted=False))
-        ring = f.ring
-        poly = Series(ring, data.draw(st.dictionaries(_ring_exps(ring), coeffs, max_size=4)), None)
-        to = data.draw(st.one_of(st.none(), st.integers(min_value=-2, max_value=14)))
-        before = _snapshot_buckets(f)
-        if f.trunc is not None and (to is None or to > f.trunc + poly.min_deg):
-            with pytest.raises(PrecisionLoss):
-                f.times_run((("poly", poly, to),))
+    @given(series_pairs())
+    @example((Series.one(FOUR_PARAM, 4), Series.one(XZQ, 4)))
+    @example((Series.one(FOUR_PARAM, 4), Series.one(FOUR_PARAM, 5)))
+    # An exact run adopts the addend's truncation and drops its term above it.
+    @example((Series(FOUR_PARAM, {(3, 0, 0, 0): 1, (0, 0, 0, 0): 2}, None),
+              Series.one(FOUR_PARAM, 2)))
+    def test_add_step_matches_plus(self, pair):
+        """An ``add`` step is the sum ``plus`` is held to: the flat sum, cut at
+        the common truncation, with the larger bound, or the error of a ring
+        or truncation mismatch; and it leaves the addend's buckets as they
+        were."""
+        f, g = pair
+        if f.ring != g.ring:
+            with pytest.raises(RingMismatch):
+                f.times_run((("add", g),))
             return
-        product: dict[tuple[int, ...], int] = {}
-        for e, c in f.terms.items():
-            for pe, pc in poly.terms.items():
-                exps = tuple(a + b for a, b in zip(e, pe))
-                if to is None or _deg(ring, exps) <= to:
-                    product[exps] = product.get(exps, 0) + c * pc
-        got = f.times_run((("poly", poly, to),))
+        if None not in (f.trunc, g.trunc) and f.trunc != g.trunc:
+            with pytest.raises(TruncationMismatch, match=f"{f.trunc} vs {g.trunc}"):
+                f.times_run((("add", g),))
+            return
+        before = _snapshot_buckets(g)
+        got = f.times_run((("add", g),))
         assert_storage_invariant(got)
-        assert (got.terms, got.trunc) == ({e: c for e, c in product.items() if c}, to)
-        assert got.bound == f.bound + poly.bound
-        assert _snapshot_buckets(f) == before
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_one_step_adds_the_constant(self, data):
-        f, _, _ = data.draw(factor_cases(inverted=False))
-        got = f.times_run((("one",),))
-        expected = f + Series.one(f.ring, f.trunc)
-        assert_storage_invariant(got)
-        assert got == expected
-
-    def test_poly_step_needs_an_exact_polynomial(self):
-        f = Series.one(FOUR_PARAM, 4)
-        with pytest.raises(ValueError, match="exact polynomials"):
-            f.times_run((("poly", Series.one(FOUR_PARAM, 4), 4),))
-        with pytest.raises(RingMismatch):
-            f.times_run((("poly", Series.one(XZQ), 4),))
+        assert _observed(got) == _naive_add(f, g)
+        assert got.bound == max(f.bound, g.bound)
+        assert _snapshot_buckets(g) == before
 
     def test_dropped_top_product_bucket_is_caught(self, monkeypatch):
-        """The polynomial step and ``Series.__mul__`` share the cut: the
-        q-binomial checks, whose quotient forms are truncated products, fail
-        too."""
+        """The cut in ``Series.__mul__``: the series sides' forward passes
+        and the q-binomial checks, whose quotient forms are truncated
+        products, fail."""
         monkeypatch.setattr(series, "_times_poly", _cut_short_poly)
         assert_caught_by_degree_8()
 
@@ -1064,13 +1051,14 @@ class TestRunKernel:
         [
             lambda g: g.times_run((("times", 1, (1, 0, 0, 0)),)),
             lambda g: g.times_run((("over", -1, (0, 1, 0, 0)),)),
-            lambda g: g.times_run((("poly", Series(FOUR_PARAM, {(0, 0, 1, 1): -2}, None), 10),)),
-            lambda g: g.times_run((("one",),)),
+            lambda g: Series.zero(FOUR_PARAM, 8).times_run(
+                (("add", g), ("times", 1, (1, 0, 0, 0)))
+            ),
             lambda g: g.plus((g,)),
             lambda g: Series.zero(FOUR_PARAM, 8).plus((g, g)),
             lambda g: g * g,
         ],
-        ids=["times", "over", "poly", "one", "plus", "plus-onto-zero", "mul"],
+        ids=["times", "over", "add", "plus", "plus-onto-zero", "mul"],
     )
     def test_shared_buckets_are_never_written(self, operate):
         """A truncation shares its bucket dicts with the series it cuts; no
