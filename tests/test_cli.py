@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sipq
-from sipq import identities, sip
+from sipq import basis_gf, identities, sip
 from sipq.cli import main
 from sipq.partitions import PartitionClass
 from sipq.reporting import CheckReport
@@ -295,6 +295,15 @@ class TestTable:
             assert code == 0
             outs.append([line.split(",", 2)[2] for line in out.splitlines()[1:]])
         assert outs[0] == outs[1] == outs[2]
+
+
+    def test_method_choices_are_the_basis_table_methods(self, capsys):
+        """``--method`` offers exactly the methods ``basis_gf`` cross-checks."""
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--basis", "g1", "--method", "none", "--n-max", "1", "--h-max", "1"])
+        assert exc.value.code == 2
+        choices = ", ".join(repr(name) for name in sorted(dict(basis_gf._METHODS)))
+        assert f"(choose from {choices})" in capsys.readouterr().err
 
 
 class TestTablesCheck:

@@ -24,7 +24,7 @@ from sipq.identities import (
 )
 from sipq.partitions import PartitionClass
 from sipq.qseries import A_INFINITY, PochFactor, check_q_gauss, running_product
-from sipq.series import FOUR_PARAM, XZQ, PrecisionLoss, Series
+from sipq.series import FOUR_PARAM, XZQ, PrecisionLoss, Series, TruncationMismatch
 
 EXPECTED_KEYS = (
     "g1-four",
@@ -439,6 +439,28 @@ def _lost_summand(steps):
     return steps[:first] + steps[first + 1:]
 
 
+def _lost_last_summand(steps):
+    """The Horner run without its last ``add``: ``P_0``, the bottom summand,
+    is lost, as a loop stopping before index 0 would lose it."""
+    last = max(i for i, step in enumerate(steps) if step[0] == "add")
+    return steps[:last] + steps[last + 1:]
+
+
+def _lost_last_division(steps):
+    """The Horner run without its last ``over``: one binomial of the lowest
+    level that has one is never divided out."""
+    last = max(i for i, step in enumerate(steps) if step[0] == "over")
+    return steps[:last] + steps[last + 1:]
+
+
+def _levels_one_lower(steps):
+    """Every summand added truncated one degree below the run."""
+    return [
+        ("add", step[1].truncate(step[1].trunc - 1)) if step[0] == "add" else step
+        for step in steps
+    ]
+
+
 def _divided_one_level_early(steps):
     """Each summand's divisions applied after the ``add`` of the summand above
     it: ``P_k`` is divided by the binomials up to ``delta_(k-1)``, and ``P_0``
@@ -466,12 +488,16 @@ def _horner_fault(fault):
     return run
 
 
-@pytest.mark.parametrize("fault", (_lost_summand, _divided_one_level_early),
-                         ids=("lost-summand", "divided-one-level-early"))
+@pytest.mark.parametrize(
+    "fault",
+    (_lost_summand, _lost_last_summand, _lost_last_division, _divided_one_level_early),
+    ids=("lost-summand", "lost-last-summand", "lost-last-division", "divided-one-level-early"),
+)
 def test_horner_faults_are_caught(monkeypatch, fault):
-    """A Horner run that loses a summand or divides each level by the
-    binomials of the level below fails a catalog identity and a summation
-    check, each with a first difference by degree 8."""
+    """A Horner run that loses its top or bottom summand, skips a division,
+    or divides each level by the binomials of the level below fails a catalog
+    identity and a summation check, each with a first difference by degree
+    8."""
     monkeypatch.setattr(Series, "times_run", _horner_fault(fault))
     report = verify_spec(spec_by_key("g1-four"), 8)
     assert not report.passed
@@ -480,6 +506,17 @@ def test_horner_faults_are_caught(monkeypatch, fault):
     gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
     assert not gauss.passed
     assert _at_degree(gauss.failures[0]) <= 8
+
+
+def test_level_kept_one_degree_short_is_refused(monkeypatch):
+    """A summand added one degree below the run's truncation would leave the
+    sum unknown at its top degree: the run refuses it instead of returning a
+    short sum."""
+    monkeypatch.setattr(Series, "times_run", _horner_fault(_levels_one_lower))
+    with pytest.raises(TruncationMismatch):
+        verify_spec(spec_by_key("g1-four"), 8)
+    with pytest.raises(TruncationMismatch):
+        check_q_gauss(A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, 1, 0, 0), 8)
 
 
 @pytest.mark.parametrize("key", [spec.key for spec in registry()])

@@ -164,8 +164,9 @@ _A = Series.monomial(FOUR_PARAM, 1, (1, 0, 0, 0))
         lambda: Series.one(FOUR_PARAM, 4).truncate(6),
         lambda: Series.one(FOUR_PARAM, 4) * Series.monomial(FOUR_PARAM, 1, (-1, 0, 0, 0)),
         lambda: (Series.one(FOUR_PARAM) - _A).truncate(4).invert_unit(6),
+        lambda: Series.one(FOUR_PARAM, 4).times_run((("times", 1, (-1, 0, 0, 0)),)),
     ),
-    ids=("raised-truncation", "negative-degree-product", "deeper-inverse"),
+    ids=("raised-truncation", "negative-degree-product", "deeper-inverse", "negative-degree-step"),
 )
 def test_truncated_series_with_no_stored_term_above_still_refuses(unknown):
     """A truncated series whose stored terms all lie below its truncation
@@ -1031,6 +1032,15 @@ class TestRunKernel:
         assert got.bound == max(f.bound, g.bound)
         assert _snapshot_buckets(g) == before
 
+    def test_unknown_step_is_refused(self):
+        """A step kind other than ``times``, ``over`` and ``add``, or a
+        binomial of the wrong arity, raises instead of being skipped."""
+        f = Series.one(FOUR_PARAM, 4)
+        with pytest.raises(ValueError, match="unknown run step 'poly'"):
+            f.times_run((("poly", Series.one(FOUR_PARAM), 4),))
+        with pytest.raises(ValueError, match="wrong arity"):
+            f.times_run((("times", 1, (1, 0, 0)),))
+
     def test_dropped_top_product_bucket_is_caught(self, monkeypatch):
         """The cut in ``Series.__mul__``: the series sides' forward passes
         and the q-binomial checks, whose quotient forms are truncated
@@ -1054,11 +1064,16 @@ class TestRunKernel:
             lambda g: Series.zero(FOUR_PARAM, 8).times_run(
                 (("add", g), ("times", 1, (1, 0, 0, 0)))
             ),
+            lambda g: Series.zero(FOUR_PARAM).times_run(
+                (("add", g), ("times", 1, (1, 0, 0, 0)))
+            ),
+            lambda g: g.times_run((("add", g), ("over", -1, (0, 1, 0, 0)))),
             lambda g: g.plus((g,)),
             lambda g: Series.zero(FOUR_PARAM, 8).plus((g, g)),
             lambda g: g * g,
         ],
-        ids=["times", "over", "add", "plus", "plus-onto-zero", "mul"],
+        ids=["times", "over", "add", "add-onto-exact", "add-onto-itself", "plus",
+             "plus-onto-zero", "mul"],
     )
     def test_shared_buckets_are_never_written(self, operate):
         """A truncation shares its bucket dicts with the series it cuts; no
