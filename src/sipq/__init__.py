@@ -48,9 +48,9 @@ from .partitions import (
     PartitionClass,
     PartitionStats,
     basis_members_of_length,
+    basis_weight_sums,
     class_weight_series,
     conjugate,
-    enumerate_basis_by_shape,
     enumerate_partitions,
     is_member,
     omega_exponents,
@@ -93,7 +93,6 @@ from .sip import (
     NotInClass,
     SipDecomposition,
     SipError,
-    basis_weight_poly,
     check_sip_gf_four_parameter,
     class_counts,
     compose,
@@ -144,7 +143,7 @@ __all__ = [
     "UnknownTheorem",
     "XZQ",
     "basis_members_of_length",
-    "basis_weight_poly",
+    "basis_weight_sums",
     "check_q_gauss",
     "check_qbinomial_recurrences",
     "check_qbinomial_theorem",
@@ -156,7 +155,6 @@ __all__ = [
     "conjugate",
     "cross_check_tables",
     "decompose",
-    "enumerate_basis_by_shape",
     "enumerate_partitions",
     "gauss_binomial",
     "is_member",

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import PartitionClass, enumerate_basis_by_shape, omega_exponents
+from .partitions import PartitionClass, basis_weight_sums
 from .qseries import gauss_binomial, q_monomial
 from .reporting import CheckReport
 from .series import FOUR_PARAM, Series
 
 _ZERO = Series.zero(FOUR_PARAM)
 _ONE = Series.one(FOUR_PARAM)
+_COLUMN_ROWS = 16  # the least length an enumerated column is summed through
 
 
 def _require_entry(cls: PartitionClass, n: int, h: int) -> None:
@@ -37,15 +38,18 @@ def _c2(m: int) -> int:
     return m * (m - 1) // 2
 
 
-@lru_cache(maxsize=None)
 def table_enumerated(cls: PartitionClass, n: int, h: int) -> Series:
-    """Sum of the weights of basis members with length ``n``, largest ``h``."""
+    """Sum of the weights of basis members with length ``n``, largest ``h``,
+    read off a column, so that one pass serves every length of a grid."""
     _require_entry(cls, n, h)
-    return Series.from_terms(
-        FOUR_PARAM,
-        ((omega_exponents(beta).vector(), 1) for beta in enumerate_basis_by_shape(cls, n, h)),
-        None,
-    )
+    return _column(cls, h, max(n, _COLUMN_ROWS))[n]
+
+
+@lru_cache(maxsize=None)
+def _column(cls: PartitionClass, h: int, rows: int) -> list[Series]:
+    """Entries ``(0, h) .. (rows, h)``: the direct sum over members from the top
+    part ``h``, no partition built, at a weight bound, ``rows * h``, that cuts none."""
+    return basis_weight_sums(cls, rows, rows * h, largest=h)
 
 
 def table_recurrence(cls: PartitionClass, n: int, h: int) -> Series:

@@ -6,9 +6,10 @@ rows with two alternating letters, ``a b a b ...`` on odd-indexed rows and
 ``a^A b^B c^C d^D`` (the four-parameter weight).  A class is one
 :class:`RowRule`, which everything here reads.  All of it is exhaustive and
 exact.  The generators build only what their callers can use: class members
-part by part under the class's row rules, skeletons bottom-up under a weight
-bound, and the class weight series by a recursion over rows that never builds
-a partition.  The tests check each against a filter through :func:`is_member`.
+part by part under the class's row rules, and one length's skeletons under a
+weight bound.  Two recursions over rows sum weights and build no partition:
+the class weight series and the skeleton sums of every length.  The tests
+check each against a filter through :func:`is_member`.
 """
 
 from __future__ import annotations
@@ -279,6 +280,36 @@ def _rems(strict: bool, cap: int, trunc: int) -> range:
     return range(trunc, cap - 1, -1) if strict else range(cap, trunc + 1)
 
 
+def _exponent_bound(rule: RowRule, weight_max: int, weight_map: SubstitutionMap) -> int:
+    """A checked bound on every mapped exponent of a member of weight <= ``weight_max``."""
+    # A member of weight w <= weight_max has nonnegative exponents (A, B, C, D)
+    # with B <= A and D <= C.  A, the sum of ceil(p/2) over the m odd-indexed
+    # rows, is at most ceil(w/2), since the m - 1 rows between them weigh at
+    # least 1 each; C is at most floor(w/2), since there are no more
+    # even-indexed rows than odd-indexed ones; a class whose odd-indexed rows
+    # must be even has A <= floor(w/2) too.  So each exponent is at most
+    # ``half``, and target exponent j, sum_i e_i * image_i[j], is at most
+    # half * sum_i |image_i[j]| in absolute value.  For the identity map this
+    # is ``half``, which a one-row member attains.
+    half = (weight_max + 1) // 2 if rule.allows(1, 1) else weight_max // 2
+    return _checked_bound(max(half * sum(map(abs, column)) for column in zip(*weight_map.images)))
+
+
+def _part_key(weight_map: SubstitutionMap, index: int, part: int) -> int:
+    """The packed mapped monomial of ``part`` on row ``index`` (1-based)."""
+    hi, lo = (part + 1) // 2, part // 2
+    exps = (hi, lo, 0, 0) if index % 2 else (0, 0, hi, lo)
+    return weight_map.target.pack(weight_map.map_exps(exps))
+
+
+def _add_into(acc: dict[int, int], cell: dict[int, int], delta: int = 0) -> None:
+    """Add the counts of ``cell`` to ``acc``, each key shifted by ``delta``."""
+    get = acc.get
+    for key, count in cell.items():
+        key += delta
+        acc[key] = get(key, 0) + count
+
+
 def class_weight_series(
     cls: PartitionClass, trunc: int, weight_map: SubstitutionMap = OMEGA_IDENTITY
 ) -> Series:
@@ -309,56 +340,81 @@ def class_weight_series(
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     _require_weight_map(weight_map)
-    target = weight_map.target
     rule = cls.rule
-    # The bound the terms can reach.  A member of weight w <= trunc has
-    # nonnegative exponents (A, B, C, D) with B <= A and D <= C.  A, the sum
-    # of ceil(p/2) over the m odd-indexed rows, is at most ceil(w/2), since
-    # the m - 1 rows between them weigh at least 1 each; C is at most
-    # floor(w/2), since there are no more even-indexed rows than odd-indexed
-    # ones; a class whose odd-indexed rows must be even has A <= floor(w/2)
-    # too.  So each exponent is at most ``half``, and target exponent j,
-    # sum_i e_i * image_i[j], is at most half * sum_i |image_i[j]| in absolute
-    # value.  For the identity map this is ``half``, which a one-row member
-    # attains.
-    half = (trunc + 1) // 2 if rule.allows(1, 1) else trunc // 2
-    bound = _checked_bound(
-        max(half * sum(map(abs, column)) for column in zip(*weight_map.images))
-    )
-    pack, image_of = target.pack, weight_map.map_exps
     cell: list[list[dict[int, int]]] = [[{} for _ in range(trunc + 1)] for _ in (0, 1)]
     cell[0][0][0] = 1
     for cap in range(trunc, 0, -1):
-        hi, lo = (cap + 1) // 2, cap // 2
-        # A part on an odd-indexed row (parity 1) adds to a and b, on an
-        # even-indexed row to c and d.
         steps = [
-            (
-                cell[parity],
-                cell[1 - parity],
-                pack(image_of((hi, lo, 0, 0) if parity else (0, 0, hi, lo))),
-            )
+            (cell[parity], cell[1 - parity], _part_key(weight_map, parity, cap))
             for parity in (0, 1)
             if rule.allows(parity, cap)
         ]
         for rem in _rems(rule.strict, cap, trunc):
             for row, heads, delta in steps:
-                above = heads[rem - cap]
-                if not above:
-                    continue
-                acc = row[rem]
-                get = acc.get
-                for key, count in above.items():
-                    key += delta
-                    acc[key] = get(key, 0) + count
+                if heads[rem - cap]:
+                    _add_into(row[rem], heads[rem - cap], delta)
     # Fold the odd row into the even one, freeing each odd cell as it goes.
     even, odd = cell
     for acc, extra in zip(even, odd):
-        get = acc.get
-        for key, count in extra.items():
-            acc[key] = get(key, 0) + count
+        _add_into(acc, extra)
         extra.clear()
-    return Series._from_buckets(target, dict(enumerate(even)), bound, trunc)
+    bound = _exponent_bound(rule, trunc, weight_map)
+    return Series._from_buckets(weight_map.target, dict(enumerate(even)), bound, trunc)
+
+
+def basis_weight_sums(
+    cls: PartitionClass,
+    rows: int,
+    weight_max: int,
+    weight_map: SubstitutionMap = OMEGA_IDENTITY,
+    largest: int | None = None,
+) -> list[Series]:
+    """``[B_0, ..., B_rows]``: ``B_m`` sums the four-parameter weights, pushed
+    through ``weight_map``, of the basis members of length ``m``, weight at
+    most ``weight_max`` and, when given, largest part ``largest``.
+
+    The sum runs top row first and builds no partition.  Level ``k`` holds
+    one cell of counts by packed key per part on row ``k`` and weight of rows
+    ``1..k``.  It starts at each part row 1 allows (or ``largest``); row
+    ``k + 1`` takes the part minus each of the rule's ``gaps``, if at least 1,
+    allowed there and able to end a member within ``weight_max``.  The cells
+    at the rule's ``last_parts`` add to ``B_k``: a cell's weight is the degree
+    of its terms, each image having degree 1.
+    """
+    if not cls.is_basis:
+        raise ValueError(f"{cls} is not a basis tag")
+    if min(rows, weight_max, largest or 0) < 0:
+        raise ValueError("rows, weight_max and largest must be nonnegative")
+    _require_weight_map(weight_map)
+    rule = cls.rule
+    most = weight_max if largest is None else largest
+    keys = [[_part_key(weight_map, index, part) for part in range(most + 1)] for index in (0, 1)]
+    # ``least[part]``: the least the rows under a row ``part`` weigh, falling
+    # at most the greatest gap each, to a last part.
+    least, floor, drop = [0] * (most + 1), max(rule.last_parts), max(rule.gaps)
+    for part in range(floor + 1, most + 1):
+        least[part] = part - drop + least[part - drop]
+    tops = range(1, most + 1) if largest is None else (largest,)
+    level = {top: {top: {keys[1][top]: 1}} for top in tops
+             if 1 <= top <= weight_max - least[top] and rule.allows(1, top)}
+    sums = [{0: {0: 1}} if largest in (None, 0) else {}]
+    for index in range(1, rows + 1):
+        sums.append({})
+        for last in rule.last_parts:
+            for weight, cell in level.get(last, {}).items():
+                _add_into(sums[-1].setdefault(weight, {}), cell)
+        below_level: dict[int, dict[int, dict[int, int]]] = {}
+        for part, cells in level.items():
+            for below in (part - gap for gap in rule.gaps):
+                if below >= 1 and rule.allows(index + 1, below):
+                    delta, limit = keys[(index + 1) % 2][below], weight_max - least[below]
+                    dest = below_level.setdefault(below, {})
+                    for weight, cell in cells.items():
+                        if weight + below <= limit:
+                            _add_into(dest.setdefault(weight + below, {}), cell, delta)
+        level = below_level
+    bound = _exponent_bound(rule, weight_max, weight_map)
+    return [Series._from_buckets(weight_map.target, buckets, bound, None) for buckets in sums]
 
 
 def _least_above(part: int, rows: int, min_gap: int) -> int:
@@ -366,88 +422,40 @@ def _least_above(part: int, rows: int, min_gap: int) -> int:
     return rows * part + min_gap * rows * (rows + 1) // 2
 
 
-def _reaches(part: int, rows_left: int, gaps: tuple[int, int], largest: int) -> bool:
-    """Whether ``rows_left`` more basis rows stacked on a row ``part``, each
-    one gap of ``gaps = (least, greatest)`` higher, can end on ``largest``."""
-    least, greatest = gaps
-    return part + rows_left * least <= largest <= part + rows_left * greatest
-
-
-def _skeletons(
-    cls: PartitionClass, length: int, weight_max: int, largest: int | None = None
+def basis_members_of_length(
+    cls: PartitionClass, length: int, weight_max: int
 ) -> tuple[Partition, ...]:
-    """The one skeleton generator: basis members of one length and bounded
-    weight, and, when ``largest`` is given, with that largest part.
-
-    Members are built bottom-up, the way :func:`sipq.sip.decompose` forces a
-    skeleton: the last part is one of the rule's ``last_parts``, and each
-    higher row adds one admissible gap and must obey its row's parity rule.
-    A branch is cut as soon as its weight plus the least its remaining rows
-    can add exceeds ``weight_max``.
-    Parts only grow going up, each gap lying in ``[min(gaps), max(gaps)]``, so
-    with ``largest`` set a branch is also cut once the rows left cannot end
-    on it: its top part plus the rows left times the least gap already
-    exceeds ``largest``, or plus the rows left times the greatest gap falls
-    short of it.  With no rows left that window is ``largest`` itself, so
-    every member built is returned and the work follows the output.
-    Returned lexicographically decreasing.
-    """
+    """All basis members of one length and weight at most ``weight_max``,
+    lexicographically decreasing, built bottom-up the way
+    :func:`sipq.sip.decompose` forces a skeleton: from one of the rule's
+    ``last_parts``, each higher row adds one admissible gap and obeys its
+    row's parity rule.  A branch is cut once its weight plus the least its
+    remaining rows can add exceeds ``weight_max``."""
+    if not cls.is_basis:
+        raise ValueError(f"{cls} is not a basis tag")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     if length == 0:
-        return (_built([]),) if weight_max >= 0 and largest in (None, 0) else ()
+        return (_built([]),) if weight_max >= 0 else ()
     rule = cls.rule
-    allows, gaps = rule.allows, rule.gaps
-    min_gap = min(gaps)
+    min_gap = min(rule.gaps)
     found: list[Partition] = []
     rows: list[int] = []  # bottom row first
 
     def place(index: int, part: int, weight: int) -> None:
         # Put ``part`` on row ``index`` (1-based) over rows of weight ``weight``.
         weight += part
-        if (
-            not allows(index, part)
-            or weight + _least_above(part, index - 1, min_gap) > weight_max
-            or (largest is not None and not _reaches(part, index - 1, gaps, largest))
-        ):
+        least = weight + _least_above(part, index - 1, min_gap)
+        if not rule.allows(index, part) or least > weight_max:
             return
         rows.append(part)
         if index == 1:
             found.append(_built(rows[::-1]))
         else:
-            for gap in gaps:
+            for gap in rule.gaps:
                 place(index - 1, part + gap, weight)
         rows.pop()
 
     for last in rule.last_parts:
         place(length, last, 0)
     return tuple(sorted(found, reverse=True))
-
-
-def basis_members_of_length(
-    cls: PartitionClass, length: int, weight_max: int
-) -> tuple[Partition, ...]:
-    """All basis members of one length and weight at most ``weight_max``,
-    lexicographically decreasing.
-
-    Callers pass the weight they can use (a truncation), so only skeletons
-    that can contribute are built.
-    """
-    if not cls.is_basis:
-        raise ValueError(f"{cls} is not a basis tag")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    return _skeletons(cls, length, weight_max)
-
-
-def enumerate_basis_by_shape(cls: PartitionClass, length: int, largest: int) -> list[Partition]:
-    """Basis members with the given length and largest part, lexicographically decreasing.
-
-    The skeleton generator walks only the branches that can end on
-    ``largest``, so every skeleton it builds is returned.  Such a member
-    weighs at most ``length * largest``, the weight bound passed along.  The
-    largest part of any basis member never exceeds twice its length.
-    """
-    if not cls.is_basis:
-        raise ValueError(f"{cls} is not a basis tag")
-    if length < 0 or largest < 0:
-        raise ValueError("length and largest must be nonnegative")
-    return list(_skeletons(cls, length, length * largest, largest))

@@ -7,8 +7,8 @@ row is the row rule's last part (1 or 2) of the member's last-part parity,
 and each higher row exceeds the one below by the single admissible gap that
 matches the parity of the corresponding part.  This module implements the
 split, its inverse, an exhaustive verifier, and the one generating-function
-assembly the structure yields, through any weight map (the single-variable
-counts read it in ``q``).
+assembly the structure yields, from skeleton weights summed with no partition
+built, through any weight map (the single-variable counts read it in ``q``).
 Every check takes the class alone: its basis is ``cls.basis`` and padding
 parts are even.
 """
@@ -21,12 +21,11 @@ from .partitions import (
     OMEGA_IDENTITY,
     Partition,
     PartitionClass,
-    _require_weight_map,
     basis_members_of_length,
+    basis_weight_sums,
     class_weight_series,
     enumerate_partitions,
     is_member,
-    omega_exponents,
 )
 from .reporting import CheckReport
 from .series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
@@ -210,18 +209,6 @@ def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     )
 
 
-def basis_weight_poly(
-    cls: PartitionClass, length: int, weight_max: int, weight_map: SubstitutionMap = OMEGA_IDENTITY
-) -> Series:
-    """Exact weight polynomial, in the target ring of ``weight_map``, of the
-    basis members of one length and weight at most ``weight_max``."""
-    members = basis_members_of_length(cls, length, weight_max)
-    image_of = weight_map.map_exps
-    return Series.from_terms(
-        weight_map.target, ((image_of(omega_exponents(beta)), 1) for beta in members), None
-    )
-
-
 def _divisor(m: int) -> tuple[int, int, int, int]:
     """Four-parameter exponents of the monomial of ``d_m``, for ``m >= 1``:
     ``ab Q^((m-1)/2)`` for odd ``m`` and ``Q^(m/2)`` for even ``m``, ``Q = abcd``."""
@@ -235,9 +222,10 @@ def sip_gf_four_parameter(
     """Assemble the class's four-parameter weight series, pushed through
     ``weight_map``, from its basis: ``sum_m B_m / (d_1 ... d_m)``.
 
-    ``B_m`` is :func:`basis_weight_poly` of length ``m``, and the product of
-    the ``d_j`` (see :func:`_divisor`) is ``(ab;Q)_n (Q;Q)_n`` for ``m = 2n``
-    and ``(ab;Q)_{n+1} (Q;Q)_n`` for ``m = 2n+1``, ``Q = abcd``.  The sum is
+    Every ``B_m`` comes from one :func:`~sipq.partitions.basis_weight_sums`
+    pass, and the product of the ``d_j`` (see :func:`_divisor`) is
+    ``(ab;Q)_n (Q;Q)_n`` for ``m = 2n`` and ``(ab;Q)_{n+1} (Q;Q)_n`` for
+    ``m = 2n+1``, ``Q = abcd``.  The sum is
     taken in Horner form from the top length down, ``total = (total + B_m) /
     d_m``: one :meth:`Series.times_run` of ``add`` and ``over`` steps, each
     division on the mapped exponents.
@@ -250,10 +238,10 @@ def sip_gf_four_parameter(
     _require_decomposable(cls)
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
-    _require_weight_map(weight_map)
+    sums = basis_weight_sums(cls.basis, trunc, trunc, weight_map)
     run: list[tuple] = []
     for m in range(trunc, -1, -1):
-        run.append(("add", basis_weight_poly(cls.basis, m, trunc, weight_map)))
+        run.append(("add", sums[m]))
         if m:
             run.append(("over", 1, weight_map.map_exps(_divisor(m))))
     return Series.zero(weight_map.target, trunc).times_run(run)

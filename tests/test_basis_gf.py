@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from sipq import basis_gf, partitions
+from sipq import basis_gf
 from sipq.basis_gf import (
     cross_check_tables,
     table_closed_form,
     table_enumerated,
     table_recurrence,
 )
-from sipq.partitions import PartitionClass
+from sipq.partitions import OMEGA_IDENTITY, PartitionClass
 from sipq.series import FOUR_PARAM, Series
 
 BG1 = PartitionClass.BASIS_G1
@@ -139,43 +139,45 @@ def test_every_method_refuses_a_negative_entry(basis, table, entry):
 def fresh_enumeration():
     """Clear the enumerated table's cache around a test, so entries built
     under a monkeypatched generator neither come from nor stay in it."""
-    table_enumerated.cache_clear()
+    basis_gf._column.cache_clear()
     yield
-    table_enumerated.cache_clear()
+    basis_gf._column.cache_clear()
 
 
 @pytest.mark.parametrize(
     "fault",
     (
-        lambda reaches: lambda part, rows, gaps, largest: reaches(part, rows + 1, gaps, largest),
-        lambda reaches: lambda part, rows, gaps, largest: reaches(part, rows - 1, gaps, largest),
-        lambda reaches: lambda part, rows, gaps, largest: reaches(part, rows, gaps, largest + 1),
+        lambda real: lambda cls, rows, weight_max, weight_map=OMEGA_IDENTITY, largest=None: real(
+            cls, rows, max(weight_max - 1, 0), weight_map, largest
+        ),
+        lambda real: lambda cls, rows, weight_max, weight_map=OMEGA_IDENTITY, largest=None: real(
+            cls, rows, weight_max, weight_map, largest + 1
+        ),
+        lambda real: lambda cls, rows, weight_max, weight_map=OMEGA_IDENTITY, largest=None: real(
+            cls, rows, weight_max, weight_map, max(largest - 1, 0)
+        ),
     ),
-    ids=("rows-plus-one", "rows-minus-one", "largest-plus-one"),
+    ids=("weight-minus-one", "largest-plus-one", "largest-minus-one"),
 )
 def test_off_by_one_window_fails_the_cross_check(monkeypatch, fresh_enumeration, fault):
-    monkeypatch.setattr(partitions, "_reaches", fault(partitions._reaches))
-    assert not all(cross_check_tables(basis, 8, 8).passed for basis in ALL_BASES)
+    """The table reads each column off the recursion in a window of weight and
+    top part; moving either edge by one loses or gains members.  Only the
+    longest members of a column can weigh its full bound, so the grid runs
+    through the column's length."""
+    monkeypatch.setattr(basis_gf, "basis_weight_sums", fault(basis_gf.basis_weight_sums))
+    n_max = basis_gf._COLUMN_ROWS
+    assert not all(cross_check_tables(basis, n_max, 8).passed for basis in ALL_BASES)
 
 
 @pytest.mark.parametrize(
     "basis, members", zip(ALL_BASES, (65, 53, 252, 190)), ids=lambda c: getattr(c, "value", c)
 )
-def test_the_grid_builds_only_the_skeletons_it_holds(
-    monkeypatch, fresh_enumeration, basis, members
-):
-    """Every skeleton the 12x12 grid builds lands in one of its entries."""
-    built = 0
-    real = partitions._built
-
-    def counted(parts):
-        nonlocal built
-        built += 1
-        return real(parts)
-
-    monkeypatch.setattr(partitions, "_built", counted)
+def test_the_grid_builds_no_partition(fresh_enumeration, partitions_built, basis, members):
+    """The 12x12 grid sums its members' weights without building one, and its
+    entries still count as many members as listing them one by one found."""
     assert cross_check_tables(basis, 12, 12).passed
     held = sum(
         sum(table_enumerated(basis, n, h).terms.values()) for n in range(13) for h in range(13)
     )
-    assert built == held == members
+    assert partitions_built == [0]
+    assert held == members

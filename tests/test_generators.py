@@ -19,25 +19,27 @@ import tracemalloc
 
 import pytest
 
-from sipq import partitions
-from sipq.basis_gf import cross_check_tables, table_enumerated
+from sipq import basis_gf, partitions, sip
+from sipq.basis_gf import cross_check_tables
 from sipq.identities import combinatorial_side, registry, spec_by_key, verify_spec
 from sipq.partitions import (
+    OMEGA_IDENTITY,
     Partition,
     PartitionClass,
     RowRule,
     basis_members_of_length,
+    basis_weight_sums,
     class_weight_series,
-    enumerate_basis_by_shape,
     enumerate_partitions,
     is_member,
     omega_exponents,
 )
 from sipq.qseries import truncated_infinite_product
-from sipq.series import FOUR_PARAM, Series, SubstitutionMap
-from sipq.sip import check_sip_gf_four_parameter, sip_gf_single_variable
+from sipq.series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
+from sipq.sip import check_sip_gf_four_parameter, sip_gf_single_variable, verify_sip_property
 
 ORACLE_WEIGHT = 20
+Q_ONLY = SubstitutionMap(FOUR_PARAM, SINGLE_Q, ((1,), (1,), (1,), (1,)))
 BASES = (
     PartitionClass.BASIS_G1,
     PartitionClass.BASIS_G2,
@@ -135,6 +137,14 @@ def skeleton_candidates(cls: PartitionClass, length: int) -> list[Partition]:
     return found
 
 
+def _weights(members, weight_map: SubstitutionMap = OMEGA_IDENTITY) -> Series:
+    """The exact sum of the weights of ``members``, each pushed through ``weight_map``."""
+    image_of = weight_map.map_exps
+    return Series.from_terms(
+        weight_map.target, ((image_of(omega_exponents(lam).vector()), 1) for lam in members), None
+    )
+
+
 def _boulet_strict(trunc: int, abc_sign: int) -> Series:
     """Boulet's product for strict partitions, with the sign of the
     ``(-abc;Q)_inf`` factor given (-1 for the true product)."""
@@ -156,14 +166,9 @@ class TestAgainstTheFilter:
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
     def test_basis_members_of_length(self, cls):
         by_weight = [oracle_members(cls, w) for w in range(ORACLE_WEIGHT + 1)]
-        for n in range(17):
+        for n in range(13):
             every = skeleton_candidates(cls, n)
             every.sort(reverse=True)
-            for h in range(2 * n + 2):
-                shaped = enumerate_basis_by_shape(cls, n, h)
-                assert shaped == [b for b in every if (b[0] if b else 0) == h], (n, h)
-            if n > 12:
-                continue
             weights = sorted(lam.weight for lam in every)
             low, high = weights[0], weights[-1]
             for bound in {low - 1, low, (low + high) // 2, high, 2 * n * n}:
@@ -176,6 +181,41 @@ class TestAgainstTheFilter:
                 ]
                 got = basis_members_of_length(cls, n, bound)
                 assert sorted(got) == sorted(expected), (n, bound)
+
+    @pytest.mark.parametrize(
+        "weight_map, weight_max", ((Q_ONLY, 60), (OMEGA_IDENTITY, 40)), ids=("q", "four-param")
+    )
+    @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
+    def test_basis_weight_sums(self, cls, weight_map, weight_max):
+        """Every ``B_m`` at every weight bound against the skeletons the
+        bottom-up generator lists, filtered by weight."""
+        listed = [basis_members_of_length(cls, m, weight_max) for m in range(weight_max + 1)]
+        for bound in range(weight_max + 1):
+            sums = basis_weight_sums(cls, weight_max, bound, weight_map)
+            assert len(sums) == weight_max + 1
+            for m, got in enumerate(sums):
+                expected = _weights((lam for lam in listed[m] if lam.weight <= bound), weight_map)
+                assert got == expected, (bound, m)
+
+    @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
+    def test_basis_weight_sums_by_column(self, cls):
+        """Every (length, top part) entry through 16 x 20 against the listed
+        skeletons of that length, filtered by top part."""
+        for n in range(17):
+            listed = basis_members_of_length(cls, n, n * 20)
+            for h in range(21):
+                got = basis_weight_sums(cls, n, n * h, largest=h)[n]
+                assert got == _weights(lam for lam in listed if (lam[0] if lam else 0) == h), (n, h)
+
+    @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
+    def test_basis_weight_sums_by_top_part(self, cls):
+        """Each (length, top part) sum against every gap sequence of that
+        length, filtered by top part."""
+        for n in range(17):
+            every = skeleton_candidates(cls, n)
+            for h in range(2 * n + 2):
+                got = basis_weight_sums(cls, n, n * h, largest=h)[n]
+                assert got == _weights(b for b in every if (b[0] if b else 0) == h), (n, h)
 
     @pytest.mark.parametrize("cls", ROW_CLASSES, ids=lambda c: c.value)
     def test_class_weight_series(self, cls):
@@ -256,8 +296,55 @@ def _first_degree(failures: tuple[str, ...], pattern: str) -> int:
     return min(degrees)
 
 
+class _EvenLastPartFour(RowRule):
+    """Row rules whose skeletons end on 1 or 4 instead of 1 or 2."""
+
+    __slots__ = ()
+    last_parts = (1, 4)
+
+
+# Faults in the basis rules, as the skeleton recursion reads them.
+SKELETON_RULE_FAULTS = {
+    "flipped-gap": lambda rule: rule._replace(strict=not rule.strict),
+    "flipped-parity": lambda rule: rule._replace(even_row=1 - rule.even_row),
+    "wrong-last-part": lambda rule: _EvenLastPartFour(*rule),
+}
+
+
 class TestInjectedFaultsAreCaught:
     """Each fault is reported by a check above the generator, by degree 8."""
+
+    @pytest.mark.parametrize(
+        "fault", SKELETON_RULE_FAULTS.values(), ids=SKELETON_RULE_FAULTS.keys()
+    )
+    @pytest.mark.parametrize("cls", [basis.base_class for basis in BASES], ids=lambda c: c.value)
+    def test_skeleton_recursion_with_a_wrong_rule(self, monkeypatch, cls, fault):
+        """The fault sits in the rules the recursion reads, and nowhere else:
+        the class series, the recurrence and the closed form keep the true
+        ones.  Every check built on the recursion reports it by degree 8."""
+        real = partitions.basis_weight_sums
+        rule = PartitionClass.__dict__["rule"]
+
+        def faulty(basis, *args, **kwargs):
+            with pytest.MonkeyPatch.context() as inner:
+                inner.setattr(PartitionClass, "rule", property(lambda c: fault(rule.fget(c))))
+                return real(basis, *args, **kwargs)
+
+        monkeypatch.setattr(sip, "basis_weight_sums", faulty)
+        monkeypatch.setattr(basis_gf, "basis_weight_sums", faulty)
+        single = sip_gf_single_variable(cls, 8)
+        assert not single.passed
+        assert _first_degree(single.failures, r"weight (\d+):") <= 8
+        four = check_sip_gf_four_parameter(cls, 8)
+        assert not four.passed
+        assert _first_degree(four.failures, r"degree (\d+):") <= 8
+        basis_gf._column.cache_clear()
+        try:
+            tables = cross_check_tables(cls.basis, 8, 8)
+        finally:
+            basis_gf._column.cache_clear()  # no wrong entry outlives the fault
+        assert not tables.passed
+        assert _first_degree(tables.failures, r"^n=(\d+)") <= 8
 
     def test_g1_without_strictness(self, monkeypatch):
         monkeypatch.setitem(partitions._RULES, PartitionClass.G1, RowRule(False, 0))
@@ -283,11 +370,11 @@ class TestInjectedFaultsAreCaught:
 
     def test_g2_with_flipped_parity_row(self, monkeypatch):
         monkeypatch.setitem(partitions._RULES, PartitionClass.G2, RowRule(True, 0))
-        table_enumerated.cache_clear()
+        basis_gf._column.cache_clear()
         try:
             report = cross_check_tables(PartitionClass.BASIS_G2, 6, 6)
         finally:
-            table_enumerated.cache_clear()  # no wrong entry outlives the fault
+            basis_gf._column.cache_clear()  # no wrong entry outlives the fault
         assert not report.passed
         assert min(int(n) for n in re.findall(r"^n=(\d+)", "\n".join(report.failures), re.M)) <= 3
 
@@ -322,15 +409,16 @@ class TestInjectedFaultsAreCaught:
         assert _first_degree(report.failures, r"degree-(\d+) slices") <= 8
 
     def test_skeleton_bound_off_by_one(self, monkeypatch):
+        """The weight cut one too eager drops the skeletons at the bound, so
+        the members that are their own skeleton find no split."""
         least_above = partitions._least_above
         monkeypatch.setattr(
             partitions,
             "_least_above",
             lambda part, rows, min_gap: least_above(part, rows, min_gap) + 1,
         )
-        single = sip_gf_single_variable(PartitionClass.P1, 8)
-        assert not single.passed
-        assert _first_degree(single.failures, r"weight (\d+):") <= 8
-        four = check_sip_gf_four_parameter(PartitionClass.P1, 8)
-        assert not four.passed
-        assert _first_degree(four.failures, r"degree (\d+):") <= 8
+        failures = [
+            line for w in range(9) for line in verify_sip_property(PartitionClass.P1, w).failures
+        ]
+        assert failures
+        assert all("0 valid splits" in line for line in failures), failures

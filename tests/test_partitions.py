@@ -15,13 +15,14 @@ from sipq.partitions import (
     Partition,
     PartitionClass,
     basis_members_of_length,
+    basis_weight_sums,
     conjugate,
-    enumerate_basis_by_shape,
     enumerate_partitions,
     is_member,
     omega_exponents,
     stats,
 )
+from sipq.series import FOUR_PARAM, Series
 
 
 def partitions(max_weight: int = 30) -> st.SearchStrategy[Partition]:
@@ -241,7 +242,8 @@ def test_rule_records():
 
 
 def test_basis_by_shape_matches_filter():
-    """The shape-indexed generator must agree with brute-force filtering."""
+    """The length-indexed generator, and the top-down sum from one top part,
+    must agree with brute-force filtering."""
     for tag in (
         PartitionClass.BASIS_G1,
         PartitionClass.BASIS_G2,
@@ -258,10 +260,11 @@ def test_basis_by_shape_matches_filter():
             ]
             assert sorted(by_length) == sorted(brute)
             for h in range(0, 2 * n + 2):
-                shaped = enumerate_basis_by_shape(tag, n, h)
-                assert shaped == [lam for lam in by_length if lam and lam[0] == h] or (
-                    n == 0 and h == 0 and shaped == [Partition()]
+                shaped = [lam for lam in by_length if (lam[0] if lam else 0) == h]
+                expected = Series.from_terms(
+                    FOUR_PARAM, ((omega_exponents(lam).vector(), 1) for lam in shaped), None
                 )
+                assert basis_weight_sums(tag, n, n * h, largest=h)[n] == expected, (n, h)
 
 
 def test_basis_largest_part_bound():

@@ -16,6 +16,7 @@ from sipq.partitions import (
     OMEGA_IDENTITY,
     Partition,
     PartitionClass,
+    basis_weight_sums,
     class_weight_series,
     enumerate_partitions,
 )
@@ -25,7 +26,6 @@ from sipq.sip import (
     NonEvenMu,
     NotInClass,
     SipDecomposition,
-    basis_weight_poly,
     check_sip_gf_four_parameter,
     class_counts,
     compose,
@@ -208,21 +208,26 @@ class TestSingleVariableSeries:
             sip_gf_single_variable(G1, 8)
 
 
-class TestBasisWeightPoly:
+class TestBasisWeightSums:
     def test_g1_lengths(self):
-        assert basis_weight_poly(PartitionClass.BASIS_G1, 0, 0).terms == {(0, 0, 0, 0): 1}
+        sums = basis_weight_sums(PartitionClass.BASIS_G1, 2, 8)
+        assert len(sums) == 3
+        assert sums[0].terms == {(0, 0, 0, 0): 1}
         # length 1: (1) -> a and (2) -> ab
-        assert basis_weight_poly(PartitionClass.BASIS_G1, 1, 2).terms == {
-            (1, 0, 0, 0): 1,
-            (1, 1, 0, 0): 1,
-        }
-        poly = basis_weight_poly(PartitionClass.BASIS_G1, 2, 8)
-        assert all(c >= 0 for c in poly.terms.values())
-        assert min(sum(e) for e in poly.terms) >= 2
+        assert sums[1].terms == {(1, 0, 0, 0): 1, (1, 1, 0, 0): 1}
+        assert all(c >= 0 for c in sums[2].terms.values())
+        assert min(sum(e) for e in sums[2].terms) >= 2
+        assert all(s.trunc is None for s in sums)
 
     def test_non_basis_tag_rejected(self):
         with pytest.raises(ValueError):
-            basis_weight_poly(G1, 2, 8)
+            basis_weight_sums(G1, 2, 8)
+
+    @pytest.mark.parametrize("bounds", ((-1, 8, None), (2, -1, None), (2, 8, -1)))
+    def test_negative_bounds_rejected(self, bounds):
+        rows, weight_max, largest = bounds
+        with pytest.raises(ValueError, match="nonnegative"):
+            basis_weight_sums(PartitionClass.BASIS_G1, rows, weight_max, largest=largest)
 
 
 class TestFourParameterSeries:
@@ -243,6 +248,14 @@ class TestFourParameterSeries:
     def test_negative_truncation_rejected(self):
         with pytest.raises(ValueError):
             sip_gf_four_parameter(G1, -1)
+
+    @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
+    def test_builds_no_partition(self, partitions_built, cls):
+        """Every ``B_m`` comes from the top-down sum, not from listed skeletons;
+        the check still sees every member."""
+        assert check_sip_gf_four_parameter(cls, 24).passed
+        assert sip_gf_single_variable(cls, 24).passed
+        assert partitions_built == [0]
 
     @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
     def test_matches_enumeration(self, cls):
@@ -300,14 +313,12 @@ def _odd_length_by_q(monkeypatch):
 
 
 def _b0_dropped(monkeypatch):
-    real = sip.basis_weight_poly
+    real = sip.basis_weight_sums
 
-    def without_b0(cls, length, weight_max, weight_map=OMEGA_IDENTITY):
-        if length == 0:
-            return Series.zero(weight_map.target)
-        return real(cls, length, weight_max, weight_map)
+    def without_b0(cls, rows, weight_max, weight_map=OMEGA_IDENTITY):
+        return [Series.zero(weight_map.target)] + real(cls, rows, weight_max, weight_map)[1:]
 
-    monkeypatch.setattr(sip, "basis_weight_poly", without_b0)
+    monkeypatch.setattr(sip, "basis_weight_sums", without_b0)
 
 
 def _first_division_late(monkeypatch):
