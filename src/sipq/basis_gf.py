@@ -2,9 +2,12 @@
 
 Each of the four bases gets its table three independent ways: direct
 enumeration of members, a two-row-stripping recurrence with explicit initial
-values, and a closed form built from base-``Q`` binomial coefficients.  The
-three must agree exactly; :func:`cross_check_tables` asserts it entry by
-entry.  Everything is exact (no truncation), and although some closed forms
+values, and a closed form built from base-``Q`` binomial coefficients.  Each
+method builds a whole grid, ``grid[n][h]`` for ``n <= n_max`` and ``h <=
+h_max``, at the size asked for: the enumeration sums every entry in one
+bottom-up skeleton pass per parity of the length, and the other two compute
+entry by entry.  The three must agree exactly; :func:`cross_check_tables`
+asserts it entry by entry.  Everything is exact (no truncation), and although some closed forms
 carry inverse powers of ``c`` or ``d``, every fully expanded entry has only
 nonnegative exponents because it is a sum of weights of actual partitions.
 """
@@ -12,21 +15,21 @@ nonnegative exponents because it is a sum of weights of actual partitions.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
-from .partitions import PartitionClass, basis_weight_sums
+from .partitions import PartitionClass, basis_weight_grid
 from .qseries import gauss_binomial, q_monomial
 from .reporting import CheckReport
 from .series import FOUR_PARAM, Series
 
 _ZERO = Series.zero(FOUR_PARAM)
 _ONE = Series.one(FOUR_PARAM)
-_COLUMN_ROWS = 16  # the least length an enumerated column is summed through
 
 
-def _require_entry(cls: PartitionClass, n: int, h: int) -> None:
+def _require_grid(cls: PartitionClass, n_max: int, h_max: int) -> None:
     if not cls.is_basis:
         raise ValueError(f"{cls} is not a basis tag")
-    if n < 0 or h < 0:
+    if n_max < 0 or h_max < 0:
         raise ValueError("length and largest must be nonnegative")
 
 
@@ -38,35 +41,39 @@ def _c2(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def table_enumerated(cls: PartitionClass, n: int, h: int) -> Series:
-    """Sum of the weights of basis members with length ``n``, largest ``h``,
-    read off a column, so that one pass serves every length of a grid."""
-    _require_entry(cls, n, h)
-    return _column(cls, h, max(n, _COLUMN_ROWS))[n]
+def _grid(
+    entry: Callable[[PartitionClass, int, int], Series],
+    cls: PartitionClass,
+    n_max: int,
+    h_max: int,
+) -> list[list[Series]]:
+    """``entry(cls, n, h)`` for every ``n <= n_max`` and ``h <= h_max``."""
+    _require_grid(cls, n_max, h_max)
+    return [[entry(cls, n, h) for h in range(h_max + 1)] for n in range(n_max + 1)]
 
 
-@lru_cache(maxsize=None)
-def _column(cls: PartitionClass, h: int, rows: int) -> list[Series]:
-    """Entries ``(0, h) .. (rows, h)``: the direct sum over members from the top
-    part ``h``, no partition built, at a weight bound, ``rows * h``, that cuts none."""
-    return basis_weight_sums(cls, rows, rows * h, largest=h)
+def table_enumerated(cls: PartitionClass, n_max: int, h_max: int) -> list[list[Series]]:
+    """The grid of entries ``(n, h)``, ``n <= n_max`` and ``h <= h_max``: the
+    sums of the weights of the basis members with length ``n`` and largest
+    part ``h``, all read off one bottom-up skeleton pass per parity."""
+    return basis_weight_grid(cls, n_max, h_max)
 
 
-def table_recurrence(cls: PartitionClass, n: int, h: int) -> Series:
-    """The same table from two-row-stripping recurrences and initial values.
+def table_recurrence(cls: PartitionClass, n_max: int, h_max: int) -> list[list[Series]]:
+    """The same grid from two-row-stripping recurrences and initial values.
 
     Stripping the two largest rows of a basis member leaves a basis member of
     the same family; each family's rule records what those two rows carry.
     The short lengths that the stripping argument cannot reach are hardwired.
     """
-    _require_entry(cls, n, h)
-    return _recurrence(cls, n, h)
+    return _grid(_recurrence, cls, n_max, h_max)
 
 
 @lru_cache(maxsize=None)
 def _recurrence(cls: PartitionClass, n: int, h: int) -> Series:
-    """:func:`table_recurrence` for a basis tag; the stripping steps reach
-    ``h - 2`` and ``h - 4``, and a negative largest part gives zero."""
+    """:func:`table_recurrence`'s entry ``(n, h)`` for a basis tag; the
+    stripping steps reach ``h - 2`` and ``h - 4``, and a negative largest
+    part gives zero."""
     if n == 0:
         return _ONE if h == 0 else _ZERO
     if h <= 0:
@@ -116,15 +123,18 @@ def _recurrence(cls: PartitionClass, n: int, h: int) -> Series:
     raise ValueError(f"no recurrence for {cls}")
 
 
-@lru_cache(maxsize=None)
-def table_closed_form(cls: PartitionClass, n: int, h: int) -> Series:
-    """The same table in closed form, one product per parity case of (n, h).
+def table_closed_form(cls: PartitionClass, n_max: int, h_max: int) -> list[list[Series]]:
+    """The same grid in closed form, one product per parity case of (n, h)."""
+    return _grid(_closed_form, cls, n_max, h_max)
+
+
+def _closed_form(cls: PartitionClass, n: int, h: int) -> Series:
+    """:func:`table_closed_form`'s entry ``(n, h)`` for a basis tag.
 
     The binomial factor is computed first; when it vanishes the whole entry
     is zero and the accompanying monomial (whose exponents may be negative in
     intermediate form) is never materialized.
     """
-    _require_entry(cls, n, h)
     if n == 0:
         return _ONE if h == 0 else _ZERO
     if h <= 0:
@@ -242,16 +252,18 @@ def cross_check_tables(cls: PartitionClass, n_max: int, h_max: int) -> CheckRepo
     exponents only, that entries vanish for ``h > 2n`` and for an ``h`` the
     basis's rule refuses on row 1, and that ``B(n, 0) = 0`` for ``n >= 1``.
     """
-    _require_entry(cls, n_max, h_max)
+    _require_grid(cls, n_max, h_max)
     (_, enumerated), *others = _METHODS
+    references = enumerated(cls, n_max, h_max)
+    grids = [(method, fn(cls, n_max, h_max)) for method, fn in others]
     failures: list[str] = []
     checks = 0
     for n in range(n_max + 1):
         for h in range(h_max + 1):
             checks += 1
-            reference = enumerated(cls, n, h)
-            for method, fn in others:
-                cmp = fn(cls, n, h).equal_to(reference)
+            reference = references[n][h]
+            for method, grid in grids:
+                cmp = grid[n][h].equal_to(reference)
                 if not cmp.equal:
                     failures.append(
                         f"n={n} h={h} {method}: at {cmp.exps} got {cmp.left},"

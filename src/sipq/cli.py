@@ -33,9 +33,10 @@ _DEFAULT_TRUNC = 16
 
 _CLASS_CHOICES = sorted(cls.value for cls in sip.DECOMPOSABLE)
 # `verify --all` runs its member-by-member checks at most at this truncation:
-# they enumerate every member up to it, so at trunc 24 they would take
-# 0.14-0.18 s instead of 0.03-0.04 s (Python 3.11.7, 2-core host, fresh
-# process), about as long as the whole trunc-24 run takes now (0.18-0.21 s).
+# they walk every member up to it, so at trunc 24 they would take
+# 0.16-0.18 s instead of 0.025-0.027 s (quartiles of 8 fresh processes,
+# Python 3.11.7, 2-core host), more than the whole trunc-24 run takes now
+# (0.08-0.14 s).
 _MEMBERWISE_TRUNC_CAP = 16
 
 
@@ -150,8 +151,7 @@ def _full_battery(trunc: int) -> list[CheckReport]:
     reports.append(qseries.check_q_gauss((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), trunc))
     reports.append(identities.verify_partial_sums(PartitionClass.P1, 4, trunc))
     reports.append(identities.verify_partial_sums(PartitionClass.P2, 4, trunc))
-    reports.append(identities.verify_substitution_consistency("xzq", small))
-    reports.append(identities.verify_substitution_consistency("bg", small))
+    reports.extend(identities.verify_substitution_consistency(("xzq", "bg"), small))
     return reports
 
 
@@ -214,9 +214,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     fn = dict(_TABLE_METHODS)[args.method]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["class", "method", "n", "h", "polynomial"])
-    for n in range(args.n_max + 1):
-        for h in range(args.h_max + 1):
-            writer.writerow([basis.value, args.method, n, h, fn(basis, n, h).to_string()])
+    for n, row in enumerate(fn(basis, args.n_max, args.h_max)):
+        for h, entry in enumerate(row):
+            writer.writerow([basis.value, args.method, n, h, entry.to_string()])
     return 0
 
 

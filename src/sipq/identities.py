@@ -34,7 +34,7 @@ from .partitions import (
     PartitionClass,
     class_weight_series,
     conjugate,
-    enumerate_partitions,
+    members_by_weight,
     omega_exponents,
     stats,
 )
@@ -721,40 +721,53 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
 # -- statistics consistency ------------------------------------------------------
 
 
-def verify_substitution_consistency(map_id: str, weight_max: int) -> CheckReport:
-    """Per-partition agreement of substituted weights with direct statistics.
+def verify_substitution_consistency(
+    map_ids: Iterable[str], weight_max: int
+) -> list[CheckReport]:
+    """Per-partition agreement of substituted weights with direct statistics,
+    one report per map in ``map_ids``.
 
     For the ``xzq`` map the image of the weight monomial must be
     ``x^(odd-part count) z^(alternating sum) q^(weight)``; for ``bg`` the
     z-exponent must be the odd-index/even-index imbalance of the odd parts.
     The conjugation law (odd-part count of the transpose equals the
     alternating sum) is checked alongside, since the corollaries rely on it.
+    One walk of the partitions of weight at most ``weight_max`` serves every
+    map: each partition's statistics, four-parameter exponents and
+    conjugation law are computed once, and only the map and the comparison
+    run per map.
     """
-    if map_id not in ("xzq", "bg"):
-        raise ValueError("map_id must be 'xzq' or 'bg'")
+    map_ids = tuple(map_ids)
+    if not map_ids or any(map_id not in ("xzq", "bg") for map_id in map_ids):
+        raise ValueError(f"map_ids must be 'xzq' or 'bg', got {map_ids}")
     if weight_max < 0:
         raise ValueError("weight_max must be nonnegative")
-    smap = _MAPS[map_id]
-    failures: list[str] = []
-    checks = 0
-    for w in range(weight_max + 1):
-        for lam in enumerate_partitions(PartitionClass.ALL, w):
-            st = stats(lam)
-            image = smap.map_exps(omega_exponents(lam).vector())
+    rows = [
+        (lam, stats(lam), omega_exponents(lam).vector(), stats(conjugate(lam)).odd_parts)
+        for members in members_by_weight(PartitionClass.ALL, weight_max)
+        for lam in members
+    ]
+    reports = []
+    for map_id in map_ids:
+        map_exps = _MAPS[map_id].map_exps
+        failures: list[str] = []
+        for lam, st, vector, transpose_odd_parts in rows:
+            image = map_exps(vector)
             if map_id == "xzq":
                 expected = (st.odd_parts, st.alt_sum, st.weight)
             else:
                 expected = (0, st.bg_rank, st.weight)
-            checks += 1
             if image != expected:
                 failures.append(f"{lam!r}: image {image}, statistics say {expected}")
-            checks += 1
-            if stats(conjugate(lam)).odd_parts != st.alt_sum:
+            if transpose_odd_parts != st.alt_sum:
                 failures.append(f"{lam!r}: transpose odd-part count != alternating sum")
-    return CheckReport(
-        f"substitution[{map_id}]",
-        not failures,
-        checks,
-        tuple(failures),
-        {"weight_max": weight_max},
-    )
+        reports.append(
+            CheckReport(
+                f"substitution[{map_id}]",
+                not failures,
+                2 * len(rows),
+                tuple(failures),
+                {"weight_max": weight_max},
+            )
+        )
+    return reports

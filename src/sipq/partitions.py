@@ -5,17 +5,23 @@ rows with two alternating letters, ``a b a b ...`` on odd-indexed rows and
 ``c d c d ...`` on even-indexed rows, assigns each partition a monomial
 ``a^A b^B c^C d^D`` (the four-parameter weight).  A class is one
 :class:`RowRule`, which everything here reads.  All of it is exhaustive and
-exact.  The generators build only what their callers can use: class members
-part by part under the class's row rules, and one length's skeletons under a
-weight bound.  Two recursions over rows sum weights and build no partition:
-the class weight series and the skeleton sums of every length.  The tests
-check each against a filter through :func:`is_member`.
+exact.  There is one member generator and one skeleton recursion.  The
+member walk builds every member of a class up to a weight, part by part
+under the class's row rules, once for all the weights it serves.  The
+skeleton recursion builds skeletons bottom-up, one row per level, once per
+parity of the length; its cells either sum weights, for every length and
+largest part at once and with no partition built, or hold the skeletons
+themselves.  A second recursion over rows, top row first, sums the class
+weight series without building a partition.  The tests check each against
+a filter through :func:`is_member`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+import operator
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 from .series import FOUR_PARAM, Series, SubstitutionMap, _checked_bound
 
@@ -26,7 +32,11 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: tuple[int, ...] | list[int] = ()) -> "Partition":
-        pts = tuple(int(p) for p in parts)
+        raw = tuple(parts)
+        try:
+            pts = tuple(map(operator.index, raw))
+        except TypeError:
+            raise TypeError(f"parts must be integers, got {raw!r}") from None
         for i, p in enumerate(pts):
             if p <= 0:
                 raise ValueError(f"parts must be positive integers, got {p}")
@@ -235,39 +245,54 @@ def is_member(cls: PartitionClass, lam: Partition) -> bool:
     return all(lam[i] - lam[i + 1] in gaps for i in range(len(lam) - 1))
 
 
-def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
-    """All members of ``cls`` of the given weight, lexicographically decreasing.
+def members_by_weight(
+    cls: PartitionClass, weight_max: int, weight_min: int = 0
+) -> list[list[Partition]]:
+    """The members of ``cls`` of each weight ``weight_min .. weight_max``, in
+    that order, each list lexicographically decreasing.
 
-    Parts are chosen largest first under the class's row rules: in a strict
-    class each part is capped one below the part above it, and a row whose
-    parts must be even steps through even sizes only, so no partition outside
-    the class is built.  A basis tag generates its base class and keeps the
-    members that pass :func:`is_member`.
+    One depth-first walk of the class's member tree.  Parts are chosen
+    largest first under the class's row rules: in a strict class each part is
+    capped one below the part above it, and a row whose parts must be even
+    steps through even sizes only, so no partition outside the class is
+    built.  The rules read only a row's index from the top, so every node of
+    the walk is a member, kept once it weighs at least ``weight_min``; the
+    members of one weight come out in decreasing order.  In a strict class a
+    branch is cut once its rows cannot add enough to reach ``weight_min``.
+    A basis tag walks its base class and keeps the members that pass
+    :func:`is_member`.
     """
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
+    if not 0 <= weight_min <= weight_max:
+        raise ValueError(f"need 0 <= weight_min <= weight_max, got {weight_min}, {weight_max}")
     strict, allows = cls.rule.strict, cls.rule.allows
-    out: list[Partition] = []
+    out: list[list[Partition]] = [[] for _ in range(weight_min, weight_max + 1)]
     parts: list[int] = []
 
-    def grow(rem: int, cap: int, index: int) -> None:
-        if rem == 0:
-            out.append(_built(parts))
+    def grow(weight: int, cap: int, index: int) -> None:
+        if weight >= weight_min:
+            out[weight - weight_min].append(_built(parts))
+        elif strict and weight_min - weight > cap * (cap + 1) // 2:
             return
-        if strict and rem > cap * (cap + 1) // 2:
-            return
-        top, step = min(rem, cap), 1
+        top, step = min(weight_max - weight, cap), 1
         if not allows(index, 1):  # the row holds even parts only
             top, step = top - top % 2, 2
         for part in range(top, 0, -step):
             parts.append(part)
-            grow(rem - part, part - 1 if strict else part, index + 1)
+            grow(weight + part, part - 1 if strict else part, index + 1)
             parts.pop()
 
-    grow(weight, weight, 1)
+    grow(0, weight_max, 1)
     if cls.is_basis:
-        return [lam for lam in out if is_member(cls, lam)]
+        return [[lam for lam in members if is_member(cls, lam)] for members in out]
     return out
+
+
+def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
+    """All members of ``cls`` of the given weight, lexicographically
+    decreasing: :func:`members_by_weight` from that weight to itself."""
+    if weight < 0:
+        raise ValueError("weight must be nonnegative")
+    return members_by_weight(cls, weight, weight)[0]
 
 
 def _rems(strict: bool, cap: int, trunc: int) -> range:
@@ -362,100 +387,148 @@ def class_weight_series(
     return Series._from_buckets(weight_map.target, dict(enumerate(even)), bound, trunc)
 
 
+def _require_basis(cls: PartitionClass) -> None:
+    if not cls.is_basis:
+        raise ValueError(f"{cls} is not a basis tag")
+
+
+def _stack_key(index: int, part: int) -> tuple[int]:
+    """A row's key when the cells list skeletons: the part itself, so that a
+    stack's key is its parts, bottom row first."""
+    return (part,)
+
+
+def _skeleton_levels(
+    cls: PartitionClass,
+    rows: int,
+    weight_max: int,
+    largest: int,
+    key: Callable[[int, int], object],
+) -> Iterator[tuple[int, dict[int, dict[int, dict]]]]:
+    """The skeletons of the basis ``cls`` with at most ``rows`` rows, weight
+    at most ``weight_max`` and parts at most ``largest``, built bottom-up the
+    way :func:`sipq.sip.decompose` forces one: from one of the rule's
+    ``last_parts``, each higher row adds one of its ``gaps``.
+
+    Yields ``(length, level)`` for each length that has a skeleton, where
+    ``level[top][weight]`` maps keys to counts over the skeletons of that
+    length, top part and weight.  A row on the parity-``p`` index (counted
+    from the top) adds ``key(p, part)`` to every key below it: a packed
+    monomial to sum weights, or :func:`_stack_key` to list the stacks.  The
+    bottom row of a length-``n`` skeleton has index ``n``, so one pass runs
+    per parity of ``n`` and a stack of ``k`` rows is a whole skeleton when
+    ``k`` has the pass's parity; each pass yields every length of its parity
+    and every top part at once.
+    """
+    rule = cls.rule
+    gaps = rule.gaps
+    # keys[p][part]: the row's key, or None where a parity-p row refuses part.
+    keys = [
+        [key(parity, part) if rule.allows(parity, part) else None for part in range(largest + 1)]
+        for parity in (0, 1)
+    ]
+    for parity in (1, 0):
+        level = {
+            last: {last: {keys[parity][last]: 1}}
+            for last in rule.last_parts
+            if last <= min(largest, weight_max) and keys[parity][last] is not None
+        }
+        for length in range(1, rows + 1):
+            if not level:
+                break
+            if length % 2 == parity:
+                yield length, level
+            if length == rows:
+                break
+            index = (parity - length) % 2  # of the next row up
+            above_level: dict[int, dict[int, dict]] = {}
+            for part, cells in level.items():
+                for above in (part + gap for gap in gaps):
+                    delta = keys[index][above] if above <= largest else None
+                    if delta is None:
+                        continue
+                    for weight, cell in cells.items():
+                        if weight + above <= weight_max:
+                            dest = above_level.setdefault(above, {}).setdefault(weight + above, {})
+                            get = dest.get
+                            for stacked, count in cell.items():
+                                stacked += delta
+                                dest[stacked] = get(stacked, 0) + count
+            level = above_level
+
+
 def basis_weight_sums(
     cls: PartitionClass,
     rows: int,
     weight_max: int,
     weight_map: SubstitutionMap = OMEGA_IDENTITY,
-    largest: int | None = None,
 ) -> list[Series]:
     """``[B_0, ..., B_rows]``: ``B_m`` sums the four-parameter weights, pushed
-    through ``weight_map``, of the basis members of length ``m``, weight at
-    most ``weight_max`` and, when given, largest part ``largest``.
+    through ``weight_map``, of the basis members of length ``m`` and weight at
+    most ``weight_max``.
 
-    The sum runs top row first and builds no partition.  Level ``k`` holds
-    one cell of counts by packed key per part on row ``k`` and weight of rows
-    ``1..k``.  It starts at each part row 1 allows (or ``largest``); row
-    ``k + 1`` takes the part minus each of the rule's ``gaps``, if at least 1,
-    allowed there and able to end a member within ``weight_max``.  The cells
-    at the rule's ``last_parts`` add to ``B_k``: a cell's weight is the degree
-    of its terms, each image having degree 1.
+    One :func:`_skeleton_levels` pass per parity, no partition built; each
+    level's cells, over every top part, add to its length's sum.  A cell's
+    weight is the degree of its terms, each image having degree 1.
     """
-    if not cls.is_basis:
-        raise ValueError(f"{cls} is not a basis tag")
-    if min(rows, weight_max, largest or 0) < 0:
-        raise ValueError("rows, weight_max and largest must be nonnegative")
+    _require_basis(cls)
+    if min(rows, weight_max) < 0:
+        raise ValueError("rows and weight_max must be nonnegative")
     _require_weight_map(weight_map)
-    rule = cls.rule
-    most = weight_max if largest is None else largest
-    keys = [[_part_key(weight_map, index, part) for part in range(most + 1)] for index in (0, 1)]
-    # ``least[part]``: the least the rows under a row ``part`` weigh, falling
-    # at most the greatest gap each, to a last part.
-    least, floor, drop = [0] * (most + 1), max(rule.last_parts), max(rule.gaps)
-    for part in range(floor + 1, most + 1):
-        least[part] = part - drop + least[part - drop]
-    tops = range(1, most + 1) if largest is None else (largest,)
-    level = {top: {top: {keys[1][top]: 1}} for top in tops
-             if 1 <= top <= weight_max - least[top] and rule.allows(1, top)}
-    sums = [{0: {0: 1}} if largest in (None, 0) else {}]
-    for index in range(1, rows + 1):
-        sums.append({})
-        for last in rule.last_parts:
-            for weight, cell in level.get(last, {}).items():
-                _add_into(sums[-1].setdefault(weight, {}), cell)
-        below_level: dict[int, dict[int, dict[int, int]]] = {}
-        for part, cells in level.items():
-            for below in (part - gap for gap in rule.gaps):
-                if below >= 1 and rule.allows(index + 1, below):
-                    delta, limit = keys[(index + 1) % 2][below], weight_max - least[below]
-                    dest = below_level.setdefault(below, {})
-                    for weight, cell in cells.items():
-                        if weight + below <= limit:
-                            _add_into(dest.setdefault(weight + below, {}), cell, delta)
-        level = below_level
-    bound = _exponent_bound(rule, weight_max, weight_map)
+    sums: list[dict[int, dict[int, int]]] = [{0: {0: 1}}] + [{} for _ in range(rows)]
+    key = partial(_part_key, weight_map)
+    for length, level in _skeleton_levels(cls, rows, weight_max, weight_max, key):
+        for cells in level.values():
+            for weight, cell in cells.items():
+                _add_into(sums[length].setdefault(weight, {}), cell)
+    bound = _exponent_bound(cls.rule, weight_max, weight_map)
     return [Series._from_buckets(weight_map.target, buckets, bound, None) for buckets in sums]
 
 
-def _least_above(part: int, rows: int, min_gap: int) -> int:
-    """The least weight ``rows`` basis rows stacked on a row ``part`` can add."""
-    return rows * part + min_gap * rows * (rows + 1) // 2
+def basis_weight_grid(cls: PartitionClass, rows: int, largest: int) -> list[list[Series]]:
+    """``grid[n][h]``, for ``n <= rows`` and ``h <= largest``: the sum of the
+    four-parameter weights of the basis members of length ``n`` and largest
+    part ``h``.
+
+    One :func:`_skeleton_levels` pass per parity fills the whole grid, no
+    partition built.  No member in it weighs more than ``rows * largest``,
+    so that weight bound cuts none.
+    """
+    _require_basis(cls)
+    if min(rows, largest) < 0:
+        raise ValueError("rows and largest must be nonnegative")
+    weight_max = rows * largest
+    zero = Series.zero(FOUR_PARAM)
+    grid = [[zero] * (largest + 1) for _ in range(rows + 1)]
+    grid[0][0] = Series.one(FOUR_PARAM)
+    bound = _exponent_bound(cls.rule, weight_max, OMEGA_IDENTITY)
+    key = partial(_part_key, OMEGA_IDENTITY)
+    for length, level in _skeleton_levels(cls, rows, weight_max, largest, key):
+        for top, cells in level.items():
+            grid[length][top] = Series._from_buckets(FOUR_PARAM, cells, bound, None)
+    return grid
 
 
 def basis_members_of_length(
     cls: PartitionClass, length: int, weight_max: int
 ) -> tuple[Partition, ...]:
     """All basis members of one length and weight at most ``weight_max``,
-    lexicographically decreasing, built bottom-up the way
-    :func:`sipq.sip.decompose` forces a skeleton: from one of the rule's
-    ``last_parts``, each higher row adds one admissible gap and obeys its
-    row's parity rule.  A branch is cut once its weight plus the least its
-    remaining rows can add exceeds ``weight_max``."""
-    if not cls.is_basis:
-        raise ValueError(f"{cls} is not a basis tag")
+    lexicographically decreasing: the stacks that one
+    :func:`_skeleton_levels` pass, keyed by :func:`_stack_key`, holds at
+    that length."""
+    _require_basis(cls)
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length == 0:
         return (_built([]),) if weight_max >= 0 else ()
-    rule = cls.rule
-    min_gap = min(rule.gaps)
     found: list[Partition] = []
-    rows: list[int] = []  # bottom row first
-
-    def place(index: int, part: int, weight: int) -> None:
-        # Put ``part`` on row ``index`` (1-based) over rows of weight ``weight``.
-        weight += part
-        least = weight + _least_above(part, index - 1, min_gap)
-        if not rule.allows(index, part) or least > weight_max:
-            return
-        rows.append(part)
-        if index == 1:
-            found.append(_built(rows[::-1]))
-        else:
-            for gap in rule.gaps:
-                place(index - 1, part + gap, weight)
-        rows.pop()
-
-    for last in rule.last_parts:
-        place(length, last, 0)
+    for n, level in _skeleton_levels(cls, length, weight_max, max(weight_max, 0), _stack_key):
+        if n == length:
+            found = [
+                _built(stack[::-1])
+                for cells in level.values()
+                for cell in cells.values()
+                for stack in cell
+            ]
+            break
     return tuple(sorted(found, reverse=True))

@@ -343,9 +343,14 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
             failures.append(f"{label}: at {cmp.exps} got {cmp.left} != {cmp.right}")
 
     # One inverted run serves every pair: 4m(n-m) never exceeds n_max**2, and
-    # each pair reads its m-th product truncated down to its own order.
+    # each pair reads its m-th product truncated down to its own order.  The
+    # numerator (Q^k; Q)_m, k = n - m + 1, comes from one exact run per k.
     den_run = running_product(FOUR_PARAM, 1, _Q, _Q, n_max**2, inverted=True)
     den_invs = list(islice(den_run, n_max + 1))
+    nums = {
+        k: list(islice(running_product(FOUR_PARAM, 1, (k,) * 4, _Q, None), n_max + 2 - k))
+        for k in range(1, n_max + 2)
+    }
     for n in range(1, n_max + 1):
         for m in range(n + 1):
             val = gauss_binomial(n, m)
@@ -362,7 +367,7 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
             expect(f"[{n},{m}] symmetry", val, gauss_binomial(n, n - m))
             # Quotient form: a product of m factors over the m-factor base product.
             t = 4 * m * (n - m)
-            num = nth_product(running_product(FOUR_PARAM, 1, (n - m + 1,) * 4, _Q, None), m)
+            num = nums[n - m + 1][m]
             den_inv = den_invs[m].truncate(t)
             expect(f"[{n},{m}] quotient-form", num.truncate(t) * den_inv, val.truncate(t))
     return CheckReport("qbinomial-recurrences", not failures, checks, tuple(failures))

@@ -6,11 +6,12 @@ even parts ("padding").  The split is computed bottom-up: the last skeleton
 row is the row rule's last part (1 or 2) of the member's last-part parity,
 and each higher row exceeds the one below by the single admissible gap that
 matches the parity of the corresponding part.  This module implements the
-split, its inverse, an exhaustive verifier, and the one generating-function
-assembly the structure yields, from skeleton weights summed with no partition
-built, through any weight map (the single-variable counts read it in ``q``).
-Every check takes the class alone: its basis is ``cls.basis`` and padding
-parts are even.
+split, its inverse, an exhaustive verifier over one walk of the class's
+members, and the one generating-function assembly the structure yields, from
+skeleton weights summed bottom-up, the way the split forces a skeleton, with
+no partition built, through any weight map (the single-variable counts read
+it in ``q``).  Every check takes the class alone: its basis is ``cls.basis``
+and padding parts are even.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .partitions import (
     basis_members_of_length,
     basis_weight_sums,
     class_weight_series,
-    enumerate_partitions,
     is_member,
+    members_by_weight,
 )
 from .reporting import CheckReport
 from .series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
@@ -141,6 +142,7 @@ def _split_count(lam: Partition, skeletons: tuple[Partition, ...]) -> int:
 def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     """Round-trip and uniqueness of the split for every member up to a weight.
 
+    The members come from one walk of the class, weight by weight.
     Uniqueness is checked independently of :func:`decompose` by re-composing
     every basis member of matching length and counting the valid splits.  The
     skeletons of each length are built once, up to ``weight_max``, and serve
@@ -154,8 +156,8 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     failures: list[str] = []
     checks = 0
     skeletons: dict[int, tuple[Partition, ...]] = {}
-    for w in range(weight_max + 1):
-        for lam in enumerate_partitions(cls, w):
+    for members in members_by_weight(cls, weight_max):
+        for lam in members:
             checks += 1
             dec = decompose(cls, lam)
             if len(dec.beta) != len(lam):
@@ -223,9 +225,9 @@ def sip_gf_four_parameter(
     ``weight_map``, from its basis: ``sum_m B_m / (d_1 ... d_m)``.
 
     Every ``B_m`` comes from one :func:`~sipq.partitions.basis_weight_sums`
-    pass, and the product of the ``d_j`` (see :func:`_divisor`) is
-    ``(ab;Q)_n (Q;Q)_n`` for ``m = 2n`` and ``(ab;Q)_{n+1} (Q;Q)_n`` for
-    ``m = 2n+1``, ``Q = abcd``.  The sum is
+    call, one bottom-up skeleton pass per parity of ``m``, and the product of
+    the ``d_j`` (see :func:`_divisor`) is ``(ab;Q)_n (Q;Q)_n`` for ``m = 2n``
+    and ``(ab;Q)_{n+1} (Q;Q)_n`` for ``m = 2n+1``, ``Q = abcd``.  The sum is
     taken in Horner form from the top length down, ``total = (total + B_m) /
     d_m``: one :meth:`Series.times_run` of ``add`` and ``over`` steps, each
     division on the mapped exponents.

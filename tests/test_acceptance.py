@@ -137,9 +137,8 @@ def test_c09_statistics_agree_for_every_partition_up_to_weight_20():
             assert om.a - om.b + om.d - om.c == st.bg_rank
             assert (om.a - om.b) + (om.c - om.d) == st.odd_parts
             assert stats(conjugate(lam)).odd_parts == st.alt_sum
-    for map_id in ("xzq", "bg"):
-        report = verify_substitution_consistency(map_id, 20)
-        assert report.passed, (map_id, report.failures)
+    for report in verify_substitution_consistency(("xzq", "bg"), 20):
+        assert report.passed, (report.name, report.failures)
 
 
 def test_c10_full_battery_is_byte_identical_across_runs():

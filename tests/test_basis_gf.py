@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import pytest
 
-from sipq import basis_gf
+from sipq import basis_gf, partitions
 from sipq.basis_gf import (
     cross_check_tables,
     table_closed_form,
     table_enumerated,
     table_recurrence,
 )
-from sipq.partitions import OMEGA_IDENTITY, PartitionClass
+from sipq.partitions import PartitionClass
 from sipq.series import FOUR_PARAM, Series
+from sipq.sip import check_sip_gf_four_parameter, sip_gf_single_variable
 
 BG1 = PartitionClass.BASIS_G1
 BG2 = PartitionClass.BASIS_G2
@@ -28,7 +29,12 @@ ALL_BASES = (BG1, BG2, BP1, BP2)
 TABLES = (table_enumerated, table_recurrence, table_closed_form)
 
 
-@pytest.mark.parametrize("table", TABLES, ids=("enum", "rec", "closed"))
+def _cell(grid_of):
+    """One entry ``(n, h)`` of a method, read off its grid built to that size."""
+    return lambda cls, n, h: grid_of(cls, n, h)[n][h]
+
+
+@pytest.mark.parametrize("table", [_cell(fn) for fn in TABLES], ids=("enum", "rec", "closed"))
 class TestFrozenEntries:
     """Hand-computed single cells, checked against each computation."""
 
@@ -70,9 +76,9 @@ class TestTableProperties:
 
     def test_all_coefficients_nonnegative(self):
         for basis in ALL_BASES:
-            for n in range(7):
-                for h in range(13):
-                    for e, coeff in table_recurrence(basis, n, h).terms.items():
+            for row in table_recurrence(basis, 6, 12):
+                for entry in row:
+                    for e, coeff in entry.terms.items():
                         assert coeff > 0
                         assert all(x >= 0 for x in e)
 
@@ -80,10 +86,17 @@ class TestTableProperties:
         """Appending one cell to the top row multiplies the table entry by b."""
         b = {(0, 1, 0, 0): 1}
         bmono = Series(FOUR_PARAM, b, None)
+        grid = table_recurrence(BG1, 8, 16)
         for n in range(1, 9):
             for h in range(1, 9):
-                lhs = table_recurrence(BG1, n, 2 * h - 1) * bmono
-                assert lhs.terms == table_recurrence(BG1, n, 2 * h).terms
+                assert (grid[n][2 * h - 1] * bmono).terms == grid[n][2 * h].terms
+
+    @pytest.mark.parametrize("table", TABLES, ids=("enum", "rec", "closed"))
+    @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda c: c.value)
+    def test_grid_has_the_size_asked_for(self, table, basis):
+        grid = table(basis, 3, 5)
+        assert [len(row) for row in grid] == [6] * 4
+        assert grid[0][0] == Series.one(FOUR_PARAM)
 
 
 @pytest.mark.parametrize("basis", ALL_BASES, ids=lambda c: c.value)
@@ -98,14 +111,14 @@ def test_cross_check(basis):
 @pytest.mark.parametrize("method", ("enumerated", "recurrence", "closed-form"))
 def test_one_perturbed_coefficient_fails_the_cross_check(monkeypatch, basis, method):
     """Adding 1 to one coefficient of one length-2 entry of one method is reported."""
-    n, h = next((2, h) for h in range(5) if not table_enumerated(basis, 2, h).is_zero())
+    row = table_enumerated(basis, 2, 4)[2]
+    n, h = next((2, h) for h, entry in enumerate(row) if not entry.is_zero())
 
     def perturbed(fn):
-        def table(cls, length, largest):
-            entry = fn(cls, length, largest)
-            if (length, largest) != (n, h):
-                return entry
-            return entry + Series.monomial(FOUR_PARAM, 1, min(entry.terms))
+        def table(cls, n_max, h_max):
+            grid = fn(cls, n_max, h_max)
+            grid[n][h] = grid[n][h] + Series.monomial(FOUR_PARAM, 1, min(grid[n][h].terms))
+            return grid
 
         return table
 
@@ -135,49 +148,47 @@ def test_every_method_refuses_a_negative_entry(basis, table, entry):
         table(basis, *entry)
 
 
-@pytest.fixture
-def fresh_enumeration():
-    """Clear the enumerated table's cache around a test, so entries built
-    under a monkeypatched generator neither come from nor stay in it."""
-    basis_gf._column.cache_clear()
-    yield
-    basis_gf._column.cache_clear()
+# Faults in the window of the skeleton pass that every enumerated entry and
+# every B_m reads: (rows, weight_max, largest) moved by one.
+WINDOW_FAULTS = {
+    "weight-minus-one": lambda rows, weight_max, largest: (rows, weight_max - 1, largest),
+    "largest-minus-one": lambda rows, weight_max, largest: (rows, weight_max, largest - 1),
+    "rows-minus-one": lambda rows, weight_max, largest: (rows - 1, weight_max, largest),
+}
 
 
-@pytest.mark.parametrize(
-    "fault",
-    (
-        lambda real: lambda cls, rows, weight_max, weight_map=OMEGA_IDENTITY, largest=None: real(
-            cls, rows, max(weight_max - 1, 0), weight_map, largest
-        ),
-        lambda real: lambda cls, rows, weight_max, weight_map=OMEGA_IDENTITY, largest=None: real(
-            cls, rows, weight_max, weight_map, largest + 1
-        ),
-        lambda real: lambda cls, rows, weight_max, weight_map=OMEGA_IDENTITY, largest=None: real(
-            cls, rows, weight_max, weight_map, max(largest - 1, 0)
-        ),
-    ),
-    ids=("weight-minus-one", "largest-plus-one", "largest-minus-one"),
-)
-def test_off_by_one_window_fails_the_cross_check(monkeypatch, fresh_enumeration, fault):
-    """The table reads each column off the recursion in a window of weight and
-    top part; moving either edge by one loses or gains members.  Only the
-    longest members of a column can weigh its full bound, so the grid runs
-    through the column's length."""
-    monkeypatch.setattr(basis_gf, "basis_weight_sums", fault(basis_gf.basis_weight_sums))
-    n_max = basis_gf._COLUMN_ROWS
-    assert not all(cross_check_tables(basis, n_max, 8).passed for basis in ALL_BASES)
+@pytest.mark.parametrize("fault", WINDOW_FAULTS.values(), ids=WINDOW_FAULTS.keys())
+def test_off_by_one_window_fails_the_cross_check(monkeypatch, fault):
+    """The tables and the assembly read their skeletons off one pass in a
+    window of length, weight and top part; moving an edge by one loses
+    members, and a check above the pass reports it for some basis (a basis
+    with no skeleton on the edge loses nothing)."""
+    real = partitions._skeleton_levels
+
+    def moved(cls, rows, weight_max, largest, key):
+        return real(cls, *fault(rows, weight_max, largest), key)
+
+    monkeypatch.setattr(partitions, "_skeleton_levels", moved)
+    reports = [
+        report
+        for basis in ALL_BASES
+        for report in (
+            cross_check_tables(basis, 8, 8),
+            sip_gf_single_variable(basis.base_class, 8),
+            check_sip_gf_four_parameter(basis.base_class, 8),
+        )
+    ]
+    assert not all(report.passed for report in reports)
 
 
 @pytest.mark.parametrize(
     "basis, members", zip(ALL_BASES, (65, 53, 252, 190)), ids=lambda c: getattr(c, "value", c)
 )
-def test_the_grid_builds_no_partition(fresh_enumeration, partitions_built, basis, members):
+def test_the_grid_builds_no_partition(partitions_built, basis, members):
     """The 12x12 grid sums its members' weights without building one, and its
     entries still count as many members as listing them one by one found."""
     assert cross_check_tables(basis, 12, 12).passed
-    held = sum(
-        sum(table_enumerated(basis, n, h).terms.values()) for n in range(13) for h in range(13)
-    )
+    grid = table_enumerated(basis, 12, 12)
+    held = sum(sum(entry.terms.values()) for row in grid for entry in row)
     assert partitions_built == [0]
     assert held == members

@@ -19,7 +19,7 @@ import tracemalloc
 
 import pytest
 
-from sipq import basis_gf, partitions, sip
+from sipq import partitions
 from sipq.basis_gf import cross_check_tables
 from sipq.identities import combinatorial_side, registry, spec_by_key, verify_spec
 from sipq.partitions import (
@@ -28,10 +28,12 @@ from sipq.partitions import (
     PartitionClass,
     RowRule,
     basis_members_of_length,
+    basis_weight_grid,
     basis_weight_sums,
     class_weight_series,
     enumerate_partitions,
     is_member,
+    members_by_weight,
     omega_exponents,
 )
 from sipq.qseries import truncated_infinite_product
@@ -137,6 +139,10 @@ def skeleton_candidates(cls: PartitionClass, length: int) -> list[Partition]:
     return found
 
 
+def _top(lam: Partition) -> int:
+    return lam[0] if lam else 0
+
+
 def _weights(members, weight_map: SubstitutionMap = OMEGA_IDENTITY) -> Series:
     """The exact sum of the weights of ``members``, each pushed through ``weight_map``."""
     image_of = weight_map.map_exps
@@ -162,6 +168,25 @@ class TestAgainstTheFilter:
     def test_enumerate_partitions(self, cls):
         for w in range(ORACLE_WEIGHT + 1):
             assert enumerate_partitions(cls, w) == oracle_members(cls, w), w
+
+    @pytest.mark.parametrize("cls", list(PartitionClass), ids=lambda c: c.value)
+    def test_members_by_weight(self, cls):
+        """One walk yields every weight's members in the order the filter and
+        :func:`enumerate_partitions` give them; a lower weight bound drops the
+        lighter lists and nothing else."""
+        walk = members_by_weight(cls, ORACLE_WEIGHT)
+        assert len(walk) == ORACLE_WEIGHT + 1
+        for w, members in enumerate(walk):
+            assert members == oracle_members(cls, w) == enumerate_partitions(cls, w), w
+        for low in (1, 7, ORACLE_WEIGHT):
+            assert members_by_weight(cls, ORACLE_WEIGHT, low) == walk[low:], low
+
+    @pytest.mark.parametrize(
+        "bounds", ((-1, 0), (4, -1), (4, 5)), ids=("max", "min", "min-above-max")
+    )
+    def test_members_by_weight_refuses_a_bad_window(self, bounds):
+        with pytest.raises(ValueError, match="0 <= weight_min <= weight_max"):
+            members_by_weight(PartitionClass.ALL, *bounds)
 
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
     def test_basis_members_of_length(self, cls):
@@ -198,24 +223,37 @@ class TestAgainstTheFilter:
                 assert got == expected, (bound, m)
 
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
-    def test_basis_weight_sums_by_column(self, cls):
-        """Every (length, top part) entry through 16 x 20 against the listed
-        skeletons of that length, filtered by top part."""
-        for n in range(17):
-            listed = basis_members_of_length(cls, n, n * 20)
-            for h in range(21):
-                got = basis_weight_sums(cls, n, n * h, largest=h)[n]
-                assert got == _weights(lam for lam in listed if (lam[0] if lam else 0) == h), (n, h)
+    def test_basis_weight_grid_against_every_member(self, cls):
+        """Every (length, top part) entry through 12 x 24, to degree
+        ``ORACLE_WEIGHT``, against every partition of each weight that passes
+        :func:`is_member`, filtered by length and top part."""
+        grid = basis_weight_grid(cls, 12, 24)
+        members = [lam for w in range(ORACLE_WEIGHT + 1) for lam in oracle_members(cls, w)]
+        for n in range(13):
+            for h in range(25):
+                expected = _weights(lam for lam in members if len(lam) == n and _top(lam) == h)
+                got = grid[n][h].truncate(ORACLE_WEIGHT)
+                assert got == expected.truncate(ORACLE_WEIGHT), (n, h)
 
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
-    def test_basis_weight_sums_by_top_part(self, cls):
-        """Each (length, top part) sum against every gap sequence of that
-        length, filtered by top part."""
+    def test_basis_weight_grid_by_top_part(self, cls):
+        """Every (length, top part) entry through 16 x 34 against every gap
+        sequence of that length, filtered by top part: the whole entry."""
+        grid = basis_weight_grid(cls, 16, 34)
         for n in range(17):
             every = skeleton_candidates(cls, n)
-            for h in range(2 * n + 2):
-                got = basis_weight_sums(cls, n, n * h, largest=h)[n]
-                assert got == _weights(b for b in every if (b[0] if b else 0) == h), (n, h)
+            for h in range(35):
+                assert grid[n][h] == _weights(b for b in every if _top(b) == h), (n, h)
+
+    @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
+    def test_members_of_length_are_the_stacks(self, cls, partitions_built):
+        """The listed skeletons and the summed ones are the same stacks."""
+        grid = basis_weight_grid(cls, 10, 20)
+        built = partitions_built[0]
+        for n in range(11):
+            listed = basis_members_of_length(cls, n, 200)
+            assert sum(grid[n], Series.zero(FOUR_PARAM)) == _weights(listed), n
+        assert built == 0
 
     @pytest.mark.parametrize("cls", ROW_CLASSES, ids=lambda c: c.value)
     def test_class_weight_series(self, cls):
@@ -322,27 +360,22 @@ class TestInjectedFaultsAreCaught:
         """The fault sits in the rules the recursion reads, and nowhere else:
         the class series, the recurrence and the closed form keep the true
         ones.  Every check built on the recursion reports it by degree 8."""
-        real = partitions.basis_weight_sums
+        real = partitions._skeleton_levels
         rule = PartitionClass.__dict__["rule"]
 
-        def faulty(basis, *args, **kwargs):
+        def faulty(*args):
             with pytest.MonkeyPatch.context() as inner:
                 inner.setattr(PartitionClass, "rule", property(lambda c: fault(rule.fget(c))))
-                return real(basis, *args, **kwargs)
+                yield from real(*args)
 
-        monkeypatch.setattr(sip, "basis_weight_sums", faulty)
-        monkeypatch.setattr(basis_gf, "basis_weight_sums", faulty)
+        monkeypatch.setattr(partitions, "_skeleton_levels", faulty)
         single = sip_gf_single_variable(cls, 8)
         assert not single.passed
         assert _first_degree(single.failures, r"weight (\d+):") <= 8
         four = check_sip_gf_four_parameter(cls, 8)
         assert not four.passed
         assert _first_degree(four.failures, r"degree (\d+):") <= 8
-        basis_gf._column.cache_clear()
-        try:
-            tables = cross_check_tables(cls.basis, 8, 8)
-        finally:
-            basis_gf._column.cache_clear()  # no wrong entry outlives the fault
+        tables = cross_check_tables(cls.basis, 8, 8)
         assert not tables.passed
         assert _first_degree(tables.failures, r"^n=(\d+)") <= 8
 
@@ -370,11 +403,7 @@ class TestInjectedFaultsAreCaught:
 
     def test_g2_with_flipped_parity_row(self, monkeypatch):
         monkeypatch.setitem(partitions._RULES, PartitionClass.G2, RowRule(True, 0))
-        basis_gf._column.cache_clear()
-        try:
-            report = cross_check_tables(PartitionClass.BASIS_G2, 6, 6)
-        finally:
-            basis_gf._column.cache_clear()  # no wrong entry outlives the fault
+        report = cross_check_tables(PartitionClass.BASIS_G2, 6, 6)
         assert not report.passed
         assert min(int(n) for n in re.findall(r"^n=(\d+)", "\n".join(report.failures), re.M)) <= 3
 
@@ -411,12 +440,11 @@ class TestInjectedFaultsAreCaught:
     def test_skeleton_bound_off_by_one(self, monkeypatch):
         """The weight cut one too eager drops the skeletons at the bound, so
         the members that are their own skeleton find no split."""
-        least_above = partitions._least_above
-        monkeypatch.setattr(
-            partitions,
-            "_least_above",
-            lambda part, rows, min_gap: least_above(part, rows, min_gap) + 1,
-        )
+        real = partitions._skeleton_levels
+        def cut_short(cls, rows, weight_max, largest, key):
+            return real(cls, rows, weight_max - 1, largest, key)
+
+        monkeypatch.setattr(partitions, "_skeleton_levels", cut_short)
         failures = [
             line for w in range(9) for line in verify_sip_property(PartitionClass.P1, w).failures
         ]

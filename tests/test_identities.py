@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from sipq import identities
 from sipq.identities import (
     SumFamily,
     UnknownTheorem,
@@ -22,7 +23,7 @@ from sipq.identities import (
     verify_spec,
     verify_substitution_consistency,
 )
-from sipq.partitions import PartitionClass
+from sipq.partitions import Partition, PartitionClass, enumerate_partitions
 from sipq.qseries import A_INFINITY, PochFactor, check_q_gauss, running_product
 from sipq.series import FOUR_PARAM, XZQ, PrecisionLoss, Series, TruncationMismatch
 
@@ -593,14 +594,56 @@ class TestPartialSums:
 class TestSubstitutionConsistency:
     @pytest.mark.parametrize("map_id", ("xzq", "bg"))
     def test_maps_agree_with_statistics(self, map_id):
-        report = verify_substitution_consistency(map_id, 14)
+        (report,) = verify_substitution_consistency((map_id,), 14)
         assert report.passed, report.failures
         assert report.name == f"substitution[{map_id}]"
 
-    def test_unknown_map(self):
+    def test_one_walk_serves_both_maps(self, monkeypatch):
+        """Both reports read one walk, in the order their maps are given, and
+        each report checks its map and the conjugation law per partition."""
+        real = identities.members_by_weight
+        walks = []
+
+        def counted(cls, weight_max, weight_min=0):
+            walks.append((cls, weight_max, weight_min))
+            return real(cls, weight_max, weight_min)
+
+        monkeypatch.setattr(identities, "members_by_weight", counted)
+        reports = verify_substitution_consistency(("bg", "xzq"), 14)
+        assert walks == [(PartitionClass.ALL, 14, 0)]
+        assert [r.name for r in reports] == ["substitution[bg]", "substitution[xzq]"]
+        members = sum(len(enumerate_partitions(PartitionClass.ALL, w)) for w in range(15))
+        assert all(r.passed and r.checks == 2 * members for r in reports)
+
+    @pytest.mark.parametrize(
+        "fault, failing",
+        (
+            ("alt_sum", ("substitution[xzq]", "substitution[bg]")),  # and the conjugation law
+            ("bg_rank", ("substitution[bg]",)),
+        ),
+        ids=("alt_sum", "bg_rank"),
+    )
+    def test_a_wrong_statistic_fails_its_map(self, monkeypatch, fault, failing):
+        """A statistic off by one on one partition of weight 8 fails the
+        map that reads it."""
+        real = identities.stats
+        target = Partition((5, 2, 1))
+
+        def wrong(lam):
+            st = real(lam)
+            return st._replace(**{fault: getattr(st, fault) + 1}) if lam == target else st
+
+        monkeypatch.setattr(identities, "stats", wrong)
+        reports = verify_substitution_consistency(("xzq", "bg"), 8)
+        assert tuple(r.name for r in reports if not r.passed) == failing
+        failed = [line for r in reports for line in r.failures]
+        assert failed and all(line.startswith(repr(target)) for line in failed), failed
+
+    @pytest.mark.parametrize("map_ids", (("xq",), (), "xzq"), ids=("xq", "none", "bare-string"))
+    def test_unknown_map(self, map_ids):
         with pytest.raises(ValueError):
-            verify_substitution_consistency("xq", 10)
+            verify_substitution_consistency(map_ids, 10)
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError, match="weight_max must be nonnegative"):
-            verify_substitution_consistency("xzq", -1)
+            verify_substitution_consistency(("xzq",), -1)

@@ -15,7 +15,7 @@ from sipq.partitions import (
     Partition,
     PartitionClass,
     basis_members_of_length,
-    basis_weight_sums,
+    basis_weight_grid,
     conjugate,
     enumerate_partitions,
     is_member,
@@ -43,6 +43,11 @@ class TestPartitionType:
             Partition((3, 0))
         with pytest.raises(ValueError):
             Partition((3, -1))
+
+    @pytest.mark.parametrize("parts", ((2.7, 1), ("3",), (2, 1.0), (None,)), ids=repr)
+    def test_rejects_non_integral_parts(self, parts):
+        with pytest.raises(TypeError, match="parts must be integers"):
+            Partition(parts)
 
     def test_weight_and_repr(self):
         lam = Partition((5, 3, 2))
@@ -242,7 +247,7 @@ def test_rule_records():
 
 
 def test_basis_by_shape_matches_filter():
-    """The length-indexed generator, and the top-down sum from one top part,
+    """The length-indexed lists, and the grid summed by length and top part,
     must agree with brute-force filtering."""
     for tag in (
         PartitionClass.BASIS_G1,
@@ -250,6 +255,7 @@ def test_basis_by_shape_matches_filter():
         PartitionClass.BASIS_P1,
         PartitionClass.BASIS_P2,
     ):
+        grid = basis_weight_grid(tag, 4, 9)
         for n in range(0, 5):
             by_length = list(basis_members_of_length(tag, n, 2 * n * n))
             brute = [
@@ -264,7 +270,7 @@ def test_basis_by_shape_matches_filter():
                 expected = Series.from_terms(
                     FOUR_PARAM, ((omega_exponents(lam).vector(), 1) for lam in shaped), None
                 )
-                assert basis_weight_sums(tag, n, n * h, largest=h)[n] == expected, (n, h)
+                assert grid[n][h] == expected, (n, h)
 
 
 def test_basis_largest_part_bound():
