@@ -113,7 +113,8 @@ class TheoremSpec(_TheoremSpecFields):
     """One catalog statement and the data of each of its sides.
 
     Every way of building one (the constructor, ``_make``, ``_replace``,
-    copying, unpickling) refuses a weight map into another ring and a series
+    copying, unpickling) refuses a weight map into another ring, a product
+    factor with a ``count``, a series factor without one, and a series
     family whose summation could not stop at the truncation.
     """
 
@@ -126,6 +127,8 @@ class TheoremSpec(_TheoremSpecFields):
                 f"{self.key}: weight map target {self.weight_map.target.names}"
                 f" is not the ring {self.ring.names}"
             )
+        if any(f.count is not None for f in self.product + (self.product_alt or ())):
+            raise ValueError(f"{self.key}: a product factor has a count")
         # The summand walk needs every term of every step polynomial r_n at
         # nonnegative degree.  r_n is the prefactor ratio, of degree A*n + B
         # (A, B the graded sums of the C(n,2) and n columns), times the new
@@ -134,6 +137,8 @@ class TheoremSpec(_TheoremSpecFields):
         # A = B = 0 its lowest degree stays 0 and the walk would never stop.
         degree = self.ring.degree
         for fam in self.series:
+            if any(f.count is None for f in fam.factors):
+                raise ValueError(f"{self.key}: a series factor has no count")
             a = sum(w * c2 for w, (c2, _, _) in zip(self.ring.weights, fam.prefactor))
             b = sum(w * c1 for w, (_, c1, _) in zip(self.ring.weights, fam.prefactor))
             if a < 0 or a == b == 0:
@@ -195,9 +200,7 @@ def product_side(spec: TheoremSpec, trunc: int, alt: bool = False) -> Series:
     factors = spec.product_alt if alt else spec.product
     if factors is None:
         raise ValueError(f"{spec.key} has no alternate product")
-    return truncated_infinite_product(
-        spec.ring, [(f.sign, f.arg_exps, f.base_exps, f.inverted) for f in factors], trunc
-    )
+    return truncated_infinite_product(spec.ring, factors, trunc)
 
 
 def _slice_text(s: Series, degree: int) -> str:
@@ -686,17 +689,17 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
     walks = [fam.summands(FOUR_PARAM, trunc) for fam in spec.series]
     zero = Series.zero(FOUR_PARAM, trunc)
     f = zero
-    x = (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0)
-    t = Series.one(FOUR_PARAM, trunc).times_factor(1, _AB, inverted=True)
+    num = PochFactor(-1, (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0), _Q4)
+    t = Series.one(FOUR_PARAM, trunc).times_factor(1, _DEN_AB.argument(0), inverted=True)
     for upto in range(n_max + 1):
         prev_f, prev_t = f, t
         for walk in walks:
             f = f + next(walk, zero)
         if upto:
             t = t.times_run((
-                ("times", -1, tuple(e + upto - 1 for e in x)),  # 1 + x Q^(N-1)
-                ("over", 1, (1 + upto, 1 + upto, upto, upto)),  # ab Q^N
-                ("over", 1, (upto,) * 4),  # Q^N
+                ("times", -1, num.argument(upto - 1)),  # 1 + x Q^(N-1)
+                ("over", 1, _DEN_AB.argument(upto)),  # ab Q^N
+                ("over", 1, _DEN_Q.argument(upto - 1)),  # Q^N
             ))
         checks += 1
         cmp = f.equal_to(t)

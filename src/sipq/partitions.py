@@ -146,8 +146,8 @@ class PartitionClass(enum.Enum):
     def basis(self) -> "PartitionClass":
         """For one of G1/G2/P1/P2, the corresponding basis tag."""
         try:
-            return PartitionClass("basis-" + self.value)
-        except ValueError:
+            return _BASIS[self]
+        except KeyError:
             raise ValueError(f"{self} has no associated basis") from None
 
     @property
@@ -163,6 +163,7 @@ class PartitionClass(enum.Enum):
 
 #: Each tag's base class, read off its value once, at import.
 _BASE_CLASS = {tag: PartitionClass(tag.value.removeprefix("basis-")) for tag in PartitionClass}
+_BASIS = {base: tag for tag, base in _BASE_CLASS.items() if tag is not base}
 
 _RULES = {
     PartitionClass.ALL: RowRule(False, None),

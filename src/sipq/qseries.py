@@ -4,17 +4,18 @@ Everything here lives in the four-variable ring with base ``Q = abcd`` (or in
 whatever ring the caller's argument series use, for the finite products).
 ``pochhammer_finite(x, Q, n)`` is the product ``(1-x)(1-xQ)...(1-xQ^{n-1})``,
 so the classical ``(x; Q)_n`` with a sign goes in through the argument.
-A run of finite Pochhammer products is grown one factor at a time by
-:func:`running_product`; a truncated infinite product is one
-:meth:`Series.times_run` over its binomials, largest first
-(:func:`truncated_infinite_product`).  A sum of Pochhammer quotients
-``sum_n P_n / (delta_0 ... delta_n)`` is summed by :func:`nested_sum` in
-Horner form, ``S = (P_0 + (P_1 + (...) / delta_2) / delta_1) / delta_0``, in
-one kernel run from the top level down; :func:`summand_walk` steps the
-summands one by one and serves the partial sums and the tests.  The nested
-sum also reports the summands whose numerator polynomial ``P_n`` has a
-negative exponent, which for denominators ``1 - m``, ``m`` of nonnegative
-exponents and positive degree, is the summands that have one.
+Every Pochhammer product is one :class:`PochFactor`, whose finite products are
+grown one binomial at a time by :func:`running_product`; a truncated infinite
+product of factors is one :meth:`Series.times_run` over their binomials,
+largest first (:func:`truncated_infinite_product`).  A sum of Pochhammer
+quotients ``sum_n P_n / (delta_0 ... delta_n)`` is summed by
+:func:`nested_sum` in Horner form, ``S = (P_0 + (P_1 + (...) / delta_2) /
+delta_1) / delta_0``, in one kernel run from the top level down;
+:func:`summand_walk` steps the summands one by one and serves the partial sums
+and the tests.  The nested sum also reports the summands whose numerator
+polynomial ``P_n`` has a negative exponent, which for denominators ``1 - m``,
+``m`` of nonnegative exponents and positive degree, is the summands that have
+one.
 """
 
 from __future__ import annotations
@@ -67,16 +68,27 @@ class PochFactor(NamedTuple):
     count: tuple[int, int] | None = None
     inverted: bool = False
 
+    def argument(self, i: int) -> tuple[int, ...]:
+        """The exponents ``arg + i*base`` of binomial ``i``."""
+        return tuple(a + i * b for a, b in zip(self.arg_exps, self.base_exps))
+
+    def check(self, ring: SeriesRing, trunc: int | None) -> None:
+        """Refuse a base of degree < 1, an inverted product without a
+        truncation, and a truncated product whose argument has degree < 1."""
+        if ring.degree(self.base_exps) < 1:
+            raise ValueError("base must have positive degree")
+        if self.inverted and trunc is None:
+            raise PrecisionLoss("an inverted product is an infinite series")
+        if trunc is not None and ring.degree(self.arg_exps) < 1:
+            raise NonConvergent("a truncated product needs an argument of positive degree")
+
     def binomials(self, n: int) -> list[tuple[int, ...]]:
-        """The exponents ``arg + i*base`` of the factors summand ``n`` has and
-        summand ``n - 1`` lacks: ``i < beta`` for ``n = 0``, else ``alpha*(n-1)
-        + beta <= i < alpha*n + beta``."""
+        """The arguments of the binomials summand ``n`` has and summand ``n -
+        1`` lacks: ``i < beta`` for ``n = 0``, else ``alpha*(n-1) + beta <= i
+        < alpha*n + beta``."""
         alpha, beta = self.count  # type: ignore[misc]
         start = 0 if n == 0 else alpha * (n - 1) + beta
-        return [
-            tuple(a + i * b for a, b in zip(self.arg_exps, self.base_exps))
-            for i in range(start, alpha * n + beta)
-        ]
+        return [self.argument(i) for i in range(start, alpha * n + beta)]
 
 
 def summand_walk(
@@ -191,38 +203,28 @@ def nested_sum(
     return Series.zero(start.ring, trunc).times_run(run), negative
 
 
-def running_product(
-    ring: SeriesRing,
-    sign: int,
-    arg_exps: tuple[int, ...],
-    base_exps: tuple[int, ...],
-    trunc: int | None,
-    inverted: bool = False,
-) -> Iterator[Series]:
-    """Yield ``prod_{i<k} (1 - sign * x^arg_exps * (x^base_exps)^i)``, or its
-    inverse, for ``k = 0, 1, 2, ...``; each step multiplies or divides the
-    previous product by one factor with :meth:`Series.times_factor`.
+def running_product(ring: SeriesRing, factor: PochFactor, trunc: int | None) -> Iterator[Series]:
+    """Yield the product of ``factor``'s first ``k`` binomials, or its inverse
+    when the factor is inverted, for ``k = 0, 1, 2, ...``; each step
+    multiplies or divides the previous product by one binomial with
+    :meth:`Series.times_factor`.
 
     Exact runs (``trunc`` None) allow an argument of negative degree; inverted
     runs must be truncated.  A truncated run needs an argument of positive
-    degree, so factor ``i`` has degree above ``i``.  Once the next factor lies
-    above ``trunc``, the product so far is the whole infinite product to that
-    order, and is repeated: every later index reads it.  The arguments are
-    checked when the first product is drawn.
+    degree, so binomial ``i`` has degree above ``i``.  Once the next binomial
+    lies above ``trunc``, the product so far is the whole infinite product to
+    that order, and is repeated: every later index reads it.  The factor is
+    checked (:meth:`PochFactor.check`) when the first product is drawn.
     """
-    if ring.degree(base_exps) < 1:
-        raise ValueError("base must have positive degree")
-    if inverted and trunc is None:
-        raise PrecisionLoss("an inverted product is an infinite series")
-    if trunc is not None and ring.degree(arg_exps) < 1:
-        raise NonConvergent("a truncated product needs an argument of positive degree")
-    exps = tuple(arg_exps)
+    factor.check(ring, trunc)
     prod = Series.one(ring, trunc)
-    while trunc is None or ring.degree(exps) <= trunc:
+    for i in count():
+        exps = factor.argument(i)
+        if trunc is not None and ring.degree(exps) > trunc:
+            break
         yield prod
-        prod = prod.times_factor(sign, exps, inverted)
-        exps = tuple(e + b for e, b in zip(exps, base_exps))
-    # This factor and every later one only touch degrees above trunc.
+        prod = prod.times_factor(factor.sign, exps, factor.inverted)
+    # This binomial and every later one only touch degrees above trunc.
     yield from repeat(prod)
 
 
@@ -231,26 +233,25 @@ def nth_product(run: Iterator[Series], n: int) -> Series:
     return next(islice(run, n, None))
 
 
-def truncated_infinite_product(ring: SeriesRing, factors: Iterable[tuple], trunc: int) -> Series:
-    """The product of ``factors``, each ``(sign, arg_exps, base_exps, inverted)``
-    for ``prod_i (1 - sign * x^(arg + i*base))`` or its inverse, to order
-    ``trunc``.  Every binomial of degree <= ``trunc`` is
-    applied by :meth:`Series.times_factor`, largest degree first (ties in
-    factor order): the order changes no coefficient, but keeps the product as
-    sparse as the terms that can still reach the truncation, so the work
-    follows the output."""
+def truncated_infinite_product(
+    ring: SeriesRing, factors: Iterable[PochFactor], trunc: int
+) -> Series:
+    """The product of the infinite ``factors`` to order ``trunc``.  Every
+    factor is checked (:meth:`PochFactor.check`), and every binomial of degree
+    <= ``trunc`` is applied by :meth:`Series.times_factor`, largest degree
+    first (ties in factor order): the order changes no coefficient, but keeps
+    the product as sparse as the terms that can still reach the truncation, so
+    the work follows the output."""
     if trunc is None or trunc < 0:
         raise ValueError(f"trunc must be nonnegative, got {trunc}")
     steps = []
-    for sign, arg_exps, base_exps, inverted in factors:
-        if ring.degree(base_exps) < 1:
-            raise ValueError("base must have positive degree")
-        if ring.degree(arg_exps) < 1:
-            raise NonConvergent("a truncated product needs an argument of positive degree")
-        exps = tuple(arg_exps)
-        while (deg := ring.degree(exps)) <= trunc:
-            steps.append((deg, sign, exps, inverted))
-            exps = tuple(e + b for e, b in zip(exps, base_exps))
+    for f in factors:
+        f.check(ring, trunc)
+        for i in count():
+            exps = f.argument(i)
+            if (deg := ring.degree(exps)) > trunc:
+                break
+            steps.append((deg, f.sign, exps, f.inverted))
     steps.sort(key=lambda step: step[0], reverse=True)  # stable: ties keep factor order
     # The bound equals that of one running product per factor multiplied into
     # ``Series.one``.  ``times_factor`` adds to its operand's bound an amount
@@ -265,38 +266,36 @@ def truncated_infinite_product(ring: SeriesRing, factors: Iterable[tuple], trunc
     return Series.one(ring, trunc).times_run(run)
 
 
-def _only_term(s: object) -> tuple[int, tuple[int, ...]] | None:
+def _monomial_parts(s: object, error: Exception) -> tuple[int, tuple[int, ...]]:
     """``(coeff, exps)`` of a series with exactly one term, read off its one
-    bucket; None for anything else."""
-    if not isinstance(s, Series) or len(s.buckets) != 1:
-        return None
-    (bucket,) = s.buckets.values()
-    if len(bucket) != 1:
-        return None
-    ((key, coeff),) = bucket.items()
-    return coeff, s.ring.unpack(key)
+    bucket; ``error`` is raised for anything else."""
+    if isinstance(s, Series) and len(s.buckets) == 1:
+        (bucket,) = s.buckets.values()
+        if len(bucket) == 1:
+            ((key, coeff),) = bucket.items()
+            return coeff, s.ring.unpack(key)
+    raise error
 
 
-def _poch_data(arg: Series, base: Series) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """``(sign, arg_exps, base_exps)`` of a monomial argument and a unit monomial base."""
-    arg_term, base_term = _only_term(arg), _only_term(base)
-    if arg_term is None or base_term is None or base_term[0] != 1:
-        raise ValueError("argument and base must be monomials, the base with coefficient 1")
-    return (*arg_term, base_term[1])
+def _poch_data(arg: Series, base: Series) -> PochFactor:
+    """The factor of a monomial argument and a unit monomial base."""
+    error = ValueError("argument and base must be monomials, the base with coefficient 1")
+    (sign, arg_exps), (coeff, base_exps) = _monomial_parts(arg, error), _monomial_parts(base, error)
+    if coeff != 1:
+        raise error
+    return PochFactor(sign, arg_exps, base_exps)
 
 
 def pochhammer_finite(arg: Series, base: Series, n: int) -> Series:
     """``(1 - arg)(1 - arg*base) ... (1 - arg*base^(n-1))``, exactly."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return nth_product(running_product(arg.ring, *_poch_data(arg, base), None), n)
+    return nth_product(running_product(arg.ring, _poch_data(arg, base), None), n)
 
 
 def pochhammer_infinite(arg: Series, base: Series, trunc: int) -> Series:
     """The infinite product ``prod_i (1 - arg*base^i)`` to order ``trunc``."""
-    if arg.is_zero() or arg.min_deg < 1 or base.is_zero() or base.min_deg < 1:
-        raise NonConvergent("argument and base must have positive degree")
-    return truncated_infinite_product(arg.ring, [(*_poch_data(arg, base), False)], trunc)
+    return truncated_infinite_product(arg.ring, [_poch_data(arg, base)], trunc)
 
 
 @lru_cache(maxsize=None)
@@ -342,15 +341,11 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
         if not cmp.equal:
             failures.append(f"{label}: at {cmp.exps} got {cmp.left} != {cmp.right}")
 
-    # One inverted run serves every pair: 4m(n-m) never exceeds n_max**2, and
-    # each pair reads its m-th product truncated down to its own order.  The
-    # numerator (Q^k; Q)_m, k = n - m + 1, comes from one exact run per k.
-    den_run = running_product(FOUR_PARAM, 1, _Q, _Q, n_max**2, inverted=True)
-    den_invs = list(islice(den_run, n_max + 1))
-    nums = {
-        k: list(islice(running_product(FOUR_PARAM, 1, (k,) * 4, _Q, None), n_max + 2 - k))
-        for k in range(1, n_max + 2)
-    }
+    # (Q^k; Q)_m, k = n - m + 1, from one exact run per k; k = 1 gives (Q; Q)_m.
+    runs = {}
+    for k in range(1, n_max + 2):
+        run = running_product(FOUR_PARAM, PochFactor(1, (k,) * 4, _Q), None)
+        runs[k] = list(islice(run, n_max + 2 - k))
     for n in range(1, n_max + 1):
         for m in range(n + 1):
             val = gauss_binomial(n, m)
@@ -365,11 +360,10 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
                 gauss_binomial(n - 1, m) + q_monomial(n - m) * gauss_binomial(n - 1, m - 1),
             )
             expect(f"[{n},{m}] symmetry", val, gauss_binomial(n, n - m))
-            # Quotient form: a product of m factors over the m-factor base product.
+            # Quotient form times its denominator: (Q^k; Q)_m = [n, m] (Q; Q)_m.
             t = 4 * m * (n - m)
-            num = nums[n - m + 1][m]
-            den_inv = den_invs[m].truncate(t)
-            expect(f"[{n},{m}] quotient-form", num.truncate(t) * den_inv, val.truncate(t))
+            num, den = runs[n - m + 1][m], runs[1][m]
+            expect(f"[{n},{m}] quotient-form", num.truncate(t), val.truncate(t) * den.truncate(t))
     return CheckReport("qbinomial-recurrences", not failures, checks, tuple(failures))
 
 
@@ -377,8 +371,7 @@ def _as_monomial(p: object, what: str) -> Series:
     """Coerce an exponent tuple to a unit monomial; pass signed monomials through."""
     if isinstance(p, tuple):
         p = Series.monomial(FOUR_PARAM, 1, p)
-    if not isinstance(p, Series) or _only_term(p) is None:
-        raise DomainError(f"{what} must be a single monomial")
+    _monomial_parts(p, DomainError(f"{what} must be a single monomial"))
     if p.trunc is not None:
         raise DomainError(f"{what} must be exact (untruncated)")
     return p
@@ -393,7 +386,8 @@ def check_qbinomial_theorem(n_max: int, z: Series | tuple[int, int, int, int]) -
     _require_positive_degree(z, "z")
     failures: list[str] = []
     checks = 0
-    products = running_product(FOUR_PARAM, *_monomial_parts(-z, "z"), _Q, None)
+    minus_z = _monomial_parts(-z, DomainError("z must be a single monomial"))
+    products = running_product(FOUR_PARAM, PochFactor(*minus_z, _Q), None)
     for n in range(n_max + 1):
         lhs = next(products)
         rhs = Series.zero(FOUR_PARAM)
@@ -410,16 +404,9 @@ def check_qbinomial_theorem(n_max: int, z: Series | tuple[int, int, int, int]) -
     )
 
 
-def _monomial_parts(s: Series, what: str) -> tuple[int, tuple[int, ...]]:
-    term = _only_term(s)
-    if term is None:
-        raise DomainError(f"{what} must be a single monomial")
-    return term
-
-
 def _monomial_div(num: Series, den: Series, what: str) -> Series:
-    nc, ne = _monomial_parts(num, what)
-    dc, de = _monomial_parts(den, what)
+    error = DomainError(f"{what} must be a single monomial")
+    (nc, ne), (dc, de) = _monomial_parts(num, error), _monomial_parts(den, error)
     if nc % dc != 0:
         raise DomainError(f"{what}: coefficient division is not exact")
     return Series.monomial(FOUR_PARAM, nc // dc, tuple(x - y for x, y in zip(ne, de)))
@@ -472,14 +459,18 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     # are c/(ab), c/a, c/b and c (-c/b and c in the limit), each checked above
     # to have positive degree, and its degrees only grow with n: the walk's
     # precondition fails with a DomainError here, never mid-sum.
-    factors = [PochFactor(*_monomial_parts(p, "a, b"), _Q, (1, 0)) for p in sum_args]
+    def poch(p: Series, what: str, **kwargs: object) -> PochFactor:
+        parts = _monomial_parts(p, DomainError(f"{what} must be a single monomial"))
+        return PochFactor(*parts, _Q, **kwargs)  # (p; Q)
+
+    factors = [poch(p, "a, b", count=(1, 0)) for p in sum_args]
     factors.append(PochFactor(1, _Q, _Q, (1, 0), inverted=True))
-    factors.append(PochFactor(*_monomial_parts(c_param, "c"), _Q, (1, 0), inverted=True))
+    factors.append(poch(c_param, "c", count=(1, 0), inverted=True))
     lhs, _ = nested_sum(
         Series.one(FOUR_PARAM), lambda n: step * q_monomial(pairs * n), factors, trunc
     )
 
-    rhs_factors = [(*_monomial_parts(arg, "ratio"), _Q, inverted) for arg, inverted in rhs_args]
+    rhs_factors = [poch(arg, "ratio", inverted=inverted) for arg, inverted in rhs_args]
     rhs = truncated_infinite_product(FOUR_PARAM, rhs_factors, trunc)
 
     name = f"q-gauss[a={_param_name(a_param)}; b={_param_name(b_param)}; c={_param_name(c_param)}]"

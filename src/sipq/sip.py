@@ -28,6 +28,7 @@ from .partitions import (
     is_member,
     members_by_weight,
 )
+from .qseries import PochFactor
 from .reporting import CheckReport
 from .series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
 
@@ -211,11 +212,12 @@ def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
     )
 
 
-def _divisor(m: int) -> tuple[int, int, int, int]:
+def _divisor(m: int) -> tuple[int, ...]:
     """Four-parameter exponents of the monomial of ``d_m``, for ``m >= 1``:
-    ``ab Q^((m-1)/2)`` for odd ``m`` and ``Q^(m/2)`` for even ``m``, ``Q = abcd``."""
-    k, odd = divmod(m, 2)
-    return (k + odd, k + odd, k, k)
+    binomial ``(m-1)//2`` of ``(ab; Q)`` for odd ``m`` and of ``(Q; Q)`` for
+    even ``m``, ``Q = abcd``."""
+    run = PochFactor(1, (1, 1, 0, 0) if m % 2 else (1, 1, 1, 1), (1, 1, 1, 1))
+    return run.argument((m - 1) // 2)
 
 
 def sip_gf_four_parameter(

@@ -36,7 +36,7 @@ from sipq.partitions import (
     members_by_weight,
     omega_exponents,
 )
-from sipq.qseries import truncated_infinite_product
+from sipq.qseries import PochFactor, truncated_infinite_product
 from sipq.series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
 from sipq.sip import check_sip_gf_four_parameter, sip_gf_single_variable, verify_sip_property
 
@@ -156,9 +156,9 @@ def _boulet_strict(trunc: int, abc_sign: int) -> Series:
     ``(-abc;Q)_inf`` factor given (-1 for the true product)."""
     q = (1, 1, 1, 1)
     factors = (
-        (-1, (1, 0, 0, 0), q, False),
-        (abc_sign, (1, 1, 1, 0), q, False),
-        (1, (1, 1, 0, 0), q, True),
+        PochFactor(-1, (1, 0, 0, 0), q),
+        PochFactor(abc_sign, (1, 1, 1, 0), q),
+        PochFactor(1, (1, 1, 0, 0), q, inverted=True),
     )
     return truncated_infinite_product(FOUR_PARAM, factors, trunc)
 

@@ -246,6 +246,27 @@ def test_flat_factor_base_rejected():
         _rebuilt(spec, series=(family,))
 
 
+@pytest.mark.parametrize("key, field", (("g1-four", "product"), ("g1-altsum", "product_alt")))
+def test_product_factor_with_count_rejected(key, field):
+    """A product is infinite, so a product factor that carries a summand count
+    is refused when built, with the statement's key."""
+    spec = spec_by_key(key)
+    counted = tuple(_rebuilt(f, count=(1, 0)) for f in getattr(spec, field))
+    with pytest.raises(ValueError, match=f"^{key}: a product factor has a count$"):
+        _rebuilt(spec, **{field: counted})
+
+
+def test_series_factor_without_count_rejected():
+    """A series factor without a count has no summand-by-summand binomials,
+    so it is refused when built, with the statement's key, not when summed."""
+    spec = spec_by_key("g1-four")
+    fam = spec.series[0]
+    uncounted = _rebuilt(fam.factors[1], count=None)
+    family = _rebuilt(fam, factors=(fam.factors[0], uncounted) + fam.factors[2:])
+    with pytest.raises(ValueError, match="^g1-four: a series factor has no count$"):
+        _rebuilt(spec, series=(family,))
+
+
 @pytest.mark.parametrize("key, other", (("g1-four", "g1-xzq"), ("g1-xzq", "g1-four")))
 def test_weight_map_into_another_ring_rejected(key, other):
     """The combinatorial side is built in the target ring of the weight map,
@@ -258,8 +279,7 @@ def _rebuilt_summands(ring, fam, trunc):
     """Each summand built from scratch: the prefactor monomial times the exact
     numerator running products, truncated, times the inverted denominator runs."""
     runs = [
-        (f, islice(running_product(ring, f.sign, f.arg_exps, f.base_exps,
-                                   trunc if f.inverted else None, f.inverted),
+        (f, islice(running_product(ring, f, trunc if f.inverted else None),
                    f.count[1], None, f.count[0]))
         for f in fam.factors
     ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from itertools import count
+from itertools import chain, count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +31,13 @@ from sipq.qseries import (
 from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, PrecisionLoss, Series
 
 Q = (1, 1, 1, 1)
+
+#: The battery's three q-Gauss instances, as ``(a, b, c)``.
+_Q_GAUSS_INSTANCES = (
+    (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, 1, 0, 0)),
+    (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 0, -1, 0)), (1, 1, 0, 0)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1)),
+)
 
 
 def test_q_monomial():
@@ -141,10 +148,12 @@ def run_data():
 
 
 def factor_lists():
-    """A ring with one to three ``(sign, arg_exps, base_exps, inverted)`` factors."""
+    """A ring with one to three infinite factors."""
 
     def in_ring(ring, exps):
-        factor = st.tuples(st.sampled_from([1, -1]), exps, exps, st.booleans())
+        factor = st.builds(
+            PochFactor, st.sampled_from([1, -1]), exps, exps, inverted=st.booleans()
+        )
         return st.tuples(st.just(ring), st.lists(factor, min_size=1, max_size=3))
 
     return st.one_of(in_ring(FOUR_PARAM, FOUR_EXPS), in_ring(XZQ, XZQ_EXPS))
@@ -165,18 +174,19 @@ class TestRunningProduct:
         for _ in range(k):
             explicit = explicit * (Series.one(ring) - Series.monomial(ring, sign, exps))
             exps = tuple(e + b for e, b in zip(exps, base))
-        exact = nth_product(running_product(ring, sign, arg, base, None), k)
+        factor = PochFactor(sign, arg, base)
+        exact = nth_product(running_product(ring, factor, None), k)
         assert exact.terms == explicit.terms
-        truncated = nth_product(running_product(ring, sign, arg, base, trunc), k)
+        truncated = nth_product(running_product(ring, factor, trunc), k)
         assert truncated.terms == explicit.truncate(trunc).terms
-        inverse = nth_product(running_product(ring, sign, arg, base, trunc, inverted=True), k)
+        inverse = nth_product(running_product(ring, factor._replace(inverted=True), trunc), k)
         assert inverse.terms == explicit.invert_unit(trunc).terms
 
     def test_truncated_run_settles_on_the_infinite_product(self):
         # (q; q^3) to order 3: only the factor 1 - q lies below the truncation,
         # so from the product of that one factor on, 1 - q^4 and later factors
         # follow, and the run settles on one series.
-        run = running_product(SINGLE_Q, 1, (1,), (3,), 3)
+        run = running_product(SINGLE_Q, PochFactor(1, (1,), (3,)), 3)
         products = [next(run) for _ in range(5)]
         assert products[1].terms == {(0,): 1, (1,): -1}
         assert all(p is products[1] for p in products[2:])
@@ -192,41 +202,29 @@ class TestRunningProduct:
     )
     def test_rejections(self, ring, arg, base, trunc, inverted, error):
         with pytest.raises(error):
-            next(running_product(ring, 1, arg, base, trunc, inverted))
+            next(running_product(ring, PochFactor(1, arg, base, inverted=inverted), trunc))
 
     def test_run_starting_one_factor_late_is_caught(self, monkeypatch):
         """Pochhammer factors that start at ``arg * base`` instead of ``arg`` fail
-        a catalog identity and a summation check through the truncated infinite
-        products, and a skeleton assembly through its divisions, by degree 8."""
-        real_run = qseries.running_product
-        real_product = qseries.truncated_infinite_product
-        real_divisor = sip._divisor
-
-        def late(arg_exps, base_exps):
-            return tuple(a + b for a, b in zip(arg_exps, base_exps))
-
-        def late_run(ring, sign, arg_exps, base_exps, trunc, inverted=False):
-            return real_run(ring, sign, late(arg_exps, base_exps), base_exps, trunc, inverted)
-
-        def late_product(ring, factors, trunc):
-            factors = [(sign, late(arg, base), base, inv) for sign, arg, base, inv in factors]
-            return real_product(ring, factors, trunc)
-
-        monkeypatch.setattr(qseries, "running_product", late_run)
-        for module in (qseries, identities):
-            monkeypatch.setattr(module, "truncated_infinite_product", late_product)
-        monkeypatch.setattr(sip, "_divisor", lambda m: late(real_divisor(m), Q))
+        a catalog identity, every summation check and the partial sums through
+        the products and summands, and a skeleton assembly through its
+        divisions, by degree 8."""
+        real = PochFactor.argument
+        monkeypatch.setattr(PochFactor, "argument", lambda self, i: real(self, i + 1))
         spec = identities.verify_spec(identities.spec_by_key("g1-four"), 8)
         assert not spec.passed
         assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(spec.failures))) <= 8
-        minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
-        gauss = check_q_gauss(A_INFINITY, minus_b, (1, 1, 0, 0), 8)
-        assert not gauss.passed
-        (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
-        assert sum(int(e) for e in at.split(",")) <= 8
+        for a, b, c in _Q_GAUSS_INSTANCES:
+            gauss = check_q_gauss(a, b, c, 8)
+            assert not gauss.passed, gauss.name
+            (at,) = re.findall(r"^at \(([-\d, ]+)\)", gauss.failures[0])
+            assert sum(int(e) for e in at.split(",")) <= 8, gauss.name
         four = sip.check_sip_gf_four_parameter(PartitionClass.P1, 8)
         assert not four.passed
         assert min(int(d) for d in re.findall(r"degree (\d+):", " ".join(four.failures))) <= 8
+        assert not check_qbinomial_recurrences(10).passed
+        assert not check_qbinomial_theorem(6, (1, 1, 0, 1)).passed
+        assert not identities.verify_partial_sums(PartitionClass.P1, 4, 8).passed
 
 
 def _running_products(ring, factors, trunc):
@@ -234,18 +232,17 @@ def _running_products(ring, factors, trunc):
     ``trunc + 1`` (past the index where it settles), multiplied together with
     the general product."""
     out = Series.one(ring, trunc)
-    for sign, arg, base, inverted in factors:
-        out = out * nth_product(running_product(ring, sign, arg, base, trunc, inverted), trunc + 1)
+    for factor in factors:
+        out = out * nth_product(running_product(ring, factor, trunc), trunc + 1)
     return out
 
 
 def _catalog_products():
-    """Each statement's product and alternate product, with its factor tuples."""
+    """Each statement's product and alternate product, with its factors."""
     for spec in identities.registry():
         for alt, factors in ((False, spec.product), (True, spec.product_alt)):
             if factors is not None:
-                data = [(f.sign, f.arg_exps, f.base_exps, f.inverted) for f in factors]
-                yield pytest.param(spec, alt, data, id=spec.key + ("-alt" if alt else ""))
+                yield pytest.param(spec, alt, factors, id=spec.key + ("-alt" if alt else ""))
 
 
 def _same_series(got, expected):
@@ -285,22 +282,22 @@ class TestTruncatedInfiniteProduct:
         monkeypatch.setattr(Series, "times_run", record)
         identities.product_side(spec, trunc, alt)
         binomials = []
-        for sign, arg, base, inverted in factors:
+        for f in factors:
             for i in count():
-                exps = tuple(a + i * b for a, b in zip(arg, base))
+                exps = tuple(a + i * b for a, b in zip(f.arg_exps, f.base_exps))
                 if spec.ring.degree(exps) > trunc:
                     break
-                binomials.append((spec.ring.degree(exps), sign, exps, inverted))
+                binomials.append((spec.ring.degree(exps), f.sign, exps, f.inverted))
         assert applied == sorted(binomials, key=lambda b: b[0], reverse=True)
         assert applied[0][0] > applied[-1][0]
 
     @pytest.mark.parametrize(
         "ring, factor, trunc, error",
         (
-            (XZQ, (1, (0, 0, 1), (1, 0, 0), False), 8, ValueError),
-            (XZQ, (1, (1, 0, 0), (0, 0, 1), False), 8, NonConvergent),
-            (FOUR_PARAM, (1, (1, -1, 0, 0), Q, True), 8, NonConvergent),
-            (FOUR_PARAM, (1, Q, Q, False), -1, ValueError),
+            (XZQ, PochFactor(1, (0, 0, 1), (1, 0, 0)), 8, ValueError),
+            (XZQ, PochFactor(1, (1, 0, 0), (0, 0, 1)), 8, NonConvergent),
+            (FOUR_PARAM, PochFactor(1, (1, -1, 0, 0), Q, inverted=True), 8, NonConvergent),
+            (FOUR_PARAM, PochFactor(1, Q, Q), -1, ValueError),
         ),
     )
     def test_rejections(self, ring, factor, trunc, error):
@@ -347,6 +344,24 @@ class TestRecurrenceBattery:
         assert report.passed
         assert report.checks > 0
         assert report.failures == ()
+
+    def test_base_product_one_binomial_short_is_caught(self, monkeypatch):
+        """With every ``(Q;Q)_m`` replaced by ``(Q;Q)_(m-1)`` the quotient form
+        fails, and only it."""
+        real = qseries.running_product
+
+        def short(ring, factor, trunc):
+            run = real(ring, factor, trunc)
+            if factor.arg_exps == factor.base_exps:
+                return chain([Series.one(ring, trunc)], run)
+            return run
+
+        monkeypatch.setattr(qseries, "running_product", short)
+        report = check_qbinomial_recurrences(10)
+        assert not report.passed
+        assert report.checks == 260
+        assert all(" quotient-form: " in f for f in report.failures)
+        assert "[2,1] quotient-form: " in report.failures[0]
 
     def test_zero_rows_is_vacuous(self):
         report = check_qbinomial_recurrences(0)
@@ -437,10 +452,12 @@ def _rebuilt_q_gauss_sum(step, pairs, sum_args, c, trunc):
     """The sum side with each summand built from scratch: step^n Q^(pairs*C(n,2))
     times the exact numerator running products, truncated, times the inverted
     runs (Q;Q) and (c;Q)."""
-    numerators = [running_product(FOUR_PARAM, sign, exps, Q, None) for sign, exps in sum_args]
+    numerators = [
+        running_product(FOUR_PARAM, PochFactor(sign, exps, Q), None) for sign, exps in sum_args
+    ]
     denominators = [
-        running_product(FOUR_PARAM, 1, Q, Q, trunc, True),
-        running_product(FOUR_PARAM, 1, c, Q, trunc, True),
+        running_product(FOUR_PARAM, PochFactor(1, Q, Q, inverted=True), trunc),
+        running_product(FOUR_PARAM, PochFactor(1, c, Q, inverted=True), trunc),
     ]
     total = Series.zero(FOUR_PARAM, trunc)
     step_power = Series.one(FOUR_PARAM)  # step^n

@@ -18,6 +18,7 @@ from sipq import series
 from sipq.identities import product_side, spec_by_key, verify_spec
 from sipq.partitions import PartitionClass, class_weight_series
 from sipq.qseries import A_INFINITY, check_q_gauss, check_qbinomial_recurrences
+from sipq.sip import check_sip_gf_four_parameter
 from sipq.series import (
     EXPONENT_LIMIT,
     FOUR_PARAM,
@@ -851,6 +852,16 @@ def assert_caught_by_degree_8() -> None:
     assert min(sum(int(e) for e in exps.split(",")) for exps in at) <= 8
 
 
+def assert_division_caught_by_degree_8() -> None:
+    """As :func:`assert_sums_caught_by_degree_8`, and the skeleton assembly,
+    which divides by one binomial per length, fails too, with a first
+    difference of degree at most 8.  The q-binomial checks divide by nothing."""
+    assert_sums_caught_by_degree_8()
+    four = check_sip_gf_four_parameter(PartitionClass.P1, 8)
+    assert not four.passed
+    assert min(int(d) for d in re.findall(r"degree (\d+):", " ".join(four.failures))) <= 8
+
+
 class TestTimesFactor:
     """``Series.times_factor`` against the general product it replaces, its
     precision guards, and faults in it that the checks must catch.  The
@@ -897,7 +908,7 @@ class TestTimesFactor:
 
     def test_shortened_division_step_is_caught(self, monkeypatch):
         monkeypatch.setattr(series, "_over_binomial", _short_division)
-        assert_caught_by_degree_8()
+        assert_division_caught_by_degree_8()
 
     def test_flipped_binomial_sign_is_caught(self, monkeypatch):
         real = Series.times_run
@@ -1054,7 +1065,7 @@ class TestRunKernel:
 
     def test_descending_division_is_caught(self, monkeypatch):
         monkeypatch.setattr(series, "_over_binomial", _descending_over)
-        assert_caught_by_degree_8()
+        assert_division_caught_by_degree_8()
 
     @pytest.mark.parametrize(
         "operate",
