@@ -14,20 +14,20 @@ numerator or a denominator, is one :class:`PochFactor`, and every series
 prefactor is a table of integer coefficients.
 
 :func:`verify` expands every available side to the requested truncation and
-demands exact agreement pairwise.  A series family is summed in Horner form
-from the top summand down (:func:`qseries.nested_sum`), every level at the
-truncation, and stops at the first summand with no term at or below the
-truncation: no step polynomial has a term of negative degree
-(:class:`TheoremSpec` refuses a family otherwise), so no later summand can come
-back below it.  A four-parameter series side also asserts that no summand has
-a negative exponent; it reads the numerator polynomials, which is equivalent
-because :class:`TheoremSpec` also refuses a four-parameter denominator with a
-negative exponent.
+demands exact agreement pairwise.  A series family, and each of its partial
+sums, is one Horner run (:func:`qseries.horner_sum`) over the levels of one
+forward pass (:func:`qseries.sum_levels`), which stops at the first numerator
+polynomial with no term at or below the truncation: no step polynomial has a
+term of negative degree (:class:`TheoremSpec` refuses a family otherwise).  A
+four-parameter series side also asserts that no summand has a negative
+exponent; it reads the numerator polynomials, which is equivalent because
+:class:`TheoremSpec` also refuses a four-parameter denominator with a negative
+exponent.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .partitions import (
     OMEGA_IDENTITY,
@@ -38,7 +38,7 @@ from .partitions import (
     omega_exponents,
     stats,
 )
-from .qseries import PochFactor, nested_sum, summand_walk, truncated_infinite_product
+from .qseries import PochFactor, horner_sum, nested_sum, sum_levels, truncated_infinite_product
 from .reporting import CheckReport
 from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
 
@@ -64,7 +64,7 @@ OMEGA_TO_BG = SubstitutionMap(
     FOUR_PARAM, XZQ, ((0, 1, 1), (0, -1, 1), (0, -1, 1), (0, 1, 1))
 )
 
-_MAPS = {"xzq": OMEGA_TO_XZQ, "xq": OMEGA_TO_XQ, "zq": OMEGA_TO_ZQ, "bg": OMEGA_TO_BG}
+_MAPS = {"xzq": OMEGA_TO_XZQ, "bg": OMEGA_TO_BG}
 
 
 class SumFamily(NamedTuple):
@@ -88,9 +88,10 @@ class SumFamily(NamedTuple):
 
         return start, ratio
 
-    def summands(self, ring: SeriesRing, trunc: int) -> Iterator[Series]:
-        """The truncated summands, each stepped from the one before."""
-        return summand_walk(*self._monomials(ring), self.factors, trunc)
+    def levels(self, ring: SeriesRing, trunc: int) -> list[tuple[Series, list[tuple]]]:
+        """The family's Horner levels ``(P_n, delta_n)`` to order ``trunc``,
+        from its forward pass."""
+        return list(sum_levels(*self._monomials(ring), self.factors, trunc))
 
     def nested_sum(self, ring: SeriesRing, trunc: int) -> tuple[Series, list[int]]:
         """The family's sum to order ``trunc``, in Horner form from the top,
@@ -113,9 +114,10 @@ class TheoremSpec(_TheoremSpecFields):
     """One catalog statement and the data of each of its sides.
 
     Every way of building one (the constructor, ``_make``, ``_replace``,
-    copying, unpickling) refuses a weight map into another ring, a product
-    factor with a ``count``, a series factor without one, and a series
-    family whose summation could not stop at the truncation.
+    copying, unpickling) refuses a weight map into another ring, a factor or
+    prefactor without one entry per variable, a product factor with a
+    ``count``, a series factor without one or with ``alpha < 1`` or ``beta <
+    0``, and a series family whose summation could not stop at the truncation.
     """
 
     __slots__ = ()
@@ -127,18 +129,26 @@ class TheoremSpec(_TheoremSpecFields):
                 f"{self.key}: weight map target {self.weight_map.target.names}"
                 f" is not the ring {self.ring.names}"
             )
-        if any(f.count is not None for f in self.product + (self.product_alt or ())):
+        nvars, products = self.ring.nvars, self.product + (self.product_alt or ())
+        factors = products + tuple(f for fam in self.series for f in fam.factors)
+        if any(len(fam.prefactor) != nvars for fam in self.series) or any(
+            len(e) != nvars for f in factors for e in (f.arg_exps, f.base_exps)
+        ):
+            raise ValueError(f"{self.key}: every factor and prefactor needs {nvars} entries")
+        if any(f.count is not None for f in products):
             raise ValueError(f"{self.key}: a product factor has a count")
-        # The summand walk needs every term of every step polynomial r_n at
+        # The forward pass needs every term of every step polynomial r_n at
         # nonnegative degree.  r_n is the prefactor ratio, of degree A*n + B
         # (A, B the graded sums of the C(n,2) and n columns), times the new
         # numerator binomials; with A >= 0 and bases of positive degree its
         # degrees only grow with n, so checking r_0 covers every n.  With
-        # A = B = 0 its lowest degree stays 0 and the walk would never stop.
+        # A = B = 0 its lowest degree stays 0 and the pass would never stop.
         degree = self.ring.degree
         for fam in self.series:
             if any(f.count is None for f in fam.factors):
                 raise ValueError(f"{self.key}: a series factor has no count")
+            if any(f.count[0] < 1 or f.count[1] < 0 for f in fam.factors):
+                raise ValueError(f"{self.key}: a series factor count needs alpha >= 1, beta >= 0")
             a = sum(w * c2 for w, (c2, _, _) in zip(self.ring.weights, fam.prefactor))
             b = sum(w * c1 for w, (_, c1, _) in zip(self.ring.weights, fam.prefactor))
             if a < 0 or a == b == 0:
@@ -684,17 +694,16 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
     failures: list[str] = []
     checks = 0
 
-    # F(N) is a running total over one walk per family; a walk that has
-    # stopped adds nothing more below the truncation.
-    walks = [fam.summands(FOUR_PARAM, trunc) for fam in spec.series]
+    # F(N) is the Horner run over each family's first N + 1 levels; a family
+    # whose forward pass has stopped adds nothing more below the truncation.
+    levels = [fam.levels(FOUR_PARAM, trunc) for fam in spec.series]
     zero = Series.zero(FOUR_PARAM, trunc)
     f = zero
     num = PochFactor(-1, (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0), _Q4)
     t = Series.one(FOUR_PARAM, trunc).times_factor(1, _DEN_AB.argument(0), inverted=True)
     for upto in range(n_max + 1):
         prev_f, prev_t = f, t
-        for walk in walks:
-            f = f + next(walk, zero)
+        f = zero.plus(horner_sum(FOUR_PARAM, trunc, fam[: upto + 1]) for fam in levels)
         if upto:
             t = t.times_run((
                 ("times", -1, num.argument(upto - 1)),  # 1 + x Q^(N-1)

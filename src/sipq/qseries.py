@@ -8,14 +8,14 @@ Every Pochhammer product is one :class:`PochFactor`, whose finite products are
 grown one binomial at a time by :func:`running_product`; a truncated infinite
 product of factors is one :meth:`Series.times_run` over their binomials,
 largest first (:func:`truncated_infinite_product`).  A sum of Pochhammer
-quotients ``sum_n P_n / (delta_0 ... delta_n)`` is summed by
-:func:`nested_sum` in Horner form, ``S = (P_0 + (P_1 + (...) / delta_2) /
-delta_1) / delta_0``, in one kernel run from the top level down;
-:func:`summand_walk` steps the summands one by one and serves the partial sums
-and the tests.  The nested sum also reports the summands whose numerator
-polynomial ``P_n`` has a negative exponent, which for denominators ``1 - m``,
-``m`` of nonnegative exponents and positive degree, is the summands that have
-one.
+quotients ``sum_n P_n / (delta_0 ... delta_n)`` has one forward pass,
+:func:`sum_levels`, which steps the numerator polynomials ``P_n`` and yields
+each with its divisor binomials ``delta_n``, and one Horner run,
+:func:`horner_sum`, ``S = (P_0 + (P_1 + (...) / delta_2) / delta_1) /
+delta_0`` in one kernel run from the top level down; :func:`nested_sum` is the
+two together.  It also reports the summands whose numerator polynomial ``P_n``
+has a negative exponent, which for denominators ``1 - m``, ``m`` of
+nonnegative exponents and positive degree, is the summands that have one.
 """
 
 from __future__ import annotations
@@ -73,8 +73,11 @@ class PochFactor(NamedTuple):
         return tuple(a + i * b for a, b in zip(self.arg_exps, self.base_exps))
 
     def check(self, ring: SeriesRing, trunc: int | None) -> None:
-        """Refuse a base of degree < 1, an inverted product without a
-        truncation, and a truncated product whose argument has degree < 1."""
+        """Refuse an exponent tuple whose length is not the ring's, a base of
+        degree < 1, an inverted product without a truncation, and a truncated
+        product whose argument has degree < 1."""
+        if not len(self.arg_exps) == len(self.base_exps) == ring.nvars:
+            raise ValueError(f"exponent tuples must have {ring.nvars} entries, one per variable")
         if ring.degree(self.base_exps) < 1:
             raise ValueError("base must have positive degree")
         if self.inverted and trunc is None:
@@ -91,89 +94,25 @@ class PochFactor(NamedTuple):
         return [self.argument(i) for i in range(start, alpha * n + beta)]
 
 
-def summand_walk(
+def sum_levels(
     start: Series,
     ratio: Callable[[int], Series],
     factors: Sequence[PochFactor],
     trunc: int,
-) -> Iterator[Series]:
-    """Yield the summands ``T_n = m_n * prod_f f_(alpha*n + beta)`` truncated at
-    ``trunc``, ``m_0 = start`` and ``m_(n+1) = m_n * ratio(n)`` exact monomials,
-    ``f_k`` the product of factor ``f``'s first ``k`` binomials (or its inverse).
+) -> Iterator[tuple[Series, list[tuple]]]:
+    """The forward pass of ``sum_n T_n``: yield the Horner levels ``(P_n,
+    delta_n)`` up to the first zero ``P_n``, ``delta_n`` the ``(sign, exps)``
+    of the denominator binomials new in summand ``n``.
 
-    ``T_0`` is ``start`` times the numerators' first ``beta`` binomials,
-    truncated, over the denominators' first ``beta``.  Each later summand is
-    ``T_(n+1) = T_n * r_n``, the exact step polynomial ``r_n`` being
-    ``ratio(n)`` times the new numerator binomials, divided by each new
-    denominator binomial.  The walk stops at the first summand with no term at
-    or below ``trunc``: a term of negative degree in some ``r_n`` raises
-    :class:`PrecisionLoss`, and denominators only raise degree, so no later
-    summand can come back below the truncation.
-    """
-    numerators = [f for f in factors if not f.inverted]
-    denominators = [f for f in factors if f.inverted]
-    for n in count():
-        step = start if n == 0 else ratio(n - 1)
-        for f in numerators:
-            for exps in f.binomials(n):
-                step = step.times_factor(f.sign, exps)
-        if n == 0:
-            term = step.truncate(trunc)
-        elif step.min_deg < 0:
-            raise PrecisionLoss(f"step polynomial {step.to_string()} has a negative-degree term")
-        else:
-            term = term * step
-        for f in denominators:
-            for exps in f.binomials(n):
-                term = term.times_factor(f.sign, exps, inverted=True)
-        if term.is_zero():
-            return
-        yield term
-
-
-def nested_sum(
-    start: Series,
-    ratio: Callable[[int], Series],
-    factors: Sequence[PochFactor],
-    trunc: int,
-) -> tuple[Series, list[int]]:
-    """The sum of the summands :func:`summand_walk` yields, in Horner form;
-    and the indices ``n`` whose numerator polynomial ``P_n`` has a negative
-    exponent at degree ``<= trunc``.
-
-    ``P_n`` is the monomial ``m_n`` times the numerator products, so that
-    ``T_n = P_n / D_n``, ``D_n = delta_0 ... delta_n`` the denominator
-    products, ``delta_k`` the binomials new in summand ``k``.  A forward pass
-    steps ``P_n``, truncated at ``trunc``, by the exact step polynomial
-    ``r_n = P_(n+1) / P_n`` (``ratio(n)`` times the new numerator binomials,
-    one general product each), and stops at the first ``P_n`` with no term at
-    or below ``trunc``, where the walk stops: no ``r_n`` has a term of
-    negative degree, so no later summand can come back below the truncation;
-    a step polynomial that has one raises :class:`PrecisionLoss`.  ``r_n``
-    enters as one exact polynomial, never binomial by binomial after a
-    truncation, since a numerator binomial may have negative degree.
-
-    The sum is then ``S = (P_0 + (P_1 + (...) / delta_2) / delta_1) /
-    delta_0``: one :meth:`Series.times_run` that, from the top level down,
-    adds ``P_k`` and divides by ``delta_k``, every level at ``trunc``.  Each
-    ``1 / delta_k`` has constant term 1 and terms of positive degree only, so
-    ``P_k`` truncated at ``trunc`` gives every level exactly to there.  The
-    result equals the sum of the walk's summands with :meth:`Series.plus`.
-
-    The numerator verdict equals the walk's ``T_n.has_negative_exponent()``
-    when every denominator binomial is ``1 - m`` with ``m`` of nonnegative
-    exponents and positive degree.  Then ``1/D_n`` has constant term 1 and
-    nonnegative exponents, and its other terms have positive degree.  If
-    ``P_n`` has nonnegative exponents below the truncation, so has ``T_n``.
-    Otherwise, in some variable, let ``e < 0`` be the least exponent among the
-    terms of ``P_n`` at degree ``<= trunc``, and ``d`` the least degree among
-    those terms with exponent ``e``.  A term of ``T_n`` with exponent ``e``
-    and degree ``d`` comes from a term of ``P_n`` (exponent ``>= e``, degree
-    ``<= d``, so among those terms) times a term of ``1/D_n`` (exponent and
-    degree ``>= 0``).  The exponents add up to ``e`` and the degrees to
-    ``d``, so the first term has exponent ``e`` and degree ``d``, and the
-    second is the constant 1.  That slice of ``T_n`` is the one of ``P_n``,
-    which is not zero.
+    ``T_n = m_n * prod_f f_(alpha*n + beta) = P_n / (delta_0 ... delta_n)``,
+    ``m_0 = start`` and ``m_(n+1) = m_n * ratio(n)`` exact monomials, ``f_k``
+    the product of factor ``f``'s first ``k`` binomials (or its inverse).
+    ``P_0`` is truncated at ``trunc`` and ``P_(n+1) = P_n * r_n``, the exact
+    step polynomial ``r_n`` being ``ratio(n)`` times the new numerator
+    binomials, in one product since a numerator binomial may have negative
+    degree.  A step polynomial with a term of negative degree raises
+    :class:`PrecisionLoss`; the others only raise degree, so no later summand
+    can come back below the truncation.
     """
     numerators = [f for f in factors if not f.inverted]
     denominators = [f for f in factors if f.inverted]
@@ -185,22 +124,63 @@ def nested_sum(
         )
 
     poly = numerator(0, start).truncate(trunc)
-    polys: list[Series] = []  # P_n
-    negative: list[int] = []
-    while not poly.is_zero():
-        n = len(polys)
-        if poly.has_negative_exponent():
-            negative.append(n)
-        polys.append(poly)
+    for n in count():
+        if poly.is_zero():
+            return
+        yield poly, [(f.sign, exps) for f in denominators for exps in f.binomials(n)]
         step = numerator(n + 1, ratio(n))
         if step.min_deg < 0:
             raise PrecisionLoss(f"step polynomial {step.to_string()} has a negative-degree term")
         poly = poly * step
+
+
+def horner_sum(ring: SeriesRing, trunc: int, levels: Sequence[tuple[Series, list]]) -> Series:
+    """``sum_k P_k / (delta_0 ... delta_k)`` to order ``trunc`` in ``ring``
+    over the ``levels`` ``(P_k, delta_k)``, ``delta_k`` a list of ``(sign,
+    exps)`` binomials ``1 - sign * x^exps``; zero for no level.
+
+    One :meth:`Series.times_run` in Horner form, ``(P_0 + (P_1 + (...) /
+    delta_1) / delta_0``: from the top level down, add ``P_k`` and divide by
+    ``delta_k``.  Each ``1 - m`` with ``m`` of positive degree has an inverse
+    of constant term 1 and terms of positive degree only, so ``P_k``
+    truncated at ``trunc`` gives every level exactly to there.
+    """
     run: list[tuple] = []
-    for k in reversed(range(len(polys))):
-        run.append(("add", polys[k]))
-        run += [("over", f.sign, exps) for f in denominators for exps in f.binomials(k)]
-    return Series.zero(start.ring, trunc).times_run(run), negative
+    for poly, divisors in reversed(levels):
+        run.append(("add", poly))
+        run += [("over", sign, exps) for sign, exps in divisors]
+    return Series.zero(ring, trunc).times_run(run)
+
+
+def nested_sum(
+    start: Series,
+    ratio: Callable[[int], Series],
+    factors: Sequence[PochFactor],
+    trunc: int,
+) -> tuple[Series, list[int]]:
+    """The sum of the summands ``T_n = P_n / D_n`` of :func:`sum_levels` to
+    order ``trunc``, by :func:`horner_sum`; and the indices ``n`` whose
+    numerator polynomial ``P_n`` has a negative exponent at degree ``<=
+    trunc``.
+
+    The numerator verdict equals ``T_n.has_negative_exponent()`` when every
+    denominator binomial is ``1 - m`` with ``m`` of nonnegative exponents and
+    positive degree.  Then ``1/D_n`` has constant term 1 and nonnegative
+    exponents, and its other terms have positive degree.  If ``P_n`` has
+    nonnegative exponents below the truncation, so has ``T_n``.  Otherwise,
+    in some variable, let ``e < 0`` be the least exponent among the terms of
+    ``P_n`` at degree ``<= trunc``, and ``d`` the least degree among those
+    terms with exponent ``e``.  A term of ``T_n`` with exponent ``e`` and
+    degree ``d`` comes from a term of ``P_n`` (exponent ``>= e``, degree ``<=
+    d``, so among those terms) times a term of ``1/D_n`` (exponent and degree
+    ``>= 0``).  The exponents add up to ``e`` and the degrees to ``d``, so the
+    first term has exponent ``e`` and degree ``d``, and the second is the
+    constant 1.  That slice of ``T_n`` is the one of ``P_n``, which is not
+    zero.
+    """
+    levels = list(sum_levels(start, ratio, factors, trunc))
+    negative = [n for n, (poly, _) in enumerate(levels) if poly.has_negative_exponent()]
+    return horner_sum(start.ring, trunc, levels), negative
 
 
 def running_product(ring: SeriesRing, factor: PochFactor, trunc: int | None) -> Iterator[Series]:
@@ -457,8 +437,8 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     # Summand n+1 is summand n times step * Q^(pairs*n) * prod (1 - p*Q^n),
     # over (1 - Q^(n+1)) (1 - c*Q^n).  For n = 0 that step polynomial's terms
     # are c/(ab), c/a, c/b and c (-c/b and c in the limit), each checked above
-    # to have positive degree, and its degrees only grow with n: the walk's
-    # precondition fails with a DomainError here, never mid-sum.
+    # to have positive degree, and its degrees only grow with n: the forward
+    # pass's precondition fails with a DomainError here, never mid-sum.
     def poch(p: Series, what: str, **kwargs: object) -> PochFactor:
         parts = _monomial_parts(p, DomainError(f"{what} must be a single monomial"))
         return PochFactor(*parts, _Q, **kwargs)  # (p; Q)

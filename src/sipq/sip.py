@@ -28,7 +28,7 @@ from .partitions import (
     is_member,
     members_by_weight,
 )
-from .qseries import PochFactor
+from .qseries import PochFactor, horner_sum
 from .reporting import CheckReport
 from .series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
 
@@ -230,9 +230,9 @@ def sip_gf_four_parameter(
     call, one bottom-up skeleton pass per parity of ``m``, and the product of
     the ``d_j`` (see :func:`_divisor`) is ``(ab;Q)_n (Q;Q)_n`` for ``m = 2n``
     and ``(ab;Q)_{n+1} (Q;Q)_n`` for ``m = 2n+1``, ``Q = abcd``.  The sum is
-    taken in Horner form from the top length down, ``total = (total + B_m) /
-    d_m``: one :meth:`Series.times_run` of ``add`` and ``over`` steps, each
-    division on the mapped exponents.
+    one :func:`~sipq.qseries.horner_sum` over the levels ``(B_m, d_m)``, from
+    the top length down, ``total = (total + B_m) / d_m``, each division on the
+    mapped exponents.
     ``weight_map`` is refused unless, as for :func:`class_weight_series`, it
     maps from the four-parameter ring with every image of degree 1; a
     skeleton's mapped degree is then its weight, at least its length, so
@@ -243,12 +243,10 @@ def sip_gf_four_parameter(
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     sums = basis_weight_sums(cls.basis, trunc, trunc, weight_map)
-    run: list[tuple] = []
-    for m in range(trunc, -1, -1):
-        run.append(("add", sums[m]))
-        if m:
-            run.append(("over", 1, weight_map.map_exps(_divisor(m))))
-    return Series.zero(weight_map.target, trunc).times_run(run)
+    levels = [
+        (sums[m], [(1, weight_map.map_exps(_divisor(m)))] if m else []) for m in range(trunc + 1)
+    ]
+    return horner_sum(weight_map.target, trunc, levels)
 
 
 def check_sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> CheckReport:

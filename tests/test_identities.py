@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from sipq import identities
+from sipq import identities, qseries
 from sipq.identities import (
     SumFamily,
     UnknownTheorem,
@@ -24,7 +24,7 @@ from sipq.identities import (
     verify_substitution_consistency,
 )
 from sipq.partitions import Partition, PartitionClass, enumerate_partitions
-from sipq.qseries import A_INFINITY, PochFactor, check_q_gauss, running_product
+from sipq.qseries import A_INFINITY, PochFactor, check_q_gauss, horner_sum, running_product
 from sipq.series import FOUR_PARAM, XZQ, PrecisionLoss, Series, TruncationMismatch
 
 EXPECTED_KEYS = (
@@ -215,8 +215,9 @@ def test_decreasing_prefactor_rejected(d_exponent):
 
 def test_negative_first_step_rejected():
     """A numerator binomial of degree -5 against a prefactor step of degree 4
-    gives the first step polynomial a term of degree -1, so the walk could stop
-    before a summand that comes back below the truncation: refused when built."""
+    gives the first step polynomial a term of degree -1, so the forward pass
+    could stop before a summand that comes back below the truncation: refused
+    when built."""
     spec = spec_by_key("p1-four")
     fam = spec.series[0]
     low = _rebuilt(fam.factors[0], arg_exps=(0, -2, -2, -1))
@@ -267,6 +268,49 @@ def test_series_factor_without_count_rejected():
         _rebuilt(spec, series=(family,))
 
 
+@pytest.mark.parametrize("count", ((0, 0), (-1, 0), (1, -1)), ids=("alpha-0", "alpha-minus-1", "beta-minus-1"))
+def test_series_factor_count_out_of_range_rejected(count):
+    """A factor with ``alpha < 1`` adds no binomial from one summand to the
+    next, and one with ``beta < 0`` lacks binomials its first summands need:
+    each is refused when built, with the statement's key."""
+    spec = spec_by_key("g1-four")
+    fam = spec.series[0]
+    family = _rebuilt(fam, factors=(_rebuilt(fam.factors[0], count=count),) + fam.factors[1:])
+    with pytest.raises(ValueError, match="^g1-four: a series factor count needs alpha >= 1"):
+        _rebuilt(spec, series=(family,))
+
+
+def _arity_changes(spec):
+    """Field changes that give one factor's argument or base, or one family's
+    prefactor, one entry too many or too few."""
+    for field in ("product", "product_alt"):
+        factors = getattr(spec, field)
+        for attr in ("arg_exps", "base_exps") if factors else ():
+            exps = getattr(factors[0], attr)
+            for wrong in (exps + (7,), exps[:-1]):
+                yield {field: (_rebuilt(factors[0], **{attr: wrong}),) + factors[1:]}
+    fam = spec.series[0]
+    for i, f in enumerate(fam.factors):
+        for attr in ("arg_exps", "base_exps"):
+            changed = _rebuilt(f, **{attr: getattr(f, attr) + (7,)})
+            yield {"series": (_rebuilt(fam, factors=_replace_at(fam.factors, i, changed)),)}
+    for prefactor in (fam.prefactor + ((0, 0, 0),), fam.prefactor[:-1]):
+        yield {"series": (_rebuilt(fam, prefactor=prefactor),)}
+
+
+@pytest.mark.parametrize("key", ("g1-four", "g1-altsum"))
+def test_factor_or_prefactor_of_the_wrong_length_rejected(key):
+    """An exponent tuple or prefactor with an entry too many or too few is
+    refused when built, with the statement's key, instead of being cut short
+    or failing deep in a verification."""
+    spec = spec_by_key(key)
+    changes = list(_arity_changes(spec))
+    assert len(changes) == 4 * (1 + (spec.product_alt is not None)) + 2 * 3 + 2
+    for change in changes:
+        with pytest.raises(ValueError, match=f"^{key}: every factor and prefactor needs"):
+            _rebuilt(spec, **change)
+
+
 @pytest.mark.parametrize("key, other", (("g1-four", "g1-xzq"), ("g1-xzq", "g1-four")))
 def test_weight_map_into_another_ring_rejected(key, other):
     """The combinatorial side is built in the target ring of the weight map,
@@ -276,39 +320,52 @@ def test_weight_map_into_another_ring_rejected(key, other):
 
 
 def _rebuilt_summands(ring, fam, trunc):
-    """Each summand built from scratch: the prefactor monomial times the exact
-    numerator running products, truncated, times the inverted denominator runs."""
+    """Each summand built from scratch, with its numerator polynomial: the
+    prefactor monomial times every numerator binomial, in ascending degree
+    through the general product, truncated once the binomials of negative
+    degree are in; and that times the inverted denominator runs."""
+    one = (0,) * ring.nvars
     runs = [
-        (f, islice(running_product(ring, f, trunc if f.inverted else None),
-                   f.count[1], None, f.count[0]))
+        (f, islice(running_product(ring, f, trunc), f.count[1], None, f.count[0]))
         for f in fam.factors
+        if f.inverted
     ]
     for n in count():
         pairs = n * (n - 1) // 2
-        term = Series.monomial(ring, 1, tuple(c2 * pairs + c1 * n + c0 for c2, c1, c0 in fam.prefactor))
-        for f, run in runs:
-            if not f.inverted:
-                term = term * next(run)
-        term = term.truncate(trunc)
-        for f, run in runs:
-            if f.inverted:
-                term = term * next(run)
-        yield term
+        poly = Series.monomial(ring, 1, tuple(c2 * pairs + c1 * n + c0 for c2, c1, c0 in fam.prefactor))
+        binomials = sorted(
+            ((f.sign, f.argument(i)) for f in fam.factors if not f.inverted
+             for i in range(f.count[0] * n + f.count[1])),
+            key=lambda b: ring.degree(b[1]),
+        )
+        for sign, exps in binomials:
+            if ring.degree(exps) >= 0 and poly.trunc is None:
+                poly = poly.truncate(trunc)
+            poly = poly * Series.from_terms(ring, ((one, 1), (exps, -sign)), None)
+        poly = term = poly.truncate(trunc)
+        for _, run in runs:
+            term = term * next(run)
+        yield poly, term
 
 
 @pytest.mark.parametrize("key", [s.key for s in registry() if s.series])
-def test_walk_matches_rebuilt_summands(key):
-    """Stepping each summand from the one before gives the summands built from
-    scratch, and the walk stops only once they vanish."""
+def test_forward_pass_matches_rebuilt_summands(key):
+    """Stepping each numerator polynomial from the one before gives the ones
+    built from scratch, each level's Horner run alone (the levels below it
+    with zero numerators) gives the rebuilt summand, and the forward pass
+    stops only once the rebuilt numerators vanish."""
     spec = spec_by_key(key)
     for trunc in range(25):
+        zero = Series.zero(spec.ring, trunc)
         for fam in spec.series:
-            walked = list(fam.summands(spec.ring, trunc))
-            rebuilt = list(islice(_rebuilt_summands(spec.ring, fam, trunc), len(walked) + 3))
-            for n, (w, r) in enumerate(zip(walked, rebuilt)):
-                assert (w, w.trunc) == (r, r.trunc), (trunc, n)
-                assert not w.is_zero()
-            assert all(r.is_zero() for r in rebuilt[len(walked):]), trunc
+            levels = fam.levels(spec.ring, trunc)
+            rebuilt = list(islice(_rebuilt_summands(spec.ring, fam, trunc), len(levels) + 3))
+            for n, ((poly, divisors), (p, term)) in enumerate(zip(levels, rebuilt)):
+                assert (poly, poly.trunc) == (p, p.trunc), (trunc, n)
+                assert not poly.is_zero()
+                alone = horner_sum(spec.ring, trunc, [(zero, d) for _, d in levels[:n]] + [(poly, divisors)])
+                assert (alone, alone.trunc) == (term, term.trunc), (trunc, n)
+            assert all(p.is_zero() for p, _ in rebuilt[len(levels):]), trunc
 
 
 def _shifted_denominator(real):
@@ -337,9 +394,9 @@ def _at_degree(failure):
 
 @pytest.mark.parametrize("fault", (_shifted_denominator, _dropped_numerator),
                          ids=("shifted-denominator", "dropped-numerator"))
-def test_walk_faults_are_caught(monkeypatch, fault):
-    """A walk that shifts every denominator index by one, or drops the new
-    numerator binomial from each step polynomial, fails a four-variable and a
+def test_forward_pass_faults_are_caught(monkeypatch, fault):
+    """A forward pass that shifts every denominator index by one, or drops the
+    new numerator binomial from each step polynomial, fails a four-variable and a
     three-variable identity, a summation check and the partial sums, each with
     a first difference by degree 8."""
     monkeypatch.setattr(PochFactor, "binomials", fault(PochFactor.binomials))
@@ -356,7 +413,80 @@ def test_walk_faults_are_caught(monkeypatch, fault):
     assert _at_degree(partial.failures[0]) <= 8
 
 
-# -- nested family sums against the walk ---------------------------------------------
+def _stopped_one_early(real):
+    def levels(*args):
+        return list(real(*args))[:-1]
+
+    return levels
+
+
+class _SlicedOneOff(list):
+    """Levels whose slices end ``shift`` levels past where they are asked to."""
+
+    def __init__(self, levels, shift):
+        super().__init__(levels)
+        self.shift = shift
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            key = slice(key.start, key.stop + self.shift, key.step)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("shift", (-1, 1), ids=("one-level-too-few", "one-level-too-many"))
+def test_partial_sums_reading_the_wrong_levels_fail(monkeypatch, shift):
+    """Partial sums ``F(N)`` that read one Horner level too few or too many
+    fail both partial-sum checks at trunc 8."""
+    real = SumFamily.levels
+    monkeypatch.setattr(
+        SumFamily, "levels", lambda self, *args: _SlicedOneOff(real(self, *args), shift)
+    )
+    for cls in (PartitionClass.P1, PartitionClass.P2):
+        report = verify_partial_sums(cls, 4, 8)
+        assert not report.passed, cls
+        assert _at_degree(report.failures[0]) <= 8
+
+
+def test_forward_pass_stopping_one_level_early_fails(monkeypatch):
+    """A forward pass that stops one numerator polynomial early fails a
+    four-variable and a three-variable identity, a summation check and the
+    partial sums, each by degree 8."""
+    monkeypatch.setattr(qseries, "sum_levels", _stopped_one_early(qseries.sum_levels))
+    monkeypatch.setattr(identities, "sum_levels", _stopped_one_early(identities.sum_levels))
+    for key in ("g1-four", "g1-xzq"):
+        report = verify_spec(spec_by_key(key), 8)
+        assert not report.passed, key
+        assert min(int(d) for d in re.findall(r"degree-(\d+) slices", " ".join(report.failures))) <= 8
+    gauss = check_q_gauss((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), 8)
+    assert not gauss.passed
+    assert _at_degree(gauss.failures[0]) <= 8
+    partial = verify_partial_sums(PartitionClass.P1, 4, 8)
+    assert not partial.passed
+    assert _at_degree(partial.failures[0]) <= 8
+
+
+@pytest.mark.parametrize("ring", (FOUR_PARAM, XZQ), ids=lambda ring: "".join(ring.names))
+def test_no_level_sums_to_zero_in_its_ring(ring):
+    """A Horner run over no level is zero, in its ring, at its truncation."""
+    for trunc in range(3):
+        total = horner_sum(ring, trunc, [])
+        assert (total, total.trunc, total.ring) == (Series.zero(ring, trunc), trunc, ring)
+
+
+@pytest.mark.parametrize("cls, key", ((PartitionClass.P1, "p1-four"), (PartitionClass.P2, "p2-four")),
+                         ids=("p1", "p2"))
+def test_partial_sums_of_a_family_with_no_level(cls, key):
+    """At trunc 0 and 1 the second family's ``P_0`` has degree 2, so it has no
+    level; its partial sums are zero and the checks still pass."""
+    second = spec_by_key(key).series[1]
+    for trunc in (0, 1):
+        assert second.levels(FOUR_PARAM, trunc) == []
+        report = verify_partial_sums(cls, 4, trunc)
+        assert report.passed, report.failures
+    assert second.levels(FOUR_PARAM, 2) != []
+
+
+# -- nested family sums against the rebuilt summands ---------------------------------
 
 
 def _exps(draw, ring, low, high, positive):
@@ -412,18 +542,25 @@ def families(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(families())
-def test_nested_sum_matches_the_walk(case):
-    """(a) The nested sum equals the walk's summands added with ``plus``, with
-    the same truncation.  (b) Where every denominator has
-    nonnegative exponents, the numerator verdict names exactly the walked
-    summands with a negative exponent."""
+def test_nested_sum_matches_rebuilt_summands(case):
+    """(a) The nested sum equals the summands built from scratch, up to the
+    first numerator with no term at or below the truncation, added with
+    ``plus``, with the same truncation; the next two numerators vanish too.
+    (b) Where every denominator has nonnegative exponents, the numerator
+    verdict names exactly the rebuilt summands with a negative exponent."""
     ring, family, trunc = case
-    walked = list(family.summands(ring, trunc))
-    expected = Series.zero(ring, trunc).plus(walked)
+    rebuilt = _rebuilt_summands(ring, family, trunc)
+    summands = []
+    for poly, term in rebuilt:
+        if poly.is_zero():
+            break
+        summands.append(term)
+    assert all(poly.is_zero() for poly, _ in islice(rebuilt, 2))
+    expected = Series.zero(ring, trunc).plus(summands)
     got, negative = family.nested_sum(ring, trunc)
     assert (got, got.trunc) == (expected, expected.trunc)
     if all(min(f.arg_exps + f.base_exps) >= 0 for f in family.factors if f.inverted):
-        assert negative == [n for n, t in enumerate(walked) if t.has_negative_exponent()]
+        assert negative == [n for n, t in enumerate(summands) if t.has_negative_exponent()]
 
 
 def test_negative_summand_exponent_is_reported():

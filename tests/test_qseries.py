@@ -25,7 +25,7 @@ from sipq.qseries import (
     pochhammer_infinite,
     q_monomial,
     running_product,
-    summand_walk,
+    sum_levels,
     truncated_infinite_product,
 )
 from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, PrecisionLoss, Series
@@ -305,6 +305,22 @@ class TestTruncatedInfiniteProduct:
             truncated_infinite_product(ring, [factor], trunc)
 
 
+@pytest.mark.parametrize(
+    "arg, base",
+    (((1, 0, 0, 0), (1, 1, 1, 1, 7)), ((1, 0, 0, 0), (1, 1, 1)), ((1, 0, 0), Q), ((1, 0, 0, 0, 0), Q)),
+    ids=("long-base", "short-base", "short-argument", "long-argument"),
+)
+def test_exponent_tuple_of_the_wrong_length_rejected(arg, base):
+    """A factor's argument or base with an entry too many or too few is
+    refused by every product, not cut short to the ring's variables."""
+    factor = PochFactor(-1, arg, base)
+    with pytest.raises(ValueError, match="must have 4 entries"):
+        truncated_infinite_product(FOUR_PARAM, [factor], 8)
+    for trunc in (8, None):
+        with pytest.raises(ValueError, match="must have 4 entries"):
+            next(running_product(FOUR_PARAM, factor, trunc))
+
+
 class TestGaussBinomial:
     def test_edges(self):
         one = {(0, 0, 0, 0): 1}
@@ -431,8 +447,9 @@ class TestQGauss:
 
     def test_negative_degree_step_rejected_before_summing(self):
         """With c = ab and b = b^3 the limit's first step polynomial -(c/b)(1 - b)
-        has the term -c/b = -a*b^-2 of degree -1: the walk raises PrecisionLoss
-        at that step, so the check's c/b guard refuses the parameters first."""
+        has the term -c/b = -a*b^-2 of degree -1: the forward pass raises
+        PrecisionLoss at that step, so the check's c/b guard refuses the
+        parameters first."""
         b, c = (0, 3, 0, 0), (1, 1, 0, 0)
         factors = [
             PochFactor(1, b, Q, (1, 0)),
@@ -440,10 +457,10 @@ class TestQGauss:
             PochFactor(1, c, Q, (1, 0), inverted=True),
         ]
         step = Series.monomial(FOUR_PARAM, -1, (1, -2, 0, 0))
-        walk = summand_walk(Series.one(FOUR_PARAM), lambda n: step * q_monomial(n), factors, 12)
-        next(walk)
-        with pytest.raises(PrecisionLoss, match="negative-degree term"):
-            next(walk)
+        levels = sum_levels(Series.one(FOUR_PARAM), lambda n: step * q_monomial(n), factors, 12)
+        next(levels)
+        with pytest.raises(PrecisionLoss, match="^step polynomial .* has a negative-degree term$"):
+            next(levels)
         with pytest.raises(DomainError, match="c/b"):
             check_q_gauss(A_INFINITY, b, c, 12)
 
@@ -487,12 +504,12 @@ def _rebuilt_q_gauss_sum(step, pairs, sum_args, c, trunc):
     ids=("minus-b", "minus-c-inverse", "generic"),
 )
 def test_q_gauss_sum_side_matches_rebuilt_summands(monkeypatch, trunc, a, b, c, step, pairs, sum_args):
-    """The battery's q-Gauss sum sides, walked, equal the sums of summands built
+    """The battery's q-Gauss sum sides, summed, equal the sums of summands built
     from scratch: same coefficients and truncation."""
     compared = []
     real = Series.equal_to
     monkeypatch.setattr(Series, "equal_to", lambda s, o: compared.append(s) or real(s, o))
     assert check_q_gauss(a, b, c, trunc).passed
-    (walked,) = compared
+    (summed,) = compared
     rebuilt = _rebuilt_q_gauss_sum(Series.monomial(FOUR_PARAM, 1, step), pairs, sum_args, c, trunc)
-    assert (walked, walked.trunc) == (rebuilt, rebuilt.trunc)
+    assert (summed, summed.trunc) == (rebuilt, rebuilt.trunc)
