@@ -32,11 +32,14 @@ _SCHEMA_VERSION = 1
 _DEFAULT_TRUNC = 16
 
 _CLASS_CHOICES = sorted(cls.value for cls in sip.DECOMPOSABLE)
-# `verify --all` runs its member-by-member checks at most at this truncation:
-# they walk every member up to it, so at trunc 24 they would take
-# 0.16-0.18 s instead of 0.025-0.027 s (quartiles of 8 fresh processes,
+# `verify --all` runs the `sip-property`, `substitution` and `sip-gf-four`
+# reports at most at this truncation.  The `sip-property` and two
+# `substitution` reports walk every member up to it, so at trunc 24 they would
+# take 0.16-0.18 s instead of 0.025-0.027 s (quartiles of 8 fresh processes,
 # Python 3.11.7, 2-core host), more than the whole trunc-24 run takes now
-# (0.08-0.14 s).
+# (0.08-0.14 s).  `sip-gf-four` walks no member: it compares the skeleton
+# assembly with the row recursion, and stays at the cap because running it at
+# `--trunc` would change stdout.
 _MEMBERWISE_TRUNC_CAP = 16
 
 

@@ -27,6 +27,7 @@ exponent.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from .partitions import (
@@ -88,10 +89,13 @@ class SumFamily(NamedTuple):
 
         return start, ratio
 
-    def levels(self, ring: SeriesRing, trunc: int) -> list[tuple[Series, list[tuple]]]:
-        """The family's Horner levels ``(P_n, delta_n)`` to order ``trunc``,
-        from its forward pass."""
-        return list(sum_levels(*self._monomials(ring), self.factors, trunc))
+    def levels(
+        self, ring: SeriesRing, trunc: int, count: int | None = None
+    ) -> list[tuple[Series, list[tuple]]]:
+        """The family's first ``count`` Horner levels ``(P_n, delta_n)`` (all
+        by default) to order ``trunc``, from its forward pass, which runs no
+        further than that."""
+        return list(islice(sum_levels(*self._monomials(ring), self.factors, trunc), count))
 
     def nested_sum(self, ring: SeriesRing, trunc: int) -> tuple[Series, list[int]]:
         """The family's sum to order ``trunc``, in Horner form from the top,
@@ -696,7 +700,7 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
 
     # F(N) is the Horner run over each family's first N + 1 levels; a family
     # whose forward pass has stopped adds nothing more below the truncation.
-    levels = [fam.levels(FOUR_PARAM, trunc) for fam in spec.series]
+    levels = [fam.levels(FOUR_PARAM, trunc, n_max + 1) for fam in spec.series]
     zero = Series.zero(FOUR_PARAM, trunc)
     f = zero
     num = PochFactor(-1, (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0), _Q4)

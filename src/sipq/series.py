@@ -4,9 +4,9 @@ A :class:`Series` holds finitely many terms, each an exponent vector with an
 integer coefficient, in a fixed :class:`SeriesRing`.  Each ring assigns every
 variable a nonnegative grading weight; the *degree* of a term is the weighted
 sum of its exponents.  Terms are stored in buckets, ``degree -> {packed key:
-int}``, so a term's degree is computed once, when it enters; a product walks
-one factor's buckets in ascending degree and stops at the truncation, and
-truncating drops whole buckets.
+int}``, so a term's degree is computed once, when it enters; a product skips
+whole target buckets above the truncation, and truncating drops whole
+buckets.
 
 An exponent vector is stored as one packed int (Kronecker substitution):
 ``key = sum(e_i * RADIX**(n-1-i))`` with balanced digits, ``|e_i| <
@@ -30,14 +30,16 @@ negative-degree term would pull unknown terms back below it.
 
 One kernel, :meth:`Series.times_run`, applies a whole run of steps to one
 private bucket map and builds one series at the end: a multiplication or a
-division by a binomial ``1 - sign * x^exps``, or adding a series.  A
-multiplication walks the buckets in descending degree and a division in
-ascending degree (the recurrence ``g_d = f_d + sign * x^exps * g_(d - deg)``,
-linear in the output), both in place.  A run copies its input's buckets once,
-up front, so every bucket it writes is its own.  :meth:`Series.times_factor`
-is a run of one binomial step and :meth:`Series.plus` a run of additions; a
-product of two series walks the factor with fewer terms, each term against
-whole buckets of the other.
+division by a binomial ``1 - sign * x^exps``, or adding a series.  Every step
+is one shift-add walk, which adds a shifted, scaled copy of each source
+bucket into the bucket ``deg`` above it, in the order it is given.  On the
+run's own buckets the order picks the operation: walking away from the
+targets multiplies, walking towards them divides (the recurrence ``g_d = f_d
++ sign * x^exps * g_(d - deg)``, linear in the output).  An addition walks the
+addend's buckets with no shift.  A run copies its input's buckets once, up
+front, so every bucket it writes is its own.  :meth:`Series.times_factor` is a
+run of one binomial step and :meth:`Series.plus` a run of additions; a product
+of two series walks the larger factor's buckets once per term of the other.
 :meth:`SubstitutionMap.map_exps` is the one place exponents are substituted.
 
 No class here is a dataclass: :class:`SeriesRing` is a slotted class and the
@@ -150,6 +152,8 @@ class SeriesRing:
         return len(self.names)
 
     def degree(self, exps: tuple[int, ...]) -> int:
+        if len(exps) != len(self.weights):
+            raise ValueError(f"exponent tuple {exps} has wrong arity for {self.names}")
         return sum(map(mul, self.weights, exps))
 
     def pack(self, exps: Iterable[int]) -> int:
@@ -184,8 +188,6 @@ def _bucketed(
         if coeff == 0:
             continue
         exps = tuple(exps)
-        if len(exps) != ring.nvars:
-            raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
         deg = ring.degree(exps)
         if trunc is None or deg <= trunc:
             bound = max(bound, max(exps), -min(exps))
@@ -323,8 +325,6 @@ class Series:
 
     def coefficient(self, exps: tuple[int, ...]) -> int:
         exps = tuple(exps)
-        if len(exps) != self.ring.nvars:
-            raise ValueError(f"exponent tuple {exps} has wrong arity for {self.ring.names}")
         deg = self.ring.degree(exps)
         self._check_known(deg)
         if exps and max(max(exps), -min(exps)) > self.bound:
@@ -456,12 +456,16 @@ class Series:
         ``add`` and then ``over`` from the top level down, sums
         ``sum_k P_k / (d_0 ... d_k)`` in one pass.
 
-        The input's buckets are copied once, up front, and every step writes
-        the run's own dicts in place: an addend's bucket is copied where it
-        opens a degree, a multiplication walks the buckets in descending degree
-        (in ascending degree for a factor of negative degree), so each source
-        bucket is read before it is written, and a division in ascending
-        degree, so each bucket is final before the recurrence reads it.
+        The input's buckets are copied once, up front, and every step is one
+        shift-add walk that writes the run's own dicts in place: an ``add``
+        walks the addend's buckets with no shift, copying a bucket where it
+        opens a degree; a binomial step walks the run's own buckets, shifted
+        by the binomial's degree, and the walk order picks the operation.  A
+        multiplication walks away from the targets (descending degree, or
+        ascending for a factor of negative degree), so each source bucket is
+        read before it is written; a division walks towards them, in
+        ascending degree, so each bucket is final before the recurrence reads
+        it.
         """
         ring, trunc, bound = self.ring, self.trunc, self.bound
         buckets = {deg: dict(bucket) for deg, bucket in self.buckets.items()}
@@ -476,23 +480,12 @@ class Series:
                 elif other.trunc is not None and other.trunc != trunc:
                     raise TruncationMismatch(f"{trunc} vs {other.trunc}")
                 bound = max(bound, other.bound)
-                for deg, bucket in other.buckets.items():
-                    if trunc is not None and deg > trunc:
-                        continue
-                    acc = buckets.get(deg)
-                    if acc is None:
-                        buckets[deg] = dict(bucket)
-                        continue
-                    get = acc.get
-                    for key, coeff in bucket.items():
-                        acc[key] = get(key, 0) + coeff
+                _shift_walk(buckets, other.buckets, other.buckets, 0, 0, 1, trunc)
                 continue
             if kind not in ("times", "over"):
                 raise ValueError(f"unknown run step {kind!r}")
             sign, exps = args
             exps = tuple(exps)
-            if len(exps) != ring.nvars:
-                raise ValueError(f"exponent tuple {exps} has wrong arity for {ring.names}")
             deg = ring.degree(exps)
             edge = max(map(abs, exps), default=0)
             if kind == "over":
@@ -505,7 +498,9 @@ class Series:
                 if _below_zero(buckets, trunc):
                     raise PrecisionLoss("negative-degree terms divided by a truncated expansion")
                 bound = _checked_bound(bound + tail)
-                _over_binomial(buckets, ring.pack(exps), deg, sign, trunc)
+                # Towards the targets: each source is final before it is read.
+                ascending = range(min(buckets, default=trunc), trunc - deg + 1)
+                _shift_walk(buckets, buckets, ascending, ring.pack(exps), deg, sign, trunc)
                 continue
             # The binomial as a series truncated like this one: its x^exps term
             # is lost above the truncation.
@@ -518,7 +513,9 @@ class Series:
                 raise PrecisionLoss("truncated series multiplied by negative-degree terms")
             bound = _checked_bound(bound + factor_bound)
             if term_in:
-                _times_binomial(buckets, ring.pack(exps), deg, -sign, trunc)
+                # Away from the targets: each source is read before it is written.
+                away = sorted(buckets, reverse=deg > 0)
+                _shift_walk(buckets, buckets, away, ring.pack(exps), deg, -sign, trunc)
         return Series._from_buckets(ring, buckets, bound, trunc)
 
     # -- truncation -------------------------------------------------------------
@@ -603,10 +600,10 @@ class Series:
 
 # -- the run kernel -------------------------------------------------------------
 #
-# Each binomial step of :meth:`Series.times_run` works on ``buckets``, a
-# private map whose bucket dicts the run has copied or built itself, and
-# writes them in place; :meth:`Series.__mul__` hands its product to
-# ``_times_poly``.
+# Each step of :meth:`Series.times_run` is one ``_shift_walk`` over
+# ``buckets``, a private map whose bucket dicts the run has copied or built
+# itself, written in place; :meth:`Series.__mul__` hands its product to
+# ``_times_poly``, which walks into new buckets.
 
 
 def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None) -> bool:
@@ -620,93 +617,56 @@ def _below_zero(buckets: dict[int, dict[int, int]], trunc: int | None) -> bool:
     return trunc is not None and trunc + 1 < 0
 
 
-def _times_binomial(
+def _shift_walk(
     buckets: dict[int, dict[int, int]],
+    source: Mapping[int, dict[int, int]],
+    degrees: Iterable[int],
     key: int,
     deg: int,
-    step: int,
+    factor: int,
     trunc: int | None,
 ) -> None:
-    """Multiply by ``1 + step * x^e`` in place, ``e`` of key ``key`` and degree
-    ``deg``.
+    """For each source degree ``d`` of ``degrees``, in that order, add
+    ``factor * x^e * source[d]`` into ``buckets[d + deg]`` in place, ``e`` of
+    key ``key`` and degree ``deg``; targets above ``trunc`` are skipped.
 
-    Bucket ``d`` adds ``step`` times itself, shifted, to bucket ``d + deg``.
-    Walking the source degrees away from the targets (descending for ``deg >
-    0``, ascending for ``deg < 0``) reads every source before it is written.
+    The one shift-add loop of the kernel.  When ``source`` is ``buckets``
+    itself, the order decides the operation: walking away from the targets
+    reads every source before it is written, a multiplication by ``1 + factor
+    * x^e``; walking towards them makes every source final before it is read,
+    the division recurrence ``g_d = f_d + factor * x^e * g_(d - deg)``.
     """
-    for d in sorted(buckets, reverse=deg > 0):
-        src = buckets[d]
+    for d in degrees:
+        src = source.get(d)
+        if not src:
+            continue
         target = d + deg
         if trunc is not None and target > trunc:
             continue
         acc = buckets.get(target)
         if acc is None:
-            buckets[target] = {k + key: step * c for k, c in src.items()}
+            buckets[target] = {k + key: factor * c for k, c in src.items()}
             continue
-        if target == d:
+        if acc is src:
             # At degree 0 the source is the target, so the sum goes into a new
             # dict while the old one is read.
             acc = buckets[target] = dict(acc)
         get = acc.get
         for k, c in src.items():
             k += key
-            acc[k] = get(k, 0) + step * c
-
-
-def _over_binomial(
-    buckets: dict[int, dict[int, int]],
-    key: int,
-    deg: int,
-    sign: int,
-    trunc: int,
-) -> None:
-    """Divide by ``1 - sign * x^e`` in place to order ``trunc``, ``e`` of key
-    ``key`` and degree ``deg > 0``, every stored degree nonnegative.
-
-    The recurrence ``g_d = f_d + sign * x^e * g_(d - deg)`` is walked in
-    ascending degree, so bucket ``d - deg`` is final when bucket ``d`` reads
-    it; the cost is linear in the output.
-    """
-    if not buckets:
-        return
-    for d in range(min(buckets) + deg, trunc + 1):
-        below = buckets.get(d - deg)
-        if not below:
-            continue
-        acc = buckets.get(d)
-        if acc is None:
-            buckets[d] = {k + key: sign * c for k, c in below.items()}
-            continue
-        get = acc.get
-        for k, c in below.items():
-            k += key
-            acc[k] = get(k, 0) + sign * c
+            acc[k] = get(k, 0) + factor * c
 
 
 def _times_poly(
     buckets: dict[int, dict[int, int]], poly: dict[int, dict[int, int]], trunc: int | None
 ) -> dict[int, dict[int, int]]:
     """The buckets times the buckets ``poly``, to order ``trunc``, as new
-    buckets: the product of :meth:`Series.__mul__`.
-
-    Each source bucket meets each term of ``poly`` once: the first to reach a
-    target degree builds its bucket by a dict comprehension, the others add in.
-    """
-    terms = [(pd, pk, pc) for pd, bucket in poly.items() for pk, pc in bucket.items()]
+    buckets: the product of :meth:`Series.__mul__`, one walk of ``buckets``
+    per term of ``poly``."""
     out: dict[int, dict[int, int]] = {}
-    for d, src in buckets.items():
-        for pd, pk, pc in terms:
-            target = d + pd
-            if trunc is not None and target > trunc:
-                continue
-            acc = out.get(target)
-            if acc is None:
-                out[target] = {k + pk: pc * c for k, c in src.items()}
-                continue
-            get = acc.get
-            for k, c in src.items():
-                k += pk
-                acc[k] = get(k, 0) + pc * c
+    for pd, bucket in poly.items():
+        for pk, pc in bucket.items():
+            _shift_walk(out, buckets, buckets, pk, pd, pc, trunc)
     return out
 
 
@@ -748,6 +708,8 @@ class SubstitutionMap(_SubstitutionMapFields):
 
     def map_exps(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """The target exponents of the source monomial with exponents ``exps``."""
+        if len(exps) != len(self.images):
+            raise ValueError(f"exponent tuple {exps} has wrong arity for {self.source.names}")
         out = [0] * self.target.nvars
         for e, image in zip(exps, self.images):
             for k, v in enumerate(image):

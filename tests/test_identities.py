@@ -439,12 +439,34 @@ def test_partial_sums_reading_the_wrong_levels_fail(monkeypatch, shift):
     fail both partial-sum checks at trunc 8."""
     real = SumFamily.levels
     monkeypatch.setattr(
-        SumFamily, "levels", lambda self, *args: _SlicedOneOff(real(self, *args), shift)
+        SumFamily,
+        "levels",
+        lambda self, ring, trunc, count: _SlicedOneOff(real(self, ring, trunc, count + 1), shift),
     )
     for cls in (PartitionClass.P1, PartitionClass.P2):
         report = verify_partial_sums(cls, 4, 8)
         assert not report.passed, cls
         assert _at_degree(report.failures[0]) <= 8
+
+
+def test_partial_sums_draw_only_the_levels_they_read(monkeypatch):
+    """Partial sums up to ``N = 4`` draw five levels from each family's
+    forward pass, which at trunc 48 has more than that."""
+    real = identities.sum_levels
+    drawn = []
+
+    def counted(*args):
+        drawn.append(0)
+        for level in real(*args):
+            drawn[-1] += 1
+            yield level
+
+    monkeypatch.setattr(identities, "sum_levels", counted)
+    for cls, key in ((PartitionClass.P1, "p1-four"), (PartitionClass.P2, "p2-four")):
+        drawn.clear()
+        assert verify_partial_sums(cls, 4, 48).passed
+        assert drawn == [5, 5], cls
+        assert all(len(fam.levels(FOUR_PARAM, 48)) > 5 for fam in spec_by_key(key).series)
 
 
 def test_forward_pass_stopping_one_level_early_fails(monkeypatch):

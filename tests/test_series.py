@@ -79,6 +79,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SeriesRing(("a", "b"), (1,))
 
+    @pytest.mark.parametrize("exps", ((1, 1), (1, 1, 1, 1, 7)), ids=("short", "long"))
+    def test_degree_of_the_wrong_arity_rejected(self, exps):
+        """A tuple with too few or too many exponents is refused, not cut
+        or padded to the ring's variables."""
+        with pytest.raises(ValueError, match=r"exponent tuple .* has wrong arity for \('a', "):
+            FOUR_PARAM.degree(exps)
+
 
 @given(four_param_series(), four_param_series())
 def test_addition_commutes(f, g):
@@ -286,6 +293,13 @@ class TestSubstitution:
 
     def test_monomial_image(self):
         assert self.smap.map_exps((2, 1, 1, 0)) == (2, 2, 4)
+
+    @pytest.mark.parametrize("exps", ((1, 1, 1), (1, 1, 1, 1, 9)), ids=("short", "long"))
+    def test_exponents_of_the_wrong_arity_rejected(self, exps):
+        """A source tuple with too few or too many exponents is refused, not
+        cut or padded to the source ring's variables."""
+        with pytest.raises(ValueError, match=r"exponent tuple .* has wrong arity for \('a', "):
+            self.smap.map_exps(exps)
 
     @given(st.lists(st.tuples(*[st.integers(min_value=0, max_value=9)] * 4), max_size=6))
     def test_multiplicative(self, monomials):
@@ -820,13 +834,15 @@ def check_times_factor(f: Series, sign: int, exps: tuple[int, ...], inverted: bo
     assert (got.min_deg, got.bound) == (expected.min_deg, expected.bound)
 
 
-def _short_division(buckets, key, deg, sign, trunc):
-    """The division recurrence reading the bucket ``deg - 1`` below, not ``deg``."""
-    for d in range(min(buckets, default=0), trunc + 1):
-        below = buckets.get(d - (deg - 1), {}) if deg > 1 else {}
-        acc = buckets[d] = dict(buckets.get(d, ()))
-        for k, c in below.items():
-            acc[k + key] = acc.get(k + key, 0) + sign * c
+_real_shift_walk = series._shift_walk
+
+
+def _short_division(buckets, source, degrees, *args):
+    """A division walk, the kernel's one walk over a ``range`` of source
+    degrees, stopped one source degree short."""
+    if isinstance(degrees, range):
+        degrees = degrees[:-1]
+    _real_shift_walk(buckets, source, degrees, *args)
 
 
 def assert_sums_caught_by_degree_8() -> None:
@@ -907,7 +923,7 @@ class TestTimesFactor:
             laurent.times_factor(1, (LIMIT // 8, 0, 1), inverted=True)
 
     def test_shortened_division_step_is_caught(self, monkeypatch):
-        monkeypatch.setattr(series, "_over_binomial", _short_division)
+        monkeypatch.setattr(series, "_shift_walk", _short_division)
         assert_division_caught_by_degree_8()
 
     def test_flipped_binomial_sign_is_caught(self, monkeypatch):
@@ -952,28 +968,20 @@ def _same_series(got: Series, expected: Series) -> None:
     assert (got.min_deg, got.bound) == (expected.min_deg, expected.bound)
 
 
-def _ascending_times(buckets, key, deg, step, trunc):
-    """Multiplication walking the sources upward, so a factor of positive
-    degree reads buckets it has already written."""
-    for d in sorted(buckets, reverse=deg < 0):
-        target = d + deg
-        if trunc is not None and target > trunc:
-            continue
-        src = list(buckets[d].items())
-        acc = buckets[target] = dict(buckets.get(target, ()))
-        for k, c in src:
-            acc[k + key] = acc.get(k + key, 0) + step * c
+def _ascending_times(buckets, source, degrees, *args):
+    """A multiplication walk, over the run's own buckets but not a ``range``,
+    walked towards its targets, so each source is read after it is written."""
+    if source is buckets and not isinstance(degrees, range):
+        degrees = degrees[::-1]
+    _real_shift_walk(buckets, source, degrees, *args)
 
 
-def _descending_over(buckets, key, deg, sign, trunc):
-    """Division walking the degrees downward, so each bucket reads the one
-    below before that one is final."""
-    for d in range(trunc, min(buckets, default=0) + deg - 1, -1):
-        below = buckets.get(d - deg)
-        if below:
-            acc = buckets[d] = dict(buckets.get(d, ()))
-            for k, c in below.items():
-                acc[k + key] = acc.get(k + key, 0) + sign * c
+def _descending_over(buckets, source, degrees, *args):
+    """A division walk walked away from its targets, so each source is read
+    before it is final."""
+    if isinstance(degrees, range):
+        degrees = degrees[::-1]
+    _real_shift_walk(buckets, source, degrees, *args)
 
 
 def _cut_short_poly(buckets, poly, trunc):
@@ -1060,11 +1068,11 @@ class TestRunKernel:
         assert_caught_by_degree_8()
 
     def test_ascending_multiplication_is_caught(self, monkeypatch):
-        monkeypatch.setattr(series, "_times_binomial", _ascending_times)
+        monkeypatch.setattr(series, "_shift_walk", _ascending_times)
         assert_sums_caught_by_degree_8()
 
     def test_descending_division_is_caught(self, monkeypatch):
-        monkeypatch.setattr(series, "_over_binomial", _descending_over)
+        monkeypatch.setattr(series, "_shift_walk", _descending_over)
         assert_division_caught_by_degree_8()
 
     @pytest.mark.parametrize(
