@@ -11,7 +11,16 @@ Each :class:`TheoremSpec` packages up to four independently computed sides:
 
 The catalog is plain data: every Pochhammer factor, finite or infinite, in a
 numerator or a denominator, is one :class:`PochFactor`, and every series
-prefactor is a table of integer coefficients.
+prefactor is a table of integer coefficients.  Six corollaries are derived
+from a four-parameter statement rather than written out: ``g1-altsum`` and
+``g2-altsum`` are the images of ``g1-four`` and ``g2-four`` under
+``OMEGA_TO_ZQ``, and ``g1-xzq`` … ``p2-xzq`` those of ``g1-four`` …
+``p2-four`` under ``OMEGA_TO_XZQ``: each factor's argument and base, and each
+prefactor column, pushed through the map as exponents.  Only the statement is
+shared; each side is still computed on its own, in the target ring.
+``andrews-xzq`` and the ``*-oddparts`` and ``*-bg`` entries stay written out,
+since their printed forms merge bases, e.g. ``(q²;q⁴)_n (q⁴;q⁴)_n =
+(q²;q²)_2n``, and so are not literal images.
 
 :func:`verify` expands every available side to the requested truncation and
 demands exact agreement pairwise.  A series family, and each of its partial
@@ -258,106 +267,141 @@ _AB = (1, 1, 0, 0)
 _DEN_AB = PochFactor(1, _AB, _Q4, (1, 0), inverted=True)
 _DEN_AB1 = PochFactor(1, _AB, _Q4, (1, 1), inverted=True)
 _DEN_Q = PochFactor(1, _Q4, _Q4, (1, 0), inverted=True)
-# Three-variable denominators: z²q² and q⁴ in base q⁴, q² in base q².
-_DEN_ZZQQ = PochFactor(1, (0, 2, 2), (0, 0, 4), (1, 0), inverted=True)
-_DEN_ZZQQ1 = PochFactor(1, (0, 2, 2), (0, 0, 4), (1, 1), inverted=True)
-_DEN_Q4 = PochFactor(1, (0, 0, 4), (0, 0, 4), (1, 0), inverted=True)
+# The denominators (q²;q²)_2n and (q²;q²)_(2n+1).
 _DEN_QQ_2N = PochFactor(1, (0, 0, 2), (0, 0, 2), (2, 0), inverted=True)
 _DEN_QQ_2N1 = PochFactor(1, (0, 0, 2), (0, 0, 2), (2, 1), inverted=True)
 
 
+def _image(
+    spec: TheoremSpec,
+    key: str,
+    description: str,
+    weight_map: SubstitutionMap,
+    product_alt: tuple[PochFactor, ...] | None = None,
+) -> TheoremSpec:
+    """The corollary of the four-parameter ``spec`` under ``weight_map``: the
+    same class, with each factor's argument and base and each prefactor column
+    pushed through the map, built through the :class:`TheoremSpec` constructor."""
+    map_exps = weight_map.map_exps
+
+    def mapped(factors: tuple[PochFactor, ...]) -> tuple[PochFactor, ...]:
+        return tuple(
+            f._replace(arg_exps=map_exps(f.arg_exps), base_exps=map_exps(f.base_exps))
+            for f in factors
+        )
+
+    return TheoremSpec(
+        key=key,
+        description=description,
+        ring=weight_map.target,
+        partition_class=spec.partition_class,
+        weight_map=weight_map,
+        series=tuple(
+            # The C(n,2), n and 1 columns map like exponents.
+            SumFamily(tuple(zip(*map(map_exps, zip(*fam.prefactor)))), mapped(fam.factors))
+            for fam in spec.series
+        ),
+        product=mapped(spec.product),
+        product_alt=product_alt,
+    )
+
+
 def _build_registry() -> tuple[TheoremSpec, ...]:
-    specs = [
-        TheoremSpec(
-            key="g1-four",
-            description=(
-                "distinct parts, even-indexed parts even: four-parameter weight"
-                " series and product"
-            ),
-            ring=FOUR_PARAM,
-            partition_class=PartitionClass.G1,
-            weight_map=OMEGA_IDENTITY,
-            series=(
-                SumFamily(
-                    ((1, 1, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)),
-                    (PochFactor(-1, (0, 1, 0, 0), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (1, 0, 0, 0), _Q4),
-                PochFactor(1, _AB, _Q4, inverted=True),
+    g1 = TheoremSpec(
+        key="g1-four",
+        description=(
+            "distinct parts, even-indexed parts even: four-parameter weight"
+            " series and product"
+        ),
+        ring=FOUR_PARAM,
+        partition_class=PartitionClass.G1,
+        weight_map=OMEGA_IDENTITY,
+        series=(
+            SumFamily(
+                ((1, 1, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)),
+                (PochFactor(-1, (0, 1, 0, 0), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
             ),
         ),
-        TheoremSpec(
-            key="g2-four",
-            description=(
-                "distinct parts, odd-indexed parts even: four-parameter weight"
-                " series and product"
-            ),
-            ring=FOUR_PARAM,
-            partition_class=PartitionClass.G2,
-            weight_map=OMEGA_IDENTITY,
-            series=(
-                SumFamily(
-                    ((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 0, 0)),
-                    (PochFactor(-1, (0, 0, -1, 0), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (1, 1, 1, 0), _Q4),
-                PochFactor(1, _AB, _Q4, inverted=True),
+        product=(
+            PochFactor(-1, (1, 0, 0, 0), _Q4),
+            PochFactor(1, _AB, _Q4, inverted=True),
+        ),
+    )
+    g2 = TheoremSpec(
+        key="g2-four",
+        description=(
+            "distinct parts, odd-indexed parts even: four-parameter weight"
+            " series and product"
+        ),
+        ring=FOUR_PARAM,
+        partition_class=PartitionClass.G2,
+        weight_map=OMEGA_IDENTITY,
+        series=(
+            SumFamily(
+                ((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 0, 0)),
+                (PochFactor(-1, (0, 0, -1, 0), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
             ),
         ),
-        TheoremSpec(
-            key="p1-four",
-            description=(
-                "even-indexed parts even: four-parameter weight series (two"
-                " families) and product"
+        product=(
+            PochFactor(-1, (1, 1, 1, 0), _Q4),
+            PochFactor(1, _AB, _Q4, inverted=True),
+        ),
+    )
+    p1 = TheoremSpec(
+        key="p1-four",
+        description=(
+            "even-indexed parts even: four-parameter weight series (two"
+            " families) and product"
+        ),
+        ring=FOUR_PARAM,
+        partition_class=PartitionClass.P1,
+        weight_map=OMEGA_IDENTITY,
+        series=(
+            SumFamily(
+                ((0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
+                (PochFactor(-1, (0, -1, -1, -1), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
             ),
-            ring=FOUR_PARAM,
-            partition_class=PartitionClass.P1,
-            weight_map=OMEGA_IDENTITY,
-            series=(
-                SumFamily(
-                    ((0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
-                    (PochFactor(-1, (0, -1, -1, -1), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
-                ),
-                SumFamily(
-                    ((0, 1, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0)),
-                    (PochFactor(-1, (1, 0, 0, 0), _Q4, (1, 0)), _DEN_AB1, _DEN_Q),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (1, 0, 0, 0), _Q4),
-                PochFactor(1, _AB, _Q4, inverted=True),
-                PochFactor(1, _Q4, _Q4, inverted=True),
+            SumFamily(
+                ((0, 1, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0)),
+                (PochFactor(-1, (1, 0, 0, 0), _Q4, (1, 0)), _DEN_AB1, _DEN_Q),
             ),
         ),
-        TheoremSpec(
-            key="p2-four",
-            description=(
-                "odd-indexed parts even: four-parameter weight series (two"
-                " families) and product"
+        product=(
+            PochFactor(-1, (1, 0, 0, 0), _Q4),
+            PochFactor(1, _AB, _Q4, inverted=True),
+            PochFactor(1, _Q4, _Q4, inverted=True),
+        ),
+    )
+    p2 = TheoremSpec(
+        key="p2-four",
+        description=(
+            "odd-indexed parts even: four-parameter weight series (two"
+            " families) and product"
+        ),
+        ring=FOUR_PARAM,
+        partition_class=PartitionClass.P2,
+        weight_map=OMEGA_IDENTITY,
+        series=(
+            SumFamily(
+                ((0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
+                (PochFactor(-1, (0, 0, 0, -1), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
             ),
-            ring=FOUR_PARAM,
-            partition_class=PartitionClass.P2,
-            weight_map=OMEGA_IDENTITY,
-            series=(
-                SumFamily(
-                    ((0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0)),
-                    (PochFactor(-1, (0, 0, 0, -1), _Q4, (1, 0)), _DEN_AB, _DEN_Q),
-                ),
-                SumFamily(
-                    ((0, 1, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0)),
-                    (PochFactor(-1, (1, 1, 1, 0), _Q4, (1, 0)), _DEN_AB1, _DEN_Q),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (1, 1, 1, 0), _Q4),
-                PochFactor(1, _AB, _Q4, inverted=True),
-                PochFactor(1, _Q4, _Q4, inverted=True),
+            SumFamily(
+                ((0, 1, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0)),
+                (PochFactor(-1, (1, 1, 1, 0), _Q4, (1, 0)), _DEN_AB1, _DEN_Q),
             ),
         ),
+        product=(
+            PochFactor(-1, (1, 1, 1, 0), _Q4),
+            PochFactor(1, _AB, _Q4, inverted=True),
+            PochFactor(1, _Q4, _Q4, inverted=True),
+        ),
+    )
+    return (
+        g1,
+        g2,
+        p1,
+        p2,
         TheoremSpec(
             key="boulet-p",
             description="all partitions: four-parameter weight product",
@@ -428,143 +472,67 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
                 PochFactor(1, (0, 0, 2), (0, 0, 4), inverted=True),
             ),
         ),
-        TheoremSpec(
-            key="g1-altsum",
-            description=(
+        _image(
+            g1,
+            "g1-altsum",
+            (
                 "distinct parts, even-indexed parts even: alternating sum"
                 " marked, with an equivalent two-base product"
             ),
-            ring=XZQ,
-            partition_class=PartitionClass.G1,
-            weight_map=OMEGA_TO_ZQ,
-            series=(
-                SumFamily(
-                    ((0, 0, 0), (0, 1, 0), (4, 1, 0)),
-                    (PochFactor(-1, (0, 1, 1), (0, 0, 4), (1, 0)), _DEN_Q4, _DEN_ZZQQ),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (0, 1, 1), (0, 0, 4)),
-                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-            ),
+            OMEGA_TO_ZQ,
             product_alt=(
                 PochFactor(1, (0, 1, 1), (0, 0, 4), inverted=True),
                 PochFactor(1, (0, 2, 6), (0, 0, 8), inverted=True),
             ),
         ),
-        TheoremSpec(
-            key="g2-altsum",
-            description=(
+        _image(
+            g2,
+            "g2-altsum",
+            (
                 "distinct parts, odd-indexed parts even: alternating sum"
                 " marked, with an equivalent two-base product"
             ),
-            ring=XZQ,
-            partition_class=PartitionClass.G2,
-            weight_map=OMEGA_TO_ZQ,
-            series=(
-                SumFamily(
-                    ((0, 0, 0), (0, 1, 0), (4, 3, 0)),
-                    (PochFactor(-1, (0, 1, -1), (0, 0, 4), (1, 0)), _DEN_Q4, _DEN_ZZQQ),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (0, 1, 3), (0, 0, 4)),
-                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-            ),
+            OMEGA_TO_ZQ,
             product_alt=(
                 PochFactor(1, (0, 1, 3), (0, 0, 4), inverted=True),
                 PochFactor(1, (0, 2, 2), (0, 0, 8), inverted=True),
             ),
         ),
-        TheoremSpec(
-            key="g1-xzq",
-            description=(
+        _image(
+            g1,
+            "g1-xzq",
+            (
                 "distinct parts, even-indexed parts even: odd-part count and"
                 " alternating sum marked"
             ),
-            ring=XZQ,
-            partition_class=PartitionClass.G1,
-            weight_map=OMEGA_TO_XZQ,
-            series=(
-                SumFamily(
-                    ((0, 1, 0), (0, 1, 0), (4, 1, 0)),
-                    (PochFactor(-1, (-1, 1, 1), (0, 0, 4), (1, 0)), _DEN_ZZQQ, _DEN_Q4),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (1, 1, 1), (0, 0, 4)),
-                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-            ),
+            OMEGA_TO_XZQ,
         ),
-        TheoremSpec(
-            key="g2-xzq",
-            description=(
+        _image(
+            g2,
+            "g2-xzq",
+            (
                 "distinct parts, odd-indexed parts even: odd-part count and"
                 " alternating sum marked"
             ),
-            ring=XZQ,
-            partition_class=PartitionClass.G2,
-            weight_map=OMEGA_TO_XZQ,
-            series=(
-                SumFamily(
-                    ((0, 1, 0), (0, 1, 0), (4, 3, 0)),
-                    (PochFactor(-1, (-1, 1, -1), (0, 0, 4), (1, 0)), _DEN_ZZQQ, _DEN_Q4),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (1, 1, 3), (0, 0, 4)),
-                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-            ),
+            OMEGA_TO_XZQ,
         ),
-        TheoremSpec(
-            key="p1-xzq",
-            description=(
+        _image(
+            p1,
+            "p1-xzq",
+            (
                 "even-indexed parts even: odd-part count and alternating sum"
                 " marked (two series families)"
             ),
-            ring=XZQ,
-            partition_class=PartitionClass.P1,
-            weight_map=OMEGA_TO_XZQ,
-            series=(
-                SumFamily(
-                    ((0, 0, 0), (0, 0, 0), (0, 4, 0)),
-                    (PochFactor(-1, (1, 1, -3), (0, 0, 4), (1, 0)), _DEN_ZZQQ, _DEN_Q4),
-                ),
-                SumFamily(
-                    ((0, 0, 0), (0, 0, 2), (0, 4, 2)),
-                    (PochFactor(-1, (1, 1, 1), (0, 0, 4), (1, 0)), _DEN_ZZQQ1, _DEN_Q4),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (1, 1, 1), (0, 0, 4)),
-                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-                PochFactor(1, (0, 0, 4), (0, 0, 4), inverted=True),
-            ),
+            OMEGA_TO_XZQ,
         ),
-        TheoremSpec(
-            key="p2-xzq",
-            description=(
+        _image(
+            p2,
+            "p2-xzq",
+            (
                 "odd-indexed parts even: odd-part count and alternating sum"
                 " marked (two series families)"
             ),
-            ring=XZQ,
-            partition_class=PartitionClass.P2,
-            weight_map=OMEGA_TO_XZQ,
-            series=(
-                SumFamily(
-                    ((0, 0, 0), (0, 0, 0), (0, 4, 0)),
-                    (PochFactor(-1, (1, 1, -1), (0, 0, 4), (1, 0)), _DEN_ZZQQ, _DEN_Q4),
-                ),
-                SumFamily(
-                    ((0, 0, 0), (0, 0, 2), (0, 4, 2)),
-                    (PochFactor(-1, (1, 1, 3), (0, 0, 4), (1, 0)), _DEN_ZZQQ1, _DEN_Q4),
-                ),
-            ),
-            product=(
-                PochFactor(-1, (1, 1, 3), (0, 0, 4)),
-                PochFactor(1, (0, 2, 2), (0, 0, 4), inverted=True),
-                PochFactor(1, (0, 0, 4), (0, 0, 4), inverted=True),
-            ),
+            OMEGA_TO_XZQ,
         ),
         TheoremSpec(
             key="g1-bg",
@@ -654,8 +622,7 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
                 PochFactor(1, (0, 0, 2), (0, 0, 2), inverted=True),
             ),
         ),
-    ]
-    return tuple(specs)
+    )
 
 
 _REGISTRY = _build_registry()

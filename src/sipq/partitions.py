@@ -328,8 +328,9 @@ def _part_key(weight_map: SubstitutionMap, index: int, part: int) -> int:
     return weight_map.target.pack(weight_map.map_exps(exps))
 
 
-def _add_into(acc: dict[int, int], cell: dict[int, int], delta: int = 0) -> None:
-    """Add the counts of ``cell`` to ``acc``, each key shifted by ``delta``."""
+def _add_into(acc: dict, cell: dict, delta: int | tuple[int, ...] = 0) -> None:
+    """Add the counts of ``cell`` to ``acc``, each key shifted by ``delta``: a
+    packed-monomial key by adding, a :func:`_stack_key` tuple by extending."""
     get = acc.get
     for key, count in cell.items():
         key += delta
@@ -451,10 +452,7 @@ def _skeleton_levels(
                     for weight, cell in cells.items():
                         if weight + above <= weight_max:
                             dest = above_level.setdefault(above, {}).setdefault(weight + above, {})
-                            get = dest.get
-                            for stacked, count in cell.items():
-                                stacked += delta
-                                dest[stacked] = get(stacked, 0) + count
+                            _add_into(dest, cell, delta)
             level = above_level
 
 

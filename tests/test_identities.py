@@ -11,6 +11,9 @@ import pytest
 
 from sipq import identities, qseries
 from sipq.identities import (
+    OMEGA_TO_BG,
+    OMEGA_TO_XZQ,
+    OMEGA_TO_ZQ,
     SumFamily,
     UnknownTheorem,
     combinatorial_side,
@@ -25,7 +28,14 @@ from sipq.identities import (
 )
 from sipq.partitions import Partition, PartitionClass, enumerate_partitions
 from sipq.qseries import A_INFINITY, PochFactor, check_q_gauss, horner_sum, running_product
-from sipq.series import FOUR_PARAM, XZQ, PrecisionLoss, Series, TruncationMismatch
+from sipq.series import (
+    FOUR_PARAM,
+    XZQ,
+    PrecisionLoss,
+    Series,
+    SubstitutionMap,
+    TruncationMismatch,
+)
 
 EXPECTED_KEYS = (
     "g1-four",
@@ -197,6 +207,64 @@ def test_every_single_datum_mutant_fails():
     assert len(mutants) == 129
     survivors = [(key, label) for key, label, m in mutants if verify_spec(m, 8).passed]
     assert survivors == []
+
+
+# The corollaries the catalog derives from a four-parameter statement, each
+# with its source and weight map.
+DERIVED = {
+    "g1-altsum": ("g1-four", OMEGA_TO_ZQ),
+    "g2-altsum": ("g2-four", OMEGA_TO_ZQ),
+    "g1-xzq": ("g1-four", OMEGA_TO_XZQ),
+    "g2-xzq": ("g2-four", OMEGA_TO_XZQ),
+    "p1-xzq": ("p1-four", OMEGA_TO_XZQ),
+    "p2-xzq": ("p2-four", OMEGA_TO_XZQ),
+}
+
+
+def _prefactor_at(fam, n):
+    """The family's prefactor exponents at summand ``n``, from its columns."""
+    return tuple(c2 * (n * (n - 1) // 2) + c1 * n + c0 for c2, c1, c0 in fam.prefactor)
+
+
+class TestDerivedCorollaries:
+    """Each derived corollary is its source statement's image under its map."""
+
+    @pytest.mark.parametrize("key", DERIVED)
+    def test_image_of_its_source(self, key):
+        source_key, weight_map = DERIVED[key]
+        spec, source = spec_by_key(key), spec_by_key(source_key)
+        map_exps = weight_map.map_exps
+        assert spec.ring == XZQ and spec.weight_map is weight_map
+        assert spec.partition_class is source.partition_class
+        assert len(spec.series) == len(source.series)
+        pairs = list(zip(spec.product, source.product, strict=True))
+        for fam, source_fam in zip(spec.series, source.series):
+            for n in range(7):
+                assert _prefactor_at(fam, n) == map_exps(_prefactor_at(source_fam, n))
+            pairs += zip(fam.factors, source_fam.factors, strict=True)
+        for f, g in pairs:
+            assert f.arg_exps == map_exps(g.arg_exps)
+            assert f.base_exps == map_exps(g.base_exps)
+            assert (f.sign, f.count, f.inverted) == (g.sign, g.count, g.inverted)
+
+    def test_another_map_on_the_combinatorial_side_fails(self):
+        spec = _rebuilt(spec_by_key("g1-xzq"), weight_map=OMEGA_TO_BG)
+        report = verify_spec(spec, 8)
+        assert not report.passed
+        assert "degree-1 slices" in report.failures[0]
+
+    def test_factors_mapped_by_another_map_fail(self):
+        image = identities._image(spec_by_key("g1-four"), "g1-xzq", "mis-mapped", OMEGA_TO_BG)
+        report = verify_spec(_rebuilt(image, weight_map=OMEGA_TO_XZQ), 8)
+        assert not report.passed
+        assert "degree-1 slices" in report.failures[0]
+
+    def test_image_is_refused_like_any_spec(self):
+        """A map that sends every variable to degree 0 leaves the prefactor's
+        degree flat in n, which the constructor refuses."""
+        flat = SubstitutionMap(FOUR_PARAM, XZQ, ((1, 0, 0),) * 4)
+        with pytest.raises(ValueError, match="prefactor degree step"):
+            identities._image(spec_by_key("g1-four"), "flat", "flat", flat)
 
 
 @pytest.mark.parametrize(
