@@ -41,6 +41,10 @@ _CLASS_CHOICES = sorted(cls.value for cls in sip.DECOMPOSABLE)
 # assembly with the row recursion, and stays at the cap because running it at
 # `--trunc` would change stdout.
 _MEMBERWISE_TRUNC_CAP = 16
+# `verify --all` cross-checks every basis table up to this length and largest
+# part, and `tables-check` runs at it by default, so that the command
+# reproduces the battery's report.
+_TABLE_BOUND = 12
 
 
 def _default_trunc() -> int:
@@ -138,7 +142,7 @@ def _full_battery(trunc: int) -> list[CheckReport]:
     cap state the bound they ran at in their ``params``."""
     reports = [identities.verify_spec(spec, trunc) for spec in identities.registry()]
     for cls in sip.DECOMPOSABLE:
-        reports.append(cross_check_tables(cls.basis, 12, 12))
+        reports.append(cross_check_tables(cls.basis, _TABLE_BOUND, _TABLE_BOUND))
     small = min(trunc, _MEMBERWISE_TRUNC_CAP)
     for cls in sip.DECOMPOSABLE:
         reports.append(sip.verify_sip_property(cls, small))
@@ -274,8 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("tables-check", help="three-way basis-table cross-check")
     p_chk.add_argument("--basis", required=True, choices=_CLASS_CHOICES)
-    p_chk.add_argument("--n-max", type=int, default=12)
-    p_chk.add_argument("--h-max", type=int, default=12)
+    p_chk.add_argument("--n-max", type=int, default=_TABLE_BOUND)
+    p_chk.add_argument("--h-max", type=int, default=_TABLE_BOUND)
     p_chk.set_defaults(handler=_cmd_tables_check)
 
     return parser

@@ -115,7 +115,6 @@ class SumFamily(NamedTuple):
 class _TheoremSpecFields(NamedTuple):
     key: str
     description: str
-    ring: SeriesRing
     partition_class: PartitionClass | None
     weight_map: SubstitutionMap
     series: tuple[SumFamily, ...]
@@ -126,22 +125,18 @@ class _TheoremSpecFields(NamedTuple):
 class TheoremSpec(_TheoremSpecFields):
     """One catalog statement and the data of each of its sides.
 
-    Every way of building one (the constructor, ``_make``, ``_replace``,
-    copying, unpickling) refuses a weight map into another ring, a factor or
-    prefactor without one entry per variable, a product factor with a
-    ``count``, a series factor without one or with ``alpha < 1`` or ``beta <
-    0``, and a series family whose summation could not stop at the truncation.
+    Every side lives in :attr:`ring`, the weight map's target.  Every way of
+    building one (the constructor, ``_make``, ``_replace``, copying,
+    unpickling) refuses a factor or prefactor without one entry per variable
+    of that ring, a product factor with a ``count``, a series factor without
+    one or with ``alpha < 1`` or ``beta < 0``, and a series family whose
+    summation could not stop at the truncation.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args: object, **kwargs: object) -> "TheoremSpec":
         self = super().__new__(cls, *args, **kwargs)
-        if self.weight_map.target != self.ring:
-            raise ValueError(
-                f"{self.key}: weight map target {self.weight_map.target.names}"
-                f" is not the ring {self.ring.names}"
-            )
         nvars, products = self.ring.nvars, self.product + (self.product_alt or ())
         factors = products + tuple(f for fam in self.series for f in fam.factors)
         if any(len(fam.prefactor) != nvars for fam in self.series) or any(
@@ -185,6 +180,10 @@ class TheoremSpec(_TheoremSpecFields):
                     " so the summand degree decreases in n"
                 )
         return self
+
+    @property
+    def ring(self) -> SeriesRing:
+        return self.weight_map.target
 
     @classmethod
     def _make(cls, iterable: Iterable[object]) -> "TheoremSpec":
@@ -293,7 +292,6 @@ def _image(
     return TheoremSpec(
         key=key,
         description=description,
-        ring=weight_map.target,
         partition_class=spec.partition_class,
         weight_map=weight_map,
         series=tuple(
@@ -313,7 +311,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             "distinct parts, even-indexed parts even: four-parameter weight"
             " series and product"
         ),
-        ring=FOUR_PARAM,
         partition_class=PartitionClass.G1,
         weight_map=OMEGA_IDENTITY,
         series=(
@@ -333,7 +330,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             "distinct parts, odd-indexed parts even: four-parameter weight"
             " series and product"
         ),
-        ring=FOUR_PARAM,
         partition_class=PartitionClass.G2,
         weight_map=OMEGA_IDENTITY,
         series=(
@@ -353,7 +349,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             "even-indexed parts even: four-parameter weight series (two"
             " families) and product"
         ),
-        ring=FOUR_PARAM,
         partition_class=PartitionClass.P1,
         weight_map=OMEGA_IDENTITY,
         series=(
@@ -378,7 +373,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             "odd-indexed parts even: four-parameter weight series (two"
             " families) and product"
         ),
-        ring=FOUR_PARAM,
         partition_class=PartitionClass.P2,
         weight_map=OMEGA_IDENTITY,
         series=(
@@ -405,7 +399,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
         TheoremSpec(
             key="boulet-p",
             description="all partitions: four-parameter weight product",
-            ring=FOUR_PARAM,
             partition_class=PartitionClass.ALL,
             weight_map=OMEGA_IDENTITY,
             series=(),
@@ -423,7 +416,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
                 "all partitions: odd-part count and alternating sum marked, as"
                 " a three-variable product"
             ),
-            ring=XZQ,
             partition_class=PartitionClass.ALL,
             weight_map=OMEGA_TO_XZQ,
             series=(),
@@ -439,7 +431,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             description=(
                 "distinct parts, even-indexed parts even: odd-part count marked"
             ),
-            ring=XZQ,
             partition_class=PartitionClass.G1,
             weight_map=OMEGA_TO_XQ,
             series=(
@@ -458,7 +449,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
             description=(
                 "distinct parts, odd-indexed parts even: odd-part count marked"
             ),
-            ring=XZQ,
             partition_class=PartitionClass.G2,
             weight_map=OMEGA_TO_XQ,
             series=(
@@ -540,7 +530,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
                 "distinct parts, even-indexed parts even: odd-index/even-index"
                 " imbalance marked"
             ),
-            ring=XZQ,
             partition_class=PartitionClass.G1,
             weight_map=OMEGA_TO_BG,
             series=(
@@ -560,7 +549,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
                 "distinct parts, odd-indexed parts even: odd-index/even-index"
                 " imbalance marked"
             ),
-            ring=XZQ,
             partition_class=PartitionClass.G2,
             weight_map=OMEGA_TO_BG,
             series=(
@@ -580,7 +568,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
                 "even-indexed parts even: odd-index/even-index imbalance marked"
                 " (two series families)"
             ),
-            ring=XZQ,
             partition_class=PartitionClass.P1,
             weight_map=OMEGA_TO_BG,
             series=(
@@ -604,7 +591,6 @@ def _build_registry() -> tuple[TheoremSpec, ...]:
                 "odd-indexed parts even: odd-index/even-index imbalance marked"
                 " (two series families)"
             ),
-            ring=XZQ,
             partition_class=PartitionClass.P2,
             weight_map=OMEGA_TO_BG,
             series=(

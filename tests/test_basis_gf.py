@@ -192,3 +192,41 @@ def test_the_grid_builds_no_partition(partitions_built, basis, members):
     held = sum(sum(entry.terms.values()) for row in grid for entry in row)
     assert partitions_built == [0]
     assert held == members
+
+
+def test_a_recurrence_that_reads_its_own_row_as_zero_fails(monkeypatch):
+    """The recurrence grid is filled by largest part ascending, so a step that
+    reads ``(n, h - 1)`` finds it filled.  A step that found it zero, as a
+    fill by largest part descending would, fails for the bases whose steps
+    read their own row (G1 and P1); G2 and P2 never do."""
+    real = basis_gf._recurrence
+
+    def own_row_zero(cls, n, h, at):
+        return real(cls, n, h, lambda m, g: Series.zero(FOUR_PARAM) if m == n else at(m, g))
+
+    monkeypatch.setattr(basis_gf, "_recurrence", own_row_zero)
+    passed = {basis: cross_check_tables(basis, 8, 8).passed for basis in ALL_BASES}
+    assert passed == {BG1: False, BG2: True, BP1: False, BP2: True}
+
+
+TERM_FAULTS = {
+    "bottom-zero": lambda top, bottom: bottom == 0,
+    "bottom-top": lambda top, bottom: bottom == top,
+}
+
+
+@pytest.mark.parametrize("basis", ALL_BASES, ids=lambda c: c.value)
+@pytest.mark.parametrize("vanishes", TERM_FAULTS.values(), ids=TERM_FAULTS.keys())
+def test_a_closed_form_term_zero_at_a_binomial_edge_fails(monkeypatch, basis, vanishes):
+    """Every basis has closed-form entries whose binomial sits at each edge,
+    ``bottom == 0`` and ``bottom == top``; a term that read either as zero
+    fails the cross-check."""
+    real = basis_gf._term
+
+    def edge_zero(top, bottom, exps, extra=None):
+        if vanishes(top, bottom):
+            return Series.zero(FOUR_PARAM)
+        return real(top, bottom, exps, extra)
+
+    monkeypatch.setattr(basis_gf, "_term", edge_zero)
+    assert not cross_check_tables(basis, 8, 8).passed

@@ -381,9 +381,10 @@ def test_factor_or_prefactor_of_the_wrong_length_rejected(key):
 
 @pytest.mark.parametrize("key, other", (("g1-four", "g1-xzq"), ("g1-xzq", "g1-four")))
 def test_weight_map_into_another_ring_rejected(key, other):
-    """The combinatorial side is built in the target ring of the weight map,
-    so a map into any ring but the statement's is refused when built."""
-    with pytest.raises(ValueError, match="is not the ring"):
+    """Every side is built in the target ring of the weight map, so a map into
+    another ring than the one the statement's factors were written for is
+    refused when built: the factors have the wrong number of entries."""
+    with pytest.raises(ValueError, match=f"^{key}: every factor and prefactor needs"):
         _rebuilt(spec_by_key(key), weight_map=spec_by_key(other).weight_map)
 
 

@@ -143,7 +143,7 @@ def _flat_family():
 @pytest.mark.parametrize(
     "key, changes, message",
     (
-        ("g1-four", {"weight_map": OMEGA_TO_XZQ}, "is not the ring"),
+        ("g1-four", {"weight_map": OMEGA_TO_XZQ}, "every factor and prefactor needs 3"),
         ("g1-bg", {"series": (_flat_family(),)}, "never grows"),
     ),
 )
