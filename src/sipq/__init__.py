@@ -96,7 +96,6 @@ from .sip import (
     SipDecomposition,
     SipError,
     check_sip_gf_four_parameter,
-    class_counts,
     compose,
     decompose,
     sip_gf_four_parameter,
@@ -151,7 +150,6 @@ __all__ = [
     "check_qbinomial_recurrences",
     "check_qbinomial_theorem",
     "check_sip_gf_four_parameter",
-    "class_counts",
     "class_weight_series",
     "combinatorial_side",
     "compose",

@@ -32,14 +32,11 @@ _SCHEMA_VERSION = 1
 _DEFAULT_TRUNC = 16
 
 _CLASS_CHOICES = sorted(cls.value for cls in sip.DECOMPOSABLE)
-# `verify --all` runs the `sip-property`, `substitution` and `sip-gf-four`
-# reports at most at this truncation.  The `sip-property` and two
-# `substitution` reports walk every member up to it, so at trunc 24 they would
-# take 0.16-0.18 s instead of 0.025-0.027 s (quartiles of 8 fresh processes,
-# Python 3.11.7, 2-core host), more than the whole trunc-24 run takes now
-# (0.08-0.14 s).  `sip-gf-four` walks no member: it compares the skeleton
-# assembly with the row recursion, and stays at the cap because running it at
-# `--trunc` would change stdout.
+# `verify --all` runs the reports that walk every member, `sip-property` and
+# the two `substitution` reports, at most at this truncation.  At trunc 24 they
+# would take 0.16-0.18 s instead of 0.025-0.027 s (quartiles of 8 fresh
+# processes, Python 3.11.7, 2-core host), more than the whole trunc-24 run
+# takes now (0.08-0.14 s).
 _MEMBERWISE_TRUNC_CAP = 16
 # `verify --all` cross-checks every basis table up to this length and largest
 # part, and `tables-check` runs at it by default, so that the command
@@ -138,26 +135,29 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _full_battery(trunc: int) -> list[CheckReport]:
-    """Everything `verify --all` runs, in fixed order.  The reports run at the
-    cap state the bound they ran at in their ``params``."""
+    """Everything `verify --all` runs, in fixed order.  The reports that do not
+    run at ``trunc`` state the bounds they ran at in their ``params``."""
     reports = [identities.verify_spec(spec, trunc) for spec in identities.registry()]
     for cls in sip.DECOMPOSABLE:
-        reports.append(cross_check_tables(cls.basis, _TABLE_BOUND, _TABLE_BOUND))
+        table = cross_check_tables(cls.basis, _TABLE_BOUND, _TABLE_BOUND)
+        reports.append(table._replace(params={"n_max": _TABLE_BOUND, "h_max": _TABLE_BOUND}))
     small = min(trunc, _MEMBERWISE_TRUNC_CAP)
     for cls in sip.DECOMPOSABLE:
         reports.append(sip.verify_sip_property(cls, small))
         reports.append(sip.sip_gf_single_variable(cls, trunc))
-        reports.append(sip.check_sip_gf_four_parameter(cls, small))
-    reports.append(qseries.check_qbinomial_recurrences(10))
-    reports.append(qseries.check_qbinomial_theorem(6, (1, 2, 1, 1)))
-    reports.append(qseries.check_qbinomial_theorem(6, (1, 1, 0, 1)))
+        reports.append(sip.check_sip_gf_four_parameter(cls, trunc))
+    recurrences = qseries.check_qbinomial_recurrences(10)
+    reports.append(recurrences._replace(params={"n_max": 10}))
+    for z in ((1, 2, 1, 1), (1, 1, 0, 1)):
+        reports.append(qseries.check_qbinomial_theorem(6, z)._replace(params={"n_max": 6}))
     minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
     minus_c_inv = Series.monomial(FOUR_PARAM, -1, (0, 0, -1, 0))
     reports.append(qseries.check_q_gauss(qseries.A_INFINITY, minus_b, (1, 1, 0, 0), trunc))
     reports.append(qseries.check_q_gauss(qseries.A_INFINITY, minus_c_inv, (1, 1, 0, 0), trunc))
     reports.append(qseries.check_q_gauss((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), trunc))
-    reports.append(identities.verify_partial_sums(PartitionClass.P1, 4, trunc))
-    reports.append(identities.verify_partial_sums(PartitionClass.P2, 4, trunc))
+    for cls in (PartitionClass.P1, PartitionClass.P2):
+        partial = identities.verify_partial_sums(cls, 4, trunc)
+        reports.append(partial._replace(params={"n_max": 4}))
     reports.extend(identities.verify_substitution_consistency(("xzq", "bg"), small))
     return reports
 

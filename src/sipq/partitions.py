@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 from .series import FOUR_PARAM, Series, SubstitutionMap, _checked_bound
@@ -321,11 +320,21 @@ def _exponent_bound(rule: RowRule, weight_max: int, weight_map: SubstitutionMap)
     return _checked_bound(max(half * sum(map(abs, column)) for column in zip(*weight_map.images)))
 
 
-def _part_key(weight_map: SubstitutionMap, index: int, part: int) -> int:
-    """The packed mapped monomial of ``part`` on row ``index`` (1-based)."""
-    hi, lo = (part + 1) // 2, part // 2
-    exps = (hi, lo, 0, 0) if index % 2 else (0, 0, hi, lo)
-    return weight_map.target.pack(weight_map.map_exps(exps))
+def _row_keys(weight_map: SubstitutionMap) -> Callable[[int, int], int]:
+    """``key(index, part)``, the packed mapped monomial of ``part`` on row
+    ``index`` (1-based): ``ceil(part/2)`` times the packed image of the row's
+    first letter (``a`` on odd rows, ``c`` on even ones) plus ``floor(part/2)``
+    times its second's.  Each image is read once, through ``map_exps`` of a
+    unit vector; packing is linear, so the key is the packed image."""
+    pack, map_exps = weight_map.target.pack, weight_map.map_exps
+    a, b, c, d = (pack(map_exps(unit)) for unit in OMEGA_IDENTITY.images)
+    letters = ((c, d), (a, b))
+
+    def key(index: int, part: int) -> int:
+        hi, lo = letters[index % 2]
+        return (part + 1) // 2 * hi + part // 2 * lo
+
+    return key
 
 
 def _add_into(acc: dict, cell: dict, delta: int | tuple[int, ...] = 0) -> None:
@@ -367,12 +376,12 @@ def class_weight_series(
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     _require_weight_map(weight_map)
-    rule = cls.rule
+    rule, key = cls.rule, _row_keys(weight_map)
     cell: list[list[dict[int, int]]] = [[{} for _ in range(trunc + 1)] for _ in (0, 1)]
     cell[0][0][0] = 1
     for cap in range(trunc, 0, -1):
         steps = [
-            (cell[parity], cell[1 - parity], _part_key(weight_map, parity, cap))
+            (cell[parity], cell[1 - parity], key(parity, cap))
             for parity in (0, 1)
             if rule.allows(parity, cap)
         ]
@@ -475,7 +484,7 @@ def basis_weight_sums(
         raise ValueError("rows and weight_max must be nonnegative")
     _require_weight_map(weight_map)
     sums: list[dict[int, dict[int, int]]] = [{0: {0: 1}}] + [{} for _ in range(rows)]
-    key = partial(_part_key, weight_map)
+    key = _row_keys(weight_map)
     for length, level in _skeleton_levels(cls, rows, weight_max, weight_max, key):
         for cells in level.values():
             for weight, cell in cells.items():
@@ -501,7 +510,7 @@ def basis_weight_grid(cls: PartitionClass, rows: int, largest: int) -> list[list
     grid = [[zero] * (largest + 1) for _ in range(rows + 1)]
     grid[0][0] = Series.one(FOUR_PARAM)
     bound = _exponent_bound(cls.rule, weight_max, OMEGA_IDENTITY)
-    key = partial(_part_key, OMEGA_IDENTITY)
+    key = _row_keys(OMEGA_IDENTITY)
     for length, level in _skeleton_levels(cls, rows, weight_max, largest, key):
         for top, cells in level.items():
             grid[length][top] = Series._from_buckets(FOUR_PARAM, cells, bound, None)

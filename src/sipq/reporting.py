@@ -17,9 +17,10 @@ class CheckReport(NamedTuple):
 
     ``checks`` counts the individual assertions performed; ``failures`` holds
     one human-readable line per failed assertion (empty when ``passed``).
-    ``params`` holds the bounds a check ran at when the check states them
-    itself, such as the ``weight_max`` of a member-by-member check; it is
-    empty for a report that ran at the parameters of the command.
+    ``params`` holds the bounds a check ran at wherever they are not the
+    command's parameters, such as the ``weight_max`` of a member-by-member
+    check capped below the truncation or the fixed size of a table; it is
+    empty exactly when the report ran at the parameters of the command.
     """
 
     name: str

@@ -40,7 +40,8 @@ addend's buckets with no shift.  A run copies its input's buckets once, up
 front, so every bucket it writes is its own.  :meth:`Series.times_factor` is a
 run of one binomial step and :meth:`Series.plus` a run of additions; a product
 of two series walks the larger factor's buckets once per term of the other.
-:meth:`SubstitutionMap.map_exps` is the one place exponents are substituted.
+:meth:`SubstitutionMap.map_exps` is the one place exponents are substituted;
+a partition row's key sums the packed images of its letters, read through it.
 
 No class here is a dataclass: :class:`SeriesRing` is a slotted class and the
 records are ``typing.NamedTuple`` classes, because the dataclass module imports

@@ -9,9 +9,9 @@ matches the parity of the corresponding part.  This module implements the
 split, its inverse, an exhaustive verifier over one walk of the class's
 members, and the one generating-function assembly the structure yields, from
 skeleton weights summed bottom-up, the way the split forces a skeleton, with
-no partition built, through any weight map (the single-variable counts read
-it in ``q``).  Every check takes the class alone: its basis is ``cls.basis``
-and padding parts are even.
+no partition built, through any weight map, and one comparison of it with the
+row recursion over members.  Every check takes the class alone: its basis is
+``cls.basis`` and padding parts are even.
 """
 
 from __future__ import annotations
@@ -143,9 +143,10 @@ def _split_count(lam: Partition, skeletons: tuple[Partition, ...]) -> int:
 def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     """Round-trip and uniqueness of the split for every member up to a weight.
 
-    The members come from one walk of the class, weight by weight.
-    Uniqueness is checked independently of :func:`decompose` by re-composing
-    every basis member of matching length and counting the valid splits.  The
+    The members come from one walk of the class, weight by weight; a member
+    whose split or rebuild raises :class:`SipError` fails alone.  Uniqueness
+    is checked independently of :func:`decompose` by re-composing every basis
+    member of matching length and counting the valid splits.  The
     skeletons of each length are built once, up to ``weight_max``, and serve
     every member of that length.  The count is still exhaustive: a valid
     skeleton sits under ``lam`` row by row, so its weight cannot exceed
@@ -160,12 +161,15 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     for members in members_by_weight(cls, weight_max):
         for lam in members:
             checks += 1
-            dec = decompose(cls, lam)
-            if len(dec.beta) != len(lam):
-                failures.append(f"{lam!r}: skeleton length {len(dec.beta)} != {len(lam)}")
-            back = compose(cls, dec.beta, dec.mu)
-            if back != lam:
-                failures.append(f"{lam!r}: round-trip gave {back!r}")
+            try:
+                dec = decompose(cls, lam)
+                if len(dec.beta) != len(lam):
+                    failures.append(f"{lam!r}: skeleton length {len(dec.beta)} != {len(lam)}")
+                back = compose(cls, dec.beta, dec.mu)
+                if back != lam:
+                    failures.append(f"{lam!r}: round-trip gave {back!r}")
+            except SipError as exc:
+                failures.append(f"{lam!r}: {type(exc).__name__}: {exc}")
             n = len(lam)
             if n not in skeletons:
                 skeletons[n] = basis_members_of_length(cls.basis, n, weight_max)
@@ -183,33 +187,6 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
 
 # Every part's monomial to q^(its size): a member maps to q^(its weight).
 _OMEGA_TO_Q = SubstitutionMap(FOUR_PARAM, SINGLE_Q, ((1,), (1,), (1,), (1,)))
-
-
-def class_counts(cls: PartitionClass, weight_max: int) -> list[int]:
-    """The number of class members of each weight ``0..weight_max``, read off
-    :func:`class_weight_series` in ``q`` alone.  That row recursion builds no
-    partition and uses no skeleton."""
-    weights = class_weight_series(cls, weight_max, _OMEGA_TO_Q)
-    return [weights.coefficient((w,)) for w in range(weight_max + 1)]
-
-
-def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
-    """Compare class counts with the basis-driven series, weight by weight.
-
-    The series is :func:`sip_gf_four_parameter` in ``q`` alone, where every
-    ``d_m`` is ``1 - q^{2m}``; the counts come from :func:`class_counts`.
-    """
-    series_side = sip_gf_four_parameter(cls, weight_max, _OMEGA_TO_Q)
-    counts = class_counts(cls, weight_max)
-    failures: list[str] = []
-    for w in range(weight_max + 1):
-        counted = counts[w]
-        from_series = series_side.coefficient((w,))
-        if counted != from_series:
-            failures.append(f"weight {w}: counted {counted} != series {from_series}")
-    return CheckReport(
-        f"sip-gf-single[{cls.value}]", not failures, weight_max + 1, tuple(failures)
-    )
 
 
 def _divisor(m: int) -> tuple[int, ...]:
@@ -249,16 +226,27 @@ def sip_gf_four_parameter(
     return horner_sum(weight_map.target, trunc, levels)
 
 
-def check_sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> CheckReport:
-    """Slice-by-slice comparison of the assembly against direct enumeration."""
-    assembled = sip_gf_four_parameter(cls, trunc)
-    enumerated = class_weight_series(cls, trunc)
+def _assembly_report(
+    name: str, cls: PartitionClass, trunc: int, weight_map: SubstitutionMap
+) -> CheckReport:
+    """Compare the skeleton assembly with the row recursion, which uses no
+    skeleton, degree by degree, both pushed through ``weight_map``."""
+    assembled = sip_gf_four_parameter(cls, trunc, weight_map)
+    summed = class_weight_series(cls, trunc, weight_map)
     failures: list[str] = []
     for d in range(trunc + 1):
-        left = assembled.degree_slice(d)
-        right = enumerated.degree_slice(d)
+        left, right = assembled.degree_slice(d), summed.degree_slice(d)
         if left != right:
-            failures.append(f"degree {d}: assembly {left} != enumeration {right}")
-    return CheckReport(
-        f"sip-gf-four[{cls.value}]", not failures, trunc + 1, tuple(failures), {"trunc": trunc}
-    )
+            failures.append(f"degree {d}: assembly {left} != row recursion {right}")
+    return CheckReport(f"{name}[{cls.value}]", not failures, trunc + 1, tuple(failures))
+
+
+def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:
+    """The assembly against the row recursion in ``q`` alone, where every
+    ``d_m`` is ``1 - q^{2m}`` and each degree's coefficient counts members."""
+    return _assembly_report("sip-gf-single", cls, weight_max, _OMEGA_TO_Q)
+
+
+def check_sip_gf_four_parameter(cls: PartitionClass, trunc: int) -> CheckReport:
+    """The assembly against the row recursion in the four parameters."""
+    return _assembly_report("sip-gf-four", cls, trunc, OMEGA_IDENTITY)

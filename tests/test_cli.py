@@ -14,8 +14,10 @@ import pytest
 import sipq
 from sipq import basis_gf, identities, sip
 from sipq.cli import main
-from sipq.partitions import PartitionClass
+from sipq.partitions import PartitionClass, RowRule
 from sipq.reporting import CheckReport
+
+CLASSES = ("g1", "g2", "p1", "p2")
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -137,11 +139,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "trunc, digest",
         (
-            pytest.param("16", "b62fb8b7ecd7bc7490ba3d6440a75a73c58c04ddaa0a54aeb969decd078f8d96", id="16"),
-            pytest.param("24", "ea76d405bde151e413884a8f6b06bd7537f8055391ba9d01391e679496407b7b", id="24"),
-            pytest.param("32", "d178996a645faf087b3a93ebcf9e4ed7ccd9bf44718176e65c0cd4828575ced7", id="32"),
-            pytest.param("48", "bbfb59244d3a20035549eb71f76b108d9e5529273e24c53e56d84be8fb3f59b9", id="48"),
-            pytest.param("64", "38ade0691e01bcdd89fc55e7e90374d03c58d74ca7a46d58dd741cfa28781451", id="64"),
+            pytest.param("16", "3cacdd563cd270f9c786558155257092b78e8f834c683f3506870129af9fa9a8", id="16"),
+            pytest.param("24", "3285defdbf5571064d06afa0a2b72ca82cb1865fde6151e4e7b7fad2709888f8", id="24"),
+            pytest.param("32", "81fa5f2a00c07eccd78b538be36c1b3c621d6042c871d6636cbc9f09c1dcee6e", id="32"),
+            pytest.param("48", "903fabfdb35f3ce52bfb9228a47226aa55d0ab6f659197cb0b4853b85a05bcc0", id="48"),
+            pytest.param("64", "c245dbda27fa08ef7ed79d361a22f6adf4ee399d2382caa2258a715acb094b23", id="64"),
         ),
     )
     def test_full_battery_stdout_is_pinned(self, capsys, trunc, digest):
@@ -151,27 +153,76 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_capped_reports_state_their_bound(self, capsys):
+    def test_reports_off_the_command_truncation_state_their_bounds(self, capsys):
         """The member-by-member reports state on stdout the bound they ran at,
-        and re-running one at that bound gives the same checks."""
+        as do the fixed-size ones, and re-running one at that bound gives the
+        same checks."""
         code, out, err = run(capsys, "verify", "--all", "--trunc", "20")
         assert code == 0
         assert "ran at trunc" not in err
         reports = {r["name"]: r for r in json.loads(out)["results"]}
         declared = {name: r["params"] for name, r in reports.items() if r["params"]}
         assert declared == {
-            **{f"sip-property[{c}]": {"weight_max": 16} for c in ("g1", "g2", "p1", "p2")},
-            **{f"sip-gf-four[{c}]": {"trunc": 16} for c in ("g1", "g2", "p1", "p2")},
+            **{f"basis-tables[basis-{c}]": {"n_max": 12, "h_max": 12} for c in CLASSES},
+            **{f"sip-property[{c}]": {"weight_max": 16} for c in CLASSES},
+            "qbinomial-recurrences": {"n_max": 10},
+            "qbinomial-theorem[z=a*b^2*c*d]": {"n_max": 6},
+            "qbinomial-theorem[z=a*b*d]": {"n_max": 6},
+            "partial-sums[p1]": {"n_max": 4},
+            "partial-sums[p2]": {"n_max": 4},
             "substitution[xzq]": {"weight_max": 16},
             "substitution[bg]": {"weight_max": 16},
         }
         rerun = sip.verify_sip_property(PartitionClass.G2, **declared["sip-property[g2]"])
         assert rerun.as_dict() == reports["sip-property[g2]"]
         assert sip.verify_sip_property(PartitionClass.G2, 20).checks != rerun.checks
+        table = basis_gf.cross_check_tables(
+            PartitionClass.BASIS_P1, **declared["basis-tables[basis-p1]"]
+        )
+        assert table.checks == reports["basis-tables[basis-p1]"]["checks"]
         code, out, _ = run(capsys, "verify", "--all", "--trunc", "12")
         assert code == 0
         reports = json.loads(out)["results"]
         assert {r["name"]: r["params"] for r in reports}["substitution[bg]"] == {"weight_max": 12}
+
+    def test_assembly_runs_at_the_command_truncation(self, capsys):
+        """Above the member-wise cap, ``sip-gf-four`` checks every degree up to
+        ``--trunc`` and states no bound of its own, while the member walks
+        stay at the cap."""
+        code, out, _ = run(capsys, "verify", "--all", "--trunc", "24")
+        assert code == 0
+        reports = {r["name"]: r for r in json.loads(out)["results"]}
+        for c in CLASSES:
+            four = reports[f"sip-gf-four[{c}]"]
+            assert (four["checks"], four["params"]) == (25, {})
+            assert reports[f"sip-property[{c}]"]["params"] == {"weight_max": 16}
+        for key in ("xzq", "bg"):
+            assert reports[f"substitution[{key}]"]["params"] == {"weight_max": 16}
+
+    def test_bad_split_fails_its_reports_and_keeps_the_rest(self, capsys, monkeypatch):
+        """A strict gap set that makes the split ambiguous fails ``sip-property``
+        member by member instead of aborting the battery: every report is
+        still printed."""
+        monkeypatch.setattr(
+            RowRule, "gaps", property(lambda rule: (1, 3) if rule.strict else (0, 1))
+        )
+        code, out, _ = run(capsys, "verify", "--all", "--trunc", "10")
+        assert code == 1
+        reports = json.loads(out)["results"]
+        assert len(reports) == 44
+        failed = {r["name"] for r in reports if not r["passed"]}
+        assert failed == {
+            f"{name}[{prefix}{c}]"
+            for c in ("g1", "g2")
+            for name, prefix in (
+                ("basis-tables", "basis-"),
+                ("sip-property", ""),
+                ("sip-gf-single", ""),
+                ("sip-gf-four", ""),
+            )
+        }
+        split = {r["name"]: r["failures"] for r in reports}["sip-property[g2]"]
+        assert "Partition(2, 1): InternalError: gap choice not unique" in split[0]
 
     def test_env_default_truncation(self, capsys, monkeypatch):
         monkeypatch.setenv("SIPQ_TRUNC", "5")

@@ -19,7 +19,7 @@ import tracemalloc
 
 import pytest
 
-from sipq import partitions
+from sipq import identities, partitions, sip
 from sipq.basis_gf import cross_check_tables
 from sipq.identities import combinatorial_side, registry, spec_by_key, verify_spec
 from sipq.partitions import (
@@ -49,6 +49,15 @@ BASES = (
     PartitionClass.BASIS_P2,
 )
 ROW_CLASSES = tuple(cls for cls in PartitionClass if not cls.is_basis)
+# Every weight map the package builds.
+PACKAGE_MAPS = {
+    "identity": OMEGA_IDENTITY,
+    "q": sip._OMEGA_TO_Q,
+    "xzq": identities.OMEGA_TO_XZQ,
+    "xq": identities.OMEGA_TO_XQ,
+    "zq": identities.OMEGA_TO_ZQ,
+    "bg": identities.OMEGA_TO_BG,
+}
 REFERENCE_TRUNC = 40
 # The oracles' own row rules, written from the class definitions and not read
 # from the package, so that a wrong rule record cannot pass both a generator
@@ -187,6 +196,20 @@ class TestAgainstTheFilter:
     def test_members_by_weight_refuses_a_bad_window(self, bounds):
         with pytest.raises(ValueError, match="0 <= weight_min <= weight_max"):
             members_by_weight(PartitionClass.ALL, *bounds)
+
+    def test_every_catalog_map_is_a_package_map(self):
+        assert {spec.weight_map for spec in registry()} <= set(PACKAGE_MAPS.values())
+
+    @pytest.mark.parametrize("weight_map", PACKAGE_MAPS.values(), ids=PACKAGE_MAPS.keys())
+    def test_row_keys_pack_each_mapped_part(self, weight_map):
+        """A row key, built from the packed images of the row's two letters,
+        is the packed image of the part's own exponents on that row."""
+        key = partitions._row_keys(weight_map)
+        for index in (1, 2):
+            for part in range(1, 65):
+                hi, lo = (part + 1) // 2, part // 2
+                exps = (hi, lo, 0, 0) if index % 2 else (0, 0, hi, lo)
+                assert key(index, part) == weight_map.target.pack(weight_map.map_exps(exps))
 
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
     def test_basis_members_of_length(self, cls):
@@ -371,7 +394,7 @@ class TestInjectedFaultsAreCaught:
         monkeypatch.setattr(partitions, "_skeleton_levels", faulty)
         single = sip_gf_single_variable(cls, 8)
         assert not single.passed
-        assert _first_degree(single.failures, r"weight (\d+):") <= 8
+        assert _first_degree(single.failures, r"degree (\d+):") <= 8
         four = check_sip_gf_four_parameter(cls, 8)
         assert not four.passed
         assert _first_degree(four.failures, r"degree (\d+):") <= 8
@@ -396,7 +419,7 @@ class TestInjectedFaultsAreCaught:
         monkeypatch.setattr(RowRule, "gaps", property(lambda rule: (0, 1)))
         single = sip_gf_single_variable(cls, 8)
         assert not single.passed
-        assert _first_degree(single.failures, r"weight (\d+):") <= 8
+        assert _first_degree(single.failures, r"degree (\d+):") <= 8
         four = check_sip_gf_four_parameter(cls, 8)
         assert not four.passed
         assert _first_degree(four.failures, r"degree (\d+):") <= 8

@@ -16,18 +16,18 @@ from sipq.partitions import (
     OMEGA_IDENTITY,
     Partition,
     PartitionClass,
+    RowRule,
     basis_weight_sums,
     class_weight_series,
     enumerate_partitions,
 )
-from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, Series, SubstitutionMap
+from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, PrecisionLoss, Series, SubstitutionMap
 from sipq.sip import (
     LengthViolation,
     NonEvenMu,
     NotInClass,
     SipDecomposition,
     check_sip_gf_four_parameter,
-    class_counts,
     compose,
     decompose,
     sip_gf_four_parameter,
@@ -150,6 +150,23 @@ class TestSipProperty:
             len(lam) for w in range(13) for lam in enumerate_partitions(cls, w)
         }
 
+    @pytest.mark.parametrize("cls", (G1, G2), ids=lambda c: c.value)
+    def test_a_split_that_raises_fails_its_member(self, monkeypatch, cls):
+        """Strict gaps {1, 3} leave some rows two skeleton parts of the right
+        parity: ``decompose`` raises, and the report names each member it
+        raised on and goes on with the rest."""
+        monkeypatch.setattr(
+            RowRule, "gaps", property(lambda rule: (1, 3) if rule.strict else (0, 1))
+        )
+        report = verify_sip_property(cls, 10)
+        assert not report.passed
+        assert report.checks == sum(len(enumerate_partitions(cls, w)) for w in range(11))
+        raised = [line for line in report.failures if ": InternalError: " in line]
+        assert raised
+        for line in raised:
+            member, _, message = line.partition(": InternalError: ")
+            assert message.endswith(f" of {member}")
+
     @pytest.mark.parametrize(
         "fault, message",
         (
@@ -181,30 +198,37 @@ class TestSingleVariableSeries:
             sip_gf_single_variable(PartitionClass.BASIS_P2, 8)
 
     @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
-    def test_class_counts_match_enumeration(self, cls):
-        """The counts read off the row recursion equal the members built one by one."""
-        assert class_counts(cls, 20) == [len(enumerate_partitions(cls, w)) for w in range(21)]
+    def test_row_recursion_in_q_counts_the_members(self, cls):
+        """Read in ``q``, the row recursion's coefficients equal the members
+        built one by one."""
+        weights = class_weight_series(cls, 20, sip._OMEGA_TO_Q)
+        assert [weights.coefficient((w,)) for w in range(21)] == [
+            len(enumerate_partitions(cls, w)) for w in range(21)
+        ]
 
     @pytest.mark.parametrize(
         "fault",
         (
-            lambda counts: [0] + counts[:-1],  # each count read one weight low
-            lambda counts: counts[:-1] + [counts[-1] + 1],  # the top weight one too many
+            # each count read one weight low, and the top weight one too many
+            lambda weights: weights * Series.monomial(SINGLE_Q, 1, (1,)),
+            lambda weights: weights + Series.monomial(SINGLE_Q, 1, (weights.trunc,)),
         ),
         ids=("shifted", "top-plus-one"),
     )
     @pytest.mark.parametrize("cls", DECOMPOSABLE, ids=lambda c: c.value)
-    def test_off_by_one_counts_fail_by_weight_8(self, monkeypatch, cls, fault):
-        real = sip.class_counts
-        monkeypatch.setattr(sip, "class_counts", lambda c, w: fault(real(c, w)))
+    def test_off_by_one_counts_fail_by_degree_8(self, monkeypatch, cls, fault):
+        real = sip.class_weight_series
+        monkeypatch.setattr(sip, "class_weight_series", lambda *args: fault(real(*args)))
         report = sip_gf_single_variable(cls, 8)
         assert not report.passed
-        assert min(int(f.split(":")[0].split()[1]) for f in report.failures) <= 8
+        assert _first_degree(report.failures, r"^degree (\d+):") <= 8
 
-    def test_short_count_list_is_refused(self, monkeypatch):
-        real = sip.class_counts
-        monkeypatch.setattr(sip, "class_counts", lambda c, w: real(c, w)[:-1])
-        with pytest.raises(IndexError):
+    def test_row_recursion_cut_short_is_refused(self, monkeypatch):
+        real = sip.class_weight_series
+        monkeypatch.setattr(
+            sip, "class_weight_series", lambda cls, trunc, m: real(cls, trunc - 1, m)
+        )
+        with pytest.raises(PrecisionLoss):
             sip_gf_single_variable(G1, 8)
 
 
@@ -299,8 +323,8 @@ class TestFourParameterSeries:
         ids=lambda c: getattr(c, "value", "digest"),
     )
     def test_assembly_is_pinned_at_trunc_40(self, cls, digest):
-        """The battery runs ``sip-gf-four`` at trunc 16 only; past that cap the
-        assembly's terms are held to the recorded output."""
+        """The battery compares the assembly with the row recursion only; its
+        own terms are held to the recorded output."""
         records = json.dumps(sip_gf_four_parameter(cls, 40).to_records())
         assert hashlib.sha256(records.encode()).hexdigest() == digest
 
@@ -337,7 +361,7 @@ def test_faulty_assembly_fails_both_checks_by_degree_8(monkeypatch, cls, fault):
     fault(monkeypatch)
     single = sip_gf_single_variable(cls, 8)
     assert not single.passed
-    assert _first_degree(single.failures, r"^weight (\d+):") <= 8
+    assert _first_degree(single.failures, r"^degree (\d+):") <= 8
     four = check_sip_gf_four_parameter(cls, 8)
     assert not four.passed
     assert _first_degree(four.failures, r"^degree (\d+):") <= 8
