@@ -36,7 +36,6 @@ from .identities import (
     registry,
     series_side,
     spec_by_key,
-    verify,
     verify_partial_sums,
     verify_spec,
     verify_substitution_consistency,
@@ -175,7 +174,6 @@ __all__ = [
     "table_closed_form",
     "table_enumerated",
     "table_recurrence",
-    "verify",
     "verify_partial_sums",
     "verify_sip_property",
     "verify_spec",

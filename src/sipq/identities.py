@@ -22,8 +22,8 @@ shared; each side is still computed on its own, in the target ring.
 since their printed forms merge bases, e.g. ``(q²;q⁴)_n (q⁴;q⁴)_n =
 (q²;q²)_2n``, and so are not literal images.
 
-:func:`verify` expands every available side to the requested truncation and
-demands exact agreement pairwise.  A series family, and each of its partial
+:func:`verify_spec` expands every available side to the requested truncation
+and demands exact agreement pairwise.  A series family, and each of its partial
 sums, is one Horner run (:func:`qseries.horner_sum`) over the levels of one
 forward pass (:func:`qseries.sum_levels`), which stops at the first numerator
 polynomial with no term at or below the truncation: no step polynomial has a
@@ -31,7 +31,7 @@ term of negative degree (:class:`TheoremSpec` refuses a family otherwise).  A
 four-parameter series side also asserts that no summand has a negative
 exponent; it reads the numerator polynomials, which is equivalent because
 :class:`TheoremSpec` also refuses a four-parameter denominator with a negative
-exponent.
+exponent (the proof is in :func:`series_side`).
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from .partitions import (
     omega_exponents,
     stats,
 )
-from .qseries import PochFactor, horner_sum, nested_sum, sum_levels, truncated_infinite_product
+from .qseries import PochFactor, horner_sum, sum_levels, truncated_infinite_product
 from .reporting import CheckReport
-from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
+from .series import FOUR_PARAM, XZQ, Series, SeriesError, SeriesRing, SubstitutionMap
 
 
 class UnknownTheorem(Exception):
@@ -105,11 +105,6 @@ class SumFamily(NamedTuple):
         by default) to order ``trunc``, from its forward pass, which runs no
         further than that."""
         return list(islice(sum_levels(*self._monomials(ring), self.factors, trunc), count))
-
-    def nested_sum(self, ring: SeriesRing, trunc: int) -> tuple[Series, list[int]]:
-        """The family's sum to order ``trunc``, in Horner form from the top,
-        and the summands whose numerator polynomial has a negative exponent."""
-        return nested_sum(*self._monomials(ring), self.factors, trunc)
 
 
 class _TheoremSpecFields(NamedTuple):
@@ -167,7 +162,7 @@ class TheoremSpec(_TheoremSpecFields):
             # The summand nonnegativity check of a four-parameter family reads
             # the numerator polynomials, which holds when every denominator
             # binomial is 1 - m with m of nonnegative exponents (see
-            # qseries.nested_sum).
+            # series_side).
             if self.ring == FOUR_PARAM and any(
                 min(f.arg_exps + f.base_exps) < 0 for f in fam.factors if f.inverted
             ):
@@ -203,18 +198,41 @@ def series_side(
     trunc: int,
     nonneg_failures: list[str] | None = None,
 ) -> Series:
+    """The sum of the series families to order ``trunc``, each one
+    :func:`~sipq.qseries.horner_sum` over its levels ``(P_n, delta_n)``.
+
+    For a four-parameter spec, each summand ``T_n = P_n / D_n`` whose
+    numerator polynomial ``P_n`` has a negative exponent at degree ``<=
+    trunc`` is named in ``nonneg_failures``, when given.  That equals
+    ``T_n.has_negative_exponent()`` when every denominator binomial is ``1 -
+    m`` with ``m`` of nonnegative exponents and positive degree, which
+    :class:`TheoremSpec` enforces.  Then ``1/D_n`` has constant term 1 and
+    nonnegative exponents, and its other terms have positive degree.  If
+    ``P_n`` has nonnegative exponents below the truncation, so has ``T_n``.
+    Otherwise, in some variable, let ``e < 0`` be the least exponent among the
+    terms of ``P_n`` at degree ``<= trunc``, and ``d`` the least degree among
+    those terms with exponent ``e``.  A term of ``T_n`` with exponent ``e`` and
+    degree ``d`` comes from a term of ``P_n`` (exponent ``>= e``, degree ``<=
+    d``, so among those terms) times a term of ``1/D_n`` (exponent and degree
+    ``>= 0``).  The exponents add up to ``e`` and the degrees to ``d``, so the
+    first term has exponent ``e`` and degree ``d``, and the second is the
+    constant 1.  That slice of ``T_n`` is the one of ``P_n``, which is not
+    zero.
+    """
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     if not spec.series:
         raise ValueError(f"{spec.key} has no series side")
     sums = []
     for fam in spec.series:
-        total, negative = fam.nested_sum(spec.ring, trunc)
+        levels = fam.levels(spec.ring, trunc)
         if nonneg_failures is not None and spec.ring is FOUR_PARAM:
             nonneg_failures.extend(
-                f"summand n={n}: negative exponent in expansion" for n in negative
+                f"summand n={n}: negative exponent in expansion"
+                for n, (poly, _) in enumerate(levels)
+                if poly.has_negative_exponent()
             )
-        sums.append(total)
+        sums.append(horner_sum(spec.ring, trunc, levels))
     return Series.zero(spec.ring, trunc).plus(sums)
 
 
@@ -230,32 +248,37 @@ def _slice_text(s: Series, degree: int) -> str:
 
 
 def verify_spec(spec: TheoremSpec, trunc: int) -> CheckReport:
-    """Expand every available side to ``trunc`` and compare them pairwise."""
+    """Expand every available side to ``trunc`` and compare them pairwise; a
+    :class:`SeriesError` raised while building or reading a side fails the
+    report, as its last failure line."""
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
     failures: list[str] = []
     sides: list[tuple[str, Series]] = []
     checks = 0
-    if spec.partition_class is not None:
-        sides.append(("combinatorial", combinatorial_side(spec, trunc)))
-    if spec.series:
-        checks += 1  # the summand nonnegativity assertion
-        sides.append(("series", series_side(spec, trunc, nonneg_failures=failures)))
-    sides.append(("product", product_side(spec, trunc)))
-    if spec.product_alt is not None:
-        sides.append(("product-alt", product_side(spec, trunc, alt=True)))
-    for i in range(len(sides)):
-        for j in range(i + 1, len(sides)):
-            checks += 1
-            (ln, ls), (rn, rs) = sides[i], sides[j]
-            cmp = ls.equal_to(rs)
-            if not cmp.equal:
-                d = spec.ring.degree(cmp.exps)
-                failures.append(
-                    f"{ln} != {rn}: first difference at {cmp.exps}"
-                    f" ({cmp.left} vs {cmp.right}); degree-{d} slices"
-                    f" {_slice_text(ls, d)} vs {_slice_text(rs, d)}"
-                )
+    try:
+        if spec.partition_class is not None:
+            sides.append(("combinatorial", combinatorial_side(spec, trunc)))
+        if spec.series:
+            checks += 1  # the summand nonnegativity assertion
+            sides.append(("series", series_side(spec, trunc, nonneg_failures=failures)))
+        sides.append(("product", product_side(spec, trunc)))
+        if spec.product_alt is not None:
+            sides.append(("product-alt", product_side(spec, trunc, alt=True)))
+        for i in range(len(sides)):
+            for j in range(i + 1, len(sides)):
+                checks += 1
+                (ln, ls), (rn, rs) = sides[i], sides[j]
+                cmp = ls.equal_to(rs)
+                if not cmp.equal:
+                    d = spec.ring.degree(cmp.exps)
+                    failures.append(
+                        f"{ln} != {rn}: first difference at {cmp.exps}"
+                        f" ({cmp.left} vs {cmp.right}); degree-{d} slices"
+                        f" {_slice_text(ls, d)} vs {_slice_text(rs, d)}"
+                    )
+    except SeriesError as exc:
+        failures.append(f"{type(exc).__name__}: {exc}")
     return CheckReport(f"identity[{spec.key}]", not failures, checks, tuple(failures))
 
 
@@ -627,10 +650,6 @@ def spec_by_key(key: str) -> TheoremSpec:
         raise UnknownTheorem(key) from None
 
 
-def verify(key: str, trunc: int) -> CheckReport:
-    return verify_spec(spec_by_key(key), trunc)
-
-
 # -- telescoping partial sums ---------------------------------------------------
 
 
@@ -712,7 +731,7 @@ def verify_substitution_consistency(
     if weight_max < 0:
         raise ValueError("weight_max must be nonnegative")
     rows = [
-        (lam, stats(lam), omega_exponents(lam).vector(), stats(conjugate(lam)).odd_parts)
+        (lam, stats(lam), omega_exponents(lam), stats(conjugate(lam)).odd_parts)
         for members in members_by_weight(PartitionClass.ALL, weight_max)
         for lam in members
     ]
@@ -720,8 +739,8 @@ def verify_substitution_consistency(
     for map_id in map_ids:
         map_exps = _MAPS[map_id].map_exps
         failures: list[str] = []
-        for lam, st, vector, transpose_odd_parts in rows:
-            image = map_exps(vector)
+        for lam, st, omega, transpose_odd_parts in rows:
+            image = map_exps(omega)
             if map_id == "xzq":
                 expected = (st.odd_parts, st.alt_sum, st.weight)
             else:

@@ -75,9 +75,6 @@ class OmegaExponents(NamedTuple):
     c: int
     d: int
 
-    def vector(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
     @property
     def total(self) -> int:
         return self.a + self.b + self.c + self.d
@@ -153,11 +150,6 @@ class PartitionClass(enum.Enum):
     def rule(self) -> RowRule:
         """The class's row rules; a basis tag obeys those of its base class."""
         return _RULES[_BASE_CLASS[self]]
-
-    @property
-    def gaps(self) -> tuple[int, int]:
-        """Allowed successive differences within basis members."""
-        return self.rule.gaps
 
 
 #: Each tag's base class, read off its value once, at import.

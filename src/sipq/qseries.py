@@ -12,10 +12,7 @@ quotients ``sum_n P_n / (delta_0 ... delta_n)`` has one forward pass,
 :func:`sum_levels`, which steps the numerator polynomials ``P_n`` and yields
 each with its divisor binomials ``delta_n``, and one Horner run,
 :func:`horner_sum`, ``S = (P_0 + (P_1 + (...) / delta_2) / delta_1) /
-delta_0`` in one kernel run from the top level down; :func:`nested_sum` is the
-two together.  It also reports the summands whose numerator polynomial ``P_n``
-has a negative exponent, which for denominators ``1 - m``, ``m`` of
-nonnegative exponents and positive degree, is the summands that have one.
+delta_0`` in one kernel run from the top level down.
 """
 
 from __future__ import annotations
@@ -152,37 +149,6 @@ def horner_sum(ring: SeriesRing, trunc: int, levels: Sequence[tuple[Series, list
     return Series.zero(ring, trunc).times_run(run)
 
 
-def nested_sum(
-    start: Series,
-    ratio: Callable[[int], Series],
-    factors: Sequence[PochFactor],
-    trunc: int,
-) -> tuple[Series, list[int]]:
-    """The sum of the summands ``T_n = P_n / D_n`` of :func:`sum_levels` to
-    order ``trunc``, by :func:`horner_sum`; and the indices ``n`` whose
-    numerator polynomial ``P_n`` has a negative exponent at degree ``<=
-    trunc``.
-
-    The numerator verdict equals ``T_n.has_negative_exponent()`` when every
-    denominator binomial is ``1 - m`` with ``m`` of nonnegative exponents and
-    positive degree.  Then ``1/D_n`` has constant term 1 and nonnegative
-    exponents, and its other terms have positive degree.  If ``P_n`` has
-    nonnegative exponents below the truncation, so has ``T_n``.  Otherwise,
-    in some variable, let ``e < 0`` be the least exponent among the terms of
-    ``P_n`` at degree ``<= trunc``, and ``d`` the least degree among those
-    terms with exponent ``e``.  A term of ``T_n`` with exponent ``e`` and
-    degree ``d`` comes from a term of ``P_n`` (exponent ``>= e``, degree ``<=
-    d``, so among those terms) times a term of ``1/D_n`` (exponent and degree
-    ``>= 0``).  The exponents add up to ``e`` and the degrees to ``d``, so the
-    first term has exponent ``e`` and degree ``d``, and the second is the
-    constant 1.  That slice of ``T_n`` is the one of ``P_n``, which is not
-    zero.
-    """
-    levels = list(sum_levels(start, ratio, factors, trunc))
-    negative = [n for n, (poly, _) in enumerate(levels) if poly.has_negative_exponent()]
-    return horner_sum(start.ring, trunc, levels), negative
-
-
 def running_product(ring: SeriesRing, factor: PochFactor, trunc: int | None) -> Iterator[Series]:
     """Yield the product of ``factor``'s first ``k`` binomials, or its inverse
     when the factor is inverted, for ``k = 0, 1, 2, ...``; each step
@@ -206,11 +172,6 @@ def running_product(ring: SeriesRing, factor: PochFactor, trunc: int | None) -> 
         prod = prod.times_factor(factor.sign, exps, factor.inverted)
     # This binomial and every later one only touch degrees above trunc.
     yield from repeat(prod)
-
-
-def nth_product(run: Iterator[Series], n: int) -> Series:
-    """The product of a run's first ``n`` factors."""
-    return next(islice(run, n, None))
 
 
 def truncated_infinite_product(
@@ -270,7 +231,7 @@ def pochhammer_finite(arg: Series, base: Series, n: int) -> Series:
     """``(1 - arg)(1 - arg*base) ... (1 - arg*base^(n-1))``, exactly."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return nth_product(running_product(arg.ring, _poch_data(arg, base), None), n)
+    return next(islice(running_product(arg.ring, _poch_data(arg, base), None), n, None))
 
 
 def pochhammer_infinite(arg: Series, base: Series, trunc: int) -> Series:
@@ -446,9 +407,10 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     factors = [poch(p, "a, b", count=(1, 0)) for p in sum_args]
     factors.append(PochFactor(1, _Q, _Q, (1, 0), inverted=True))
     factors.append(poch(c_param, "c", count=(1, 0), inverted=True))
-    lhs, _ = nested_sum(
+    levels = list(sum_levels(
         Series.one(FOUR_PARAM), lambda n: step * q_monomial(pairs * n), factors, trunc
-    )
+    ))
+    lhs = horner_sum(FOUR_PARAM, trunc, levels)
 
     rhs_factors = [poch(arg, "ratio", inverted=inverted) for arg, inverted in rhs_args]
     rhs = truncated_infinite_product(FOUR_PARAM, rhs_factors, trunc)

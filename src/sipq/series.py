@@ -176,28 +176,6 @@ class SeriesRing:
         return (key + offset) & offset != offset
 
 
-def _bucketed(
-    ring: SeriesRing, items: Iterable[tuple[Iterable[int], int]], trunc: int | None
-) -> tuple[dict[int, dict[int, int]], int]:
-    """``(buckets, bound)`` of ``(exponents, coeff)`` pairs entering a series:
-    coefficients of equal exponents are summed and zero coefficients skipped.
-    The bound covers the terms of degree at most ``trunc`` (the others are
-    dropped on storing) and is checked against ``EXPONENT_LIMIT``."""
-    buckets: dict[int, dict[int, int]] = {}
-    bound = 0
-    for exps, coeff in items:
-        if coeff == 0:
-            continue
-        exps = tuple(exps)
-        deg = ring.degree(exps)
-        if trunc is None or deg <= trunc:
-            bound = max(bound, max(exps), -min(exps))
-        acc = buckets.setdefault(deg, {})
-        key = ring.pack(exps)
-        acc[key] = acc.get(key, 0) + coeff
-    return buckets, _checked_bound(bound)
-
-
 FOUR_PARAM = SeriesRing(("a", "b", "c", "d"), (1, 1, 1, 1))
 XZQ = SeriesRing(("x", "z", "q"), (0, 0, 1))
 SINGLE_Q = SeriesRing(("q",), (1,))
@@ -209,9 +187,9 @@ class Series:
     Terms are stored by degree: ``buckets`` maps each degree to a non-empty
     dict ``packed key -> int`` of the terms of that degree, none with
     coefficient 0 (see the module docstring for the packing).  A term's
-    degree and key are computed once, when it enters through the constructor,
-    :meth:`from_terms` or :meth:`monomial`; arithmetic passes degrees
-    through, adds keys, and truncation drops whole buckets.
+    degree and key are computed once, when it enters through the constructor
+    or :meth:`monomial`; arithmetic passes degrees through, adds keys, and
+    truncation drops whole buckets.
     Bucket dicts are never changed after construction, so series share them.
     ``terms`` is a flat ``exponent-tuple -> int`` view, built on each access.
 
@@ -226,7 +204,17 @@ class Series:
     def __init__(
         self, ring: SeriesRing, terms: Mapping[tuple[int, ...], int], trunc: int | None
     ) -> None:
-        self._set(ring, *_bucketed(ring, terms.items(), trunc), trunc)
+        # The bound covers the terms of degree at most ``trunc``; the others
+        # are dropped on storing.
+        buckets: dict[int, dict[int, int]] = {}
+        bound = 0
+        for exps, coeff in terms.items():
+            if coeff:
+                deg = ring.degree(exps)
+                if trunc is None or deg <= trunc:
+                    bound = max(bound, max(exps), -min(exps))
+                buckets.setdefault(deg, {})[ring.pack(exps)] = coeff
+        self._set(ring, buckets, _checked_bound(bound), trunc)
 
     @classmethod
     def _from_buckets(
@@ -293,15 +281,6 @@ class Series:
     ) -> "Series":
         return Series(ring, {tuple(exps): coeff}, trunc)
 
-    @staticmethod
-    def from_terms(
-        ring: SeriesRing,
-        items: Iterable[tuple[tuple[int, ...], int]],
-        trunc: int | None,
-    ) -> "Series":
-        """A series from ``(exponents, coeff)`` pairs; repeated exponents add up."""
-        return Series._from_buckets(ring, *_bucketed(ring, items, trunc), trunc)
-
     # -- bookkeeping ----------------------------------------------------------
 
     def _check_ring(self, other: "Series") -> None:
@@ -323,14 +302,6 @@ class Series:
     def _check_known(self, degree: int) -> None:
         if self.trunc is not None and degree > self.trunc:
             raise PrecisionLoss(f"degree {degree} exceeds truncation {self.trunc}")
-
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        exps = tuple(exps)
-        deg = self.ring.degree(exps)
-        self._check_known(deg)
-        if exps and max(max(exps), -min(exps)) > self.bound:
-            return 0  # beyond every stored exponent, and maybe beyond packing
-        return self.buckets.get(deg, {}).get(self.ring.pack(exps), 0)
 
     def constant_term(self) -> int:
         self._check_known(0)

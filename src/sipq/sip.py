@@ -30,7 +30,7 @@ from .partitions import (
 )
 from .qseries import PochFactor, horner_sum
 from .reporting import CheckReport
-from .series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
+from .series import FOUR_PARAM, SINGLE_Q, Series, SeriesError, SubstitutionMap
 
 
 class SipError(Exception):
@@ -88,7 +88,7 @@ def decompose(cls: PartitionClass, lam: Partition) -> SipDecomposition:
     n = len(lam)
     beta = [0] * n
     beta[-1] = cls.rule.last_part(lam[-1])
-    gaps = cls.gaps
+    gaps = cls.rule.gaps
     for i in range(n - 2, -1, -1):
         matches = [beta[i + 1] + g for g in gaps if (beta[i + 1] + g) % 2 == lam[i] % 2]
         if len(matches) != 1:
@@ -230,14 +230,19 @@ def _assembly_report(
     name: str, cls: PartitionClass, trunc: int, weight_map: SubstitutionMap
 ) -> CheckReport:
     """Compare the skeleton assembly with the row recursion, which uses no
-    skeleton, degree by degree, both pushed through ``weight_map``."""
-    assembled = sip_gf_four_parameter(cls, trunc, weight_map)
-    summed = class_weight_series(cls, trunc, weight_map)
+    skeleton, degree by degree, both pushed through ``weight_map``; a
+    :class:`SeriesError` raised while building or reading either fails the
+    report, as its last failure line."""
     failures: list[str] = []
-    for d in range(trunc + 1):
-        left, right = assembled.degree_slice(d), summed.degree_slice(d)
-        if left != right:
-            failures.append(f"degree {d}: assembly {left} != row recursion {right}")
+    try:
+        assembled = sip_gf_four_parameter(cls, trunc, weight_map)
+        summed = class_weight_series(cls, trunc, weight_map)
+        for d in range(trunc + 1):
+            left, right = assembled.degree_slice(d), summed.degree_slice(d)
+            if left != right:
+                failures.append(f"degree {d}: assembly {left} != row recursion {right}")
+    except SeriesError as exc:
+        failures.append(f"{type(exc).__name__}: {exc}")
     return CheckReport(f"{name}[{cls.value}]", not failures, trunc + 1, tuple(failures))
 
 

@@ -19,8 +19,8 @@ from sipq.identities import (
     combinatorial_side,
     product_side,
     spec_by_key,
-    verify,
     verify_partial_sums,
+    verify_spec,
     verify_substitution_consistency,
 )
 from sipq.partitions import (
@@ -54,14 +54,14 @@ CLASSES = (
 def test_c01_four_parameter_identities_to_degree_24():
     started = time.perf_counter()
     for key in ("g1-four", "g2-four", "p1-four", "p2-four"):
-        report = verify(key, 24)
+        report = verify_spec(spec_by_key(key), 24)
         assert report.passed, (key, report.failures)
     assert time.perf_counter() - started < 60
 
 
 def test_c02_all_partitions_and_three_variable_identities_to_degree_20():
     for key in ("boulet-p", "andrews-xzq"):
-        report = verify(key, 20)
+        report = verify_spec(spec_by_key(key), 20)
         assert report.passed, (key, report.failures)
     spec = spec_by_key("boulet-p")
     expected = {
@@ -82,7 +82,7 @@ def test_c03_specialized_identities_to_q_degree_24():
         "g1-bg", "g2-bg", "p1-bg", "p2-bg",
     )
     for key in keys:
-        report = verify(key, 24)
+        report = verify_spec(spec_by_key(key), 24)
         assert report.passed, (key, report.failures)
 
 

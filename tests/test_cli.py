@@ -224,6 +224,27 @@ class TestVerify:
         split = {r["name"]: r["failures"] for r in reports}["sip-property[g2]"]
         assert "Partition(2, 1): InternalError: gap choice not unique" in split[0]
 
+    def test_row_recursion_cut_short_fails_its_reports_and_keeps_the_rest(
+        self, capsys, monkeypatch
+    ):
+        """A row recursion one degree short fails every skeleton assembly on
+        the precision error it raises, instead of aborting the battery: every
+        report is still printed."""
+        real = sip.class_weight_series
+        monkeypatch.setattr(
+            sip, "class_weight_series", lambda cls, trunc, m: real(cls, trunc - 1, m)
+        )
+        code, out, _ = run(capsys, "verify", "--all", "--trunc", "10")
+        assert code == 1
+        reports = json.loads(out)["results"]
+        assert len(reports) == 44
+        failed = {r["name"]: r["failures"] for r in reports if not r["passed"]}
+        assert failed == {
+            f"{name}[{c}]": ["PrecisionLoss: degree 10 exceeds truncation 9"]
+            for c in CLASSES
+            for name in ("sip-gf-single", "sip-gf-four")
+        }
+
     def test_env_default_truncation(self, capsys, monkeypatch):
         monkeypatch.setenv("SIPQ_TRUNC", "5")
         code, out, _ = run(capsys, "verify", "g1-four")

@@ -12,6 +12,7 @@ degree.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import product
 import re
@@ -118,10 +119,9 @@ def memo_weight_series(cls: PartitionClass, trunc: int) -> Series:
                         acc[key] = acc.get(key, 0) + count
                 row.append(acc)
             cells[parity, rem] = row
-    return Series.from_terms(
-        FOUR_PARAM,
-        (item for w in range(trunc + 1) for item in cells[1, w][w].items()),
-        trunc,
+    # Each weight's terms have that weight as their degree, so none repeats.
+    return Series(
+        FOUR_PARAM, {k: c for w in range(trunc + 1) for k, c in cells[1, w][w].items()}, trunc
     )
 
 
@@ -155,8 +155,8 @@ def _top(lam: Partition) -> int:
 def _weights(members, weight_map: SubstitutionMap = OMEGA_IDENTITY) -> Series:
     """The exact sum of the weights of ``members``, each pushed through ``weight_map``."""
     image_of = weight_map.map_exps
-    return Series.from_terms(
-        weight_map.target, ((image_of(omega_exponents(lam).vector()), 1) for lam in members), None
+    return Series(
+        weight_map.target, Counter(image_of(omega_exponents(lam)) for lam in members), None
     )
 
 
@@ -281,10 +281,10 @@ class TestAgainstTheFilter:
     @pytest.mark.parametrize("cls", ROW_CLASSES, ids=lambda c: c.value)
     def test_class_weight_series(self, cls):
         for trunc in (0, 1, 7, ORACLE_WEIGHT):
-            expected = Series.from_terms(
+            expected = Series(
                 FOUR_PARAM,
-                (
-                    (omega_exponents(lam).vector(), 1)
+                Counter(
+                    omega_exponents(lam)
                     for w in range(trunc + 1)
                     for lam in oracle_members(cls, w)
                 ),
@@ -312,11 +312,11 @@ class TestAgainstTheFilter:
         # recursion that maps it part by part.
         for trunc in range(ORACLE_WEIGHT + 1):
             images = [
-                spec.weight_map.map_exps(omega_exponents(lam).vector())
+                spec.weight_map.map_exps(omega_exponents(lam))
                 for w in range(trunc + 1)
                 for lam in oracle_members(spec.partition_class, w)
             ]
-            expected = Series.from_terms(spec.ring, ((image, 1) for image in images), trunc)
+            expected = Series(spec.ring, Counter(images), trunc)
             got = combinatorial_side(spec, trunc)
             assert got == expected, trunc
             assert got.trunc == trunc, trunc

@@ -21,7 +21,6 @@ from sipq.identities import (
     registry,
     series_side,
     spec_by_key,
-    verify,
     verify_partial_sums,
     verify_spec,
     verify_substitution_consistency,
@@ -109,7 +108,7 @@ class TestFrozenSlices:
             "g1-altsum", "p1-xzq", "g1-bg", "p2-bg")
 )
 def test_verify_passes(key):
-    report = verify(key, 12)
+    report = verify_spec(spec_by_key(key), 12)
     assert report.passed, report.failures
     assert report.name == f"identity[{key}]"
     assert report.checks >= 1
@@ -117,7 +116,7 @@ def test_verify_passes(key):
 
 def test_verify_rejects_negative_truncation():
     with pytest.raises(ValueError):
-        verify("g1-four", -1)
+        verify_spec(spec_by_key("g1-four"), -1)
 
 
 @pytest.mark.parametrize("key", EXPECTED_KEYS)
@@ -410,7 +409,9 @@ def _rebuilt_summands(ring, fam, trunc):
         for sign, exps in binomials:
             if ring.degree(exps) >= 0 and poly.trunc is None:
                 poly = poly.truncate(trunc)
-            poly = poly * Series.from_terms(ring, ((one, 1), (exps, -sign)), None)
+            binomial = {one: 1}
+            binomial[exps] = binomial.get(exps, 0) - sign  # exps may be ``one``
+            poly = poly * Series(ring, binomial, None)
         poly = term = poly.truncate(trunc)
         for _, run in runs:
             term = term * next(run)
@@ -633,12 +634,14 @@ def families(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(families())
-def test_nested_sum_matches_rebuilt_summands(case):
-    """(a) The nested sum equals the summands built from scratch, up to the
-    first numerator with no term at or below the truncation, added with
-    ``plus``, with the same truncation; the next two numerators vanish too.
-    (b) Where every denominator has nonnegative exponents, the numerator
-    verdict names exactly the rebuilt summands with a negative exponent."""
+def test_horner_sum_matches_rebuilt_summands(case):
+    """(a) The Horner run over the family's levels equals the summands built
+    from scratch, up to the first numerator with no term at or below the
+    truncation, added with ``plus``, with the same truncation; the next two
+    numerators vanish too.  (b) Where every denominator has nonnegative
+    exponents, the verdict read off the level polynomials names exactly the
+    rebuilt summands with a negative exponent, and in the four-parameter ring
+    it is the one ``series_side`` reports."""
     ring, family, trunc = case
     rebuilt = _rebuilt_summands(ring, family, trunc)
     summands = []
@@ -648,10 +651,16 @@ def test_nested_sum_matches_rebuilt_summands(case):
         summands.append(term)
     assert all(poly.is_zero() for poly, _ in islice(rebuilt, 2))
     expected = Series.zero(ring, trunc).plus(summands)
-    got, negative = family.nested_sum(ring, trunc)
+    levels = family.levels(ring, trunc)
+    got = horner_sum(ring, trunc, levels)
     assert (got, got.trunc) == (expected, expected.trunc)
+    negative = [n for n, (poly, _) in enumerate(levels) if poly.has_negative_exponent()]
     if all(min(f.arg_exps + f.base_exps) >= 0 for f in family.factors if f.inverted):
         assert negative == [n for n, t in enumerate(summands) if t.has_negative_exponent()]
+    if ring is FOUR_PARAM:
+        reported: list[str] = []
+        series_side(_rebuilt(spec_by_key("g1-four"), series=(family,)), trunc, reported)
+        assert reported == [f"summand n={n}: negative exponent in expansion" for n in negative]
 
 
 def test_negative_summand_exponent_is_reported():
@@ -664,6 +673,18 @@ def test_negative_summand_exponent_is_reported():
     report = verify_spec(_rebuilt(spec, series=(family,)), 8)
     assert not report.passed
     assert "summand n=1: negative exponent in expansion" in report.failures
+
+
+def test_series_error_of_a_side_fails_the_report(monkeypatch):
+    """A side that cannot be compared, here a combinatorial side one degree
+    short, fails the identity's report on the error it raises."""
+    real = identities.class_weight_series
+    monkeypatch.setattr(
+        identities, "class_weight_series", lambda cls, trunc, m: real(cls, trunc - 1, m)
+    )
+    report = verify_spec(spec_by_key("g1-four"), 8)
+    assert not report.passed
+    assert report.failures == ("TruncationMismatch: 7 vs 8",)
 
 
 def test_four_parameter_denominator_with_negative_exponent_rejected():
@@ -760,10 +781,11 @@ def test_horner_faults_are_caught(monkeypatch, fault):
 def test_level_kept_one_degree_short_is_refused(monkeypatch):
     """A summand added one degree below the run's truncation would leave the
     sum unknown at its top degree: the run refuses it instead of returning a
-    short sum."""
+    short sum, and the identity's report fails on the refusal."""
     monkeypatch.setattr(Series, "times_run", _horner_fault(_levels_one_lower))
-    with pytest.raises(TruncationMismatch):
-        verify_spec(spec_by_key("g1-four"), 8)
+    report = verify_spec(spec_by_key("g1-four"), 8)
+    assert not report.passed
+    assert report.failures[-1].startswith("TruncationMismatch: ")
     with pytest.raises(TruncationMismatch):
         check_q_gauss(A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, 1, 0, 0), 8)
 

@@ -21,7 +21,7 @@ from sipq.partitions import (
     class_weight_series,
     enumerate_partitions,
 )
-from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, PrecisionLoss, Series, SubstitutionMap
+from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, Series, SubstitutionMap
 from sipq.sip import (
     LengthViolation,
     NonEvenMu,
@@ -202,7 +202,7 @@ class TestSingleVariableSeries:
         """Read in ``q``, the row recursion's coefficients equal the members
         built one by one."""
         weights = class_weight_series(cls, 20, sip._OMEGA_TO_Q)
-        assert [weights.coefficient((w,)) for w in range(21)] == [
+        assert [weights.degree_slice(w).get((w,), 0) for w in range(21)] == [
             len(enumerate_partitions(cls, w)) for w in range(21)
         ]
 
@@ -224,12 +224,15 @@ class TestSingleVariableSeries:
         assert _first_degree(report.failures, r"^degree (\d+):") <= 8
 
     def test_row_recursion_cut_short_is_refused(self, monkeypatch):
+        """A row recursion one degree short cannot be read at the top degree:
+        the report fails on the precision error instead of raising it."""
         real = sip.class_weight_series
         monkeypatch.setattr(
             sip, "class_weight_series", lambda cls, trunc, m: real(cls, trunc - 1, m)
         )
-        with pytest.raises(PrecisionLoss):
-            sip_gf_single_variable(G1, 8)
+        report = sip_gf_single_variable(G1, 8)
+        assert not report.passed
+        assert report.failures == ("PrecisionLoss: degree 8 exceeds truncation 7",)
 
 
 class TestBasisWeightSums:
