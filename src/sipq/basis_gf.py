@@ -16,11 +16,11 @@ partitions.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .partitions import PartitionClass, basis_weight_grid
 from .qseries import gauss_binomial, q_monomial
-from .reporting import CheckReport
+from .reporting import CheckReport, build_report
 from .series import FOUR_PARAM, Series
 
 _ZERO = Series.zero(FOUR_PARAM)
@@ -223,25 +223,27 @@ def cross_check_tables(cls: PartitionClass, n_max: int, h_max: int) -> CheckRepo
     basis's rule refuses on row 1, and that ``B(n, 0) = 0`` for ``n >= 1``.
     """
     _require_grid(cls, n_max, h_max)
-    (_, enumerated), *others = _METHODS
-    references = enumerated(cls, n_max, h_max)
-    grids = [(method, fn(cls, n_max, h_max)) for method, fn in others]
-    failures: list[str] = []
-    checks = 0
-    for n in range(n_max + 1):
-        for h in range(h_max + 1):
-            checks += 1
-            reference = references[n][h]
-            for method, grid in grids:
-                cmp = grid[n][h].equal_to(reference)
-                if not cmp.equal:
-                    failures.append(
-                        f"n={n} h={h} {method}: at {cmp.exps} got {cmp.left},"
-                        f" enumeration has {cmp.right}"
-                    )
-            if reference.has_negative_exponent():
-                failures.append(f"n={n} h={h}: negative exponent in {reference!r}")
-            must_vanish = h > 2 * n or (n >= 1 and h == 0) or not cls.rule.allows(1, h)
-            if must_vanish and not reference.is_zero():
-                failures.append(f"n={n} h={h}: expected empty support, got {reference!r}")
-    return CheckReport(f"basis-tables[{cls.value}]", not failures, checks, tuple(failures))
+
+    def outcomes() -> Iterator[Sequence[str]]:
+        (_, enumerated), *others = _METHODS
+        references = enumerated(cls, n_max, h_max)
+        grids = [(method, fn(cls, n_max, h_max)) for method, fn in others]
+        for n in range(n_max + 1):
+            for h in range(h_max + 1):
+                reference = references[n][h]
+                lines = []
+                for method, grid in grids:
+                    cmp = grid[n][h].equal_to(reference)
+                    if not cmp.equal:
+                        lines.append(
+                            f"n={n} h={h} {method}: at {cmp.exps} got {cmp.left},"
+                            f" enumeration has {cmp.right}"
+                        )
+                if reference.has_negative_exponent():
+                    lines.append(f"n={n} h={h}: negative exponent in {reference!r}")
+                must_vanish = h > 2 * n or (n >= 1 and h == 0) or not cls.rule.allows(1, h)
+                if must_vanish and not reference.is_zero():
+                    lines.append(f"n={n} h={h}: expected empty support, got {reference!r}")
+                yield lines
+
+    return build_report(f"basis-tables[{cls.value}]", outcomes())

@@ -36,8 +36,8 @@ exponent (the proof is in :func:`series_side`).
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterable, NamedTuple
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import (
     OMEGA_IDENTITY,
@@ -49,8 +49,8 @@ from .partitions import (
     stats,
 )
 from .qseries import PochFactor, horner_sum, sum_levels, truncated_infinite_product
-from .reporting import CheckReport
-from .series import FOUR_PARAM, XZQ, Series, SeriesError, SeriesRing, SubstitutionMap
+from .reporting import CheckReport, build_report
+from .series import FOUR_PARAM, XZQ, Series, SeriesRing, SubstitutionMap
 
 
 class UnknownTheorem(Exception):
@@ -248,38 +248,34 @@ def _slice_text(s: Series, degree: int) -> str:
 
 
 def verify_spec(spec: TheoremSpec, trunc: int) -> CheckReport:
-    """Expand every available side to ``trunc`` and compare them pairwise; a
-    :class:`SeriesError` raised while building or reading a side fails the
-    report, as its last failure line."""
+    """Expand every available side to ``trunc`` and compare them pairwise."""
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
-    failures: list[str] = []
-    sides: list[tuple[str, Series]] = []
-    checks = 0
-    try:
+
+    def outcomes() -> Iterator[Sequence[str]]:
+        sides: list[tuple[str, Series]] = []
         if spec.partition_class is not None:
             sides.append(("combinatorial", combinatorial_side(spec, trunc)))
         if spec.series:
-            checks += 1  # the summand nonnegativity assertion
-            sides.append(("series", series_side(spec, trunc, nonneg_failures=failures)))
+            nonneg: list[str] = []  # the summand nonnegativity assertion
+            sides.append(("series", series_side(spec, trunc, nonneg_failures=nonneg)))
+            yield nonneg
         sides.append(("product", product_side(spec, trunc)))
         if spec.product_alt is not None:
             sides.append(("product-alt", product_side(spec, trunc, alt=True)))
-        for i in range(len(sides)):
-            for j in range(i + 1, len(sides)):
-                checks += 1
-                (ln, ls), (rn, rs) = sides[i], sides[j]
-                cmp = ls.equal_to(rs)
-                if not cmp.equal:
-                    d = spec.ring.degree(cmp.exps)
-                    failures.append(
-                        f"{ln} != {rn}: first difference at {cmp.exps}"
-                        f" ({cmp.left} vs {cmp.right}); degree-{d} slices"
-                        f" {_slice_text(ls, d)} vs {_slice_text(rs, d)}"
-                    )
-    except SeriesError as exc:
-        failures.append(f"{type(exc).__name__}: {exc}")
-    return CheckReport(f"identity[{spec.key}]", not failures, checks, tuple(failures))
+        for (ln, ls), (rn, rs) in combinations(sides, 2):
+            cmp = ls.equal_to(rs)
+            if cmp.equal:
+                yield ()
+                continue
+            d = spec.ring.degree(cmp.exps)
+            yield (
+                f"{ln} != {rn}: first difference at {cmp.exps}"
+                f" ({cmp.left} vs {cmp.right}); degree-{d} slices"
+                f" {_slice_text(ls, d)} vs {_slice_text(rs, d)}",
+            )
+
+    return build_report(f"identity[{spec.key}]", outcomes())
 
 
 # -- the catalog ---------------------------------------------------------------
@@ -667,43 +663,37 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
     if n_max < 0 or trunc < 0:
         raise ValueError("n_max and trunc must be nonnegative")
     spec = _BY_KEY["p1-four" if family is PartitionClass.P1 else "p2-four"]
-    failures: list[str] = []
-    checks = 0
-
-    # F(N) is the Horner run over each family's first N + 1 levels; a family
-    # whose forward pass has stopped adds nothing more below the truncation.
-    levels = [fam.levels(FOUR_PARAM, trunc, n_max + 1) for fam in spec.series]
-    zero = Series.zero(FOUR_PARAM, trunc)
-    f = zero
     num = PochFactor(-1, (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0), _Q4)
-    t = Series.one(FOUR_PARAM, trunc).times_factor(1, _DEN_AB.argument(0), inverted=True)
-    for upto in range(n_max + 1):
-        prev_f, prev_t = f, t
-        f = zero.plus(horner_sum(FOUR_PARAM, trunc, fam[: upto + 1]) for fam in levels)
-        if upto:
-            t = t.times_run((
-                ("times", -1, num.argument(upto - 1)),  # 1 + x Q^(N-1)
-                ("over", 1, _DEN_AB.argument(upto)),  # ab Q^N
-                ("over", 1, _DEN_Q.argument(upto - 1)),  # Q^N
-            ))
-        checks += 1
-        cmp = f.equal_to(t)
-        if not cmp.equal:
-            failures.append(
+
+    def outcomes() -> Iterator[Sequence[str]]:
+        # F(N) is the Horner run over each family's first N + 1 levels; a family
+        # whose forward pass has stopped adds nothing more below the truncation.
+        levels = [fam.levels(FOUR_PARAM, trunc, n_max + 1) for fam in spec.series]
+        zero = Series.zero(FOUR_PARAM, trunc)
+        f = zero
+        t = Series.one(FOUR_PARAM, trunc).times_factor(1, _DEN_AB.argument(0), inverted=True)
+        for upto in range(n_max + 1):
+            prev_f, prev_t = f, t
+            f = zero.plus(horner_sum(FOUR_PARAM, trunc, fam[: upto + 1]) for fam in levels)
+            if upto:
+                t = t.times_run((
+                    ("times", -1, num.argument(upto - 1)),  # 1 + x Q^(N-1)
+                    ("over", 1, _DEN_AB.argument(upto)),  # ab Q^N
+                    ("over", 1, _DEN_Q.argument(upto - 1)),  # Q^N
+                ))
+            cmp = f.equal_to(t)
+            yield () if cmp.equal else (
                 f"N={upto}: partial sum differs from closed form at {cmp.exps}"
-                f" ({cmp.left} vs {cmp.right})"
+                f" ({cmp.left} vs {cmp.right})",
             )
-        if upto:
-            checks += 1
-            step = (t - prev_t).equal_to(f - prev_f)
-            if not step.equal:
-                failures.append(
+            if upto:
+                step = (t - prev_t).equal_to(f - prev_f)
+                yield () if step.equal else (
                     f"N={upto}: step increments differ at {step.exps}"
-                    f" ({step.left} vs {step.right})"
+                    f" ({step.left} vs {step.right})",
                 )
-    return CheckReport(
-        f"partial-sums[{family.value}]", not failures, checks, tuple(failures)
-    )
+
+    return build_report(f"partial-sums[{family.value}]", outcomes())
 
 
 # -- statistics consistency ------------------------------------------------------
@@ -735,27 +725,23 @@ def verify_substitution_consistency(
         for members in members_by_weight(PartitionClass.ALL, weight_max)
         for lam in members
     ]
-    reports = []
-    for map_id in map_ids:
+
+    def outcomes(map_id: str) -> Iterator[Sequence[str]]:
         map_exps = _MAPS[map_id].map_exps
-        failures: list[str] = []
         for lam, st, omega, transpose_odd_parts in rows:
             image = map_exps(omega)
             if map_id == "xzq":
                 expected = (st.odd_parts, st.alt_sum, st.weight)
             else:
                 expected = (0, st.bg_rank, st.weight)
-            if image != expected:
-                failures.append(f"{lam!r}: image {image}, statistics say {expected}")
-            if transpose_odd_parts != st.alt_sum:
-                failures.append(f"{lam!r}: transpose odd-part count != alternating sum")
-        reports.append(
-            CheckReport(
-                f"substitution[{map_id}]",
-                not failures,
-                2 * len(rows),
-                tuple(failures),
-                {"weight_max": weight_max},
+            yield () if image == expected else (
+                f"{lam!r}: image {image}, statistics say {expected}",
             )
-        )
-    return reports
+            yield () if transpose_odd_parts == st.alt_sum else (
+                f"{lam!r}: transpose odd-part count != alternating sum",
+            )
+
+    return [
+        build_report(f"substitution[{m}]", outcomes(m), {"weight_max": weight_max})
+        for m in map_ids
+    ]

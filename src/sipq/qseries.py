@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import count, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .reporting import CheckReport
+from .reporting import CheckReport, build_report
 from .series import FOUR_PARAM, PrecisionLoss, Series, SeriesError, SeriesRing
 
 _Q = (1, 1, 1, 1)
@@ -268,44 +268,36 @@ def gauss_binomial(n: int, m: int) -> Series:
     )
 
 
+def _mismatch(label: str, lhs: Series, rhs: Series) -> tuple[str, ...]:
+    """The failure line of the check ``lhs == rhs``; empty when it holds."""
+    cmp = lhs.equal_to(rhs)
+    return () if cmp.equal else (f"{label}: at {cmp.exps} got {cmp.left} != {cmp.right}",)
+
+
 def check_qbinomial_recurrences(n_max: int) -> CheckReport:
     """Both one-step recurrences, symmetry, and the quotient product form."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    failures: list[str] = []
-    checks = 0
 
-    def expect(label: str, lhs: Series, rhs: Series) -> None:
-        nonlocal checks
-        checks += 1
-        cmp = lhs.equal_to(rhs)
-        if not cmp.equal:
-            failures.append(f"{label}: at {cmp.exps} got {cmp.left} != {cmp.right}")
+    def outcomes() -> Iterator[Sequence[str]]:
+        # (Q^k; Q)_m, k = n - m + 1, from one exact run per k; k = 1 gives (Q; Q)_m.
+        runs = {}
+        for k in range(1, n_max + 2):
+            run = running_product(FOUR_PARAM, PochFactor(1, (k,) * 4, _Q), None)
+            runs[k] = list(islice(run, n_max + 2 - k))
+        for n in range(1, n_max + 1):
+            for m in range(n + 1):
+                val = gauss_binomial(n, m)
+                upper, lower = gauss_binomial(n - 1, m), gauss_binomial(n - 1, m - 1)
+                yield _mismatch(f"[{n},{m}] shift-lower", val, q_monomial(m) * upper + lower)
+                yield _mismatch(f"[{n},{m}] shift-upper", val, upper + q_monomial(n - m) * lower)
+                yield _mismatch(f"[{n},{m}] symmetry", val, gauss_binomial(n, n - m))
+                # Quotient form times its denominator: (Q^k; Q)_m = [n, m] (Q; Q)_m.
+                t = 4 * m * (n - m)
+                num, den = runs[n - m + 1][m].truncate(t), runs[1][m].truncate(t)
+                yield _mismatch(f"[{n},{m}] quotient-form", num, val.truncate(t) * den)
 
-    # (Q^k; Q)_m, k = n - m + 1, from one exact run per k; k = 1 gives (Q; Q)_m.
-    runs = {}
-    for k in range(1, n_max + 2):
-        run = running_product(FOUR_PARAM, PochFactor(1, (k,) * 4, _Q), None)
-        runs[k] = list(islice(run, n_max + 2 - k))
-    for n in range(1, n_max + 1):
-        for m in range(n + 1):
-            val = gauss_binomial(n, m)
-            expect(
-                f"[{n},{m}] shift-lower",
-                val,
-                q_monomial(m) * gauss_binomial(n - 1, m) + gauss_binomial(n - 1, m - 1),
-            )
-            expect(
-                f"[{n},{m}] shift-upper",
-                val,
-                gauss_binomial(n - 1, m) + q_monomial(n - m) * gauss_binomial(n - 1, m - 1),
-            )
-            expect(f"[{n},{m}] symmetry", val, gauss_binomial(n, n - m))
-            # Quotient form times its denominator: (Q^k; Q)_m = [n, m] (Q; Q)_m.
-            t = 4 * m * (n - m)
-            num, den = runs[n - m + 1][m], runs[1][m]
-            expect(f"[{n},{m}] quotient-form", num.truncate(t), val.truncate(t) * den.truncate(t))
-    return CheckReport("qbinomial-recurrences", not failures, checks, tuple(failures))
+    return build_report("qbinomial-recurrences", outcomes())
 
 
 def _as_monomial(p: object, what: str) -> Series:
@@ -325,24 +317,19 @@ def check_qbinomial_theorem(n_max: int, z: Series | tuple[int, int, int, int]) -
         raise ValueError("n_max must be nonnegative")
     z = _as_monomial(z, "z")
     _require_positive_degree(z, "z")
-    failures: list[str] = []
-    checks = 0
     minus_z = _monomial_parts(-z, DomainError("z must be a single monomial"))
-    products = running_product(FOUR_PARAM, PochFactor(*minus_z, _Q), None)
-    for n in range(n_max + 1):
-        lhs = next(products)
-        rhs = Series.zero(FOUR_PARAM)
-        z_power = Series.one(FOUR_PARAM)  # z^k
-        for k in range(n + 1):
-            rhs = rhs + z_power * q_monomial(k * (k - 1) // 2) * gauss_binomial(n, k)
-            z_power = z_power * z
-        checks += 1
-        cmp = lhs.equal_to(rhs)
-        if not cmp.equal:
-            failures.append(f"n={n}: at {cmp.exps} got {cmp.left} != {cmp.right}")
-    return CheckReport(
-        f"qbinomial-theorem[z={z.to_string()}]", not failures, checks, tuple(failures)
-    )
+
+    def outcomes() -> Iterator[Sequence[str]]:
+        products = running_product(FOUR_PARAM, PochFactor(*minus_z, _Q), None)
+        for n in range(n_max + 1):
+            rhs = Series.zero(FOUR_PARAM)
+            z_power = Series.one(FOUR_PARAM)  # z^k
+            for k in range(n + 1):
+                rhs = rhs + z_power * q_monomial(k * (k - 1) // 2) * gauss_binomial(n, k)
+                z_power = z_power * z
+            yield _mismatch(f"n={n}", next(products), rhs)
+
+    return build_report(f"qbinomial-theorem[z={z.to_string()}]", outcomes())
 
 
 def _monomial_div(num: Series, den: Series, what: str) -> Series:
@@ -407,17 +394,18 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
     factors = [poch(p, "a, b", count=(1, 0)) for p in sum_args]
     factors.append(PochFactor(1, _Q, _Q, (1, 0), inverted=True))
     factors.append(poch(c_param, "c", count=(1, 0), inverted=True))
-    levels = list(sum_levels(
-        Series.one(FOUR_PARAM), lambda n: step * q_monomial(pairs * n), factors, trunc
-    ))
-    lhs = horner_sum(FOUR_PARAM, trunc, levels)
-
     rhs_factors = [poch(arg, "ratio", inverted=inverted) for arg, inverted in rhs_args]
-    rhs = truncated_infinite_product(FOUR_PARAM, rhs_factors, trunc)
+
+    def outcomes() -> Iterator[Sequence[str]]:
+        levels = list(sum_levels(
+            Series.one(FOUR_PARAM), lambda n: step * q_monomial(pairs * n), factors, trunc
+        ))
+        cmp = horner_sum(FOUR_PARAM, trunc, levels).equal_to(
+            truncated_infinite_product(FOUR_PARAM, rhs_factors, trunc)
+        )
+        yield () if cmp.equal else (
+            f"at {cmp.exps}: sum side {cmp.left} != product side {cmp.right}",
+        )
 
     name = f"q-gauss[a={_param_name(a_param)}; b={_param_name(b_param)}; c={_param_name(c_param)}]"
-    cmp = lhs.equal_to(rhs)
-    failures: tuple[str, ...] = ()
-    if not cmp.equal:
-        failures = (f"at {cmp.exps}: sum side {cmp.left} != product side {cmp.right}",)
-    return CheckReport(name, cmp.equal, 1, failures)
+    return build_report(name, outcomes())

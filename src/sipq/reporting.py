@@ -1,4 +1,14 @@
-"""Small result records shared by the verification routines.
+"""The report record of the verification routines, and the one way to build it.
+
+Every check report comes from :func:`build_report`:
+- each check is one outcome, the check's failure lines, empty when it held;
+- an arithmetic error (:class:`~sipq.series.SeriesError`) raised while the
+  checks run fails only its own report, as that report's last failure line,
+  and the report counts only the checks that ran before it;
+- so ``verify --all`` always prints every report;
+- parameter errors (``ValueError``, or :class:`~sipq.qseries.DomainError` for
+  a summation check) still raise to the caller: each routine validates its
+  parameters before it builds its outcomes.
 
 Like every record in the package, :class:`CheckReport` is a
 ``typing.NamedTuple``, not a dataclass: it is immutable, and importing the
@@ -9,14 +19,16 @@ each CLI call more start-up time than a small check takes.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
+
+from .series import SeriesError
 
 
 class CheckReport(NamedTuple):
     """Outcome of a batch of related checks.
 
-    ``checks`` counts the individual assertions performed; ``failures`` holds
-    one human-readable line per failed assertion (empty when ``passed``).
+    ``checks`` counts the checks that ran; ``failures`` holds their
+    human-readable failure lines (empty when ``passed``).
     ``params`` holds the bounds a check ran at wherever they are not the
     command's parameters, such as the ``weight_max`` of a member-by-member
     check capped below the truncation or the fixed size of a table; it is
@@ -37,3 +49,20 @@ class CheckReport(NamedTuple):
             "failures": list(self.failures),
             "params": dict(self.params),
         }
+
+
+def build_report(
+    name: str, outcomes: Iterable[Iterable[str]], params: Mapping[str, int] = MappingProxyType({})
+) -> CheckReport:
+    """The report of the checks ``outcomes`` yields, one item of failure
+    lines per check; a :class:`SeriesError` raised while drawing them ends
+    the report as its last failure line."""
+    failures: list[str] = []
+    checks = 0
+    try:
+        for lines in outcomes:
+            checks += 1
+            failures.extend(lines)
+    except SeriesError as exc:
+        failures.append(f"{type(exc).__name__}: {exc}")
+    return CheckReport(name, not failures, checks, tuple(failures), params)

@@ -16,7 +16,7 @@ row recursion over members.  Every check takes the class alone: its basis is
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import (
     OMEGA_IDENTITY,
@@ -29,8 +29,8 @@ from .partitions import (
     members_by_weight,
 )
 from .qseries import PochFactor, horner_sum
-from .reporting import CheckReport
-from .series import FOUR_PARAM, SINGLE_Q, Series, SeriesError, SubstitutionMap
+from .reporting import CheckReport, build_report
+from .series import FOUR_PARAM, SINGLE_Q, Series, SubstitutionMap
 
 
 class SipError(Exception):
@@ -155,34 +155,30 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     _require_decomposable(cls)
     if weight_max < 0:
         raise ValueError("weight_max must be nonnegative")
-    failures: list[str] = []
-    checks = 0
-    skeletons: dict[int, tuple[Partition, ...]] = {}
-    for members in members_by_weight(cls, weight_max):
-        for lam in members:
-            checks += 1
-            try:
-                dec = decompose(cls, lam)
-                if len(dec.beta) != len(lam):
-                    failures.append(f"{lam!r}: skeleton length {len(dec.beta)} != {len(lam)}")
-                back = compose(cls, dec.beta, dec.mu)
-                if back != lam:
-                    failures.append(f"{lam!r}: round-trip gave {back!r}")
-            except SipError as exc:
-                failures.append(f"{lam!r}: {type(exc).__name__}: {exc}")
-            n = len(lam)
-            if n not in skeletons:
-                skeletons[n] = basis_members_of_length(cls.basis, n, weight_max)
-            n_splits = _split_count(lam, skeletons[n])
-            if n_splits != 1:
-                failures.append(f"{lam!r}: {n_splits} valid splits, expected 1")
-    return CheckReport(
-        f"sip-property[{cls.value}]",
-        not failures,
-        checks,
-        tuple(failures),
-        {"weight_max": weight_max},
-    )
+
+    def outcomes() -> Iterator[Sequence[str]]:
+        skeletons: dict[int, tuple[Partition, ...]] = {}
+        for members in members_by_weight(cls, weight_max):
+            for lam in members:
+                lines = []
+                try:
+                    dec = decompose(cls, lam)
+                    if len(dec.beta) != len(lam):
+                        lines.append(f"{lam!r}: skeleton length {len(dec.beta)} != {len(lam)}")
+                    back = compose(cls, dec.beta, dec.mu)
+                    if back != lam:
+                        lines.append(f"{lam!r}: round-trip gave {back!r}")
+                except SipError as exc:
+                    lines.append(f"{lam!r}: {type(exc).__name__}: {exc}")
+                n = len(lam)
+                if n not in skeletons:
+                    skeletons[n] = basis_members_of_length(cls.basis, n, weight_max)
+                n_splits = _split_count(lam, skeletons[n])
+                if n_splits != 1:
+                    lines.append(f"{lam!r}: {n_splits} valid splits, expected 1")
+                yield lines
+
+    return build_report(f"sip-property[{cls.value}]", outcomes(), {"weight_max": weight_max})
 
 
 # Every part's monomial to q^(its size): a member maps to q^(its weight).
@@ -230,20 +226,18 @@ def _assembly_report(
     name: str, cls: PartitionClass, trunc: int, weight_map: SubstitutionMap
 ) -> CheckReport:
     """Compare the skeleton assembly with the row recursion, which uses no
-    skeleton, degree by degree, both pushed through ``weight_map``; a
-    :class:`SeriesError` raised while building or reading either fails the
-    report, as its last failure line."""
-    failures: list[str] = []
-    try:
+    skeleton, degree by degree, both pushed through ``weight_map``."""
+
+    def outcomes() -> Iterator[Sequence[str]]:
         assembled = sip_gf_four_parameter(cls, trunc, weight_map)
         summed = class_weight_series(cls, trunc, weight_map)
         for d in range(trunc + 1):
             left, right = assembled.degree_slice(d), summed.degree_slice(d)
-            if left != right:
-                failures.append(f"degree {d}: assembly {left} != row recursion {right}")
-    except SeriesError as exc:
-        failures.append(f"{type(exc).__name__}: {exc}")
-    return CheckReport(f"{name}[{cls.value}]", not failures, trunc + 1, tuple(failures))
+            yield () if left == right else (
+                f"degree {d}: assembly {left} != row recursion {right}",
+            )
+
+    return build_report(f"{name}[{cls.value}]", outcomes())
 
 
 def sip_gf_single_variable(cls: PartitionClass, weight_max: int) -> CheckReport:

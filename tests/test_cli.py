@@ -16,6 +16,7 @@ from sipq import basis_gf, identities, sip
 from sipq.cli import main
 from sipq.partitions import PartitionClass, RowRule
 from sipq.reporting import CheckReport
+from sipq.series import TruncationMismatch
 
 CLASSES = ("g1", "g2", "p1", "p2")
 
@@ -244,6 +245,38 @@ class TestVerify:
             for c in CLASSES
             for name in ("sip-gf-single", "sip-gf-four")
         }
+
+    @pytest.mark.parametrize(
+        ("module", "name", "reached"),
+        (
+            ("qseries", "horner_sum", ("q-gauss[",)),
+            ("qseries", "running_product", ("qbinomial-",)),
+            (
+                "identities",
+                "horner_sum",
+                ("partial-sums[", *(f"identity[{s.key}]" for s in sipq.registry() if s.series)),
+            ),
+        ),
+        ids=("q-gauss", "q-binomial", "partial-sums"),
+    )
+    def test_arithmetic_error_fails_only_the_reports_it_reaches(
+        self, capsys, monkeypatch, module, name, reached
+    ):
+        """A ``SeriesError`` raised by the arithmetic of any check fails only
+        the reports that reach it, each with the error as its last failure
+        line, and the battery still prints all 44 reports."""
+
+        def fault(*args, **kwargs):
+            raise TruncationMismatch("injected")
+
+        monkeypatch.setattr(getattr(sipq, module), name, fault)
+        code, out, _ = run(capsys, "verify", "--all", "--trunc", "10")
+        assert code == 1
+        reports = json.loads(out)["results"]
+        assert len(reports) == 44
+        failed = {r["name"]: r["failures"] for r in reports if not r["passed"]}
+        assert set(failed) == {r["name"] for r in reports if r["name"].startswith(reached)}
+        assert all(lines[-1] == "TruncationMismatch: injected" for lines in failed.values())
 
     def test_env_default_truncation(self, capsys, monkeypatch):
         monkeypatch.setenv("SIPQ_TRUNC", "5")

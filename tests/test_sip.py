@@ -21,7 +21,7 @@ from sipq.partitions import (
     class_weight_series,
     enumerate_partitions,
 )
-from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, Series, SubstitutionMap
+from sipq.series import FOUR_PARAM, SINGLE_Q, XZQ, PrecisionLoss, Series, SubstitutionMap
 from sipq.sip import (
     LengthViolation,
     NonEvenMu,
@@ -233,6 +233,20 @@ class TestSingleVariableSeries:
         report = sip_gf_single_variable(G1, 8)
         assert not report.passed
         assert report.failures == ("PrecisionLoss: degree 8 exceeds truncation 7",)
+        assert report.checks == 8  # degrees 0..7; reading degree 8 raised
+
+    def test_report_stopped_by_an_error_counts_only_the_checks_that_ran(self, monkeypatch):
+        """A row recursion that raises before any degree is compared leaves
+        the report with no check: it claims only the bounds it ran."""
+
+        def fault(*args):
+            raise PrecisionLoss("injected")
+
+        monkeypatch.setattr(sip, "class_weight_series", fault)
+        report = check_sip_gf_four_parameter(G1, 8)
+        assert report.name == "sip-gf-four[g1]"
+        assert (report.passed, report.checks) == (False, 0)
+        assert report.failures == ("PrecisionLoss: injected",)
 
 
 class TestBasisWeightSums:
