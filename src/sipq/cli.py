@@ -26,7 +26,6 @@ from .partitions import (
     stats,
 )
 from .reporting import CheckReport
-from .series import FOUR_PARAM, Series
 
 _SCHEMA_VERSION = 1
 _DEFAULT_TRUNC = 16
@@ -148,17 +147,17 @@ def _full_battery(trunc: int) -> list[CheckReport]:
         reports.append(sip.check_sip_gf_four_parameter(cls, trunc))
     recurrences = qseries.check_qbinomial_recurrences(10)
     reports.append(recurrences._replace(params={"n_max": 10}))
-    for z in ((1, 2, 1, 1), (1, 1, 0, 1)):
+    for z in ((1, (1, 2, 1, 1)), (1, (1, 1, 0, 1))):
         reports.append(qseries.check_qbinomial_theorem(6, z)._replace(params={"n_max": 6}))
-    minus_b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
-    minus_c_inv = Series.monomial(FOUR_PARAM, -1, (0, 0, -1, 0))
-    reports.append(qseries.check_q_gauss(qseries.A_INFINITY, minus_b, (1, 1, 0, 0), trunc))
-    reports.append(qseries.check_q_gauss(qseries.A_INFINITY, minus_c_inv, (1, 1, 0, 0), trunc))
-    reports.append(qseries.check_q_gauss((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), trunc))
+    # Signed monomials (coeff, exps): b = -b and b = -1/c in the limit, c = ab.
+    for b in ((-1, (0, 1, 0, 0)), (-1, (0, 0, -1, 0))):
+        reports.append(qseries.check_q_gauss(qseries.A_INFINITY, b, (1, (1, 1, 0, 0)), trunc))
+    a, b, c = (1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (2, 2, 1, 1))
+    reports.append(qseries.check_q_gauss(a, b, c, trunc))
     for cls in (PartitionClass.P1, PartitionClass.P2):
         partial = identities.verify_partial_sums(cls, 4, trunc)
         reports.append(partial._replace(params={"n_max": 4}))
-    reports.extend(identities.verify_substitution_consistency(("xzq", "bg"), small))
+    reports.extend(identities.verify_substitution_consistency(small))
     return reports
 
 

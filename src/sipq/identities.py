@@ -74,8 +74,6 @@ OMEGA_TO_BG = SubstitutionMap(
     FOUR_PARAM, XZQ, ((0, 1, 1), (0, -1, 1), (0, -1, 1), (0, 1, 1))
 )
 
-_MAPS = {"xzq": OMEGA_TO_XZQ, "bg": OMEGA_TO_BG}
-
 
 class SumFamily(NamedTuple):
     """``sum_n x^prefactor(n) * prod(factors)``: a monomial times a Pochhammer quotient.
@@ -699,25 +697,20 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
 # -- statistics consistency ------------------------------------------------------
 
 
-def verify_substitution_consistency(
-    map_ids: Iterable[str], weight_max: int
-) -> list[CheckReport]:
+def verify_substitution_consistency(weight_max: int) -> list[CheckReport]:
     """Per-partition agreement of substituted weights with direct statistics,
-    one report per map in ``map_ids``.
+    one report for the ``xzq`` map, then one for ``bg``.
 
     For the ``xzq`` map the image of the weight monomial must be
     ``x^(odd-part count) z^(alternating sum) q^(weight)``; for ``bg`` the
     z-exponent must be the odd-index/even-index imbalance of the odd parts.
     The conjugation law (odd-part count of the transpose equals the
     alternating sum) is checked alongside, since the corollaries rely on it.
-    One walk of the partitions of weight at most ``weight_max`` serves every
-    map: each partition's statistics, four-parameter exponents and
+    One walk of the partitions of weight at most ``weight_max`` serves both
+    maps: each partition's statistics, four-parameter exponents and
     conjugation law are computed once, and only the map and the comparison
     run per map.
     """
-    map_ids = tuple(map_ids)
-    if not map_ids or any(map_id not in ("xzq", "bg") for map_id in map_ids):
-        raise ValueError(f"map_ids must be 'xzq' or 'bg', got {map_ids}")
     if weight_max < 0:
         raise ValueError("weight_max must be nonnegative")
     rows = [
@@ -726,22 +719,19 @@ def verify_substitution_consistency(
         for lam in members
     ]
 
-    def outcomes(map_id: str) -> Iterator[Sequence[str]]:
-        map_exps = _MAPS[map_id].map_exps
+    def outcomes(weight_map: SubstitutionMap, expected: Callable) -> Iterator[Sequence[str]]:
         for lam, st, omega, transpose_odd_parts in rows:
-            image = map_exps(omega)
-            if map_id == "xzq":
-                expected = (st.odd_parts, st.alt_sum, st.weight)
-            else:
-                expected = (0, st.bg_rank, st.weight)
-            yield () if image == expected else (
-                f"{lam!r}: image {image}, statistics say {expected}",
-            )
+            image, want = weight_map.map_exps(omega), expected(st)
+            yield () if image == want else (f"{lam!r}: image {image}, statistics say {want}",)
             yield () if transpose_odd_parts == st.alt_sum else (
                 f"{lam!r}: transpose odd-part count != alternating sum",
             )
 
+    maps = (
+        ("xzq", OMEGA_TO_XZQ, lambda st: (st.odd_parts, st.alt_sum, st.weight)),
+        ("bg", OMEGA_TO_BG, lambda st: (0, st.bg_rank, st.weight)),
+    )
     return [
-        build_report(f"substitution[{m}]", outcomes(m), {"weight_max": weight_max})
-        for m in map_ids
+        build_report(f"substitution[{name}]", outcomes(wmap, expected), {"weight_max": weight_max})
+        for name, wmap, expected in maps
     ]

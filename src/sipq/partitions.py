@@ -458,26 +458,24 @@ def _skeleton_levels(
 
 
 def basis_weight_sums(
-    cls: PartitionClass,
-    rows: int,
-    weight_max: int,
-    weight_map: SubstitutionMap = OMEGA_IDENTITY,
+    cls: PartitionClass, weight_max: int, weight_map: SubstitutionMap = OMEGA_IDENTITY
 ) -> list[Series]:
-    """``[B_0, ..., B_rows]``: ``B_m`` sums the four-parameter weights, pushed
-    through ``weight_map``, of the basis members of length ``m`` and weight at
-    most ``weight_max``.
+    """``[B_0, ..., B_weight_max]``: ``B_m`` sums the four-parameter weights,
+    pushed through ``weight_map``, of the basis members of length ``m`` and
+    weight at most ``weight_max``; a member of length ``m`` weighs at least
+    ``m``, so no longer one is left out.
 
     One :func:`_skeleton_levels` pass per parity, no partition built; each
     level's cells, over every top part, add to its length's sum.  A cell's
     weight is the degree of its terms, each image having degree 1.
     """
     _require_basis(cls)
-    if min(rows, weight_max) < 0:
-        raise ValueError("rows and weight_max must be nonnegative")
+    if weight_max < 0:
+        raise ValueError("weight_max must be nonnegative")
     _require_weight_map(weight_map)
-    sums: list[dict[int, dict[int, int]]] = [{0: {0: 1}}] + [{} for _ in range(rows)]
+    sums: list[dict[int, dict[int, int]]] = [{0: {0: 1}}] + [{} for _ in range(weight_max)]
     key = _row_keys(weight_map)
-    for length, level in _skeleton_levels(cls, rows, weight_max, weight_max, key):
+    for length, level in _skeleton_levels(cls, weight_max, weight_max, weight_max, key):
         for cells in level.values():
             for weight, cell in cells.items():
                 _add_into(sums[length].setdefault(weight, {}), cell)

@@ -300,106 +300,111 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
     return build_report("qbinomial-recurrences", outcomes())
 
 
-def _as_monomial(p: object, what: str) -> Series:
-    """Coerce an exponent tuple to a unit monomial; pass signed monomials through."""
-    if isinstance(p, tuple):
-        p = Series.monomial(FOUR_PARAM, 1, p)
-    _monomial_parts(p, DomainError(f"{what} must be a single monomial"))
-    if p.trunc is not None:
-        raise DomainError(f"{what} must be exact (untruncated)")
+#: A signed monomial ``(coeff, exps)``: ``coeff * a^e0 b^e1 c^e2 d^e3``.
+Monomial = tuple[int, tuple[int, ...]]
+
+
+def _monomial(p: object, what: str) -> Monomial:
+    """``p``, refused unless it pairs a nonzero int with four int exponents."""
+    if (
+        isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], int) and p[0] != 0
+        and isinstance(p[1], tuple) and len(p[1]) == 4 and all(isinstance(e, int) for e in p[1])
+    ):
+        return p  # type: ignore[return-value]
+    raise DomainError(f"{what} must be a signed monomial (coeff, exps), got {p!r}")
+
+
+def _positive(p: Monomial, what: str) -> Monomial:
+    """``p``, refused unless it has positive degree."""
+    if (deg := FOUR_PARAM.degree(p[1])) < 1:
+        raise DomainError(f"{what} must have positive degree, got {deg}")
     return p
 
 
-def check_qbinomial_theorem(n_max: int, z: Series | tuple[int, int, int, int]) -> CheckReport:
+def _ratio(num: Monomial, den: Monomial, what: str) -> Monomial:
+    """``num / den``, refused unless the coefficients divide exactly and the
+    quotient has positive degree."""
+    (nc, ne), (dc, de) = num, den
+    if nc % dc:
+        raise DomainError(f"{what}: coefficient division is not exact")
+    return _positive((nc // dc, tuple(x - y for x, y in zip(ne, de))), what)
+
+
+def _name(p: Monomial) -> str:
+    """``p`` written as its one-term series prints."""
+    return Series.monomial(FOUR_PARAM, *p).to_string()
+
+
+def check_qbinomial_theorem(n_max: int, z: Monomial) -> CheckReport:
     """Finite binomial expansion: the n-factor product of ``1 + z*Q^i`` equals
-    the sum over k of ``z^k * Q^(k(k-1)/2)`` times the base-Q binomial."""
+    the sum over k of ``z^k * Q^(k(k-1)/2)`` times the base-Q binomial, for a
+    signed monomial ``z = (coeff, exps)`` of positive degree."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    z = _as_monomial(z, "z")
-    _require_positive_degree(z, "z")
-    minus_z = _monomial_parts(-z, DomainError("z must be a single monomial"))
+    coeff, exps = _positive(_monomial(z, "z"), "z")
 
     def outcomes() -> Iterator[Sequence[str]]:
-        products = running_product(FOUR_PARAM, PochFactor(*minus_z, _Q), None)
+        products = running_product(FOUR_PARAM, PochFactor(-coeff, exps, _Q), None)
         for n in range(n_max + 1):
             rhs = Series.zero(FOUR_PARAM)
-            z_power = Series.one(FOUR_PARAM)  # z^k
             for k in range(n + 1):
-                rhs = rhs + z_power * q_monomial(k * (k - 1) // 2) * gauss_binomial(n, k)
-                z_power = z_power * z
+                shift = k * (k - 1) // 2
+                z_k = Series.monomial(FOUR_PARAM, coeff**k, tuple(k * e + shift for e in exps))
+                rhs = rhs + z_k * gauss_binomial(n, k)  # z^k Q^(k(k-1)/2) [n, k]
             yield _mismatch(f"n={n}", next(products), rhs)
 
-    return build_report(f"qbinomial-theorem[z={z.to_string()}]", outcomes())
+    return build_report(f"qbinomial-theorem[z={_name(z)}]", outcomes())
 
 
-def _monomial_div(num: Series, den: Series, what: str) -> Series:
-    error = DomainError(f"{what} must be a single monomial")
-    (nc, ne), (dc, de) = _monomial_parts(num, error), _monomial_parts(den, error)
-    if nc % dc != 0:
-        raise DomainError(f"{what}: coefficient division is not exact")
-    return Series.monomial(FOUR_PARAM, nc // dc, tuple(x - y for x, y in zip(ne, de)))
-
-
-def _require_positive_degree(s: Series, what: str) -> None:
-    if s.min_deg < 1:
-        raise DomainError(f"{what} must have positive degree, got {s.min_deg}")
-
-
-def _param_name(p: object) -> str:
-    return p.to_string() if isinstance(p, Series) else repr(p)
-
-
-def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int) -> CheckReport:
+def check_q_gauss(a: Monomial | _AInfinity, b: Monomial, c: Monomial, trunc: int) -> CheckReport:
     """Second-parameter summation check with base ``Q = abcd``.
 
     Compares ``sum_n (a;Q)_n (b;Q)_n / ((Q;Q)_n (c;Q)_n) * (c/(ab))^n`` with
     ``(c/a;Q)_inf (c/b;Q)_inf / ((c;Q)_inf (c/(ab);Q)_inf)``; passing
-    :data:`A_INFINITY` for the first parameter takes the limit, where each
-    numerator term degenerates to ``(-1)^n Q^(n(n-1)/2) (c/b)^n (b;Q)_n`` and
-    the product side to ``(c/b;Q)_inf / (c;Q)_inf``.
+    :data:`A_INFINITY` for ``a`` takes the limit, where each numerator term
+    degenerates to ``(-1)^n Q^(n(n-1)/2) (c/b)^n (b;Q)_n`` and the product
+    side to ``(c/b;Q)_inf / (c;Q)_inf``.
 
-    Parameters are signed monomials; classical ``(-x; Q)`` factors are
-    expressed by passing the monomial ``-x``.
+    Each parameter is a signed monomial ``(coeff, exps)``, the pair a
+    :class:`PochFactor` stores; classical ``(-x; Q)`` factors are expressed
+    by passing ``-x``, as ``(-1, (0, 1, 0, 0))`` for ``-b``.  ``c`` and the
+    ratios ``c/(ab)``, ``c/a`` and ``c/b`` must have positive degree, and
+    each ratio's coefficient must divide exactly; otherwise
+    :class:`DomainError` is raised before any check runs.
     """
     if trunc is None or trunc < 0:
         raise DomainError("a finite nonnegative truncation is required")
-    b_param = _as_monomial(b_param, "b")
-    c_param = _as_monomial(c_param, "c")
-    _require_positive_degree(c_param, "c")
+    b, c = _monomial(b, "b"), _positive(_monomial(c, "c"), "c")
 
-    if a_param is A_INFINITY:
-        ratio_cb = _monomial_div(c_param, b_param, "c/b")
-        _require_positive_degree(ratio_cb, "c/b")
-        sum_args, step, pairs = [b_param], -ratio_cb, 1
-        rhs_args = [(ratio_cb, False), (c_param, True)]
+    if a is A_INFINITY:
+        ratio_cb = _ratio(c, b, "c/b")
+        sum_args, step, pairs = [b], (-ratio_cb[0], ratio_cb[1]), 1
+        rhs_args = [(ratio_cb, False), (c, True)]
+        a_name = repr(a)
     else:
-        a_param = _as_monomial(a_param, "a")
-        ratio = _monomial_div(c_param, a_param * b_param, "c/(ab)")
-        ratio_ca = _monomial_div(c_param, a_param, "c/a")
-        ratio_cb = _monomial_div(c_param, b_param, "c/b")
-        for s, what in ((ratio, "c/(ab)"), (ratio_ca, "c/a"), (ratio_cb, "c/b")):
-            _require_positive_degree(s, what)
-        sum_args, step, pairs = [a_param, b_param], ratio, 0
-        rhs_args = [(ratio_ca, False), (ratio_cb, False), (c_param, True), (ratio, True)]
+        a = _monomial(a, "a")
+        ratio = _ratio(c, (a[0] * b[0], tuple(x + y for x, y in zip(a[1], b[1]))), "c/(ab)")
+        ratio_ca, ratio_cb = _ratio(c, a, "c/a"), _ratio(c, b, "c/b")
+        sum_args, step, pairs = [a, b], ratio, 0
+        rhs_args = [(ratio_ca, False), (ratio_cb, False), (c, True), (ratio, True)]
+        a_name = _name(a)
 
     # Summand n+1 is summand n times step * Q^(pairs*n) * prod (1 - p*Q^n),
     # over (1 - Q^(n+1)) (1 - c*Q^n).  For n = 0 that step polynomial's terms
     # are c/(ab), c/a, c/b and c (-c/b and c in the limit), each checked above
     # to have positive degree, and its degrees only grow with n: the forward
     # pass's precondition fails with a DomainError here, never mid-sum.
-    def poch(p: Series, what: str, **kwargs: object) -> PochFactor:
-        parts = _monomial_parts(p, DomainError(f"{what} must be a single monomial"))
-        return PochFactor(*parts, _Q, **kwargs)  # (p; Q)
-
-    factors = [poch(p, "a, b", count=(1, 0)) for p in sum_args]
+    factors = [PochFactor(*p, _Q, (1, 0)) for p in sum_args]
     factors.append(PochFactor(1, _Q, _Q, (1, 0), inverted=True))
-    factors.append(poch(c_param, "c", count=(1, 0), inverted=True))
-    rhs_factors = [poch(arg, "ratio", inverted=inverted) for arg, inverted in rhs_args]
+    factors.append(PochFactor(*c, _Q, (1, 0), inverted=True))
+    rhs_factors = [PochFactor(*p, _Q, inverted=inverted) for p, inverted in rhs_args]
+    step_coeff, step_exps = step
+
+    def ratio_at(n: int) -> Series:
+        return Series.monomial(FOUR_PARAM, step_coeff, tuple(e + pairs * n for e in step_exps))
 
     def outcomes() -> Iterator[Sequence[str]]:
-        levels = list(sum_levels(
-            Series.one(FOUR_PARAM), lambda n: step * q_monomial(pairs * n), factors, trunc
-        ))
+        levels = list(sum_levels(Series.one(FOUR_PARAM), ratio_at, factors, trunc))
         cmp = horner_sum(FOUR_PARAM, trunc, levels).equal_to(
             truncated_infinite_product(FOUR_PARAM, rhs_factors, trunc)
         )
@@ -407,5 +412,4 @@ def check_q_gauss(a_param: object, b_param: object, c_param: object, trunc: int)
             f"at {cmp.exps}: sum side {cmp.left} != product side {cmp.right}",
         )
 
-    name = f"q-gauss[a={_param_name(a_param)}; b={_param_name(b_param)}; c={_param_name(c_param)}]"
-    return build_report(name, outcomes())
+    return build_report(f"q-gauss[a={a_name}; b={_name(b)}; c={_name(c)}]", outcomes())

@@ -29,10 +29,11 @@ class CheckReport(NamedTuple):
 
     ``checks`` counts the checks that ran; ``failures`` holds their
     human-readable failure lines (empty when ``passed``).
-    ``params`` holds the bounds a check ran at wherever they are not the
-    command's parameters, such as the ``weight_max`` of a member-by-member
-    check capped below the truncation or the fixed size of a table; it is
-    empty exactly when the report ran at the parameters of the command.
+    ``params`` holds the bounds of a report that does not run at the
+    command's truncation alone: the fixed size of a table or a summation,
+    or the ``weight_max`` of a member-by-member check, which ``verify --all``
+    caps at 16 and states even where it equals the truncation.  A report
+    that runs at the command's truncation has empty ``params``.
     """
 
     name: str

@@ -215,7 +215,7 @@ def sip_gf_four_parameter(
     _require_decomposable(cls)
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
-    sums = basis_weight_sums(cls.basis, trunc, trunc, weight_map)
+    sums = basis_weight_sums(cls.basis, trunc, weight_map)
     levels = [
         (sums[m], [(1, weight_map.map_exps(_divisor(m)))] if m else []) for m in range(trunc + 1)
     ]

@@ -236,14 +236,16 @@ class TestAgainstTheFilter:
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
     def test_basis_weight_sums(self, cls, weight_map, weight_max):
         """Every ``B_m`` at every weight bound against the skeletons the
-        bottom-up generator lists, filtered by weight."""
+        bottom-up generator lists, filtered by weight; no skeleton longer than
+        the bound is light enough to count."""
         listed = [basis_members_of_length(cls, m, weight_max) for m in range(weight_max + 1)]
+        zero = Series.zero(weight_map.target)
         for bound in range(weight_max + 1):
-            sums = basis_weight_sums(cls, weight_max, bound, weight_map)
-            assert len(sums) == weight_max + 1
-            for m, got in enumerate(sums):
+            sums = basis_weight_sums(cls, bound, weight_map)
+            assert len(sums) == bound + 1
+            for m in range(weight_max + 1):
                 expected = _weights((lam for lam in listed[m] if lam.weight <= bound), weight_map)
-                assert got == expected, (bound, m)
+                assert (sums[m] if m <= bound else zero) == expected, (bound, m)
 
     @pytest.mark.parametrize("cls", BASES, ids=lambda c: c.value)
     def test_basis_weight_grid_against_every_member(self, cls):

@@ -33,9 +33,9 @@ Q = (1, 1, 1, 1)
 
 #: The battery's three q-Gauss instances, as ``(a, b, c)``.
 _Q_GAUSS_INSTANCES = (
-    (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, 1, 0, 0)),
-    (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 0, -1, 0)), (1, 1, 0, 0)),
-    ((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1)),
+    (A_INFINITY, (-1, (0, 1, 0, 0)), (1, (1, 1, 0, 0))),
+    (A_INFINITY, (-1, (0, 0, -1, 0)), (1, (1, 1, 0, 0))),
+    ((1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (2, 2, 1, 1))),
 )
 
 
@@ -223,7 +223,7 @@ class TestRunningProduct:
         assert not four.passed
         assert min(int(d) for d in re.findall(r"degree (\d+):", " ".join(four.failures))) <= 8
         assert not check_qbinomial_recurrences(10).passed
-        assert not check_qbinomial_theorem(6, (1, 1, 0, 1)).passed
+        assert not check_qbinomial_theorem(6, (1, (1, 1, 0, 1))).passed
         assert not identities.verify_partial_sums(PartitionClass.P1, 4, 8).passed
 
 
@@ -389,72 +389,116 @@ class TestRecurrenceBattery:
 
 
 class TestBinomialTheorem:
-    def test_with_series_argument(self):
-        z = Series.monomial(FOUR_PARAM, 1, (1, 2, 1, 1))
+    @pytest.mark.parametrize(
+        "z, name",
+        (
+            ((1, (1, 2, 1, 1)), "a*b^2*c*d"),
+            ((1, (1, 1, 0, 1)), "a*b*d"),
+            ((-2, (1, 0, 0, 0)), "-2*a"),
+            ((3, (0, -1, 1, 1)), "3*b^-1*c*d"),
+        ),
+    )
+    def test_signed_monomial_argument(self, z, name):
+        """The theorem holds for any coefficient, each ``z^k`` taking its
+        ``k``-th power; the name renders ``z`` as a series would."""
         report = check_qbinomial_theorem(6, z)
-        assert report.passed
-        assert "qbinomial-theorem" in report.name
-
-    def test_with_exponent_tuple(self):
-        report = check_qbinomial_theorem(6, (1, 1, 0, 1))
-        assert report.passed
+        assert report.name == f"qbinomial-theorem[z={name}]"
+        assert (report.passed, report.checks) == (True, 7)
 
     def test_trivial_row_count(self):
-        assert check_qbinomial_theorem(0, (1, 1, 0, 1)).passed
+        assert check_qbinomial_theorem(0, (1, (1, 1, 0, 1))).passed
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError, match="n_max must be nonnegative"):
-            check_qbinomial_theorem(-1, (1, 1, 0, 1))
+            check_qbinomial_theorem(-1, (1, (1, 1, 0, 1)))
 
     def test_degree_zero_argument_rejected(self):
-        with pytest.raises(DomainError):
-            check_qbinomial_theorem(4, (0, 0, 0, 0))
+        with pytest.raises(DomainError, match="z must have positive degree, got 0"):
+            check_qbinomial_theorem(4, (1, (0, 0, 0, 0)))
 
-    def test_truncated_argument_rejected(self):
-        z = Series.monomial(FOUR_PARAM, 1, (1, 2, 1, 1), trunc=8)
-        with pytest.raises(DomainError):
-            check_qbinomial_theorem(4, z)
-
-    def test_multi_term_argument_rejected(self):
-        z = Series(FOUR_PARAM, {(1, 2, 1, 1): 1, (2, 2, 1, 1): 1}, None)
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize(
+        "z",
+        ((1, 1, 0, 1), (0, (1, 1, 0, 1)), (1, (1, 1, 0)), (1.0, (1, 1, 0, 1)), (1, [1, 1, 0, 1])),
+        ids=("bare-exponents", "zero-coefficient", "three-exponents", "float-coefficient", "list"),
+    )
+    def test_malformed_argument_rejected(self, z):
+        with pytest.raises(DomainError, match="z must be a signed monomial"):
             check_qbinomial_theorem(4, z)
 
 
 class TestQGauss:
     def test_first_limit_instance(self):
-        b = Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0))
-        report = check_q_gauss(A_INFINITY, b, (1, 1, 0, 0), 16)
+        report = check_q_gauss(A_INFINITY, (-1, (0, 1, 0, 0)), (1, (1, 1, 0, 0)), 16)
         assert report.passed
-        assert "A_INFINITY" in report.name
+        assert report.name == "q-gauss[a=A_INFINITY; b=-b; c=a*b]"
 
     def test_second_limit_instance(self):
-        b = Series.monomial(FOUR_PARAM, -1, (0, 0, -1, 0))
-        report = check_q_gauss(A_INFINITY, b, (1, 1, 0, 0), 16)
+        report = check_q_gauss(A_INFINITY, (-1, (0, 0, -1, 0)), (1, (1, 1, 0, 0)), 16)
         assert report.passed
+        assert report.name == "q-gauss[a=A_INFINITY; b=-c^-1; c=a*b]"
 
     def test_generic_instance(self):
-        report = check_q_gauss((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), 16)
+        report = check_q_gauss((1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (2, 2, 1, 1)), 16)
         assert report.passed
+        assert report.name == "q-gauss[a=a; b=b; c=a^2*b^2*c*d]"
+
+    def test_instance_with_coefficients(self):
+        """Coefficients other than 1 enter every ratio: here c/(ab) = -c*d,
+        c/a = -2*b*c*d and c/b = 3*a*c*d."""
+        report = check_q_gauss((-3, (1, 0, 0, 0)), (2, (0, 1, 0, 0)), (6, (1, 1, 1, 1)), 12)
+        assert report.passed, report.failures
+        assert report.name == "q-gauss[a=-3*a; b=2*b; c=6*a*b*c*d]"
 
     def test_ratio_must_have_positive_degree(self):
-        with pytest.raises(DomainError):
-            check_q_gauss((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), 12)
+        with pytest.raises(DomainError, match=re.escape("c/(ab) must have positive degree")):
+            check_q_gauss((1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (1, 1, 0, 0)), 12)
 
     def test_truncation_required(self):
         with pytest.raises(DomainError):
-            check_q_gauss(A_INFINITY, (0, 1, 0, 0), (1, 1, 0, 0), None)
+            check_q_gauss(A_INFINITY, (1, (0, 1, 0, 0)), (1, (1, 1, 0, 0)), None)
+
+    @pytest.mark.parametrize(
+        "a, b, c, what",
+        (
+            ((2, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (2, 2, 1, 1)), "c/(ab)"),
+            ((1, (1, 0, 0, 0)), (3, (0, 1, 0, 0)), (2, (2, 2, 1, 1)), "c/(ab)"),
+            (A_INFINITY, (-2, (0, 1, 0, 0)), (1, (1, 1, 0, 0)), "c/b"),
+        ),
+        ids=("a-does-not-divide", "b-does-not-divide", "limit"),
+    )
+    def test_inexact_coefficient_ratio_rejected(self, a, b, c, what):
+        message = f"{what}: coefficient division is not exact"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            check_q_gauss(a, b, c, 12)
+
+    @pytest.mark.parametrize(
+        "a, b, c, what",
+        (
+            ((0, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (2, 2, 1, 1)), "a"),
+            ((1, (1, 0, 0, 0)), (0, (0, 1, 0, 0)), (1, (2, 2, 1, 1)), "b"),
+            (A_INFINITY, (-1, (0, 1, 0, 0)), (0, (1, 1, 0, 0)), "c"),
+            ((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), "b"),
+            ((1, 0, 0, 0), (1, (0, 1, 0, 0)), (1, (2, 2, 1, 1)), "a"),
+            (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, (1, 1, 0, 0)), "b"),
+        ),
+        ids=("zero-a", "zero-b", "zero-c", "bare-exponents", "bare-a", "series-b"),
+    )
+    def test_malformed_parameter_rejected(self, a, b, c, what):
+        """A zero coefficient, a bare exponent tuple or a Series is refused
+        before any ratio divides by it."""
+        with pytest.raises(DomainError, match=f"{what} must be a signed monomial"):
+            check_q_gauss(a, b, c, 12)
 
     def test_negative_degree_step_rejected_before_summing(self):
         """With c = ab and b = b^3 the limit's first step polynomial -(c/b)(1 - b)
         has the term -c/b = -a*b^-2 of degree -1: the forward pass raises
         PrecisionLoss at that step, so the check's c/b guard refuses the
         parameters first."""
-        b, c = (0, 3, 0, 0), (1, 1, 0, 0)
+        b, c = (1, (0, 3, 0, 0)), (1, (1, 1, 0, 0))
         factors = [
-            PochFactor(1, b, Q, (1, 0)),
+            PochFactor(*b, Q, (1, 0)),
             PochFactor(1, Q, Q, (1, 0), inverted=True),
-            PochFactor(1, c, Q, (1, 0), inverted=True),
+            PochFactor(*c, Q, (1, 0), inverted=True),
         ]
         step = Series.monomial(FOUR_PARAM, -1, (1, -2, 0, 0))
         levels = sum_levels(Series.one(FOUR_PARAM), lambda n: step * q_monomial(n), factors, 12)
@@ -469,12 +513,10 @@ def _rebuilt_q_gauss_sum(step, pairs, sum_args, c, trunc):
     """The sum side with each summand built from scratch: step^n Q^(pairs*C(n,2))
     times the exact numerator running products, truncated, times the inverted
     runs (Q;Q) and (c;Q)."""
-    numerators = [
-        running_product(FOUR_PARAM, PochFactor(sign, exps, Q), None) for sign, exps in sum_args
-    ]
+    numerators = [running_product(FOUR_PARAM, PochFactor(*p, Q), None) for p in sum_args]
     denominators = [
         running_product(FOUR_PARAM, PochFactor(1, Q, Q, inverted=True), trunc),
-        running_product(FOUR_PARAM, PochFactor(1, c, Q, inverted=True), trunc),
+        running_product(FOUR_PARAM, PochFactor(*c, Q, inverted=True), trunc),
     ]
     total = Series.zero(FOUR_PARAM, trunc)
     step_power = Series.one(FOUR_PARAM)  # step^n
@@ -493,17 +535,15 @@ def _rebuilt_q_gauss_sum(step, pairs, sum_args, c, trunc):
 
 @pytest.mark.parametrize("trunc", (8, 16, 24))
 @pytest.mark.parametrize(
-    "a, b, c, step, pairs, sum_args",
+    "a, b, c, step, pairs",
     (
-        (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 1, 0, 0)), (1, 1, 0, 0),
-         (1, 0, 0, 0), 1, [(-1, (0, 1, 0, 0))]),
-        (A_INFINITY, Series.monomial(FOUR_PARAM, -1, (0, 0, -1, 0)), (1, 1, 0, 0),
-         (1, 1, 1, 0), 1, [(-1, (0, 0, -1, 0))]),
-        ((1, 0, 0, 0), (0, 1, 0, 0), (2, 2, 1, 1), Q, 0, [(1, (1, 0, 0, 0)), (1, (0, 1, 0, 0))]),
+        (A_INFINITY, (-1, (0, 1, 0, 0)), (1, (1, 1, 0, 0)), (1, 0, 0, 0), 1),
+        (A_INFINITY, (-1, (0, 0, -1, 0)), (1, (1, 1, 0, 0)), (1, 1, 1, 0), 1),
+        ((1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (2, 2, 1, 1)), Q, 0),
     ),
     ids=("minus-b", "minus-c-inverse", "generic"),
 )
-def test_q_gauss_sum_side_matches_rebuilt_summands(monkeypatch, trunc, a, b, c, step, pairs, sum_args):
+def test_q_gauss_sum_side_matches_rebuilt_summands(monkeypatch, trunc, a, b, c, step, pairs):
     """The battery's q-Gauss sum sides, summed, equal the sums of summands built
     from scratch: same coefficients and truncation."""
     compared = []
@@ -511,5 +551,6 @@ def test_q_gauss_sum_side_matches_rebuilt_summands(monkeypatch, trunc, a, b, c, 
     monkeypatch.setattr(Series, "equal_to", lambda s, o: compared.append(s) or real(s, o))
     assert check_q_gauss(a, b, c, trunc).passed
     (summed,) = compared
+    sum_args = [p for p in (a, b) if p is not A_INFINITY]
     rebuilt = _rebuilt_q_gauss_sum(Series.monomial(FOUR_PARAM, 1, step), pairs, sum_args, c, trunc)
     assert (summed, summed.trunc) == (rebuilt, rebuilt.trunc)
