@@ -246,4 +246,4 @@ def cross_check_tables(cls: PartitionClass, n_max: int, h_max: int) -> CheckRepo
                     lines.append(f"n={n} h={h}: expected empty support, got {reference!r}")
                 yield lines
 
-    return build_report(f"basis-tables[{cls.value}]", outcomes())
+    return build_report(f"basis-tables[{cls.value}]", outcomes(), {"n_max": n_max, "h_max": h_max})

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from typing import Iterable, Iterator
 
 from . import identities, qseries, sip
 from .basis_gf import _METHODS as _TABLE_METHODS, cross_check_tables
@@ -133,60 +134,62 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _full_battery(trunc: int) -> list[CheckReport]:
-    """Everything `verify --all` runs, in fixed order.  The reports that do not
-    run at ``trunc`` state the bounds they ran at in their ``params``."""
-    reports = [identities.verify_spec(spec, trunc) for spec in identities.registry()]
+def _full_battery(trunc: int) -> Iterator[CheckReport]:
+    """Everything `verify --all` runs, in fixed order, each built when drawn."""
+    for spec in identities.registry():
+        yield identities.verify_spec(spec, trunc)
     for cls in sip.DECOMPOSABLE:
-        table = cross_check_tables(cls.basis, _TABLE_BOUND, _TABLE_BOUND)
-        reports.append(table._replace(params={"n_max": _TABLE_BOUND, "h_max": _TABLE_BOUND}))
+        yield cross_check_tables(cls.basis, _TABLE_BOUND, _TABLE_BOUND)
     small = min(trunc, _MEMBERWISE_TRUNC_CAP)
     for cls in sip.DECOMPOSABLE:
-        reports.append(sip.verify_sip_property(cls, small))
-        reports.append(sip.sip_gf_single_variable(cls, trunc))
-        reports.append(sip.check_sip_gf_four_parameter(cls, trunc))
-    recurrences = qseries.check_qbinomial_recurrences(10)
-    reports.append(recurrences._replace(params={"n_max": 10}))
+        yield sip.verify_sip_property(cls, small)
+        yield sip.sip_gf_single_variable(cls, trunc)
+        yield sip.check_sip_gf_four_parameter(cls, trunc)
+    yield qseries.check_qbinomial_recurrences(10)
     for z in ((1, (1, 2, 1, 1)), (1, (1, 1, 0, 1))):
-        reports.append(qseries.check_qbinomial_theorem(6, z)._replace(params={"n_max": 6}))
+        yield qseries.check_qbinomial_theorem(6, z)
     # Signed monomials (coeff, exps): b = -b and b = -1/c in the limit, c = ab.
     for b in ((-1, (0, 1, 0, 0)), (-1, (0, 0, -1, 0))):
-        reports.append(qseries.check_q_gauss(qseries.A_INFINITY, b, (1, (1, 1, 0, 0)), trunc))
+        yield qseries.check_q_gauss(qseries.A_INFINITY, b, (1, (1, 1, 0, 0)), trunc)
     a, b, c = (1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (2, 2, 1, 1))
-    reports.append(qseries.check_q_gauss(a, b, c, trunc))
+    yield qseries.check_q_gauss(a, b, c, trunc)
     for cls in (PartitionClass.P1, PartitionClass.P2):
-        partial = identities.verify_partial_sums(cls, 4, trunc)
-        reports.append(partial._replace(params={"n_max": 4}))
-    reports.extend(identities.verify_substitution_consistency(small))
-    return reports
+        yield identities.verify_partial_sums(cls, 4, trunc)
+    yield from identities.verify_substitution_consistency(small)
+
+
+def _run_reports(command: str, params: dict[str, object], reports: Iterable[CheckReport]) -> int:
+    """Draw ``reports`` in order, each one's seconds and name to stderr as it
+    is built, then the count and total; print them as one JSON payload and
+    return 0 when every report passed, else 1."""
+    done: list[CheckReport] = []
+    started = last = time.perf_counter()
+    for report in reports:
+        now = time.perf_counter()
+        _diag(f"{command}: {now - last:.3f}s {report.name}")
+        done.append(report)
+        last = now
+    _diag(f"{command}: {len(done)} reports in {last - started:.3f}s")
+    _emit_json(command, params, [r.as_dict() for r in done])
+    return 0 if all(r.passed for r in done) else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    trunc = args.trunc
-    reports: list[CheckReport] = []
-    started = time.perf_counter()
     if args.all and args.ids:
         _diag("verify: give identity keys or --all, not both")
         return 2
-    if args.all:
-        reports = _full_battery(trunc)
-    else:
-        if not args.ids:
-            _diag("verify: give identity keys or --all")
-            return 2
-        try:
-            specs = [identities.spec_by_key(key) for key in args.ids]
-        except identities.UnknownTheorem as exc:
-            _diag(f"unknown identity key: {exc}")
-            return 2
-        reports = [identities.verify_spec(spec, trunc) for spec in specs]
-    _diag(f"verify: {len(reports)} reports in {time.perf_counter() - started:.3f}s")
-    _emit_json(
-        "verify",
-        {"trunc": trunc, "selection": "all" if args.all else list(args.ids)},
-        [r.as_dict() for r in reports],
-    )
-    return 0 if all(r.passed for r in reports) else 1
+    if not (args.all or args.ids):
+        _diag("verify: give identity keys or --all")
+        return 2
+    try:
+        specs = [identities.spec_by_key(key) for key in args.ids]
+    except identities.UnknownTheorem as exc:
+        _diag(f"unknown identity key: {exc}")
+        return 2
+    trunc = args.trunc
+    named = (identities.verify_spec(spec, trunc) for spec in specs)
+    params = {"trunc": trunc, "selection": "all" if args.all else list(args.ids)}
+    return _run_reports("verify", params, _full_battery(trunc) if args.all else named)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -286,13 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_tables_check(args: argparse.Namespace) -> int:
     basis = PartitionClass(args.basis).basis
-    report = cross_check_tables(basis, args.n_max, args.h_max)
-    _emit_json(
-        "tables-check",
-        {"basis": basis.value, "n_max": args.n_max, "h_max": args.h_max},
-        [report.as_dict()],
-    )
-    return 0 if report.passed else 1
+    reports = (cross_check_tables(b, args.n_max, args.h_max) for b in (basis,))
+    params = {"basis": basis.value, "n_max": args.n_max, "h_max": args.h_max}
+    return _run_reports("tables-check", params, reports)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -660,8 +660,8 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
         raise ValueError("partial sums are recorded for classes p1 and p2")
     if n_max < 0 or trunc < 0:
         raise ValueError("n_max and trunc must be nonnegative")
-    spec = _BY_KEY["p1-four" if family is PartitionClass.P1 else "p2-four"]
-    num = PochFactor(-1, (1, 0, 0, 0) if family is PartitionClass.P1 else (1, 1, 1, 0), _Q4)
+    spec = _BY_KEY[f"{family.value}-four"]
+    num = spec.product[0]
 
     def outcomes() -> Iterator[Sequence[str]]:
         # F(N) is the Horner run over each family's first N + 1 levels; a family
@@ -691,7 +691,7 @@ def verify_partial_sums(family: PartitionClass, n_max: int, trunc: int) -> Check
                     f" ({step.left} vs {step.right})",
                 )
 
-    return build_report(f"partial-sums[{family.value}]", outcomes())
+    return build_report(f"partial-sums[{family.value}]", outcomes(), {"n_max": n_max})
 
 
 # -- statistics consistency ------------------------------------------------------

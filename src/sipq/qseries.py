@@ -297,7 +297,7 @@ def check_qbinomial_recurrences(n_max: int) -> CheckReport:
                 num, den = runs[n - m + 1][m].truncate(t), runs[1][m].truncate(t)
                 yield _mismatch(f"[{n},{m}] quotient-form", num, val.truncate(t) * den)
 
-    return build_report("qbinomial-recurrences", outcomes())
+    return build_report("qbinomial-recurrences", outcomes(), {"n_max": n_max})
 
 
 #: A signed monomial ``(coeff, exps)``: ``coeff * a^e0 b^e1 c^e2 d^e3``.
@@ -353,7 +353,7 @@ def check_qbinomial_theorem(n_max: int, z: Monomial) -> CheckReport:
                 rhs = rhs + z_k * gauss_binomial(n, k)  # z^k Q^(k(k-1)/2) [n, k]
             yield _mismatch(f"n={n}", next(products), rhs)
 
-    return build_report(f"qbinomial-theorem[z={_name(z)}]", outcomes())
+    return build_report(f"qbinomial-theorem[z={_name(z)}]", outcomes(), {"n_max": n_max})
 
 
 def check_q_gauss(a: Monomial | _AInfinity, b: Monomial, c: Monomial, trunc: int) -> CheckReport:

@@ -29,11 +29,10 @@ class CheckReport(NamedTuple):
 
     ``checks`` counts the checks that ran; ``failures`` holds their
     human-readable failure lines (empty when ``passed``).
-    ``params`` holds the bounds of a report that does not run at the
-    command's truncation alone: the fixed size of a table or a summation,
-    or the ``weight_max`` of a member-by-member check, which ``verify --all``
-    caps at 16 and states even where it equals the truncation.  A report
-    that runs at the command's truncation has empty ``params``.
+    ``params`` holds every bound the report ran at other than the
+    truncation, set by the routine that built it: the size of a table or a
+    summation, or the ``weight_max`` of a member-by-member check.  A report
+    that runs at the truncation alone has empty ``params``.
     """
 
     name: str

@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import sipq
-from sipq import basis_gf, identities, sip
+from sipq import basis_gf, identities, qseries, sip
 from sipq.cli import main
 from sipq.partitions import PartitionClass, RowRule
 from sipq.reporting import CheckReport
@@ -199,6 +200,65 @@ class TestVerify:
             assert reports[f"sip-property[{c}]"]["params"] == {"weight_max": 16}
         for key in ("xzq", "bg"):
             assert reports[f"substitution[{key}]"]["params"] == {"weight_max": 16}
+
+    @pytest.mark.parametrize(
+        ("build", "bounds"),
+        (
+            (lambda: basis_gf.cross_check_tables(PartitionClass.BASIS_G2, 3, 5),
+             {"n_max": 3, "h_max": 5}),
+            (lambda: qseries.check_qbinomial_recurrences(3), {"n_max": 3}),
+            (lambda: qseries.check_qbinomial_theorem(2, (1, (1, 1, 0, 1))), {"n_max": 2}),
+            (lambda: identities.verify_partial_sums(PartitionClass.P2, 2, 6), {"n_max": 2}),
+        ),
+        ids=("basis-tables", "qbinomial-recurrences", "qbinomial-theorem", "partial-sums"),
+    )
+    def test_fixed_size_builders_state_the_bounds_they_ran(self, build, bounds):
+        """Each fixed-size routine states its own bounds, not the battery's,
+        so the report says what it ran whoever calls it."""
+        report = build()
+        assert report.passed
+        assert dict(report.params) == bounds
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("verify", "--all", "--trunc", "4"),
+            ("verify", "g1-four", "p2-bg", "--trunc", "6"),
+            ("tables-check", "--basis", "p1"),
+        ),
+        ids=("verify-all", "verify-keys", "tables-check"),
+    )
+    def test_stderr_names_each_report_in_stdout_order(self, capsys, argv):
+        """One stderr line per report, seconds then name, in the order of
+        ``results``, then the count and the total."""
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        names = [r["name"] for r in json.loads(out)["results"]]
+        *lines, summary = err.splitlines()
+        assert [line.split(" ", 2)[2] for line in lines] == names
+        assert all(line.startswith(f"{argv[0]}: ") for line in err.splitlines())
+        assert all(line.split(" ", 2)[1].endswith("s") for line in lines)
+        assert summary.startswith(f"{argv[0]}: {len(names)} reports in ")
+
+    def test_each_stderr_line_times_only_its_report(self, capsys, monkeypatch):
+        """Reports are built as the loop draws them, so a slow report's time
+        lands on its own line and not on the ones before it."""
+        real = identities.verify_spec
+
+        def slow_p2_bg(spec, trunc):
+            if spec.key == "p2-bg":
+                time.sleep(0.2)
+            return real(spec, trunc)
+
+        monkeypatch.setattr(identities, "verify_spec", slow_p2_bg)
+        code, _, err = run(capsys, "verify", "g1-four", "p2-bg", "g2-four", "--trunc", "4")
+        assert code == 0
+        seconds = {
+            name: float(secs[:-1])
+            for secs, name in (line.split(" ", 2)[1:] for line in err.splitlines()[:-1])
+        }
+        assert seconds["identity[p2-bg]"] >= 0.2
+        assert seconds["identity[g1-four]"] < 0.2 and seconds["identity[g2-four]"] < 0.2
 
     def test_bad_split_fails_its_reports_and_keeps_the_rest(self, capsys, monkeypatch):
         """A strict gap set that makes the split ambiguous fails ``sip-property``
@@ -417,6 +477,17 @@ class TestTablesCheck:
         assert code == 0
         payload = json.loads(out)
         assert payload["results"][0]["passed"] is True
+
+    def test_defaults_reproduce_the_battery_report(self, capsys):
+        """At its defaults ``tables-check`` prints the very report, bounds
+        included, that ``verify --all`` prints for the same basis."""
+        code, out, _ = run(capsys, "verify", "--all", "--trunc", "4")
+        assert code == 0
+        battery = {r["name"]: r for r in json.loads(out)["results"]}
+        for c in CLASSES:
+            code, out, _ = run(capsys, "tables-check", "--basis", c)
+            assert code == 0
+            assert json.loads(out)["results"] == [battery[f"basis-tables[basis-{c}]"]]
 
     def test_negative_bound(self, capsys):
         code, _, _ = run(capsys, "tables-check", "--basis", "g2", "--n-max", "-1")
