@@ -75,10 +75,6 @@ class OmegaExponents(NamedTuple):
     c: int
     d: int
 
-    @property
-    def total(self) -> int:
-        return self.a + self.b + self.c + self.d
-
 
 class RowRule(NamedTuple):
     """The row rules of a position-parity class: ``strict`` asks for distinct

@@ -43,12 +43,13 @@ of two series walks the larger factor's buckets once per term of the other.
 :meth:`SubstitutionMap.map_exps` is the one place exponents are substituted;
 a partition row's key sums the packed images of its letters, read through it.
 
-No class here is a dataclass: :class:`SeriesRing` is a slotted class and the
-records are ``typing.NamedTuple`` classes, because the dataclass module imports
+No class here is a dataclass: the records, :class:`SeriesRing` among them,
+are ``typing.NamedTuple`` classes, because the dataclass module imports
 ``inspect`` and decorating a class execs generated code, which together cost
 every CLI call more time than a small check takes.  The two classes that
-validate, :class:`SeriesRing` and :class:`SubstitutionMap`, do so on every way
-of building one, and every instance is immutable.
+validate, :class:`SeriesRing` and :class:`SubstitutionMap`, do so in
+``__new__``, which every way of building one goes through, and every
+instance is immutable.
 """
 
 from __future__ import annotations
@@ -97,56 +98,38 @@ def _checked_bound(bound: int) -> int:
     return bound
 
 
-class SeriesRing:
+class _SeriesRingFields(NamedTuple):
+    names: tuple[str, ...]
+    weights: tuple[int, ...]
+
+
+class SeriesRing(_SeriesRingFields):
     """Variable names and their grading weights, and the packing of exponent
     vectors into int keys.
 
-    Immutable; equality and hash use ``names`` and ``weights`` only.
+    Every way of building one (the constructor, ``_make``, ``_replace``,
+    copying, unpickling) checks for at least one variable, distinct names
+    and one nonnegative weight per name.
     """
 
-    # `_shifts` and `_offset` are derived from the arity: each variable's digit
-    # position, first variable highest, and the offset that makes every digit
-    # nonnegative.
-    __slots__ = ("names", "weights", "_shifts", "_offset")
+    __slots__ = ()
 
-    names: tuple[str, ...]
-    weights: tuple[int, ...]
-    _shifts: tuple[int, ...]
-    _offset: int
-
-    def __init__(self, names: tuple[str, ...], weights: tuple[int, ...]) -> None:
-        if len(names) != len(weights):
+    def __new__(cls, *args: object, **kwargs: object) -> "SeriesRing":
+        self = super().__new__(cls, *args, **kwargs)
+        if not self.names:
+            raise ValueError("a ring needs at least one variable")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"variable names {self.names} must be distinct")
+        if len(self.names) != len(self.weights):
             raise ValueError("names and weights must have equal length")
-        if any(w < 0 for w in weights):
+        if any(w < 0 for w in self.weights):
             raise ValueError("grading weights must be nonnegative")
-        shifts = tuple(_DIGIT_BITS * i for i in reversed(range(len(names))))
-        # Adding `_offset` turns every balanced digit e into e + RADIX/2, in
-        # [1, RADIX - 1], so plain shifts and masks read the digits; the top
-        # bit of a shifted digit is set exactly when e >= 0.
-        offset = sum(EXPONENT_LIMIT << s for s in shifts)
-        for slot, value in zip(self.__slots__, (names, weights, shifts, offset)):
-            object.__setattr__(self, slot, value)
+        return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        # Copies and unpickled rings go through the constructor too.
-        return (SeriesRing, (self.names, self.weights))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.names == other.names and self.weights == other.weights  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.weights))
-
-    def __repr__(self) -> str:
-        return f"SeriesRing(names={self.names!r}, weights={self.weights!r})"
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "SeriesRing":
+        # The inherited `_make` (and so `_replace`) bypasses `__new__`.
+        return cls(*iterable)
 
     @property
     def nvars(self) -> int:
@@ -166,14 +149,17 @@ class SeriesRing:
         return key
 
     def unpack(self, key: int) -> tuple[int, ...]:
-        """The exponent vector of a packed key."""
-        key += self._offset
-        return tuple(((key >> s) & (RADIX - 1)) - EXPONENT_LIMIT for s in self._shifts)
+        """The exponent vector of a packed key, read off its balanced digits,
+        last variable first."""
+        exps = []
+        for _ in self.names:
+            key, digit = divmod(key + EXPONENT_LIMIT, RADIX)
+            exps.append(digit - EXPONENT_LIMIT)
+        return tuple(reversed(exps))
 
     def has_negative(self, key: int) -> bool:
         """Whether the packed key has a negative exponent."""
-        offset = self._offset
-        return (key + offset) & offset != offset
+        return min(self.unpack(key)) < 0
 
 
 FOUR_PARAM = SeriesRing(("a", "b", "c", "d"), (1, 1, 1, 1))

@@ -59,11 +59,6 @@ DECOMPOSABLE = tuple(
 )
 
 
-def _require_decomposable(cls: PartitionClass) -> None:
-    if cls not in DECOMPOSABLE:
-        raise ValueError(f"no basis structure for class {cls.value!r}")
-
-
 class SipDecomposition(NamedTuple):
     """A partition split as ``lam[i] = beta[i] + mu[i]`` (``mu`` zero-padded)."""
 
@@ -80,7 +75,7 @@ def decompose(cls: PartitionClass, lam: Partition) -> SipDecomposition:
     unique valid split; :class:`InternalError` therefore signals a bug in the
     basis definition rather than bad input.
     """
-    _require_decomposable(cls)
+    basis = cls.basis
     if not is_member(cls, lam):
         raise NotInClass(f"{lam!r} is not in class {cls.value!r}")
     if not lam:
@@ -104,7 +99,7 @@ def decompose(cls: PartitionClass, lam: Partition) -> SipDecomposition:
     while diffs and diffs[-1] == 0:
         diffs.pop()
     beta_p = Partition(tuple(beta))
-    if not is_member(cls.basis, beta_p):
+    if not is_member(basis, beta_p):
         raise InternalError(f"derived skeleton {beta_p!r} is outside the basis")
     return SipDecomposition(beta_p, Partition(tuple(diffs)))
 
@@ -112,8 +107,8 @@ def decompose(cls: PartitionClass, lam: Partition) -> SipDecomposition:
 def compose(cls: PartitionClass, beta: Partition, mu: Partition) -> Partition:
     """Rebuild the class member from a skeleton and padding (inverse of
     :func:`decompose`)."""
-    _require_decomposable(cls)
-    if not is_member(cls.basis, beta):
+    basis = cls.basis
+    if not is_member(basis, beta):
         raise NotInClass(f"{beta!r} is not in the basis of {cls.value!r}")
     if len(mu) > len(beta):
         raise LengthViolation(f"padding {mu!r} is longer than skeleton {beta!r}")
@@ -152,7 +147,7 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     skeleton sits under ``lam`` row by row, so its weight cannot exceed
     ``|lam|``, and a heavier one leaves a negative difference and is rejected.
     """
-    _require_decomposable(cls)
+    basis = cls.basis
     if weight_max < 0:
         raise ValueError("weight_max must be nonnegative")
 
@@ -172,7 +167,7 @@ def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
                     lines.append(f"{lam!r}: {type(exc).__name__}: {exc}")
                 n = len(lam)
                 if n not in skeletons:
-                    skeletons[n] = basis_members_of_length(cls.basis, n, weight_max)
+                    skeletons[n] = basis_members_of_length(basis, n, weight_max)
                 n_splits = _split_count(lam, skeletons[n])
                 if n_splits != 1:
                     lines.append(f"{lam!r}: {n_splits} valid splits, expected 1")
@@ -212,10 +207,10 @@ def sip_gf_four_parameter(
     ``B_m`` needs only the members of weight at most ``trunc`` and lengths
     beyond ``trunc`` cannot contribute.
     """
-    _require_decomposable(cls)
+    basis = cls.basis
     if trunc < 0:
         raise ValueError("trunc must be nonnegative")
-    sums = basis_weight_sums(cls.basis, trunc, weight_map)
+    sums = basis_weight_sums(basis, trunc, weight_map)
     levels = [
         (sums[m], [(1, weight_map.map_exps(_divisor(m)))] if m else []) for m in range(trunc + 1)
     ]

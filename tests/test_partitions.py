@@ -106,7 +106,7 @@ def test_omega_exponents_frozen_values(parts, vector):
 def test_omega_invariants(lam):
     om = omega_exponents(lam)
     st_ = stats(lam)
-    assert om.total == st_.weight
+    assert sum(om) == st_.weight
     assert (om.a - om.b) + (om.c - om.d) == st_.odd_parts
     assert (om.a + om.b) - (om.c + om.d) == st_.alt_sum
     assert om.a - om.b + om.d - om.c == st_.bg_rank

@@ -93,22 +93,10 @@ _CLONES = {
 
 @pytest.mark.parametrize("clone", _CLONES.values(), ids=_CLONES.keys())
 def test_ring_copies_still_unpack(clone):
-    """A copied ring is rebuilt by its constructor, derived packing included."""
+    """A copied ring packs and unpacks keys like the original."""
     ring = clone(XZQ)
     assert ring == XZQ
     assert ring.unpack(ring.pack((-3, 2, 5))) == (-3, 2, 5)
-
-
-@pytest.mark.parametrize(
-    "names, weights, message",
-    (
-        (("a", "b"), (1,), "equal length"),
-        (("a", "b"), (1, -1), "grading weights must be nonnegative"),
-    ),
-)
-def test_ring_rejects_invalid_fields(names, weights, message):
-    with pytest.raises(ValueError, match=message):
-        SeriesRing(names, weights)
 
 
 # Each construction path of a validating NamedTuple: the constructor, and the
@@ -118,6 +106,21 @@ _PATHS = {
     "_make": lambda record, changes: type(record)._make({**record._asdict(), **changes}.values()),
     "_replace": lambda record, changes: record._replace(**changes),
 }
+
+
+@pytest.mark.parametrize("path", _PATHS.values(), ids=_PATHS.keys())
+@pytest.mark.parametrize(
+    "changes, message",
+    (
+        ({"names": ("a", "b"), "weights": (1,)}, "equal length"),
+        ({"names": ("a", "b"), "weights": (1, -1)}, "grading weights must be nonnegative"),
+        ({"names": (), "weights": ()}, "at least one variable"),
+        ({"names": ("a", "a"), "weights": (1, 1)}, "must be distinct"),
+    ),
+)
+def test_ring_rejects_invalid_fields(path, changes, message):
+    with pytest.raises(ValueError, match=message):
+        path(XZQ, changes)
 
 
 @pytest.mark.parametrize("path", _PATHS.values(), ids=_PATHS.keys())
@@ -157,3 +160,4 @@ def test_validated_records_survive_copies(clone):
     spec = spec_by_key("p2-xzq")
     assert clone(spec) == spec and type(clone(spec)) is TheoremSpec
     assert clone(OMEGA_TO_XZQ) == OMEGA_TO_XZQ and type(clone(OMEGA_TO_XZQ)) is SubstitutionMap
+    assert clone(XZQ) == XZQ and type(clone(XZQ)) is SeriesRing

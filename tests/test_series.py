@@ -454,7 +454,7 @@ def _edge_exps(ring: SeriesRing, edge: int) -> st.SearchStrategy[tuple[int, ...]
             st.integers(min_value=0, max_value=5), st.integers(min_value=edge - 2, max_value=edge)
         )
         return st.tuples(near, near, q)
-    return st.tuples(*[near] * 4)
+    return st.tuples(*[near] * ring.nvars)
 
 
 @st.composite
@@ -663,6 +663,17 @@ class TestPlus:
 LIMIT = EXPONENT_LIMIT
 #: Factors whose exponents stay within this sum to exponents below the limit.
 HALF_EDGE = LIMIT // 2 - 1
+#: A ring of each arity from 1 to 4.
+RINGS_BY_ARITY = (SINGLE_Q, SeriesRing(("u", "v"), (1, 0)), XZQ, FOUR_PARAM)
+
+
+def _with_extreme_digits(test):
+    """``test`` with one more input per ring of ``RINGS_BY_ARITY``: digits of
+    ``LIMIT - 1`` alternating in sign, and their negation."""
+    for ring in RINGS_BY_ARITY:
+        exps = tuple((-1) ** i * (LIMIT - 1) for i in range(ring.nvars))
+        test = example((ring, exps, tuple(-e for e in exps)))(test)
+    return test
 
 
 class TestPackedKeys:
@@ -688,10 +699,11 @@ class TestPackedKeys:
 
     @settings(max_examples=300)
     @given(
-        st.sampled_from([FOUR_PARAM, XZQ]).flatmap(
+        st.sampled_from(RINGS_BY_ARITY).flatmap(
             lambda r: st.tuples(st.just(r), _edge_exps(r, LIMIT - 1), _edge_exps(r, LIMIT - 1))
         )
     )
+    @_with_extreme_digits
     def test_key_order_is_tuple_order(self, case):
         ring, a, b = case
         ka, kb = ring.pack(a), ring.pack(b)

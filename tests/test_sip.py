@@ -77,8 +77,18 @@ class TestDecompose:
             decompose(G1, Partition((3, 3)))  # not strict
 
     def test_class_without_basis(self):
-        with pytest.raises(ValueError):
-            decompose(PartitionClass.ALL, Partition((2, 1)))
+        # The empty partition belongs to every class, so only the class is
+        # there to refuse, and every entry point refuses it up front.
+        ALL = PartitionClass.ALL
+        for call in (
+            lambda: decompose(ALL, Partition((2, 1))),
+            lambda: decompose(ALL, Partition()),
+            lambda: compose(ALL, Partition(), Partition()),
+            lambda: verify_sip_property(ALL, 0),
+            lambda: sip_gf_four_parameter(ALL, 0),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
     @settings(max_examples=20, deadline=None)
     @given(
