@@ -706,10 +706,10 @@ def verify_substitution_consistency(weight_max: int) -> list[CheckReport]:
     z-exponent must be the odd-index/even-index imbalance of the odd parts.
     The conjugation law (odd-part count of the transpose equals the
     alternating sum) is checked alongside, since the corollaries rely on it.
-    One walk of the partitions of weight at most ``weight_max`` serves both
-    maps: each partition's statistics, four-parameter exponents and
-    conjugation law are computed once, and only the map and the comparison
-    run per map.
+    One pass of the row recursion lists the partitions of weight at most
+    ``weight_max`` for both maps: each partition's statistics, four-parameter
+    exponents and conjugation law are computed once, and only the map and the
+    comparison run per map.
     """
     if weight_max < 0:
         raise ValueError("weight_max must be nonnegative")

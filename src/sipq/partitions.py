@@ -5,15 +5,12 @@ rows with two alternating letters, ``a b a b ...`` on odd-indexed rows and
 ``c d c d ...`` on even-indexed rows, assigns each partition a monomial
 ``a^A b^B c^C d^D`` (the four-parameter weight).  A class is one
 :class:`RowRule`, which everything here reads.  All of it is exhaustive and
-exact.  There is one member generator and one skeleton recursion.  The
-member walk builds every member of a class up to a weight, part by part
-under the class's row rules, once for all the weights it serves.  The
-skeleton recursion builds skeletons bottom-up, one row per level, once per
-parity of the length; its cells either sum weights, for every length and
-largest part at once and with no partition built, or hold the skeletons
-themselves.  A second recursion over rows, top row first, sums the class
-weight series without building a partition.  The tests check each against
-a filter through :func:`is_member`.
+exact.  Two recursions list members, or sum their weights with no
+partition built, depending on the keys their cells hold.  The row recursion
+runs over a class's rows, top row first, every weight up to a bound in one
+pass.  The skeleton recursion builds skeletons bottom-up, one row per
+level, once per parity of the length, for every length and largest part at
+once.  The tests check each against a filter through :func:`is_member`.
 """
 
 from __future__ import annotations
@@ -239,40 +236,24 @@ def members_by_weight(
     """The members of ``cls`` of each weight ``weight_min .. weight_max``, in
     that order, each list lexicographically decreasing.
 
-    One depth-first walk of the class's member tree.  Parts are chosen
-    largest first under the class's row rules: in a strict class each part is
-    capped one below the part above it, and a row whose parts must be even
-    steps through even sizes only, so no partition outside the class is
-    built.  The rules read only a row's index from the top, so every node of
-    the walk is a member, kept once it weighs at least ``weight_min``; the
-    members of one weight come out in decreasing order.  In a strict class a
-    branch is cut once its rows cannot add enough to reach ``weight_min``.
-    A basis tag walks its base class and keeps the members that pass
-    :func:`is_member`.
+    A class's members are the stacks that the row recursion of
+    :func:`_row_cells`, keyed by :func:`_stack_key`, holds at each weight,
+    top row first.  A basis tag's are the stacks of one
+    :func:`_skeleton_levels` pass, bottom row first, reversed and grouped by
+    weight, with the empty partition at weight 0.  Neither builds a
+    partition outside the tag.
     """
     if not 0 <= weight_min <= weight_max:
         raise ValueError(f"need 0 <= weight_min <= weight_max, got {weight_min}, {weight_max}")
-    strict, allows = cls.rule.strict, cls.rule.allows
-    out: list[list[Partition]] = [[] for _ in range(weight_min, weight_max + 1)]
-    parts: list[int] = []
-
-    def grow(weight: int, cap: int, index: int) -> None:
-        if weight >= weight_min:
-            out[weight - weight_min].append(_built(parts))
-        elif strict and weight_min - weight > cap * (cap + 1) // 2:
-            return
-        top, step = min(weight_max - weight, cap), 1
-        if not allows(index, 1):  # the row holds even parts only
-            top, step = top - top % 2, 2
-        for part in range(top, 0, -step):
-            parts.append(part)
-            grow(weight + part, part - 1 if strict else part, index + 1)
-            parts.pop()
-
-    grow(0, weight_max, 1)
     if cls.is_basis:
-        return [[lam for lam in members if is_member(cls, lam)] for members in out]
-    return out
+        cells: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(weight_max)]
+        for _, level in _skeleton_levels(cls, weight_max, weight_max, weight_max, _stack_key):
+            for by_weight in level.values():
+                for weight, cell in by_weight.items():
+                    cells[weight].extend(stack[::-1] for stack in cell)
+    else:
+        cells = _row_cells(cls.rule, weight_max, _stack_key, ())
+    return [sorted(map(_built, stacks), reverse=True) for stacks in cells[weight_min:]]
 
 
 def enumerate_partitions(cls: PartitionClass, weight: int) -> list[Partition]:
@@ -334,39 +315,27 @@ def _add_into(acc: dict, cell: dict, delta: int | tuple[int, ...] = 0) -> None:
         acc[key] = get(key, 0) + count
 
 
-def class_weight_series(
-    cls: PartitionClass, trunc: int, weight_map: SubstitutionMap = OMEGA_IDENTITY
-) -> Series:
-    """The four-parameter weight, pushed through ``weight_map``, summed over
-    every member of weight <= ``trunc``.
+def _row_cells(
+    rule: RowRule, trunc: int, key: Callable[[int, int], object], empty: object
+) -> list[dict]:
+    """``cells[w]``, for ``w = 0..trunc``, maps keys to counts over the members
+    of weight ``w`` under ``rule``.  A member's key is ``empty`` plus
+    ``key(index, part)`` for each row, top row first: a packed monomial to sum
+    weights, or :func:`_stack_key` to list the members as their parts.
 
-    The sum runs row by row, top row first, without building a partition.
     Two rolling rows of cells, ``cell[p][rem]`` for ``rem = 0..trunc``, map
-    packed keys of the map's target ring to counts: the ways to fill some top
-    rows, ``p`` their number mod 2, with parts at least the current cap and
-    weight exactly ``rem``.  Lowering the cap from ``trunc`` to 1 updates
-    every cell in place: where the cap is an allowed part on the next row, of
-    index parity ``1 - p``, ``cell[1 - p][rem]`` gains ``cell[p][rem - cap]``
-    shifted by the part's mapped monomial, one packed key added to each key.
-    Largest parts first, the cells stay sparse until the last caps.  The map
-    is monomial, so applying it part by part gives each member's mapped weight.
-    The order of :func:`_rems` makes a strict class read the cell from the
-    cap above and a non-strict one the cell at this cap.  This is still a
-    direct sum over class members under the class's row rules; it uses no
-    skeleton, series or product, so it stays independent of the sides it is
-    compared with.  Every image has target degree 1, so a member's mapped
-    monomial has degree equal to its weight, ``cell[0][w] + cell[1][w]`` is
-    the degree-``w`` bucket and the sum is exact to order ``trunc``.  Basis
-    tags are rejected: the recursion encodes the base-class rules only.
+    keys to counts: the ways to fill some top rows, ``p`` their number mod 2,
+    with parts at least the current cap and weight exactly ``rem``.  Lowering
+    the cap from ``trunc`` to 1 updates every cell in place: where the cap is
+    an allowed part on the next row, of index parity ``1 - p``,
+    ``cell[1 - p][rem]`` gains ``cell[p][rem - cap]`` shifted by the part's
+    key, one key added to each key.  Largest parts first, the cells stay
+    sparse until the last caps.  The order of :func:`_rems` makes a strict
+    class read the cell from the cap above and a non-strict one the cell at
+    this cap.  The odd row is folded into the even one at the end.
     """
-    if cls.is_basis:
-        raise ValueError(f"{cls} is a basis tag; its rules are not row rules")
-    if trunc < 0:
-        raise ValueError("trunc must be nonnegative")
-    _require_weight_map(weight_map)
-    rule, key = cls.rule, _row_keys(weight_map)
-    cell: list[list[dict[int, int]]] = [[{} for _ in range(trunc + 1)] for _ in (0, 1)]
-    cell[0][0][0] = 1
+    cell: list[list[dict]] = [[{} for _ in range(trunc + 1)] for _ in (0, 1)]
+    cell[0][0][empty] = 1
     for cap in range(trunc, 0, -1):
         steps = [
             (cell[parity], cell[1 - parity], key(parity, cap))
@@ -380,10 +349,35 @@ def class_weight_series(
     # Fold the odd row into the even one, freeing each odd cell as it goes.
     even, odd = cell
     for acc, extra in zip(even, odd):
-        _add_into(acc, extra)
+        _add_into(acc, extra, empty)
         extra.clear()
-    bound = _exponent_bound(rule, trunc, weight_map)
-    return Series._from_buckets(weight_map.target, dict(enumerate(even)), bound, trunc)
+    return even
+
+
+def class_weight_series(
+    cls: PartitionClass, trunc: int, weight_map: SubstitutionMap = OMEGA_IDENTITY
+) -> Series:
+    """The four-parameter weight, pushed through ``weight_map``, summed over
+    every member of weight <= ``trunc``.
+
+    :func:`_row_cells`, keyed by the packed monomials of the map's target
+    ring, builds no partition.  The map is monomial, so applying it part by
+    part gives each member's mapped weight.  This is still a direct sum over
+    class members under the class's row rules; it uses no skeleton, series or
+    product, so it stays independent of the sides it is compared with.  Every image has
+    target degree 1, so a member's mapped monomial has degree equal to its
+    weight, ``cells[w]`` is the degree-``w`` bucket and the sum is exact to
+    order ``trunc``.  Basis tags are rejected: the recursion encodes the
+    base-class rules only.
+    """
+    if cls.is_basis:
+        raise ValueError(f"{cls} is a basis tag; its rules are not row rules")
+    if trunc < 0:
+        raise ValueError("trunc must be nonnegative")
+    _require_weight_map(weight_map)
+    cells = _row_cells(cls.rule, trunc, _row_keys(weight_map), 0)
+    bound = _exponent_bound(cls.rule, trunc, weight_map)
+    return Series._from_buckets(weight_map.target, dict(enumerate(cells)), bound, trunc)
 
 
 def _require_basis(cls: PartitionClass) -> None:
@@ -392,8 +386,8 @@ def _require_basis(cls: PartitionClass) -> None:
 
 
 def _stack_key(index: int, part: int) -> tuple[int]:
-    """A row's key when the cells list skeletons: the part itself, so that a
-    stack's key is its parts, bottom row first."""
+    """A row's key when the cells list members: the part itself, so that a
+    stack's key is its parts in the order its rows were added."""
     return (part,)
 
 

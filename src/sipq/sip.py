@@ -6,12 +6,13 @@ even parts ("padding").  The split is computed bottom-up: the last skeleton
 row is the row rule's last part (1 or 2) of the member's last-part parity,
 and each higher row exceeds the one below by the single admissible gap that
 matches the parity of the corresponding part.  This module implements the
-split, its inverse, an exhaustive verifier over one walk of the class's
-members, and the one generating-function assembly the structure yields, from
-skeleton weights summed bottom-up, the way the split forces a skeleton, with
-no partition built, through any weight map, and one comparison of it with the
-row recursion over members.  Every check takes the class alone: its basis is
-``cls.basis`` and padding parts are even.
+split, its inverse, an exhaustive verifier over the class's members, listed
+by the row recursion that sums them, and the one generating-function
+assembly the structure yields, from skeleton weights summed bottom-up, the
+way the split forces a skeleton, with no partition built, through any weight
+map, and one comparison of it with the row recursion over members.  Every
+check takes the class alone: its basis is ``cls.basis`` and padding parts
+are even.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def _split_count(lam: Partition, skeletons: tuple[Partition, ...]) -> int:
 def verify_sip_property(cls: PartitionClass, weight_max: int) -> CheckReport:
     """Round-trip and uniqueness of the split for every member up to a weight.
 
-    The members come from one walk of the class, weight by weight; a member
+    The members come from one pass of the row recursion that sums the class
+    weight series, keyed by the parts and listed weight by weight; a member
     whose split or rebuild raises :class:`SipError` fails alone.  Uniqueness
     is checked independently of :func:`decompose` by re-composing every basis
     member of matching length and counting the valid splits.  The

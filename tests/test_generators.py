@@ -441,6 +441,12 @@ class TestInjectedFaultsAreCaught:
         ids=("strict-walked-upward", "non-strict-walked-downward"),
     )
     def test_weight_series_walked_the_wrong_way(self, monkeypatch, cls, key, walk_as_strict):
+        """The row recursion also lists the members, so the fault reaches the
+        member reports too.  Walked upward, the strict recursion lists
+        ``Partition(2, 2)`` among G1's members, and its split is refused.
+        Walked as strict, P1 only loses members (16 checks at weight 8, not
+        23), which ``sip-property[p1]`` cannot see; ``identity[p1-four]`` is
+        what catches it."""
         rems = partitions._rems
         monkeypatch.setattr(
             partitions, "_rems", lambda strict, cap, trunc: rems(walk_as_strict, cap, trunc)
@@ -451,6 +457,10 @@ class TestInjectedFaultsAreCaught:
         four = check_sip_gf_four_parameter(cls, 8)
         assert not four.passed
         assert _first_degree(four.failures, r"degree (\d+):") <= 8
+        members = verify_sip_property(cls, 8)
+        assert members.passed is walk_as_strict
+        if not walk_as_strict:
+            assert any(line.startswith("Partition(2, 2): ") for line in members.failures)
 
     @pytest.mark.parametrize("key", ("g1-xzq", "p1-bg"))
     def test_weight_map_without_its_d_image(self, monkeypatch, key):
